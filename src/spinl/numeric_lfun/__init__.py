@@ -2,8 +2,11 @@
 quadrature, approximate-functional-equation L-evaluators, Rankin's
 Petersson-norm formula, and the table verification harness.
 
-Every entry point takes an explicit decimal precision D; there is no
-global precision state.
+Every entry point takes an explicit decimal precision D and never touches
+mpmath's global context.  Work runs in contexts pooled per thread and per
+D, and results come back in per-D value contexts (see `bigfloat`); the
+degree-4 kernel data is kept in two bounded, thread-safe caches whose
+values are the same in every thread.
 """
 
 from .bigfloat import context, pi_value_numeric, round_to

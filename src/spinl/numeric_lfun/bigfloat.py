@@ -1,13 +1,26 @@
 """Precision discipline for the numerical layer.
 
 All extended-precision arithmetic runs on mpmath, but never through the
-global `mpmath.mp` context: every entry point takes an explicit decimal
-digit count D and works in a freshly cloned context, so identical inputs
-and D give bit-identical results and concurrent calls cannot interfere.
+global `mpmath.mp` context.  Every entry point takes an explicit decimal
+digit count D, and identical inputs and D give bit-identical results, in
+any thread and in any order of calls.
+
+An mpmath context is mutable (its special functions raise `ctx.prec` for
+a moment and restore it), and an mpf rounds its arithmetic at its own
+context's current precision.  Two kinds of context follow from that:
+
+- `context(D)` is a working context from a per-thread pool keyed by D.
+  A thread reuses it for every computation at D, so no other thread ever
+  sees its precision change.  It is reset to D digits on every call.
+- `round_to(D, x)` returns x rounded into a value context shared by all
+  threads.  No computation runs in a value context, so its precision is
+  fixed, and a returned value or a cached one behaves the same wherever
+  it is used later.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 from mpmath import mp
@@ -16,9 +29,12 @@ from ..exact_arith import PiValue
 
 MIN_DPS = 15
 
+_threads = threading.local()
+_VALUE_CONTEXTS: dict = {}
 
-def context(dps: int):
-    """A private mpmath context at the given decimal precision."""
+
+def _fresh(dps: int):
+    # every pooled context is made here first, so this enforces the floor
     if dps < MIN_DPS:
         raise ValueError(f"working precision must be >= {MIN_DPS} digits")
     ctx = mp.clone()
@@ -26,10 +42,37 @@ def context(dps: int):
     return ctx
 
 
+def context(dps: int):
+    """The calling thread's working mpmath context at the given decimal
+    precision."""
+    pool = getattr(_threads, "pool", None)
+    if pool is None:
+        pool = _threads.pool = {}
+    ctx = pool.get(dps)
+    if ctx is None:
+        ctx = pool[dps] = _fresh(dps)
+    else:
+        ctx.dps = dps  # undo any change a caller made
+    return ctx
+
+
+def _value_context(dps: int):
+    ctx = _VALUE_CONTEXTS.get(dps)
+    if ctx is None:
+        ctx = _VALUE_CONTEXTS.setdefault(dps, _fresh(dps))
+    return ctx
+
+
 def round_to(dps: int, value):
-    """Re-round a value to a D-digit context (the canonical return step)."""
-    out = context(dps)
-    return +out.convert(value)
+    """Re-round a value to D digits (the canonical return step)."""
+    return +_value_context(dps).convert(value)
+
+
+def _settle(dps: int, value):
+    """Move a value computed at D digits into the value context: exact,
+    since its precision already is D digits.  For values that outlive
+    the call that made them (the evaluators' caches)."""
+    return _value_context(dps).convert(value)
 
 
 def fraction_to_mpf(ctx, q: Fraction):

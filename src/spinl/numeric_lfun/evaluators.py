@@ -24,15 +24,17 @@ K_0/K_1 terms for odd m (integer s) and to the Bickley function for even m
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import context, fraction_to_mpf, pi_value_numeric, round_to
+from .bigfloat import _settle, context, fraction_to_mpf, pi_value_numeric, round_to
 from .quadrature import tanh_sinh
-from .special import bessel_k, bickley_ki1, gamma_upper
+from .special import _bessel_k01, bessel_k, bickley_ki1, gamma_upper
 
 __all__ = [
     "LFunctionSpec",
@@ -143,8 +145,42 @@ def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
 # ---------------------------------------------------------------------------
 # degree 4
 
-_NODE_CACHE: dict = {}
-_KI1_CACHE: dict = {}
+class _BoundedCache:
+    """A mapping of at most `cap` entries that evicts the least recently
+    used one; get and set are safe from any thread."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def __setitem__(self, key, value) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            if len(self._data) > self.cap:
+                self._data.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+
+# a verify run at D = 60, M = 300 holds 300 nodes; entries live in the
+# value contexts, so a hit is the same number in every thread
+_CACHE_CAP = 2048
+_NODE_CACHE = _BoundedCache(_CACHE_CAP)
+_KI1_CACHE = _BoundedCache(_CACHE_CAP)
 
 
 def _deg4_node(n: int, dps: int):
@@ -157,19 +193,18 @@ def _deg4_node(n: int, dps: int):
     ctx = context(dps)
     a = (2 * ctx.pi) ** 2 * n
     X = 2 * ctx.sqrt(a)
-    k0 = ctx.convert(bessel_k(0, X, dps))
-    k1 = ctx.convert(bessel_k(1, X, dps))
+    k0, k1 = _bessel_k01(X, dps)
     K = [k0, k1]
     for j in range(1, 10):
         K.append(K[j - 1] + (2 * j / X) * K[j])
     half = X / 2
-    u = tuple(K[v] / half**v for v in range(11))
-    node = (a, X, k0, k1, u)
+    u = tuple(_settle(dps, K[v] / half**v) for v in range(11))
+    node = (_settle(dps, a), _settle(dps, X), k0, k1, u)
     _NODE_CACHE[key] = node
     return node
 
 
-def _r_integral(ctx, m: int, X, k0, k1, n: int, dps: int):
+def _r_integral(m: int, X, k0, k1, n: int, dps: int):
     """R_m = int_X^inf x^m K_0(x) dx via R_m = X^m K_1 + (m-1) X^(m-1) K_0
     + (m-1)^2 R_(m-2); base R_1 = X K_1, R_0 = Ki_1(X)."""
     if m % 2 == 1:
@@ -179,8 +214,7 @@ def _r_integral(ctx, m: int, X, k0, k1, n: int, dps: int):
         key = (n, dps)
         r = _KI1_CACHE.get(key)
         if r is None:
-            r = ctx.convert(bickley_ki1(X, dps))
-            _KI1_CACHE[key] = r
+            r = _KI1_CACHE[key] = bickley_ki1(X, dps)
         mm = 0
     while mm < m:
         mm += 2
@@ -201,7 +235,7 @@ def _incomplete_mellin_deg4(ctx, s, n: int, dps: int):
         apow *= a
     sigma = s - 11
     m = int(round(float(2 * sigma - 1)))
-    r = _r_integral(ctx, m, X, k0, k1, n, dps)
+    r = _r_integral(m, X, k0, k1, n, dps)
     i0 = 2 * (4 * a) ** (-sigma) * r
     acc += prod / (apow / a) * i0
     return 2 * acc

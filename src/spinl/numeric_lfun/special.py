@@ -120,11 +120,9 @@ def _k0_k1_asymptotic(ctx, x, target_eps):
     return out[0], out[1]
 
 
-def bessel_k(nu: int, x, dps: int):
-    """Modified Bessel function K_nu(x) to dps digits, integer 0 <= nu <= 20,
-    x inside (1e-6, 1e4)."""
-    if not 0 <= nu <= BESSEL_NU_MAX:
-        raise ValueError(f"order must be an integer in 0..{BESSEL_NU_MAX}")
+def _k0_k1(x, dps: int):
+    """K_0(x) and K_1(x) unrounded, in a working context carrying the
+    guard digits, together with x in that context."""
     xf = float(x)
     if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
         raise OverflowError(
@@ -140,6 +138,22 @@ def bessel_k(nu: int, x, dps: int):
         ctx = context(dps + guard)
         xx = ctx.convert(x)
         k0, k1 = _k0_k1_series(ctx, xx)
+    return xx, k0, k1
+
+
+def _bessel_k01(x, dps: int):
+    """(K_0(x), K_1(x)) to dps digits from one evaluation, each equal to
+    what bessel_k returns for it."""
+    _, k0, k1 = _k0_k1(x, dps)
+    return round_to(dps, k0), round_to(dps, k1)
+
+
+def bessel_k(nu: int, x, dps: int):
+    """Modified Bessel function K_nu(x) to dps digits, integer 0 <= nu <= 20,
+    x inside (1e-6, 1e4)."""
+    if not 0 <= nu <= BESSEL_NU_MAX:
+        raise ValueError(f"order must be an integer in 0..{BESSEL_NU_MAX}")
+    xx, k0, k1 = _k0_k1(x, dps)
     if nu == 0:
         r = k0
     elif nu == 1:

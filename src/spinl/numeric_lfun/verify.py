@@ -40,8 +40,7 @@ STORED_G20_NORM = "0.000008265541531659703164230062760258225715"
 
 
 def stored_norms(dps: int) -> Tuple[object, object]:
-    ctx = context(dps)
-    return ctx.mpf(STORED_DELTA_NORM), ctx.mpf(STORED_G20_NORM)
+    return round_to(dps, STORED_DELTA_NORM), round_to(dps, STORED_G20_NORM)
 
 
 def fresh_norms(dps: int) -> Tuple[object, object]:

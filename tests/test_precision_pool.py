@@ -1,0 +1,196 @@
+"""The numeric layer's shared state: pooled per-thread working contexts,
+value contexts for returned and cached numbers, and the bounded caches.
+Results must not depend on the thread, on what ran before, or on what a
+caller did to a context it was handed."""
+
+import threading
+
+import pytest
+from mpmath.libmp import dps_to_prec
+
+from spinl import delta_qexp, rankin_coeffs
+from spinl.numeric_lfun import (
+    bessel_k,
+    context,
+    functional_eq_residual,
+    l_degree2,
+    l_rankin4,
+    rankin_lfunction,
+    round_to,
+    verify_tables,
+)
+from spinl.numeric_lfun import evaluators
+from spinl.numeric_lfun.special import _bessel_k01
+
+
+def _clear_caches():
+    evaluators._NODE_CACHE.clear()
+    evaluators._KI1_CACHE.clear()
+
+
+def _in_threads(*jobs):
+    """Run the callables at once, one thread each; return their results."""
+    results = [None] * len(jobs)
+    errors = []
+    start = threading.Barrier(len(jobs))
+
+    def run(i, job):
+        try:
+            start.wait()
+            results[i] = job()
+        except Exception as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i, job)) for i, job in enumerate(jobs)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+class TestContextPool:
+    def test_same_object_in_one_thread(self):
+        assert context(31) is context(31)
+        assert context(31) is not context(32)
+
+    def test_other_thread_gets_its_own(self):
+        mine = context(31)
+        (theirs,) = _in_threads(lambda: context(31))
+        assert theirs is not mine
+        assert theirs.dps == mine.dps == 31
+
+    def test_caller_changes_are_undone(self):
+        ctx = context(33)
+        ctx.dps = 80
+        assert context(33).dps == 33
+        assert context(33).prec == dps_to_prec(33)
+
+    def test_floor_still_enforced(self):
+        with pytest.raises(ValueError):
+            context(14)
+        with pytest.raises(ValueError):
+            round_to(14, 1)
+
+
+class TestValuesIgnoreContextMutation:
+    def test_l_degree2_and_earlier_values_unchanged(self):
+        form = delta_qexp(40)
+        before = l_degree2(form, 12, 6, 20, 30)
+        derived = before / 3 + before * before
+        # l_degree2 at 20 digits works in context(30) and gamma_upper in
+        # context(38); knock both (and the returned value's neighbours) off
+        for d in (20, 30, 38):
+            context(d).dps = 120
+        assert before / 3 + before * before == derived
+        assert repr(before / 3 + before * before) == repr(derived)
+        for d in (20, 30, 38):
+            context(d).prec = 40
+        after = l_degree2(form, 12, 6, 20, 30)
+        assert repr(after) == repr(before)
+        assert repr(before / 3 + before * before) == repr(derived)
+
+    def test_cached_values_live_in_value_contexts(self):
+        # a cached number typed to a working context would round at that
+        # context's precision of the moment, in whichever thread reads it
+        _clear_caches()
+        l_rankin4(rankin_coeffs(14), 14, 20, 14)
+        functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 8)
+        for cache in (evaluators._NODE_CACHE, evaluators._KI1_CACHE):
+            assert cache
+            for (_, dps), entry in cache._data.items():
+                if isinstance(entry, tuple):  # a node: a, X, K_0, K_1, u
+                    entry = [*entry[:4], *entry[4]]
+                else:
+                    entry = [entry]
+                home = round_to(dps, 1).context
+                assert all(v.context is home for v in entry)
+
+
+class TestThreads:
+    def test_verify_tables_concurrent_equals_serial(self):
+        _clear_caches()
+        serial = verify_tables(20, 40).as_dict()
+        _clear_caches()
+        got = _in_threads(
+            lambda: verify_tables(20, 40).as_dict(),
+            lambda: verify_tables(20, 40).as_dict(),
+        )
+        assert got[0] == serial
+        assert got[1] == serial
+
+    def test_mixed_precisions_concurrent(self):
+        A = rankin_coeffs(40)
+        _clear_caches()
+        serial = [repr(l_rankin4(A, 15, d, 40)) for d in (20, 27)]
+        _clear_caches()
+        got = _in_threads(
+            lambda: repr(l_rankin4(A, 15, 20, 40)),
+            lambda: repr(l_rankin4(A, 15, 27, 40)),
+        )
+        assert got == serial
+
+
+class TestBoundedCaches:
+    def test_lru_eviction(self):
+        cache = evaluators._BoundedCache(2)
+        cache["a"] = 1
+        cache["b"] = 2
+        assert cache.get("a") == 1  # "b" is now least recent
+        cache["c"] = 3
+        assert len(cache) == 2
+        assert cache.get("b") is None
+        assert cache.get("a") == 1 and cache.get("c") == 3
+        cache.clear()
+        assert not cache and len(cache) == 0
+
+    def test_concurrent_puts_respect_cap(self):
+        cache = evaluators._BoundedCache(16)
+
+        def fill(base):
+            for i in range(2000):
+                cache[(base, i)] = i
+                cache.get((base, i - 1))
+                assert len(cache) <= 16
+
+        _in_threads(lambda: fill(0), lambda: fill(1), lambda: fill(2))
+        assert len(cache) == 16
+
+    def test_caches_have_a_fixed_cap(self):
+        for cache in (evaluators._NODE_CACHE, evaluators._KI1_CACHE):
+            assert cache.cap == evaluators._CACHE_CAP >= 300
+
+    def test_eviction_keeps_values(self, monkeypatch):
+        A = rankin_coeffs(14)
+        spec = rankin_lfunction(14)
+        _clear_caches()
+        full_l = repr(l_rankin4(A, 14, 20, 14))
+        full_r = repr(functional_eq_residual(spec, None, 13.5, 20, 8))
+        assert len(evaluators._NODE_CACHE) > 5 and len(evaluators._KI1_CACHE) > 5
+        _clear_caches()
+        monkeypatch.setattr(evaluators._NODE_CACHE, "cap", 5)
+        monkeypatch.setattr(evaluators._KI1_CACHE, "cap", 5)
+        for _ in range(2):
+            assert repr(l_rankin4(A, 14, 20, 14)) == full_l
+            assert repr(functional_eq_residual(spec, None, 13.5, 20, 8)) == full_r
+            assert len(evaluators._NODE_CACHE) <= 5
+            assert len(evaluators._KI1_CACHE) <= 5
+        _clear_caches()
+
+
+class TestBesselPair:
+    @pytest.mark.parametrize("x", ["0.003", "2.5", "17.7", "30.1", "64", "250"])
+    def test_pair_equals_bessel_k(self, x):
+        ctx = context(30)
+        for dps in (20, 45):
+            k0, k1 = _bessel_k01(ctx.mpf(x), dps)
+            assert repr(k0) == repr(bessel_k(0, ctx.mpf(x), dps))
+            assert repr(k1) == repr(bessel_k(1, ctx.mpf(x), dps))
+
+    def test_domain_checks_kept(self):
+        with pytest.raises(OverflowError):
+            _bessel_k01(1e5, 20)
+        with pytest.raises(ValueError):
+            bessel_k(21, 2.0, 20)
