@@ -2,9 +2,11 @@
 this package consumes: Delta, E_k, G_{2,p}, g_20 = E_8*Delta, the Hecke
 operator T_p, and the Dirichlet coefficients of the degree-4 convolution.
 
-Coefficients are exact rationals throughout (integers are stored with
-denominator 1 for type uniformity); series are immutable after
-construction.
+Coefficients are exact: a coefficient is stored as an ``int`` when it is
+integral and as a ``Fraction`` only when it is not (E_k's 2k/B_k factor,
+the constant term of G_{2,p}, and what is derived from those). Integral
+series therefore multiply as plain integers, by Kronecker substitution,
+with no conversion. Series are immutable after construction.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Sequence, Tuple
 
 from .exact_arith import bernoulli
@@ -29,11 +32,6 @@ __all__ = [
     "is_prime",
 ]
 
-# Above this output length, integer series products switch from schoolbook
-# convolution to Kronecker substitution (one bigint multiply).
-_KRONECKER_CUTOFF = 600
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -47,7 +45,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _schoolbook(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
+def _schoolbook(a: Sequence, b: Sequence, n_out: int) -> list:
     out = [0] * (n_out + 1)
     for i, ai in enumerate(a):
         if ai and i <= n_out:
@@ -59,40 +57,52 @@ def _schoolbook(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
     return out
 
 
+def _pack(xs: Sequence[int], w: int) -> int:
+    """sum xs[i] 2^(8wi) for integers |xs[i]| < 2^(8w-1), in linear time.
+
+    The two's-complement chunks read as one unsigned integer carry an extra
+    2^(8w(i+1)) for each negative xs[i]; one packed borrow removes them.
+    """
+    one, zero = (1).to_bytes(w, "little"), bytes(w)
+    digits = b"".join(x.to_bytes(w, "little", signed=True) for x in xs)
+    borrow = b"".join(one if x < 0 else zero for x in xs)
+    return int.from_bytes(digits, "little") - (int.from_bytes(borrow, "little") << 8 * w)
+
+
 def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
-    # Pack coefficients into one bigint each; Python's multiply does the rest.
-    # Digit width covers the largest possible convolution coefficient, plus a
-    # sign bit; negative digits are recovered balanced.
-    max_a = max(abs(x) for x in a)
-    max_b = max(abs(x) for x in b)
+    """Coefficients 0..n_out of the product of two integer polynomials.
+
+    Kronecker substitution: pack each operand into one bigint with w-byte
+    digits, make one bigint multiply, and read back balanced digits. Packing
+    and unpacking are linear in the bigint size, so the multiply dominates.
+    """
+    max_a = max(map(abs, a))
+    max_b = max(map(abs, b))
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
+    # every product coefficient c satisfies |c| <= bound < 2^(8w-1)
     bound = max_a * max_b * min(len(a), len(b))
-    k = bound.bit_length() + 2
-    A = 0
-    for x in reversed(a):
-        A = (A << k) + x
-    B = 0
-    for x in reversed(b):
-        B = (B << k) + x
-    C = A * B
-    half = 1 << (k - 1)
-    full = 1 << k
-    mask = full - 1
-    out = []
-    for _ in range(n_out + 1):
-        d = C & mask
-        if d >= half:
-            d -= full
-        out.append(d)
-        C = (C - d) >> k
-    return out
+    w = (bound.bit_length() + 8) // 8
+    A = _pack(a, w)
+    C = A * A if a is b else A * _pack(b, w)
+    size = w * (n_out + 1)
+    raw = (C & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    # A digit read as negative borrowed 1 from the digit above it.
+    s = [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, size, w)]
+    return [s[0]] + [x + (y < 0) for x, y in zip(s[1:], s)]
 
 
-def _int_multiply(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
-    if n_out + 1 > _KRONECKER_CUTOFF and min(len(a), len(b)) > 2:
-        return _kronecker(a, b, n_out)
-    return _schoolbook(a, b, n_out)
+# Integral products always use Kronecker substitution: it is faster than the
+# schoolbook product from about 15 output coefficients on.
+_int_multiply = _kronecker
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if isinstance(c, int):
+        return int(c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class QSeries:
@@ -104,32 +114,32 @@ class QSeries:
     __slots__ = ("_coeffs", "precision")
 
     def __init__(self, coeffs: Sequence, precision: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         if precision is None:
             precision = len(cs) - 1
         if precision < 0:
             raise ValueError("precision must be nonnegative")
         if len(cs) < precision + 1:
-            cs.extend([Fraction(0)] * (precision + 1 - len(cs)))
+            cs.extend([0] * (precision + 1 - len(cs)))
         self._coeffs = tuple(cs[: precision + 1])
         self.precision = precision
 
     @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
+    def coeffs(self) -> Tuple[int | Fraction, ...]:
         return self._coeffs
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.precision:
             raise IndexError(f"coefficient {n} beyond precision {self.precision}")
         return self._coeffs[n]
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs)
+        return all(type(c) is int for c in self._coeffs)
 
     def integer_coeffs(self) -> list:
         if not self.is_integral():
             raise ValueError("series has non-integer coefficients")
-        return [int(c) for c in self._coeffs]
+        return list(self._coeffs)
 
     def truncate(self, n: int) -> "QSeries":
         if n > self.precision:
@@ -158,21 +168,10 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
+            a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
             if self.is_integral() and other.is_integral():
-                prod = _int_multiply(
-                    [int(c) for c in self._coeffs],
-                    [int(c) for c in other._coeffs],
-                    n,
-                )
-                return QSeries(prod, n)
-            out = [Fraction(0)] * (n + 1)
-            for i, ai in enumerate(self._coeffs[: n + 1]):
-                if ai:
-                    for j in range(min(other.precision, n - i) + 1):
-                        bj = other._coeffs[j]
-                        if bj:
-                            out[i + j] += ai * bj
-            return QSeries(out, n)
+                return QSeries(_kronecker(a, b, n), n)
+            return QSeries(_schoolbook(a, b, n), n)
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self._coeffs], self.precision)
         return NotImplemented
@@ -220,10 +219,10 @@ def _int_power(base: list, e: int, n_out: int) -> list:
     p = base
     while e:
         if e & 1:
-            result = p if result is None else _int_multiply(result, p, n_out)
+            result = p if result is None else _kronecker(result, p, n_out)
         e >>= 1
         if e:
-            p = _int_multiply(p, p, n_out)
+            p = _kronecker(p, p, n_out)
     return result if result is not None else [1] + [0] * n_out
 
 
@@ -255,9 +254,9 @@ def eisenstein_qexp(k: int, N: int) -> QSeries:
         raise ValueError("Eisenstein weight must be even and >= 4")
     if N < 0:
         raise ValueError("need N >= 0")
-    alpha = -Fraction(2 * k) / bernoulli(k)
+    alpha = _exact(-Fraction(2 * k) / bernoulli(k))
     sig = _divisor_power_sums(N, k - 1)
-    return QSeries([Fraction(1)] + [alpha * sig[n] for n in range(1, N + 1)], N)
+    return QSeries([1] + [alpha * sig[n] for n in range(1, N + 1)], N)
 
 
 def g2p_qexp(p: int, N: int) -> QSeries:
@@ -276,8 +275,7 @@ def g2p_qexp(p: int, N: int) -> QSeries:
             continue
         for m in range(d, N + 1, d):
             out[m] += d
-    coeffs = [Fraction(p - 1, 24)] + [Fraction(c) for c in out[1:]]
-    return QSeries(coeffs, N)
+    return QSeries([Fraction(p - 1, 24)] + out[1:], N)
 
 
 @lru_cache(maxsize=16)
@@ -285,9 +283,7 @@ def g20_qexp(N: int) -> QSeries:
     """The normalized weight-20 cusp eigenform E_8 * Delta to precision N."""
     if N < 1:
         raise ValueError("need N >= 1")
-    e8 = eisenstein_qexp(8, N).integer_coeffs()
-    dl = delta_qexp(N).integer_coeffs()
-    return QSeries(_int_multiply(e8, dl, N), N)
+    return eisenstein_qexp(8, N) * delta_qexp(N)
 
 
 def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
@@ -303,7 +299,7 @@ def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
         raise ValueError(
             f"insufficient precision {f.precision} for T_{p}"
         )
-    pk = Fraction(p) ** (k - 1)
+    pk = p ** (k - 1)
     out = []
     for n in range(n_out + 1):
         c = f[n * p]
@@ -335,15 +331,10 @@ def rankin_coeffs(N: int) -> RankinCoeffs:
     tau = delta_qexp(N).integer_coeffs()
     b = g20_qexp(N).integer_coeffs()
     vals = [0] * (N + 1)
-    for n in range(1, N + 1):
-        acc = 0
-        d = 1
-        while d * d <= n:
-            if n % (d * d) == 0:
-                m = n // (d * d)
-                acc += d**30 * tau[m] * b[m]
-            d += 1
-        vals[n] = acc
+    for d in range(1, isqrt(N) + 1):
+        dd, d30 = d * d, d**30
+        for m in range(1, N // dd + 1):
+            vals[m * dd] += d30 * tau[m] * b[m]
     return RankinCoeffs(N, tuple(vals))
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from spinl import (
     QSeries,
@@ -46,12 +47,31 @@ class TestQSeries:
         b = QSeries([4, 5, 6])
         assert (a * b).coeffs == (4, 13, 28)
 
+    def test_rational_mul(self):
+        a = QSeries([Fraction(1, 2), 1, 7])
+        prod = a * QSeries([2, Fraction(1, 3)])
+        assert prod.coeffs == (1, Fraction(13, 6))
+        assert type(prod[0]) is int
+
     def test_scalar_mul(self):
         assert (3 * QSeries([1, -2])).coeffs == (3, -6)
 
     def test_getitem_bounds(self):
         with pytest.raises(IndexError):
             QSeries([1, 2])[5]
+
+    def test_integral_coeffs_stored_as_int(self):
+        s = QSeries([Fraction(4, 2), Fraction(-3), 5])
+        assert all(type(c) is int for c in s.coeffs)
+        assert s == QSeries([2, -3, 5])
+        assert hash(s) == hash(QSeries([2, -3, 5]))
+
+    def test_fraction_kept_where_needed(self):
+        assert g2p_qexp(2, 4)[0] == Fraction(1, 24)
+        assert hecke_tp(delta_qexp(40), 2, 12).is_integral()
+        assert all(type(c) is int for c in eisenstein_qexp(8, 5).coeffs)
+        e12 = eisenstein_qexp(12, 5)
+        assert e12[1] == Fraction(65520, 691) and not e12.is_integral()
 
 
 class TestConvolutionBackends:
@@ -69,6 +89,34 @@ class TestConvolutionBackends:
         a = list(range(-400, 401))
         got = _int_multiply(a, a, 800)
         assert got == _schoolbook(a, a, 800)
+
+    # Small and huge magnitudes mixed, so digits of both signs and widths
+    # up to 2^300 appear; all-zero operands come from the zero lists.
+    _poly = st.one_of(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(-(2**300), 2**300)),
+            min_size=1, max_size=40,
+        ),
+        st.lists(st.just(0), min_size=1, max_size=4),
+    )
+
+    @given(a=_poly, b=_poly, shift=st.integers(-60, 8), square=st.booleans())
+    @example(a=[5], b=[-7], shift=0, square=False)
+    @example(a=[0, 0], b=[3, 1], shift=0, square=False)
+    @example(a=[2**300, -(2**300)], b=[1, 2**299], shift=3, square=False)
+    @example(a=[1, -1, 2], b=[3, -1], shift=-1, square=False)
+    @example(a=[8, 8], b=[8, 8], shift=0, square=False)
+    @example(a=[-(2**300)] * 5, b=[0], shift=0, square=True)
+    def test_kronecker_property(self, a, b, shift, square):
+        # n_out below, at and above the full product length len(a)+len(b)-2
+        if square:
+            b = a
+        n = max(0, len(a) + len(b) - 2 + shift)
+        assert _kronecker(a, b, n) == _schoolbook(a, b, n)
+
+    @pytest.mark.parametrize("n", [100, 599, 600])
+    def test_delta_truncation_matches_direct(self, n):
+        assert delta_qexp(700).truncate(n) == delta_qexp(n)
 
 
 class TestDelta:
