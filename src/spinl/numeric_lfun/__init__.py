@@ -5,8 +5,8 @@ Petersson-norm formula, and the table verification harness.
 Every entry point takes an explicit decimal precision D and never touches
 mpmath's global context.  Work runs in contexts pooled per thread and per
 D, and results come back in per-D value contexts (see `bigfloat`); the
-degree-4 kernel data is kept in two bounded, thread-safe caches whose
-values are the same in every thread.
+per-coefficient data of both smoothed sums is kept in three bounded,
+thread-safe caches whose values are the same in every thread.
 """
 
 from .bigfloat import context, pi_value_numeric, round_to

@@ -3,8 +3,13 @@
 Degree 2 (weight-k level-1 eigenforms).  With Lambda(s) = (2 pi)^-s Gamma(s) L(s)
 and sign eps = (-1)^(k/2):
 
-    Lambda(s) = sum_n a(n) [ (2 pi n)^-s Gamma(s, 2 pi n)
-                             + eps (2 pi n)^(s-k) Gamma(k-s, 2 pi n) ].
+    Lambda(s) = sum_n a(n) [ G_s(2 pi n) + eps G_(k-s)(2 pi n) ],
+    G_j(x)    = x^-j Gamma(j, x).
+
+For integer s the G_j, j = 1..19, come as one table per n (and precision)
+from one e^-x and the all-positive upward recurrence
+G_(j+1) = (j G_j + e^-x) / x, shared by every critical point; any other s
+calls gamma_upper per term.
 
 Degree 4 (the weight-12 x weight-20 convolution, Gamma_C(s) Gamma_C(s-11)).
 With Lambda(s) = (2 pi)^-2s Gamma(s) Gamma(s-11) L(s) and eps = +1:
@@ -16,10 +21,22 @@ With Lambda(s) = (2 pi)^-2s Gamma(s) Gamma(s-11) L(s) and eps = +1:
 phi being the inverse Mellin transform of Gamma(s) Gamma(s-11) (a fact the
 test suite pins by direct quadrature).  F is evaluated in closed form: the
 derivative identity d/dt [(at)^(-v/2) K_v(2 sqrt(at))] = -a (at)^(-(v+1)/2)
-K_(v+1)(2 sqrt(at)) reduces F by parts to K_0/K_1 boundary data at 2 sqrt(a)
-plus one incomplete integral int_X^inf x^m K_0(x) dx, which telescopes to
-K_0/K_1 terms for odd m (integer s) and to the Bickley function for even m
-(half-integer s); any other real s falls back to tanh-sinh quadrature.
+K_(v+1)(2 sqrt(at)) reduces F by parts to K_0..K_10 at X = 2 sqrt(a) plus
+one incomplete integral R_m = int_X^inf x^m K_0(x) dx, m = 2s - 23:
+
+    F(s, a) = 2 [ sum_(j=0..10) p_j(s) w_j + p_11(s) tau_m ],
+    p_j(s)  = (s-1)(s-2)...(s-j),
+    w_j     = a^-(j+1) (X/2)^-(10-j) K_(10-j)(X),
+    tau_m   = (2 / a^11) X^-(m+1) R_m.
+
+Only p depends on s, and only w and tau on n.  The tau satisfy one
+all-positive recurrence, tau_m = tau_1 + (m-1) g_0 + ((m-1)/X)^2 tau_(m-2)
+with tau_1 = (2/a^11) K_1/X and g_0 = (2/a^11) K_0/X^2; the odd chain
+(integer s) starts at tau_1, the even one (half-integer s) at
+tau_0 = (2/a^11) Ki_1(X)/X from the Bickley function.  Both chains are
+cached per (n, precision) up to m = 15 (s = 19), so each critical value is
+one short dot product per n.  Any other real s falls back to tanh-sinh
+quadrature.
 """
 
 from __future__ import annotations
@@ -28,7 +45,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+
+from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
@@ -96,54 +115,7 @@ def rankin_lfunction(n_coeffs: int = 200) -> LFunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# degree 2
-
-
-def _deg2_tail_ok(k: int, M: int, dps: int) -> bool:
-    # first omitted term ~ |a(M+1)| e^(-2 pi (M+1)) / (2 pi (M+1)); Deligne
-    # bound |a(n)| <= d(n) n^((k-1)/2), folded constants generous
-    import math
-
-    log10_tail = (
-        3 + ((k - 1) / 2 + 1) * math.log10(M + 2) - 2 * math.pi * (M + 1) / math.log(10)
-    )
-    return log10_tail < -(dps + 2)
-
-
-def _lambda_deg2(ctx, a: Callable[[int], int], k: int, s, M: int, dps: int, sign: int):
-    twopi = 2 * ctx.pi
-    acc = ctx.zero
-    s = ctx.convert(s)
-    for n in range(1, M + 1):
-        x = twopi * n
-        t = x ** (-s) * ctx.convert(gamma_upper(s, x, dps)) + sign * x ** (
-            s - k
-        ) * ctx.convert(gamma_upper(k - s, x, dps))
-        acc += a(n) * t
-    return acc
-
-
-def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
-    """L(s, f) for a weight-k level-1 eigenform given by its q-expansion,
-    via the incomplete-gamma smoothed sum over M coefficients."""
-    if k not in (12, 20):
-        raise ValueError("supported weights are 12 and 20")
-    if form.precision < M:
-        raise ValueError(f"form has {form.precision} coefficients, need {M}")
-    if not _deg2_tail_ok(k, M, dps):
-        raise ValueError(
-            f"M={M} too small for {dps}-digit accuracy at weight {k}"
-        )
-    ctx = context(dps + 10)
-    coeffs = form.integer_coeffs()
-    sign = +1 if (k // 2) % 2 == 0 else -1
-    lam = _lambda_deg2(ctx, _int_coeff_accessor(coeffs), k, s, M, dps + 10, sign)
-    s = ctx.convert(s)
-    return round_to(dps, lam * (2 * ctx.pi) ** s / ctx.gamma(s))
-
-
-# ---------------------------------------------------------------------------
-# degree 4
+# per-n caches
 
 class _BoundedCache:
     """A mapping of at most `cap` entries that evicts the least recently
@@ -176,16 +148,120 @@ class _BoundedCache:
             self._data.clear()
 
 
-# a verify run at D = 60, M = 300 holds 300 nodes; entries live in the
-# value contexts, so a hit is the same number in every thread
+# per-n data of both smoothed sums, keyed by (n, dps): a verify run at
+# D = 60, M = 300 holds 300 nodes; entries live in the value contexts, so a
+# hit is the same number in every thread
 _CACHE_CAP = 2048
 _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
+_GAMMA_CACHE = _BoundedCache(_CACHE_CAP)
 
 
-def _deg4_node(n: int, dps: int):
-    """Per-n boundary data for the parts-reduction: a, X = 2 sqrt(a),
-    K_0..K_10 at X, and u_v = (X/2)^-v K_v(X); cached per (n, dps)."""
+# ---------------------------------------------------------------------------
+# degree 2
+
+
+def _deg2_tail_ok(k: int, M: int, dps: int) -> bool:
+    # first omitted term ~ |a(M+1)| e^(-2 pi (M+1)) / (2 pi (M+1)); Deligne
+    # bound |a(n)| <= d(n) n^((k-1)/2), folded constants generous
+    import math
+
+    log10_tail = (
+        3 + ((k - 1) / 2 + 1) * math.log10(M + 2) - 2 * math.pi * (M + 1) / math.log(10)
+    )
+    return log10_tail < -(dps + 2)
+
+
+_G_TOP = 19  # G_j for j = 1..19 covers k - 1 at weight 20
+
+
+def _deg2_table(n: int, dps: int):
+    """(G_1, ..., G_19) at x = 2 pi n, G_j = x^-j Gamma(j, x), from one
+    e^-x and G_(j+1) = (j G_j + e^-x) / x; cached per (n, dps)."""
+    key = (n, dps)
+    hit = _GAMMA_CACHE.get(key)
+    if hit is not None:
+        return hit
+    ctx = context(dps + 8)
+    x = 2 * ctx.pi * n
+    e = ctx.exp(-x) / x
+    g = [e]
+    for j in range(1, _G_TOP):
+        g.append(j * g[-1] / x + e)
+    table = tuple(round_to(dps, v) for v in g)
+    _GAMMA_CACHE[key] = table
+    return table
+
+
+def _lambda_deg2(ctx, a: Callable[[int], int], k: int, s, M: int, dps: int, sign: int):
+    s = ctx.convert(s)
+    acc = ctx.zero
+    if s == int(s) and 0 < s < k <= _G_TOP + 1:
+        i, j = int(s) - 1, k - int(s) - 1
+        for n in range(1, M + 1):
+            g = _deg2_table(n, dps)
+            acc += a(n) * (ctx.convert(g[i]) + sign * ctx.convert(g[j]))
+        return acc
+    twopi = 2 * ctx.pi
+    for n in range(1, M + 1):
+        x = twopi * n
+        t = x ** (-s) * ctx.convert(gamma_upper(s, x, dps)) + sign * x ** (
+            s - k
+        ) * ctx.convert(gamma_upper(k - s, x, dps))
+        acc += a(n) * t
+    return acc
+
+
+def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
+    """L(s, f) for a weight-k level-1 eigenform given by its q-expansion,
+    via the incomplete-gamma smoothed sum over M coefficients."""
+    if k not in (12, 20):
+        raise ValueError("supported weights are 12 and 20")
+    if form.precision < M:
+        raise ValueError(f"form has {form.precision} coefficients, need {M}")
+    if not _deg2_tail_ok(k, M, dps):
+        raise ValueError(
+            f"M={M} too small for {dps}-digit accuracy at weight {k}"
+        )
+    ctx = context(dps + 10)
+    coeffs = form.integer_coeffs()
+    sign = +1 if (k // 2) % 2 == 0 else -1
+    lam = _lambda_deg2(ctx, _int_coeff_accessor(coeffs), k, s, M, dps + 10, sign)
+    s = ctx.convert(s)
+    return round_to(dps, lam * (2 * ctx.pi) ** s / ctx.gamma(s))
+
+
+# ---------------------------------------------------------------------------
+# degree 4
+
+_M_TOP = 15  # m = 2s - 23 at s = 19, the top of both cached chains
+
+
+class _Node(NamedTuple):
+    """Per-n data of the degree-4 sum at a = (2 pi)^2 n, X = 2 sqrt(a)."""
+
+    c: object  # 2 / a^11
+    X: object
+    g0: object  # c K_0(X) / X^2
+    w: tuple  # w_j = a^-(j+1) (X/2)^-(10-j) K_(10-j)(X), j = 0..10
+    tau: tuple  # the odd chain tau_1, tau_3, ..., tau_15; tau_1 = c K_1(X) / X
+
+
+def _chain(node: _Node, first, m: int, top: int, dps: int) -> tuple:
+    """(tau_m, tau_(m+2), ..., tau_top) from tau_m = first by
+    tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2), settled."""
+    ctx = context(dps)
+    X, g0, g1 = (ctx.convert(v) for v in (node.X, node.g0, node.tau[0]))
+    tau = [ctx.convert(first)]
+    while m < top:
+        m += 2
+        tau.append(g1 + (m - 1) * g0 + ((m - 1) / X) ** 2 * tau[-1])
+    return tuple(_settle(dps, t) for t in tau)
+
+
+def _deg4_node(n: int, dps: int) -> _Node:
+    """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
+    odd tau chain, from one K_0/K_1 evaluation; cached per (n, dps)."""
     key = (n, dps)
     hit = _NODE_CACHE.get(key)
     if hit is not None:
@@ -198,69 +274,100 @@ def _deg4_node(n: int, dps: int):
     for j in range(1, 10):
         K.append(K[j - 1] + (2 * j / X) * K[j])
     half = X / 2
-    u = tuple(_settle(dps, K[v] / half**v) for v in range(11))
-    node = (_settle(dps, a), _settle(dps, X), k0, k1, u)
+    w = []
+    apow = a
+    for j in range(11):
+        w.append(K[10 - j] / half ** (10 - j) / apow)
+        apow *= a
+    c = 2 * a / apow
+    node = _Node(
+        *(_settle(dps, v) for v in (c, X, c * k0 / X**2)),
+        tuple(_settle(dps, v) for v in w),
+        (_settle(dps, c * k1 / X),),
+    )
+    node = node._replace(tau=_chain(node, node.tau[0], 1, _M_TOP, dps))
     _NODE_CACHE[key] = node
     return node
 
 
-def _r_integral(m: int, X, k0, k1, n: int, dps: int):
-    """R_m = int_X^inf x^m K_0(x) dx via R_m = X^m K_1 + (m-1) X^(m-1) K_0
-    + (m-1)^2 R_(m-2); base R_1 = X K_1, R_0 = Ki_1(X)."""
-    if m % 2 == 1:
-        r = X * k1
-        mm = 1
-    else:
-        key = (n, dps)
-        r = _KI1_CACHE.get(key)
-        if r is None:
-            r = _KI1_CACHE[key] = bickley_ki1(X, dps)
-        mm = 0
-    while mm < m:
-        mm += 2
-        r = X**mm * k1 + (mm - 1) * X ** (mm - 1) * k0 + (mm - 1) ** 2 * r
-    return r
+def _even_chain(n: int, dps: int, node: _Node) -> tuple:
+    """The even chain tau_0, tau_2, ..., tau_14 (half-integer s), from
+    tau_0 = c Ki_1(X) / X; built on first use and cached per (n, dps)."""
+    key = (n, dps)
+    hit = _KI1_CACHE.get(key)
+    if hit is not None:
+        return hit
+    ctx = context(dps)
+    X = ctx.convert(node.X)
+    tau0 = ctx.convert(node.c) * ctx.convert(bickley_ki1(X, dps)) / X
+    chain = _KI1_CACHE[key] = _chain(node, tau0, 0, _M_TOP - 1, dps)
+    return chain
+
+
+def _tau(node: _Node, m: int, n: int, dps: int):
+    """tau_m = (2 / a^11) X^-(m+1) int_X^inf x^m K_0(x) dx for m >= 0: a
+    cached chain entry, climbed further past m = 15."""
+    chain = node.tau if m % 2 else _even_chain(n, dps, node)
+    top = 2 * len(chain) - 2 + m % 2
+    if m <= top:
+        return chain[m // 2]
+    return _chain(node, chain[-1], top, m, dps)[-1]
+
+
+def _falling(ctx, s):
+    """[p_0(s), ..., p_11(s)], p_j(s) = (s-1)(s-2)...(s-j): the only
+    s-dependent factors of the closed form."""
+    p = [ctx.one]
+    for j in range(1, 12):
+        p.append(p[-1] * (s - j))
+    return p
+
+
+def _dot(ctx, p, v):
+    """sum_j p_j v_j rounded once in ctx: what ctx.fdot computes, without
+    its conversion of every v_j out of the value context."""
+    terms = [mpf_mul(x._mpf_, y._mpf_) for x, y in zip(p, v)]
+    return ctx.make_mpf(mpf_sum(terms, ctx.prec, round_nearest))
+
+
+def _closed_form(ctx, p, m: int, n: int, dps: int):
+    """F(s, (2 pi)^2 n) from the falling products p of s and m = 2s - 23."""
+    node = _deg4_node(n, dps)
+    return 2 * _dot(ctx, p, (*node.w, _tau(node, m, n, dps)))
 
 
 def _incomplete_mellin_deg4(ctx, s, n: int, dps: int):
-    """F(s, (2 pi)^2 n) for s with 2s integral (the closed-form chains)."""
-    a, X, k0, k1, u = _deg4_node(n, dps)
+    """F(s, (2 pi)^2 n) for s >= 12 with 2s integral (the closed-form chains)."""
     s = ctx.convert(s)
-    acc = ctx.zero
-    prod = ctx.one
-    apow = a
-    for j in range(11):
-        acc += u[10 - j] * prod / apow
-        prod *= s - (j + 1)
-        apow *= a
-    sigma = s - 11
-    m = int(round(float(2 * sigma - 1)))
-    r = _r_integral(m, X, k0, k1, n, dps)
-    i0 = 2 * (4 * a) ** (-sigma) * r
-    acc += prod / (apow / a) * i0
-    return 2 * acc
+    return _closed_form(ctx, _falling(ctx, s), int(2 * s) - 23, n, dps)
 
 
 def _incomplete_mellin_deg4_quad(ctx, s, n: int, dps: int):
     """Generic-s fallback: F(s, a) = 4 a^(-11/2) int_1^V v^(2s-12) K_11(2 sqrt(a) v) dv
-    by tanh-sinh, V set by the e^(-2 sqrt(a) v) decay."""
+    by tanh-sinh, V set by the e^(-2 sqrt(a) v) decay.  The integrand is
+    scaled by e^(2 sqrt(a)), as tanh-sinh's stopping test is absolute."""
     a = (2 * ctx.pi) ** 2 * n
     root = 2 * ctx.sqrt(a)
     s = ctx.convert(s)
+    scale = ctx.exp(root)
 
     def f(v):
-        return v ** (2 * s - 12) * ctx.convert(bessel_k(11, root * v, dps))
+        return v ** (2 * s - 12) * ctx.convert(bessel_k(11, root * v, dps)) * scale
 
     V = (dps + 8) * ctx.log(10) / root + 4
     val = tanh_sinh(ctx, f, ctx.one, V, max_level=8, strict=True)
-    return 4 * a ** ctx.mpf("-5.5") * val
+    return 4 * a ** ctx.mpf("-5.5") * val / scale
 
 
-def _mellin_tail(ctx, s, n: int, dps: int):
-    two_s = float(2 * ctx.convert(s))
+def _mellin_tail(ctx, s, dps: int) -> Callable:
+    """n -> F(s, (2 pi)^2 n) for one s, with the s-dependent work done once:
+    the closed form when 2s is an integer >= 24, tanh-sinh otherwise."""
+    s = ctx.convert(s)
+    two_s = float(2 * s)
     if abs(two_s - round(two_s)) < 1e-12 and round(two_s) >= 24:
-        return _incomplete_mellin_deg4(ctx, s, n, dps)
-    return _incomplete_mellin_deg4_quad(ctx, s, n, dps)
+        p, m = _falling(ctx, s), round(two_s) - 23
+        return lambda n: _closed_form(ctx, p, m, n, dps)
+    return lambda n: _incomplete_mellin_deg4_quad(ctx, s, n, dps)
 
 
 def _deg4_tail_ok(M: int) -> bool:
@@ -270,12 +377,11 @@ def _deg4_tail_ok(M: int) -> bool:
 
 
 def _lambda_deg4(ctx, A: Callable[[int], int], s, M: int, dps: int):
-    acc = ctx.zero
     w = 31
+    left, right = _mellin_tail(ctx, s, dps), _mellin_tail(ctx, w - s, dps)
+    acc = ctx.zero
     for n in range(1, M + 1):
-        acc += A(n) * (
-            _mellin_tail(ctx, s, n, dps) + _mellin_tail(ctx, w - s, n, dps)
-        )
+        acc += A(n) * (left(n) + right(n))
     return acc
 
 
@@ -300,8 +406,15 @@ def kernel_mellin_check(s0: int, dps: int):
     against Gamma(s0) Gamma(s0-11): the identity that certifies the
     degree-4 kernel before any L-value is trusted.
 
-    Integrates in v = sqrt(t), then log coordinates, so the only discarded
-    piece is O(v^4) below v = 2e-6 (far below any supported tolerance)."""
+    Integrates in v = sqrt(t), then log coordinates, down to v0 = 2e-6.
+    The piece below v0 is added in closed form from the finite part of
+    K_11's small-argument series,
+
+        4 int_0^v0 v^(2 s0 - 12) K_11(2v) dv
+            = 2 sum_(k=0..10) (-1)^k (10-k)!/k! v0^(2 s0 - 22 + 2k) / (2 s0 - 22 + 2k),
+
+    whose remainder is O(v0^(2 s0 - 1) log v0).  Both quadratures are
+    strict: an unconverged estimate raises QuadratureError."""
     if s0 <= 12:
         raise ValueError("check points need s0 > 12")
     ctx = context(dps + 20)
@@ -310,11 +423,17 @@ def kernel_mellin_check(s0: int, dps: int):
         v = ctx.exp(w)
         return v ** (2 * s0 - 11) * ctx.convert(bessel_k(11, 2 * v, dps + 18))
 
+    v0 = ctx.mpf("2e-6")
     v_hi = (dps + 14) * ctx.log(10) / 2 + 25
-    w_cuts = (ctx.log(ctx.mpf("2e-6")), ctx.zero, ctx.log(v_hi))
-    val = 4 * (
-        tanh_sinh(ctx, f, w_cuts[0], w_cuts[1])
-        + tanh_sinh(ctx, f, w_cuts[1], w_cuts[2])
+    w_cuts = (ctx.log(v0), ctx.zero, ctx.log(v_hi))
+    head = 2 * ctx.fsum(
+        (-1) ** k * ctx.factorial(10 - k) / ctx.factorial(k) * v0 ** (2 * s0 - 22 + 2 * k)
+        / (2 * s0 - 22 + 2 * k)
+        for k in range(11)
+    )
+    val = head + 4 * (
+        tanh_sinh(ctx, f, w_cuts[0], w_cuts[1], strict=True)
+        + tanh_sinh(ctx, f, w_cuts[1], w_cuts[2], strict=True)
     )
     ref = ctx.gamma(s0) * ctx.gamma(s0 - 11)
     return round_to(dps, abs(val - ref) / ref)
@@ -332,8 +451,14 @@ def functional_eq_residual(
     M: int,
 ):
     """|Lambda(t) - eps Lambda(w - t)| with both sides evaluated by the
-    smoothed sum: the internal numerical-stability certificate (the quantity
-    is identically zero in exact arithmetic)."""
+    smoothed sum.
+
+    This is not an accuracy certificate.  Both sides split the sum at the
+    symmetric point, so Lambda(w - t) adds the same terms as Lambda(t) in
+    swapped order: wherever w - t is exact in binary (every half-integer t,
+    for one) the result is exactly 0, and elsewhere only the rounding of
+    w - t shows.  A certificate would move the split point, the free
+    parameter of the smoothed functional equation, and compare."""
     a = coeffs if coeffs is not None else spec.coefficients
     w = spec.weight
     tf = float(t)

@@ -195,6 +195,21 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
+    # sha256 of `spinl --prec 30 --coeffs 150 --fresh-norms --format json
+    # verify`; a change of rounding in the numeric layer can move it, and
+    # must then re-baseline it knowingly
+    VERIFY_30_150_SHA256 = "7788c51e830811acbc71ff9042bf2ac3d8365a046e4fb8a1aa3236ba81eec20f"
+
+    def test_verify_json_pinned(self, capsys):
+        import hashlib
+
+        code, out, _ = run(
+            capsys, "--prec", "30", "--coeffs", "150", "--fresh-norms",
+            "--format", "json", "verify",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_30_150_SHA256
+
     def test_cross_process_byte_identical(self, tmp_path):
         # identical invocations in separate interpreters must produce
         # byte-identical files

@@ -90,6 +90,20 @@ class TestLDegree2:
         b = ctx.convert(l_degree2(delta_qexp(40), 12, 6, 30, 30))
         assert abs(a - b) < ctx.mpf("1e-28")
 
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_gamma_table_matches_gamma_upper(self, n):
+        # the shared table's recurrence against the finite-sum Gamma(j, x)
+        from spinl.numeric_lfun import gamma_upper
+        from spinl.numeric_lfun.evaluators import _deg2_table
+
+        ctx = context(50)
+        x = 2 * ctx.pi * n
+        table = _deg2_table(n, 40)
+        assert len(table) == 19
+        for j, g in enumerate(table, start=1):
+            ref = x ** -j * ctx.convert(gamma_upper(j, x, 45))
+            assert abs(g - ref) / ref < ctx.mpf("1e-38"), j
+
 
 class TestLRankin4:
     @pytest.mark.parametrize("s", [12, 15, 19])
@@ -128,6 +142,17 @@ class TestLRankin4:
         b = ctx.convert(l_rankin4(rankin_coeffs(160), 14, 30, 160))
         assert abs(a - b) / a < ctx.mpf("1e-25")
 
+    def test_precision_sweep(self):
+        # (D, M) = (30, 150) and (45, 300) share no cached node
+        from spinl import rankin_coeffs
+
+        A = rankin_coeffs(300)
+        ctx = context(50)
+        for s in range(12, 20):
+            a = ctx.convert(l_rankin4(A, s, 30, 150))
+            b = ctx.convert(l_rankin4(A, s, 45, 300))
+            assert abs(a - b) / abs(b) < ctx.mpf("1e-29"), s
+
     def test_rejects_bad_s(self, rankin150):
         for s in (11, 20):
             with pytest.raises(ValueError):
@@ -143,6 +168,13 @@ class TestKernel:
         err = kernel_mellin_check(15, 22)
         ctx = context(22)
         assert ctx.convert(err) < ctx.mpf("1e-18")
+
+    def test_certifies_to_the_requested_digits(self):
+        # the piece below v = 2e-6 is ~6e-26 relative at s0 = 13; left out,
+        # no D >= 26 could be certified
+        err = kernel_mellin_check(13, 28)
+        ctx = context(28)
+        assert ctx.convert(err) < ctx.mpf("1e-26")
 
     def test_rejects_low_s(self):
         with pytest.raises(ValueError):
@@ -268,10 +300,16 @@ class TestResidualCustomCoefficients:
 
 
 class TestMellinTailRoutes:
-    @pytest.mark.parametrize("s_str,n", [("14.0", 1), ("15.5", 1), ("12.5", 4), ("18.5", 2)])
+    @pytest.mark.parametrize(
+        "s_str,n",
+        [("14.0", 1), ("15.5", 1), ("12.5", 4), ("18.5", 2),
+         ("12.0", 1), ("19.0", 3), ("12.0", 149), ("19.0", 150), ("22.0", 2), ("20.5", 1)],
+    )
     def test_closed_form_matches_quadrature(self, s_str, n):
         # integer s terminates the parts-reduction in K_0/K_1, half-integer
-        # s in the Bickley function; both must agree with direct tanh-sinh
+        # s in the Bickley function; both must agree with direct tanh-sinh,
+        # from the first critical point to the last, and past the cached
+        # chains (s > 19)
         from spinl.numeric_lfun.evaluators import (
             _incomplete_mellin_deg4,
             _incomplete_mellin_deg4_quad,

@@ -23,9 +23,19 @@ from spinl.numeric_lfun import evaluators
 from spinl.numeric_lfun.special import _bessel_k01
 
 
+CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE, evaluators._GAMMA_CACHE)
+
+
 def _clear_caches():
-    evaluators._NODE_CACHE.clear()
-    evaluators._KI1_CACHE.clear()
+    for cache in CACHES:
+        cache.clear()
+
+
+def _numbers(entry):
+    """Every number in a cache entry, however its tuples nest."""
+    if isinstance(entry, tuple):
+        return [v for item in entry for v in _numbers(item)]
+    return [entry]
 
 
 def _in_threads(*jobs):
@@ -80,14 +90,16 @@ class TestValuesIgnoreContextMutation:
         form = delta_qexp(40)
         before = l_degree2(form, 12, 6, 20, 30)
         derived = before / 3 + before * before
-        # l_degree2 at 20 digits works in context(30) and gamma_upper in
-        # context(38); knock both (and the returned value's neighbours) off
+        # l_degree2 at 20 digits works in context(30) and builds its Gamma
+        # table in context(38); knock both (and the returned value's
+        # neighbours) off, and rebuild the table under them
         for d in (20, 30, 38):
             context(d).dps = 120
         assert before / 3 + before * before == derived
         assert repr(before / 3 + before * before) == repr(derived)
         for d in (20, 30, 38):
             context(d).prec = 40
+        _clear_caches()
         after = l_degree2(form, 12, 6, 20, 30)
         assert repr(after) == repr(before)
         assert repr(before / 3 + before * before) == repr(derived)
@@ -98,15 +110,12 @@ class TestValuesIgnoreContextMutation:
         _clear_caches()
         l_rankin4(rankin_coeffs(14), 14, 20, 14)
         functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 8)
-        for cache in (evaluators._NODE_CACHE, evaluators._KI1_CACHE):
+        l_degree2(delta_qexp(30), 12, 6, 20, 30)
+        for cache in CACHES:
             assert cache
             for (_, dps), entry in cache._data.items():
-                if isinstance(entry, tuple):  # a node: a, X, K_0, K_1, u
-                    entry = [*entry[:4], *entry[4]]
-                else:
-                    entry = [entry]
                 home = round_to(dps, 1).context
-                assert all(v.context is home for v in entry)
+                assert all(v.context is home for v in _numbers(entry))
 
 
 class TestThreads:
@@ -159,24 +168,26 @@ class TestBoundedCaches:
         assert len(cache) == 16
 
     def test_caches_have_a_fixed_cap(self):
-        for cache in (evaluators._NODE_CACHE, evaluators._KI1_CACHE):
+        for cache in CACHES:
             assert cache.cap == evaluators._CACHE_CAP >= 300
 
     def test_eviction_keeps_values(self, monkeypatch):
         A = rankin_coeffs(14)
         spec = rankin_lfunction(14)
+        form = delta_qexp(30)
         _clear_caches()
         full_l = repr(l_rankin4(A, 14, 20, 14))
         full_r = repr(functional_eq_residual(spec, None, 13.5, 20, 8))
-        assert len(evaluators._NODE_CACHE) > 5 and len(evaluators._KI1_CACHE) > 5
+        full_2 = repr(l_degree2(form, 12, 6, 20, 30))
+        assert all(len(cache) > 5 for cache in CACHES)
         _clear_caches()
-        monkeypatch.setattr(evaluators._NODE_CACHE, "cap", 5)
-        monkeypatch.setattr(evaluators._KI1_CACHE, "cap", 5)
+        for cache in CACHES:
+            monkeypatch.setattr(cache, "cap", 5)
         for _ in range(2):
             assert repr(l_rankin4(A, 14, 20, 14)) == full_l
             assert repr(functional_eq_residual(spec, None, 13.5, 20, 8)) == full_r
-            assert len(evaluators._NODE_CACHE) <= 5
-            assert len(evaluators._KI1_CACHE) <= 5
+            assert repr(l_degree2(form, 12, 6, 20, 30)) == full_2
+            assert all(len(cache) <= 5 for cache in CACHES)
         _clear_caches()
 
 

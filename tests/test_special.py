@@ -155,6 +155,31 @@ class TestBickley:
         )
         assert abs(got - direct) / direct < ctx.mpf("1e-30")
 
+    @pytest.mark.parametrize("x", ["125.66", "217.6"])
+    def test_relative_accuracy_at_large_x(self, x):
+        # at x = 4 pi sqrt(100) and 4 pi sqrt(300) Ki_1 is ~1e-55 and
+        # ~1e-95: far below any absolute tolerance, so only a relative
+        # check bites
+        ctx = context(50)
+        x = ctx.mpf(x)
+        ex = ctx.exp(x)
+        cuts = (x, x + ctx.mpf("0.25"), x + 1, x + 4, x + 16, x + 100)
+        direct = sum(
+            tanh_sinh(ctx, lambda t: ex * ctx.convert(bessel_k(0, t, 48)), lo, hi)
+            for lo, hi in zip(cuts, cuts[1:])
+        ) / ex
+        got = ctx.convert(bickley_ki1(x, 40))
+        assert abs(got - direct) / direct < ctx.mpf("1e-38")
+
+    @pytest.mark.parametrize("x", ["1", "1.5"])
+    def test_precision_sweep_at_domain_edge(self, x):
+        # the step and the cut both follow the precision, so 40 and 60
+        # digits sum different grids
+        ctx = context(60)
+        a = ctx.convert(bickley_ki1(ctx.mpf(x), 40))
+        b = ctx.convert(bickley_ki1(ctx.mpf(x), 60))
+        assert abs(a - b) / b < ctx.mpf("1e-39")
+
     def test_rejects_small_x(self):
         with pytest.raises(ValueError):
             bickley_ki1(0.5, 20)
