@@ -41,6 +41,7 @@ quadrature.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -344,8 +345,10 @@ def _incomplete_mellin_deg4(ctx, s, n: int, dps: int):
 
 def _incomplete_mellin_deg4_quad(ctx, s, n: int, dps: int):
     """Generic-s fallback: F(s, a) = 4 a^(-11/2) int_1^V v^(2s-12) K_11(2 sqrt(a) v) dv
-    by tanh-sinh, V set by the e^(-2 sqrt(a) v) decay.  The integrand is
-    scaled by e^(2 sqrt(a)), as tanh-sinh's stopping test is absolute."""
+    by tanh-sinh.  The cut V is where v^(2s-12) e^(-2 sqrt(a) (v-1)), the
+    integrand relative to its value at v = 1, falls below 10^-(dps+8).  The
+    integrand is scaled by e^(2 sqrt(a)), as tanh-sinh's stopping test is
+    absolute."""
     a = (2 * ctx.pi) ** 2 * n
     root = 2 * ctx.sqrt(a)
     s = ctx.convert(s)
@@ -354,7 +357,13 @@ def _incomplete_mellin_deg4_quad(ctx, s, n: int, dps: int):
     def f(v):
         return v ** (2 * s - 12) * ctx.convert(bessel_k(11, root * v, dps)) * scale
 
-    V = (dps + 8) * ctx.log(10) / root + 4
+    # V = 1 + (B + (2s-12) log V) / root by fixed-point iteration: it
+    # climbs monotonically for s > 6 and contracts for 0 < s <= 6, where
+    # |2s-12| < 12 < root
+    B, c, r = (dps + 8) * math.log(10), 2 * float(s) - 12, float(root)
+    V, prev = 1 + B / r, 0.0
+    while abs(V - prev) > 1e-9 * V:
+        V, prev = 1 + (B + c * math.log(V)) / r, V
     val = tanh_sinh(ctx, f, ctx.one, V, max_level=8, strict=True)
     return 4 * a ** ctx.mpf("-5.5") * val / scale
 

@@ -2,12 +2,22 @@
 real) first argument, the modified Bessel function K_nu at integer order,
 and the Bickley function Ki_1.
 
-K_nu is built the classical way: power series for K_0, K_1 below a
-precision-dependent threshold (with guard digits absorbing the e^(2x)
-cancellation), the asymptotic expansion truncated at its smallest term
-above it, and the upward recurrence K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu,
-which is stable for K.  The independent cross-check against the integral
-representation int_0^inf e^(-x cosh t) cosh(nu t) dt lives in the tests.
+K_nu starts from K_0 and K_1, computed together in fixed point: Python
+integers scaled by 2^wp, where wp is the working context's precision
+plus 20 guard bits, so each term of a series costs a few integer
+multiplies, shifts and floor divisions instead of several normalised mpf
+operations.  Below the threshold x = 1.2 (D + 10) both come from their
+power series, with 0.87 x + 15 guard digits in the working context (and
+so in wp) absorbing the e^(2x) cancellation; log(x/2) and Euler's gamma
+enter once each as fixed-point numbers.  Above it both come from one loop
+over the asymptotic expansion sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k,
+stopped once its terms fall below 10^-(D+8), with the prefactor taken
+once from mpmath's libmp.  The two results are handed back as mpf numbers
+of the working context, and only then does mpf arithmetic take over: the
+upward recurrence K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for K,
+and the final rounding to D digits.  The tests check the core against
+the integral representation int_0^inf e^(-x cosh t) cosh(nu t) dt, against
+mpmath's besselk, and against itself at 15 more digits.
 
 Ki_1 is a trapezoid sum over the real line whose step follows from the
 integrand's strip of analyticity, so its error is set by the precision
@@ -15,6 +25,21 @@ alone; the tests check it against int_x^inf K_0.
 """
 
 from __future__ import annotations
+
+from mpmath.libmp import (
+    euler_fixed,
+    from_man_exp,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
+    mpf_shift,
+    mpf_sqrt,
+    round_nearest,
+    to_fixed,
+)
 
 from .bigfloat import context, round_to
 
@@ -57,70 +82,54 @@ def gamma_upper(s, x, dps: int):
     return round_to(dps, ctx.gammainc(ctx.convert(s), ctx.convert(x), ctx.inf))
 
 
-def _k0_k1_series(ctx, x):
-    """Power series for K_0, K_1; caller supplies the cancellation guard."""
-    one = ctx.one
-    q = x * x / 4
-    lg = ctx.log(x / 2)
-    g = +ctx.euler
-    # K_0 = -(log(x/2) + gamma) I_0 + sum_k (q^k / k!^2) H_k
-    term = one
-    i0 = one
-    s0 = ctx.zero
-    h = ctx.zero
+def _k0_k1_series(x, wp: int):
+    """K_0, K_1 from their power series at fixed point 2^-wp, as (mantissa,
+    exponent) pairs; the caller's wp carries the guard bits against the
+    e^(2x) cancellation.  With t_k = q^k / (k! (k+1)!), q = x^2/4,
+    H_k = 1 + 1/2 + ... + 1/k and c = log(x/2) + gamma:
+
+        K_0 = sum_k (k+1) t_k (H_k - c),
+        K_1 = 1/x + (x/2) sum_k t_k (c - H_k - 1/(2(k+1)))."""
+    one = 1 << wp
+    xf = to_fixed(x, wp)
+    q = xf * xf >> (wp + 2)
+    c = to_fixed(mpf_log(mpf_shift(x, -1), wp), wp) + euler_fixed(wp)
+    t, h, k = one, 0, 0
+    s0 = s1 = 0
+    while t:
+        d = (h - c) * t >> wp
+        s0 += (k + 1) * d
+        s1 -= d + t // (2 * k + 2)
+        k += 1
+        t = (t * q >> wp) // (k * (k + 1))
+        h += one // k
+    return (s0, -wp), ((one << wp) // xf + (xf * s1 >> (wp + 1)), -wp)
+
+
+def _k0_k1_asymptotic(x, wp: int, dps: int):
+    """K_0, K_1 from the large-x expansion sqrt(pi/2x) e^(-x) sum a_k(nu)/x^k,
+    both summed in one loop at fixed point 2^-wp, as (mantissa, exponent)
+    pairs.  |a_k(1)| > |a_k(0)| for k >= 1, so the loop stops once the K_1
+    terms fall below 10^-(dps+8); if either series stops decreasing first,
+    the expansion cannot deliver and ArithmeticError is raised."""
+    eps = (1 << wp) // 10 ** (dps + 8)
+    xf = to_fixed(x, wp)
+    t0 = t1 = acc0 = acc1 = 1 << wp
     k = 1
-    while True:
-        term = term * q / (k * k)
-        h += one / k
-        i0 += term
-        s0 += term * h
-        if term < ctx.eps * i0:
-            break
-        k += 1
-    k0 = -(lg + g) * i0 + s0
-    # K_1 = 1/x + log(x/2) I_1 - (x/4) sum_k (psi(k+1) + psi(k+2)) q^k / (k!(k+1)!)
-    term = one
-    hk = ctx.zero
-    hk1 = one
-    i1 = one
-    s1 = ctx.zero
-    k = 0
-    while True:
-        s1 += term * (hk + hk1 - 2 * g)
-        if k > 2 and term < ctx.eps * (abs(s1) + 1):
-            break
-        k += 1
-        term = term * q / (k * (k + 1))
-        i1 += term
-        hk += one / k
-        hk1 += one / (k + 1)
-    k1 = one / x + lg * (x / 2) * i1 - (x / 4) * s1
-    return k0, k1
-
-
-def _k0_k1_asymptotic(ctx, x, target_eps):
-    """Large-x expansion sqrt(pi/2x) e^(-x) sum a_k(nu)/x^k, truncated at the
-    smallest term; valid only when that term is below target_eps."""
-    pref = ctx.sqrt(ctx.pi / (2 * x)) * ctx.exp(-x)
-    out = []
-    for nu in (0, 1):
-        mu = 4 * nu * nu
-        term = ctx.one
-        acc = ctx.one
-        k = 1
-        while True:
-            nxt = term * (mu - (2 * k - 1) ** 2) / (8 * k * x)
-            if abs(nxt) >= abs(term):
-                break
-            term = nxt
-            acc += term
-            if abs(term) < target_eps:
-                break
-            k += 1
-        if abs(term) > target_eps:
+    while abs(t1) >= eps:
+        d = 8 * k * xf
+        odd = (2 * k - 1) ** 2
+        n0, n1 = (-odd * t0 << wp) // d, ((4 - odd) * t1 << wp) // d
+        if abs(n0) >= abs(t0) or abs(n1) >= abs(t1):
             raise ArithmeticError("asymptotic series bottomed out early")
-        out.append(pref * acc)
-    return out[0], out[1]
+        t0, t1 = n0, n1
+        acc0 += t0
+        acc1 += t1
+        k += 1
+    _, man, exp, _ = mpf_mul(
+        mpf_sqrt(mpf_div(mpf_pi(wp), mpf_shift(x, 1), wp), wp), mpf_exp(mpf_neg(x), wp), wp
+    )
+    return (man * acc0, exp - wp), (man * acc1, exp - wp)
 
 
 def _k0_k1(x, dps: int):
@@ -131,16 +140,13 @@ def _k0_k1(x, dps: int):
         raise OverflowError(
             f"argument {xf} outside the supported domain ({BESSEL_X_MIN}, {BESSEL_X_MAX})"
         )
-    threshold = 1.2 * (dps + 10)
-    if xf > threshold:
-        ctx = context(dps + 15)
-        xx = ctx.convert(x)
-        k0, k1 = _k0_k1_asymptotic(ctx, xx, ctx.mpf(10) ** (-dps - 8))
-    else:
-        guard = int(0.87 * xf) + 15
-        ctx = context(dps + guard)
-        xx = ctx.convert(x)
-        k0, k1 = _k0_k1_series(ctx, xx)
+    asymptotic = xf > 1.2 * (dps + 10)
+    # the series' guard digits absorb its e^(2x) cancellation
+    ctx = context(dps + 15 if asymptotic else dps + int(0.87 * xf) + 15)
+    xx = ctx.convert(x)
+    wp = ctx.prec + 20
+    k01 = _k0_k1_asymptotic(xx._mpf_, wp, dps) if asymptotic else _k0_k1_series(xx._mpf_, wp)
+    k0, k1 = (ctx.make_mpf(from_man_exp(m, e, ctx.prec, round_nearest)) for m, e in k01)
     return xx, k0, k1
 
 

@@ -144,7 +144,12 @@ class QSeries:
     def truncate(self, n: int) -> "QSeries":
         if n > self.precision:
             raise ValueError("cannot extend precision by truncation")
-        return QSeries(self._coeffs[: n + 1], n)
+        if n < 0:
+            raise ValueError("precision must be nonnegative")
+        # the coefficients are exact already: slice them, do not re-check
+        out = object.__new__(QSeries)
+        out._coeffs, out.precision = self._coeffs[: n + 1], n
+        return out
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
@@ -226,6 +231,20 @@ def _int_power(base: list, e: int, n_out: int) -> list:
     return result if result is not None else [1] + [0] * n_out
 
 
+# the precisions delta_qexp and g20_qexp have built, so that a shorter
+# series can be cut from a longer cached one (a size evicted from the
+# cache since is rebuilt: slower, never wrong)
+_DELTA_SIZES: set = set()
+_G20_SIZES: set = set()
+
+
+def _cut(builder, sizes: set, n: int) -> QSeries:
+    """builder(n), truncated from the shortest series of precision >= n the
+    builder has made, so that no second series is built."""
+    longer = [N for N in sorted(sizes) if N >= n]
+    return builder(longer[0]).truncate(n) if longer else builder(n)
+
+
 @lru_cache(maxsize=16)
 def delta_qexp(N: int) -> QSeries:
     """Ramanujan's Delta = q prod (1-q^n)^24 to precision N.
@@ -234,6 +253,7 @@ def delta_qexp(N: int) -> QSeries:
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    _DELTA_SIZES.add(N)
     eta24 = _int_power(_eta_coeffs(N - 1), 24, N - 1)
     return QSeries([0] + eta24, N)
 
@@ -283,6 +303,7 @@ def g20_qexp(N: int) -> QSeries:
     """The normalized weight-20 cusp eigenform E_8 * Delta to precision N."""
     if N < 1:
         raise ValueError("need N >= 1")
+    _G20_SIZES.add(N)
     return eisenstein_qexp(8, N) * delta_qexp(N)
 
 
@@ -353,6 +374,8 @@ def lemma1_local_check(p: int, order: int) -> bool:
 
     with a + a' = tau(p), a a' = p^11, b + b' = b(p), b b' = p^19.  Both
     sides are expanded with exact integer symmetric-function arithmetic.
+    The coefficients are cut from a longer Delta or g20 series when one is
+    already cached.
     """
     if p not in (2, 3, 5, 7):
         raise ValueError("p must be one of 2, 3, 5, 7")
@@ -361,8 +384,8 @@ def lemma1_local_check(p: int, order: int) -> bool:
     n_direct = min(p**order, _DIRECT_COEFF_CAP)
     if n_direct < p and order >= 1:
         raise ValueError("insufficient q-expansion precision for tau(p), b(p)")
-    tau_series = delta_qexp(max(n_direct, p)).integer_coeffs()
-    b_series = g20_qexp(max(n_direct, p)).integer_coeffs()
+    tau_series = _cut(delta_qexp, _DELTA_SIZES, max(n_direct, p)).integer_coeffs()
+    b_series = _cut(g20_qexp, _G20_SIZES, max(n_direct, p)).integer_coeffs()
 
     def prime_powers(series: list, pk_weight: int) -> list:
         out = [1]

@@ -199,6 +199,8 @@ class TestDeterminism:
     # verify`; a change of rounding in the numeric layer can move it, and
     # must then re-baseline it knowingly
     VERIFY_30_150_SHA256 = "7788c51e830811acbc71ff9042bf2ac3d8365a046e4fb8a1aa3236ba81eec20f"
+    # the same at `--prec 60 --coeffs 300`
+    VERIFY_60_300_SHA256 = "2a2f4b05a3811fb78c76d8c684dca324baf8af45058849688389d27bdf378164"
 
     def test_verify_json_pinned(self, capsys):
         import hashlib
@@ -209,6 +211,16 @@ class TestDeterminism:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_30_150_SHA256
+
+    def test_verify_json_pinned_at_60_digits(self, capsys):
+        import hashlib
+
+        code, out, _ = run(
+            capsys, "--prec", "60", "--coeffs", "300", "--fresh-norms",
+            "--format", "json", "verify",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_60_300_SHA256
 
     def test_cross_process_byte_identical(self, tmp_path):
         # identical invocations in separate interpreters must produce

@@ -321,6 +321,20 @@ class TestMellinTailRoutes:
         quad = _incomplete_mellin_deg4_quad(ctx, s, n, 40)
         assert abs(closed - quad) / abs(quad) < ctx.mpf("1e-35")
 
+    def test_quadrature_cut_follows_the_power_of_v(self):
+        # at s = 25.5 the factor v^(2s-12) = v^39 delays the integrand's
+        # decay; a cut set by e^(-2 sqrt(a) v) alone lost ~9 digits here
+        from spinl.numeric_lfun.evaluators import (
+            _incomplete_mellin_deg4,
+            _incomplete_mellin_deg4_quad,
+        )
+
+        ctx = context(40)
+        s = ctx.mpf("25.5")
+        closed = _incomplete_mellin_deg4(ctx, s, 1, 40)
+        quad = _incomplete_mellin_deg4_quad(ctx, s, 1, 40)
+        assert abs(closed - quad) / abs(closed) < ctx.mpf("1e-38")
+
 
 class TestTruncatedNormProvenance:
     def test_reference_variation_reproduced(self):

@@ -312,6 +312,15 @@ class TestLemma1:
         monkeypatch.setattr(q, "delta_qexp", crooked)
         assert q.lemma1_local_check(2, 4) is False
 
+    def test_cuts_a_cached_longer_series(self):
+        # with N = 5000 cached, the checks truncate it rather than build
+        # Delta and g20 again at 1,024 and 4,096
+        delta_qexp(5000)
+        g20_qexp(5000)
+        misses = (delta_qexp.cache_info().misses, g20_qexp.cache_info().misses)
+        assert all(lemma1_local_check(p, 10) for p in (2, 3, 5, 7))
+        assert (delta_qexp.cache_info().misses, g20_qexp.cache_info().misses) == misses
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             lemma1_local_check(11, 3)

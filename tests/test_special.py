@@ -1,7 +1,9 @@
 """Special-function layer: incomplete gamma, Bessel K with its quadrature
 oracle, the Bickley function, and the tanh-sinh rule itself."""
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spinl.numeric_lfun import (
     bessel_k,
@@ -11,6 +13,7 @@ from spinl.numeric_lfun import (
     incomplete_gamma_int,
     tanh_sinh,
 )
+from spinl.numeric_lfun.special import BESSEL_X_MAX, BESSEL_X_MIN, _bessel_k01
 
 
 class TestTanhSinh:
@@ -143,6 +146,53 @@ class TestBesselK:
         vals = [ctx.convert(bessel_k(7, ctx.mpf(x), 20)) for x in (5, 10, 20, 40)]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def _rel(ctx, a, b):
+    return abs(ctx.convert(a) - ctx.convert(b)) / abs(ctx.convert(b))
+
+
+class TestBesselPrecision:
+    """The fixed-point K_0/K_1 core, through every order and both branches."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nu=st.integers(0, 20),
+        log10_x=st.floats(-6, 4, exclude_min=True, exclude_max=True),
+        dps=st.integers(15, 80),
+    )
+    def test_agrees_with_fifteen_more_digits(self, nu, log10_x, dps):
+        x = 10**log10_x
+        assume(BESSEL_X_MIN < x < BESSEL_X_MAX)
+        ctx = context(dps + 20)
+        lo, hi = bessel_k(nu, x, dps), bessel_k(nu, x, dps + 15)
+        assert _rel(ctx, lo, hi) < ctx.mpf(10) ** (1 - dps)
+
+    @pytest.mark.parametrize("dps", [20, 40, 72])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_either_side_of_the_branch_threshold(self, dps, side):
+        # the asymptotic branch starts above x = 1.2 (dps + 10); 15 more
+        # digits move the threshold up, so the reference is the series
+        x = 1.2 * (dps + 10) * (1 + side * 1e-12)
+        ctx = context(dps + 20)
+        for nu in (0, 1, 7):
+            lo, hi = bessel_k(nu, x, dps), bessel_k(nu, x, dps + 15)
+            assert _rel(ctx, lo, hi) < ctx.mpf(10) ** (1 - dps)
+
+    def test_node_arguments_against_mpmath(self):
+        # X = 4 pi sqrt(n), the degree-4 node arguments at 72 digits, as
+        # verify builds them.  Below n = 97 mpmath's besselk sums its own
+        # series at 0.2-0.5 s a value, so that range is sampled: the first
+        # node and both sides of this package's branch switch (n = 61/62)
+        mp = mpmath.mp.clone()
+        mp.dps = 92
+        ns = [1, 31, 61, 62] + list(range(97, 301))
+        ctx = context(72)
+        for n in ns:
+            x = 4 * ctx.pi * ctx.sqrt(n)
+            for nu, got in enumerate(_bessel_k01(x, 72)):
+                ref = mp.besselk(nu, mp.convert(x))
+                assert abs(mp.convert(got) - ref) / ref < mp.mpf("1e-70"), (n, nu)
 
 
 class TestBickley:
