@@ -5,8 +5,9 @@ Petersson-norm formula, and the table verification harness.
 Every entry point takes an explicit decimal precision D and never touches
 mpmath's global context.  Work runs in contexts pooled per thread and per
 D, and results come back in per-D value contexts (see `bigfloat`); the
-per-coefficient data of both smoothed sums is kept in three bounded,
-thread-safe caches whose values are the same in every thread.
+per-coefficient data of both smoothed sums, and its sums over n, are
+kept in four bounded, thread-safe caches whose values are the same in
+every thread.
 """
 
 from .bigfloat import context, pi_value_numeric, round_to

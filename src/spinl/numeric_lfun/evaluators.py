@@ -8,8 +8,9 @@ and sign eps = (-1)^(k/2):
 
 For integer s the G_j, j = 1..19, come as one table per n (and precision)
 from one e^-x and the all-positive upward recurrence
-G_(j+1) = (j G_j + e^-x) / x, shared by every critical point; any other s
-calls gamma_upper per term.
+G_(j+1) = (j G_j + e^-x) / x.  The sums S_j = sum_n a(n) G_j(2 pi n) are
+taken once per coefficient set, so an integer s costs two table entries,
+Lambda(s) = S_s + eps S_(k-s); any other s calls gamma_upper per term.
 
 Degree 4 (the weight-12 x weight-20 convolution, Gamma_C(s) Gamma_C(s-11)).
 With Lambda(s) = (2 pi)^-2s Gamma(s) Gamma(s-11) L(s) and eps = +1:
@@ -34,9 +35,16 @@ all-positive recurrence, tau_m = tau_1 + (m-1) g_0 + ((m-1)/X)^2 tau_(m-2)
 with tau_1 = (2/a^11) K_1/X and g_0 = (2/a^11) K_0/X^2; the odd chain
 (integer s) starts at tau_1, the even one (half-integer s) at
 tau_0 = (2/a^11) Ki_1(X)/X from the Bickley function.  Both chains are
-cached per (n, precision) up to m = 15 (s = 19), so each critical value is
-one short dot product per n.  Any other real s falls back to tanh-sinh
-quadrature.
+cached per (n, precision) up to m = 15 (s = 19).  Since p does not depend
+on n, the n-sum commutes with the dot product:
+
+    sum_n A(n) F(s, a_n) = 2 [ sum_j p_j(s) W_j + p_11(s) T_m ],
+    W_j = sum_n A(n) w_j(n),   T_m = sum_n A(n) tau_m(n),
+
+and the moments W, T are summed once per coefficient set, so each
+critical value is one dot per side.  Past m = 15 the chain is climbed per
+n (the recurrence depends on X), and any other real s falls back to
+tanh-sinh quadrature per n.
 """
 
 from __future__ import annotations
@@ -48,11 +56,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
+from mpmath.libmp import from_int, mpf_mul, mpf_sum, round_nearest
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import _settle, context, fraction_to_mpf, pi_value_numeric, round_to
+from .bigfloat import (
+    _settle, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
+)
 from .quadrature import tanh_sinh
 from .special import _bessel_k01, bessel_k, bickley_ki1, gamma_upper
 
@@ -116,7 +126,7 @@ def rankin_lfunction(n_coeffs: int = 200) -> LFunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-n caches
+# per-n caches and the sums over n
 
 class _BoundedCache:
     """A mapping of at most `cap` entries that evicts the least recently
@@ -157,6 +167,33 @@ _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
 _GAMMA_CACHE = _BoundedCache(_CACHE_CAP)
 
+# sums over n of the per-n data against the coefficients, keyed by the
+# coefficient values themselves (never by the accessor that produced them),
+# the kind of sum and dps; a key holds all M coefficients, hence the
+# smaller cap
+_MOMENT_CAP = 64
+_MOMENT_CACHE = _BoundedCache(_MOMENT_CAP)
+
+
+def _moments(kind: str, coeffs: tuple, dps: int, vector: Callable[[int], tuple]) -> tuple:
+    """(sum_n c_n v_j(n))_j over n = 1..len(coeffs), v = vector(n), for
+    coeffs = (c_1, ..., c_M): each sum exact, then rounded once to dps
+    digits in the value context; cached per (kind, coeffs, dps)."""
+    key = (kind, coeffs, dps)
+    hit = _MOMENT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    home = _value_context(dps)
+    cs = [from_int(c) for c in coeffs]
+    columns = zip(*(vector(n) for n in range(1, len(cs) + 1)))
+    sums = _MOMENT_CACHE[key] = tuple(
+        home.make_mpf(
+            mpf_sum([mpf_mul(c, v._mpf_) for c, v in zip(cs, col)], home.prec, round_nearest)
+        )
+        for col in columns
+    )
+    return sums
+
 
 # ---------------------------------------------------------------------------
 # degree 2
@@ -196,13 +233,11 @@ def _deg2_table(n: int, dps: int):
 
 def _lambda_deg2(ctx, a: Callable[[int], int], k: int, s, M: int, dps: int, sign: int):
     s = ctx.convert(s)
-    acc = ctx.zero
     if s == int(s) and 0 < s < k <= _G_TOP + 1:
-        i, j = int(s) - 1, k - int(s) - 1
-        for n in range(1, M + 1):
-            g = _deg2_table(n, dps)
-            acc += a(n) * (ctx.convert(g[i]) + sign * ctx.convert(g[j]))
-        return acc
+        coeffs = tuple(a(n) for n in range(1, M + 1))
+        S = _moments("deg2", coeffs, dps, lambda n: _deg2_table(n, dps))
+        return ctx.convert(S[int(s) - 1]) + sign * ctx.convert(S[k - int(s) - 1])
+    acc = ctx.zero
     twopi = 2 * ctx.pi
     for n in range(1, M + 1):
         x = twopi * n
@@ -368,30 +403,45 @@ def _incomplete_mellin_deg4_quad(ctx, s, n: int, dps: int):
     return 4 * a ** ctx.mpf("-5.5") * val / scale
 
 
-def _mellin_tail(ctx, s, dps: int) -> Callable:
-    """n -> F(s, (2 pi)^2 n) for one s, with the s-dependent work done once:
-    the closed form when 2s is an integer >= 24, tanh-sinh otherwise."""
-    s = ctx.convert(s)
-    two_s = float(2 * s)
-    if abs(two_s - round(two_s)) < 1e-12 and round(two_s) >= 24:
-        p, m = _falling(ctx, s), round(two_s) - 23
-        return lambda n: _closed_form(ctx, p, m, n, dps)
-    return lambda n: _incomplete_mellin_deg4_quad(ctx, s, n, dps)
-
-
 def _deg4_tail_ok(M: int) -> bool:
     # measured truncation: ~1e-8 relative at M = 12, ~6e-13 at M = 20,
     # below 1e-25 at M >= 60; under 12 the value is meaningless
     return M >= 12
 
 
-def _lambda_deg4(ctx, A: Callable[[int], int], s, M: int, dps: int):
-    w = 31
-    left, right = _mellin_tail(ctx, s, dps), _mellin_tail(ctx, w - s, dps)
+def _deg4_vector(n: int, dps: int, parity: int) -> tuple:
+    """(w_0, ..., w_10, tau_parity, tau_parity+2, ..., ) at n: the per-n
+    data the moments of one chain sum."""
+    node = _deg4_node(n, dps)
+    return node.w + (node.tau if parity else _even_chain(n, dps, node))
+
+
+def _deg4_sum(ctx, coeffs: tuple, s, dps: int):
+    """sum_n A(n) F(s, (2 pi)^2 n) over coeffs = (A(1), ..., A(M)): two dots
+    with the cached moments when 2s is an integer and m = 2s - 23 is in
+    1..15, else a sum over n of the chain climbed past m = 15 or, for 2s
+    not an integer >= 24, of tanh-sinh."""
+    s = ctx.convert(s)
+    two_s = float(2 * s)
+    m = round(two_s) - 23
+    if abs(two_s - round(two_s)) < 1e-12 and m >= 1:
+        p = _falling(ctx, s)
+        if m <= _M_TOP:
+            parity = m % 2
+            v = _moments(f"deg4-{parity}", coeffs, dps, lambda n: _deg4_vector(n, dps, parity))
+            return 2 * _dot(ctx, p, (*v[:11], v[11 + m // 2]))
+        term = lambda n: _closed_form(ctx, p, m, n, dps)
+    else:
+        term = lambda n: _incomplete_mellin_deg4_quad(ctx, s, n, dps)
     acc = ctx.zero
-    for n in range(1, M + 1):
-        acc += A(n) * (left(n) + right(n))
+    for n, c in enumerate(coeffs, 1):
+        acc += c * term(n)
     return acc
+
+
+def _lambda_deg4(ctx, A: Callable[[int], int], s, M: int, dps: int):
+    coeffs = tuple(A(n) for n in range(1, M + 1))
+    return _deg4_sum(ctx, coeffs, s, dps) + _deg4_sum(ctx, coeffs, 31 - s, dps)
 
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):

@@ -3,20 +3,26 @@ real) first argument, the modified Bessel function K_nu at integer order,
 and the Bickley function Ki_1.
 
 K_nu starts from K_0 and K_1, computed together in fixed point: Python
-integers scaled by 2^wp, where wp is the working context's precision
-plus 20 guard bits, so each term of a series costs a few integer
+integers scaled by 2^wp, where wp is the working precision plus 20
+guard bits, so each term of a series costs a few integer
 multiplies, shifts and floor divisions instead of several normalised mpf
 operations.  Below the threshold x = 1.2 (D + 10) both come from their
-power series, with 0.87 x + 15 guard digits in the working context (and
-so in wp) absorbing the e^(2x) cancellation; log(x/2) and Euler's gamma
+power series, with 0.87 x + 15 guard digits in the working precision
+(and so in wp) absorbing the e^(2x) cancellation; log(x/2) and Euler's gamma
 enter once each as fixed-point numbers.  Above it both come from one loop
 over the asymptotic expansion sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k,
 stopped once its terms fall below 10^-(D+8), with the prefactor taken
-once from mpmath's libmp.  The two results are handed back as mpf numbers
-of the working context, and only then does mpf arithmetic take over: the
-upward recurrence K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for K,
-and the final rounding to D digits.  The tests check the core against
-the integral representation int_0^inf e^(-x cosh t) cosh(nu t) dt, against
+once from mpmath's libmp.
+
+The core needs no mpmath context: x is taken losslessly as a libmp value,
+K_0 and K_1 come back as libmp values rounded to the working precision
+(D + 15 digits, or D + 0.87 x + 15 on the series branch), and the upward
+recurrence K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for K, runs in
+libmp's mpf_div/mpf_mul/mpf_add at that precision with round-to-nearest,
+as a context of that precision would.  So no context is made per
+series precision; only the final rounding to D digits goes through a
+value context.  The tests check the core against the integral
+representation int_0^inf e^(-x cosh t) cosh(nu t) dt, against
 mpmath's besselk, and against itself at 15 more digits.
 
 Ki_1 is a trapezoid sum over the real line whose step follows from the
@@ -27,8 +33,13 @@ alone; the tests check it against int_x^inf K_0.
 from __future__ import annotations
 
 from mpmath.libmp import (
+    dps_to_prec,
     euler_fixed,
+    from_float,
+    from_int,
     from_man_exp,
+    from_str,
+    mpf_add,
     mpf_div,
     mpf_exp,
     mpf_log,
@@ -41,7 +52,7 @@ from mpmath.libmp import (
     to_fixed,
 )
 
-from .bigfloat import context, round_to
+from .bigfloat import _value_context, context, round_to
 
 __all__ = [
     "incomplete_gamma_int",
@@ -132,9 +143,27 @@ def _k0_k1_asymptotic(x, wp: int, dps: int):
     return (man * acc0, exp - wp), (man * acc1, exp - wp)
 
 
+def _libmp(x, prec: int):
+    """x as a libmp value, as a context of precision prec converts it:
+    exactly from an mpf, int or float, rounded to prec from a string or
+    a fraction."""
+    if hasattr(x, "_mpf_"):
+        return x._mpf_
+    if isinstance(x, int):
+        return from_int(x)
+    if isinstance(x, float):
+        return from_float(x)
+    return from_str(str(x), prec, round_nearest)
+
+
+def _rounded(dps: int, v):
+    """round_to for a libmp value."""
+    return round_to(dps, _value_context(dps).make_mpf(v))
+
+
 def _k0_k1(x, dps: int):
-    """K_0(x) and K_1(x) unrounded, in a working context carrying the
-    guard digits, together with x in that context."""
+    """(x, K_0(x), K_1(x), prec): K_0 and K_1 unrounded, as libmp values at
+    the working precision prec, which carries the guard digits."""
     xf = float(x)
     if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
         raise OverflowError(
@@ -142,19 +171,19 @@ def _k0_k1(x, dps: int):
         )
     asymptotic = xf > 1.2 * (dps + 10)
     # the series' guard digits absorb its e^(2x) cancellation
-    ctx = context(dps + 15 if asymptotic else dps + int(0.87 * xf) + 15)
-    xx = ctx.convert(x)
-    wp = ctx.prec + 20
-    k01 = _k0_k1_asymptotic(xx._mpf_, wp, dps) if asymptotic else _k0_k1_series(xx._mpf_, wp)
-    k0, k1 = (ctx.make_mpf(from_man_exp(m, e, ctx.prec, round_nearest)) for m, e in k01)
-    return xx, k0, k1
+    prec = dps_to_prec(dps + 15 if asymptotic else dps + int(0.87 * xf) + 15)
+    xm = _libmp(x, prec)
+    wp = prec + 20
+    k01 = _k0_k1_asymptotic(xm, wp, dps) if asymptotic else _k0_k1_series(xm, wp)
+    k0, k1 = (from_man_exp(m, e, prec, round_nearest) for m, e in k01)
+    return xm, k0, k1, prec
 
 
 def _bessel_k01(x, dps: int):
     """(K_0(x), K_1(x)) to dps digits from one evaluation, each equal to
     what bessel_k returns for it."""
-    _, k0, k1 = _k0_k1(x, dps)
-    return round_to(dps, k0), round_to(dps, k1)
+    _, k0, k1, _ = _k0_k1(x, dps)
+    return _rounded(dps, k0), _rounded(dps, k1)
 
 
 def bessel_k(nu: int, x, dps: int):
@@ -162,17 +191,11 @@ def bessel_k(nu: int, x, dps: int):
     x inside (1e-6, 1e4)."""
     if not 0 <= nu <= BESSEL_NU_MAX:
         raise ValueError(f"order must be an integer in 0..{BESSEL_NU_MAX}")
-    xx, k0, k1 = _k0_k1(x, dps)
-    if nu == 0:
-        r = k0
-    elif nu == 1:
-        r = k1
-    else:
-        km, k = k0, k1
-        for j in range(1, nu):
-            km, k = k, km + (2 * j / xx) * k
-        r = k
-    return round_to(dps, r)
+    xm, *K, prec = _k0_k1(x, dps)
+    for j in range(1, nu):
+        step = mpf_mul(mpf_div(from_int(2 * j), xm, prec, round_nearest), K[j], prec, round_nearest)
+        K.append(mpf_add(K[j - 1], step, prec, round_nearest))
+    return _rounded(dps, K[nu])
 
 
 def bickley_ki1(x, dps: int):

@@ -124,6 +124,14 @@ class QSeries:
         self._coeffs = tuple(cs[: precision + 1])
         self.precision = precision
 
+    @classmethod
+    def _of(cls, coeffs: Sequence, precision: int) -> "QSeries":
+        """The series of coeffs[0..precision], which are exact already (an
+        int wherever the value is integral): no normalising pass."""
+        out = object.__new__(cls)
+        out._coeffs, out.precision = tuple(coeffs), precision
+        return out
+
     @property
     def coeffs(self) -> Tuple[int | Fraction, ...]:
         return self._coeffs
@@ -146,16 +154,13 @@ class QSeries:
             raise ValueError("cannot extend precision by truncation")
         if n < 0:
             raise ValueError("precision must be nonnegative")
-        # the coefficients are exact already: slice them, do not re-check
-        out = object.__new__(QSeries)
-        out._coeffs, out.precision = self._coeffs[: n + 1], n
-        return out
+        return QSeries._of(self._coeffs[: n + 1], n)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.precision, other.precision)
-        return QSeries(
+        return _exact_series(
             [self._coeffs[i] + other._coeffs[i] for i in range(n + 1)], n
         )
 
@@ -163,19 +168,19 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.precision, other.precision)
-        return QSeries(
+        return _exact_series(
             [self._coeffs[i] - other._coeffs[i] for i in range(n + 1)], n
         )
 
     def __neg__(self):
-        return QSeries([-c for c in self._coeffs], self.precision)
+        return QSeries._of([-c for c in self._coeffs], self.precision)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
             a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
             if self.is_integral() and other.is_integral():
-                return QSeries(_kronecker(a, b, n), n)
+                return QSeries._of(_kronecker(a, b, n), n)
             return QSeries(_schoolbook(a, b, n), n)
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self._coeffs], self.precision)
@@ -198,6 +203,15 @@ class QSeries:
         head = ", ".join(str(c) for c in self._coeffs[:6])
         tail = ", ..." if self.precision > 5 else ""
         return f"QSeries(N={self.precision}; [{head}{tail}])"
+
+
+def _exact_series(cs: list, precision: int) -> QSeries:
+    """The series of cs, built by + and * from exact coefficients: an
+    all-int list (integral operands) is exact as it is; a Fraction may have
+    come out integral, so anything else is normalised."""
+    if all(type(c) is int for c in cs):
+        return QSeries._of(cs, precision)
+    return QSeries(cs, precision)
 
 
 def _eta_coeffs(n: int) -> list:
@@ -255,7 +269,7 @@ def delta_qexp(N: int) -> QSeries:
         raise ValueError("need N >= 1")
     _DELTA_SIZES.add(N)
     eta24 = _int_power(_eta_coeffs(N - 1), 24, N - 1)
-    return QSeries([0] + eta24, N)
+    return QSeries._of([0] + eta24, N)
 
 
 def _divisor_power_sums(N: int, e: int) -> list:
@@ -321,13 +335,11 @@ def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
             f"insufficient precision {f.precision} for T_{p}"
         )
     pk = p ** (k - 1)
-    out = []
-    for n in range(n_out + 1):
-        c = f[n * p]
-        if n % p == 0:
-            c += pk * f[n // p]
-        out.append(c)
-    return QSeries(out, n_out)
+    a = f.coeffs
+    out = list(a[: n_out * p + 1 : p])
+    for n in range(0, n_out + 1, p):
+        out[n] += pk * a[n // p]
+    return _exact_series(out, n_out)
 
 
 @dataclass(frozen=True)

@@ -336,6 +336,75 @@ class TestMellinTailRoutes:
         assert abs(closed - quad) / abs(closed) < ctx.mpf("1e-38")
 
 
+class TestMoments:
+    """Each smoothed sum is taken once per coefficient set, as moments;
+    a critical value must equal the per-n sum it regroups."""
+
+    @pytest.mark.parametrize("D", [20, 30, 60])
+    @pytest.mark.parametrize("M", [12, 40, 150])
+    def test_deg4_against_per_n_sums(self, D, M):
+        from spinl import rankin_coeffs
+        from spinl.numeric_lfun.evaluators import _incomplete_mellin_deg4, _lambda_deg4
+
+        A = rankin_coeffs(M)
+        ctx, ref_ctx = context(D + 12), context(D + 20)
+        for s2 in range(24, 39):  # s = 12, 12.5, ..., 19
+            s = ctx.mpf(s2) / 2
+            got = ctx.convert(_lambda_deg4(ctx, A.__getitem__, s, M, D + 12))
+            ref = ref_ctx.fsum(
+                A[n] * (_incomplete_mellin_deg4(ref_ctx, s, n, D + 20)
+                        + _incomplete_mellin_deg4(ref_ctx, 31 - s, n, D + 20))
+                for n in range(1, M + 1)
+            )
+            assert abs(got - ref) / abs(ref) < ctx.mpf(10) ** -(D + 5), s
+
+    @pytest.mark.parametrize("D", [20, 30, 60])
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_deg2_against_gamma_upper_sums(self, D, k):
+        from spinl.numeric_lfun import gamma_upper
+        from spinl.numeric_lfun.evaluators import _lambda_deg2
+
+        M = 40
+        a = (delta_qexp(M) if k == 12 else g20_qexp(M)).integer_coeffs()
+        ctx, ref_ctx = context(D + 10), context(D + 20)
+        for s in range(1, k):
+            got = ctx.convert(_lambda_deg2(ctx, a.__getitem__, k, s, M, D + 10, 1))
+            ref = ref_ctx.fsum(
+                a[n] * (x ** -s * ref_ctx.convert(gamma_upper(s, x, D + 20))
+                        + x ** (s - k) * ref_ctx.convert(gamma_upper(k - s, x, D + 20)))
+                for n in range(1, M + 1)
+                for x in [2 * ref_ctx.pi * n]
+            )
+            assert abs(got - ref) / abs(ref) < ctx.mpf(10) ** -(D + 5), s
+
+    def test_no_stale_hit_for_other_coefficients(self, rankin150):
+        # the moments are keyed on the coefficient values: a crooked a(2)
+        # at the same (M, dps) must move Lambda by exactly its own term
+        from spinl.numeric_lfun.evaluators import (
+            _deg2_table,
+            _incomplete_mellin_deg4,
+            _lambda_deg2,
+            _lambda_deg4,
+        )
+
+        D, M, s = 30, 150, 14
+        l_rankin4(rankin150, s, D, M)
+        ctx = context(D + 12)
+        good = _lambda_deg4(ctx, rankin150.__getitem__, s, M, D + 12)
+        bad = _lambda_deg4(ctx, lambda n: rankin150[n] + 7 * (n == 2), s, M, D + 12)
+        term = 7 * (_incomplete_mellin_deg4(ctx, s, 2, D + 12)
+                    + _incomplete_mellin_deg4(ctx, 31 - s, 2, D + 12))
+        assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 8)
+
+        tau = delta_qexp(40).integer_coeffs()
+        l_degree2(delta_qexp(40), 12, 6, D, 40)
+        ctx = context(D + 10)
+        good = _lambda_deg2(ctx, tau.__getitem__, 12, 6, 40, D + 10, 1)
+        bad = _lambda_deg2(ctx, lambda n: tau[n] + 7 * (n == 2), 12, 6, 40, D + 10, 1)
+        term = 14 * ctx.convert(_deg2_table(2, D + 10)[5])
+        assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 6)
+
+
 class TestTruncatedNormProvenance:
     def test_reference_variation_reproduced(self):
         # rendering the exact s=12 spin value with the norms truncated to

@@ -23,7 +23,8 @@ from spinl.numeric_lfun import evaluators
 from spinl.numeric_lfun.special import _bessel_k01
 
 
-CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE, evaluators._GAMMA_CACHE)
+PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE, evaluators._GAMMA_CACHE)
+CACHES = PER_N_CACHES + (evaluators._MOMENT_CACHE,)
 
 
 def _clear_caches():
@@ -113,8 +114,8 @@ class TestValuesIgnoreContextMutation:
         l_degree2(delta_qexp(30), 12, 6, 20, 30)
         for cache in CACHES:
             assert cache
-            for (_, dps), entry in cache._data.items():
-                home = round_to(dps, 1).context
+            for key, entry in cache._data.items():
+                home = round_to(key[-1], 1).context
                 assert all(v.context is home for v in _numbers(entry))
 
 
@@ -168,8 +169,28 @@ class TestBoundedCaches:
         assert len(cache) == 16
 
     def test_caches_have_a_fixed_cap(self):
-        for cache in CACHES:
+        for cache in PER_N_CACHES:
             assert cache.cap == evaluators._CACHE_CAP >= 300
+        assert evaluators._MOMENT_CACHE.cap == evaluators._MOMENT_CAP > 0
+
+    def test_moment_cache_is_bounded(self):
+        # one entry per coefficient set: distinct crooked sets evict the
+        # oldest instead of growing
+        tau = delta_qexp(30).integer_coeffs()
+        ctx = context(30)
+        _clear_caches()
+        for i in range(evaluators._MOMENT_CAP + 5):
+            evaluators._lambda_deg2(
+                ctx, lambda n: tau[n] + i * (n == 3), 12, 6, 20, 30, 1
+            )
+            assert len(evaluators._MOMENT_CACHE) <= evaluators._MOMENT_CAP
+        assert len(evaluators._MOMENT_CACHE) == evaluators._MOMENT_CAP
+        _clear_caches()
+
+    def test_per_n_caches_read_by_the_benchmark_remain(self):
+        # the benchmark worker reads these two by name and takes len()
+        for name in ("_NODE_CACHE", "_KI1_CACHE"):
+            assert len(getattr(evaluators, name)) >= 0
 
     def test_eviction_keeps_values(self, monkeypatch):
         A = rankin_coeffs(14)
@@ -179,15 +200,17 @@ class TestBoundedCaches:
         full_l = repr(l_rankin4(A, 14, 20, 14))
         full_r = repr(functional_eq_residual(spec, None, 13.5, 20, 8))
         full_2 = repr(l_degree2(form, 12, 6, 20, 30))
-        assert all(len(cache) > 5 for cache in CACHES)
+        assert all(len(cache) > 5 for cache in PER_N_CACHES)
+        assert len(evaluators._MOMENT_CACHE) > 1
         _clear_caches()
-        for cache in CACHES:
+        for cache in PER_N_CACHES:
             monkeypatch.setattr(cache, "cap", 5)
+        monkeypatch.setattr(evaluators._MOMENT_CACHE, "cap", 1)
         for _ in range(2):
             assert repr(l_rankin4(A, 14, 20, 14)) == full_l
             assert repr(functional_eq_residual(spec, None, 13.5, 20, 8)) == full_r
             assert repr(l_degree2(form, 12, 6, 20, 30)) == full_2
-            assert all(len(cache) <= 5 for cache in CACHES)
+            assert all(len(cache) <= cache.cap for cache in CACHES)
         _clear_caches()
 
 
@@ -199,6 +222,19 @@ class TestBesselPair:
             k0, k1 = _bessel_k01(ctx.mpf(x), dps)
             assert repr(k0) == repr(bessel_k(0, ctx.mpf(x), dps))
             assert repr(k1) == repr(bessel_k(1, ctx.mpf(x), dps))
+
+    def test_no_context_per_series_precision(self):
+        # the fixed-point core and the recurrence run on libmp values: a
+        # series-branch argument (working precision D + 0.87 x + 15) must
+        # not add a pooled context for its precision
+        from spinl.numeric_lfun import bigfloat
+
+        ctx = context(30)
+        before = set(bigfloat._threads.pool)
+        for x in ("0.5", "3.25", "17.7", "40.4"):
+            bessel_k(7, ctx.mpf(x), 23)
+            _bessel_k01(ctx.mpf(x), 23)
+        assert set(bigfloat._threads.pool) == before
 
     def test_domain_checks_kept(self):
         with pytest.raises(OverflowError):

@@ -68,6 +68,26 @@ class TestQSeries:
 
     def test_fraction_kept_where_needed(self):
         assert g2p_qexp(2, 4)[0] == Fraction(1, 24)
+
+    def test_internal_builders_skip_only_needless_normalising(self):
+        # products, sums, negation, T_p and Delta are built from exact ints
+        # without the constructor's pass: they must hold only ints and equal
+        # what the normalising constructor makes of the same coefficients
+        d, e = delta_qexp(60), eisenstein_qexp(4, 60)
+        built = [d * e, d * d, d + e, d - e, -d, hecke_tp(d, 2, 12), hecke_tp(d, 5, 12), d,
+                 d.truncate(20)]
+        for f in built:
+            assert all(type(c) is int for c in f.coeffs)
+            assert f == QSeries(list(f.coeffs), f.precision)
+        # a sum of Fractions can come out integral and is normalised
+        half = QSeries([Fraction(1, 2), Fraction(1, 3)])
+        total = half + half
+        assert total.coeffs == (1, Fraction(2, 3)) and type(total[0]) is int
+        assert (half - half).coeffs == (0, 0) and (half - half).is_integral()
+        assert (-half).coeffs == (Fraction(-1, 2), Fraction(-1, 3))
+        t12 = hecke_tp(eisenstein_qexp(12, 40), 2, 12)
+        assert t12 == QSeries(list(t12.coeffs), t12.precision)
+        assert type(t12[0]) is int and not t12.is_integral()
         assert hecke_tp(delta_qexp(40), 2, 12).is_integral()
         assert all(type(c) is int for c in eisenstein_qexp(8, 5).coeffs)
         e12 = eisenstein_qexp(12, 5)
