@@ -226,16 +226,20 @@ def rankin_g20_value(s: int) -> CriticalValueResult:
     return CriticalValueResult(s, coeff, expo + 19, PeterssonFactors.G20_G20)
 
 
+def _product(left: CriticalValueResult, right: CriticalValueResult) -> CriticalValueResult:
+    """The spinor coefficient at s from the two factor results at s:
+    rationals multiply, pi-exponents add."""
+    return CriticalValueResult(
+        left.s,
+        left.rational * right.rational,
+        left.pi_exponent + right.pi_exponent,
+        PeterssonFactors.BOTH,
+    )
+
+
 def main_identity(s: int) -> CriticalValueResult:
     """Coefficient of <Delta,Delta><g20,g20> in the spinor critical value at
     s in 12..19: the product of the two factor results (rationals multiply,
     pi-exponents add; the total exponent is 4s-30)."""
     _check_s_range(s, 12, 19)
-    left = two_delta_product(s)
-    right = rankin_g20_value(s)
-    return CriticalValueResult(
-        s,
-        left.rational * right.rational,
-        left.pi_exponent + right.pi_exponent,
-        PeterssonFactors.BOTH,
-    )
+    return _product(two_delta_product(s), rankin_g20_value(s))

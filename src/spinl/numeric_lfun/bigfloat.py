@@ -24,6 +24,7 @@ import threading
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import mpf_pos, round_nearest
 
 from ..exact_arith import PiValue
 
@@ -66,6 +67,12 @@ def _value_context(dps: int):
 def round_to(dps: int, value):
     """Re-round a value to D digits (the canonical return step)."""
     return +_value_context(dps).convert(value)
+
+
+def _rounded(dps: int, v):
+    """round_to for a libmp value: an exact v is rounded once."""
+    home = _value_context(dps)
+    return home.make_mpf(mpf_pos(v, home.prec, round_nearest))
 
 
 def _settle(dps: int, value):

@@ -8,7 +8,8 @@ and sign eps = (-1)^(k/2):
 
 For integer s the G_j, j = 1..19, come as one table per n (and precision)
 from one e^-x and the all-positive upward recurrence
-G_(j+1) = (j G_j + e^-x) / x.  The sums S_j = sum_n a(n) G_j(2 pi n) are
+G_(j+1) = (j G_j + e^-x) / x, run as G_j = (e^-x / x) H_j with
+H_(j+1) = j H_j / x + 1 on Python integers.  The sums S_j = sum_n a(n) G_j(2 pi n) are
 taken once per coefficient set, so an integer s costs two table entries,
 Lambda(s) = S_s + eps S_(k-s); any other s calls gamma_upper per term.
 
@@ -35,7 +36,14 @@ all-positive recurrence, tau_m = tau_1 + (m-1) g_0 + ((m-1)/X)^2 tau_(m-2)
 with tau_1 = (2/a^11) K_1/X and g_0 = (2/a^11) K_0/X^2; the odd chain
 (integer s) starts at tau_1, the even one (half-integer s) at
 tau_0 = (2/a^11) Ki_1(X)/X from the Bickley function.  Both chains are
-cached per (n, precision) up to m = 15 (s = 19).  Since p does not depend
+cached per (n, precision) up to m = 15 (s = 19).
+
+Since a = (X/2)^2, every factor above is a power of r = 2/X:
+w_j = K_(10-j) r^(12+j), 2/a^11 = 2 r^22, tau_1 = K_1 r^23 and
+g_0 = K_0 r^24 / 2.  A node is built from one fixed-point K_0/K_1
+evaluation, the K_2..K_10 recurrence on the same integers, and one power
+chain of r, 20 bits above the cached precision; the tau chains run on
+integers at one scale.  Each cached number is rounded once.  Since p does not depend
 on n, the n-sum commutes with the dot product:
 
     sum_n A(n) F(s, a_n) = 2 [ sum_j p_j(s) W_j + p_11(s) T_m ],
@@ -56,15 +64,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from mpmath.libmp import from_int, mpf_mul, mpf_sum, round_nearest
+from mpmath.libmp import (
+    dps_to_prec, fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_shift, mpf_sum,
+    round_nearest, to_fixed,
+)
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import (
-    _settle, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
+    _rounded, _settle, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
 )
 from .quadrature import tanh_sinh
-from .special import _bessel_k01, bessel_k, bickley_ki1, gamma_upper
+from .special import _divisor, _k0_k1, _k_up, bessel_k, bickley_ki1, gamma_upper
 
 __all__ = [
     "LFunctionSpec",
@@ -202,8 +213,6 @@ def _moments(kind: str, coeffs: tuple, dps: int, vector: Callable[[int], tuple])
 def _deg2_tail_ok(k: int, M: int, dps: int) -> bool:
     # first omitted term ~ |a(M+1)| e^(-2 pi (M+1)) / (2 pi (M+1)); Deligne
     # bound |a(n)| <= d(n) n^((k-1)/2), folded constants generous
-    import math
-
     log10_tail = (
         3 + ((k - 1) / 2 + 1) * math.log10(M + 2) - 2 * math.pi * (M + 1) / math.log(10)
     )
@@ -214,19 +223,23 @@ _G_TOP = 19  # G_j for j = 1..19 covers k - 1 at weight 20
 
 
 def _deg2_table(n: int, dps: int):
-    """(G_1, ..., G_19) at x = 2 pi n, G_j = x^-j Gamma(j, x), from one
-    e^-x and G_(j+1) = (j G_j + e^-x) / x; cached per (n, dps)."""
+    """(G_1, ..., G_19) at x = 2 pi n, G_j = x^-j Gamma(j, x), as G_j = e H_j
+    with e = e^-x / x, H_1 = 1 and H_(j+1) = j H_j / x + 1 summed on
+    integers at the working precision plus 20 bits, each G_j rounded once;
+    cached per (n, dps)."""
     key = (n, dps)
     hit = _GAMMA_CACHE.get(key)
     if hit is not None:
         return hit
     ctx = context(dps + 8)
     x = 2 * ctx.pi * n
-    e = ctx.exp(-x) / x
-    g = [e]
+    e = (ctx.exp(-x) / x)._mpf_
+    wp = ctx.prec + 20
+    shift, d = _divisor(x._mpf_)
+    H = [1 << wp]
     for j in range(1, _G_TOP):
-        g.append(j * g[-1] / x + e)
-    table = tuple(round_to(dps, v) for v in g)
+        H.append((j * H[-1] << shift) // d + (1 << wp))
+    table = tuple(_rounded(dps, mpf_mul(e, from_man_exp(h, -wp))) for h in H)
     _GAMMA_CACHE[key] = table
     return table
 
@@ -284,44 +297,53 @@ class _Node(NamedTuple):
 
 
 def _chain(node: _Node, first, m: int, top: int, dps: int) -> tuple:
-    """(tau_m, tau_(m+2), ..., tau_top) from tau_m = first by
-    tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2), settled."""
-    ctx = context(dps)
-    X, g0, g1 = (ctx.convert(v) for v in (node.X, node.g0, node.tau[0]))
-    tau = [ctx.convert(first)]
+    """(tau_m, tau_(m+2), ..., tau_top) from tau_m = first, a libmp value,
+    by tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2).  Past the first,
+    every tau is positive and at least tau_1, so the chain runs on integers
+    at one scale, dps digits plus 20 bits below tau_1's leading bit, and
+    each entry is rounded once."""
+    g1 = node.tau[0]._mpf_
+    exp = g1[2] + g1[3] - dps_to_prec(dps) - 20
+    G0, G1, t = (to_fixed(v, -exp) for v in (node.g0._mpf_, g1, first))
+    shift, d = _divisor(mpf_mul(node.X._mpf_, node.X._mpf_))
+    chain = [t]
     while m < top:
         m += 2
-        tau.append(g1 + (m - 1) * g0 + ((m - 1) / X) ** 2 * tau[-1])
-    return tuple(_settle(dps, t) for t in tau)
+        chain.append(G1 + (m - 1) * G0 + ((m - 1) ** 2 * chain[-1] << shift) // d)
+    return tuple(_rounded(dps, from_man_exp(t, exp)) for t in chain)
 
 
 def _deg4_node(n: int, dps: int) -> _Node:
     """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
-    odd tau chain, from one K_0/K_1 evaluation; cached per (n, dps)."""
+    odd tau chain, from one K_0/K_1 evaluation and the integer recurrence
+    for K_2..K_10.  With r = 2/X, so that a = r^-2,
+
+        w_j = K_(10-j) r^(12+j),  c = 2 r^22,
+        g0 = c K_0 / X^2 = K_0 r^24 / 2,  tau_1 = c K_1 / X = K_1 r^23,
+
+    all from one power chain of r at dps digits plus 20 bits, each
+    rounded once; cached per (n, dps)."""
     key = (n, dps)
     hit = _NODE_CACHE.get(key)
     if hit is not None:
         return hit
     ctx = context(dps)
-    a = (2 * ctx.pi) ** 2 * n
-    X = 2 * ctx.sqrt(a)
-    k0, k1 = _bessel_k01(X, dps)
-    K = [k0, k1]
-    for j in range(1, 10):
-        K.append(K[j - 1] + (2 * j / X) * K[j])
-    half = X / 2
-    w = []
-    apow = a
-    for j in range(11):
-        w.append(K[10 - j] / half ** (10 - j) / apow)
-        apow *= a
-    c = 2 * a / apow
+    X = 2 * ctx.sqrt((2 * ctx.pi) ** 2 * n)
+    xm, k0, k1, exp = _k0_k1(X, dps)
+    K = [from_man_exp(k, exp) for k in _k_up(xm, [k0, k1], 10)]
+    wp = dps_to_prec(dps) + 20
+    r = mpf_div(from_int(2), xm, wp, round_nearest)
+    rp = [fone]
+    for _ in range(24):
+        rp.append(mpf_mul(rp[-1], r, wp, round_nearest))
     node = _Node(
-        *(_settle(dps, v) for v in (c, X, c * k0 / X**2)),
-        tuple(_settle(dps, v) for v in w),
-        (_settle(dps, c * k1 / X),),
+        _rounded(dps, mpf_shift(rp[22], 1)),
+        _settle(dps, X),
+        _rounded(dps, mpf_shift(mpf_mul(K[0], rp[24]), -1)),
+        tuple(_rounded(dps, mpf_mul(K[10 - j], rp[12 + j])) for j in range(11)),
+        (_rounded(dps, mpf_mul(K[1], rp[23])),),
     )
-    node = node._replace(tau=_chain(node, node.tau[0], 1, _M_TOP, dps))
+    node = node._replace(tau=_chain(node, node.tau[0]._mpf_, 1, _M_TOP, dps))
     _NODE_CACHE[key] = node
     return node
 
@@ -333,9 +355,8 @@ def _even_chain(n: int, dps: int, node: _Node) -> tuple:
     hit = _KI1_CACHE.get(key)
     if hit is not None:
         return hit
-    ctx = context(dps)
-    X = ctx.convert(node.X)
-    tau0 = ctx.convert(node.c) * ctx.convert(bickley_ki1(X, dps)) / X
+    ki1 = bickley_ki1(node.X, dps)._mpf_
+    tau0 = mpf_div(mpf_mul(node.c._mpf_, ki1), node.X._mpf_, dps_to_prec(dps) + 20, round_nearest)
     chain = _KI1_CACHE[key] = _chain(node, tau0, 0, _M_TOP - 1, dps)
     return chain
 
@@ -347,7 +368,7 @@ def _tau(node: _Node, m: int, n: int, dps: int):
     top = 2 * len(chain) - 2 + m % 2
     if m <= top:
         return chain[m // 2]
-    return _chain(node, chain[-1], top, m, dps)[-1]
+    return _chain(node, chain[-1]._mpf_, top, m, dps)[-1]
 
 
 def _falling(ctx, s):
@@ -539,8 +560,6 @@ _VALID_NORM_ARGS = {(12, 4), (20, 4), (20, 6), (20, 8)}
 
 
 def _norm_m_for(dps: int) -> int:
-    import math
-
     M = 20
     while 2 * math.pi * M - 13 * math.log(M + 1) < (dps + 8) * math.log(10):
         M += 5

@@ -2,35 +2,37 @@
 real) first argument, the modified Bessel function K_nu at integer order,
 and the Bickley function Ki_1.
 
-K_nu starts from K_0 and K_1, computed together in fixed point: Python
-integers scaled by 2^wp, where wp is the working precision plus 20
-guard bits, so each term of a series costs a few integer
-multiplies, shifts and floor divisions instead of several normalised mpf
-operations.  Below the threshold x = 1.2 (D + 10) both come from their
-power series, with 0.87 x + 15 guard digits in the working precision
-(and so in wp) absorbing the e^(2x) cancellation; log(x/2) and Euler's gamma
-enter once each as fixed-point numbers.  Above it both come from one loop
-over the asymptotic expansion sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k,
-stopped once its terms fall below 10^-(D+8), with the prefactor taken
-once from mpmath's libmp.
-
-The core needs no mpmath context: x is taken losslessly as a libmp value,
-K_0 and K_1 come back as libmp values rounded to the working precision
-(D + 15 digits, or D + 0.87 x + 15 on the series branch), and the upward
-recurrence K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for K, runs in
-libmp's mpf_div/mpf_mul/mpf_add at that precision with round-to-nearest,
-as a context of that precision would.  So no context is made per
-series precision; only the final rounding to D digits goes through a
-value context.  The tests check the core against the integral
-representation int_0^inf e^(-x cosh t) cosh(nu t) dt, against
-mpmath's besselk, and against itself at 15 more digits.
+K_nu is summed in fixed point: Python integers scaled by a power of two,
+with the working precision plus 20 guard bits (wp), so each term of a
+series costs a few integer multiplies, shifts and floor divisions instead
+of several normalised mpf operations, and each result is rounded once,
+into the value context.  Below the threshold x = 1.2 (D + 10) K_0 and K_1
+come from their power series at 2^-wp, with 0.87 x + 15 guard digits in
+the working precision (and so in wp) absorbing the e^(2x) cancellation;
+log(x/2) and Euler's gamma enter once each as fixed-point numbers.  Above
+it both come from one loop over the asymptotic expansion
+sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k, stopped once its terms fall below
+10^-(D+8), with the prefactor taken once from mpmath's libmp; there the
+pair shares the prefactor's exponent.  Either way K_0 and K_1 are two
+integer mantissas at one exponent, and the upward recurrence
+K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for K, runs on them: x is
+taken losslessly as a libmp value m 2^e, so each division by x is exact
+but for its floor.  The degree-4 node of the evaluators reuses that
+recurrence for K_2..K_10.  No mpmath context is made per series
+precision.  The tests check the core against the integral representation
+int_0^inf e^(-x cosh t) cosh(nu t) dt, against mpmath's besselk, and
+against itself at 15 more digits.
 
 Ki_1 is a trapezoid sum over the real line whose step follows from the
 integrand's strip of analyticity, so its error is set by the precision
-alone; the tests check it against int_x^inf K_0.
+alone.  The sum runs on integers at 2^-wp too, with math.isqrt for the
+square root in each term; one mpf prefactor e^-x h / sqrt(x) and one
+rounding follow.  The tests check it against int_x^inf K_0.
 """
 
 from __future__ import annotations
+
+import math
 
 from mpmath.libmp import (
     dps_to_prec,
@@ -39,7 +41,6 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     from_str,
-    mpf_add,
     mpf_div,
     mpf_exp,
     mpf_log,
@@ -52,7 +53,7 @@ from mpmath.libmp import (
     to_fixed,
 )
 
-from .bigfloat import _value_context, context, round_to
+from .bigfloat import _rounded, context, round_to
 
 __all__ = [
     "incomplete_gamma_int",
@@ -84,20 +85,32 @@ def incomplete_gamma_int(s: int, x, dps: int):
 
 
 def gamma_upper(s, x, dps: int):
-    """Upper incomplete Gamma(s, x) for real s > 0: the exact finite sum at
-    integer s, mpmath's gammainc otherwise (needed only at the non-integer
-    functional-equation test points)."""
-    if s == int(s) and s >= 1:
+    """Upper incomplete Gamma(s, x) for x > 0 and s a positive integer or
+    any non-integer real: the exact finite sum at integer s, mpmath's
+    gammainc otherwise (needed only at the non-integer functional-equation
+    test points).  Integer s <= 0 raises: there gammainc takes an integer
+    path that loses up to ~15 of the asked-for digits near x = 100."""
+    if s == int(s):
         return incomplete_gamma_int(int(s), x, dps)
     ctx = context(dps + 8)
-    return round_to(dps, ctx.gammainc(ctx.convert(s), ctx.convert(x), ctx.inf))
+    x = ctx.convert(x)
+    if not x > 0:
+        raise ValueError("x must be positive")
+    return round_to(dps, ctx.gammainc(ctx.convert(s), x, ctx.inf))
+
+
+def _divisor(x):
+    """(shift, d) with v / x = (v << shift) / d exactly, for an integer v and
+    a positive libmp value x = m 2^e."""
+    _, man, exp, _ = x
+    return max(-exp, 0), man << max(exp, 0)
 
 
 def _k0_k1_series(x, wp: int):
-    """K_0, K_1 from their power series at fixed point 2^-wp, as (mantissa,
-    exponent) pairs; the caller's wp carries the guard bits against the
-    e^(2x) cancellation.  With t_k = q^k / (k! (k+1)!), q = x^2/4,
-    H_k = 1 + 1/2 + ... + 1/k and c = log(x/2) + gamma:
+    """K_0, K_1 from their power series as mantissas at 2^-wp; the caller's
+    wp carries the guard bits against the e^(2x) cancellation.  With
+    t_k = q^k / (k! (k+1)!), q = x^2/4, H_k = 1 + 1/2 + ... + 1/k and
+    c = log(x/2) + gamma:
 
         K_0 = sum_k (k+1) t_k (H_k - c),
         K_1 = 1/x + (x/2) sum_k t_k (c - H_k - 1/(2(k+1)))."""
@@ -114,15 +127,16 @@ def _k0_k1_series(x, wp: int):
         k += 1
         t = (t * q >> wp) // (k * (k + 1))
         h += one // k
-    return (s0, -wp), ((one << wp) // xf + (xf * s1 >> (wp + 1)), -wp)
+    return s0, (one << wp) // xf + (xf * s1 >> (wp + 1)), -wp
 
 
 def _k0_k1_asymptotic(x, wp: int, dps: int):
     """K_0, K_1 from the large-x expansion sqrt(pi/2x) e^(-x) sum a_k(nu)/x^k,
-    both summed in one loop at fixed point 2^-wp, as (mantissa, exponent)
-    pairs.  |a_k(1)| > |a_k(0)| for k >= 1, so the loop stops once the K_1
-    terms fall below 10^-(dps+8); if either series stops decreasing first,
-    the expansion cannot deliver and ArithmeticError is raised."""
+    both summed in one loop at fixed point 2^-wp, as two mantissas at the
+    prefactor's exponent.  |a_k(1)| > |a_k(0)| for k >= 1, so the loop
+    stops once the K_1 terms fall below 10^-(dps+8); if either series stops
+    decreasing first, the expansion cannot deliver and ArithmeticError is
+    raised."""
     eps = (1 << wp) // 10 ** (dps + 8)
     xf = to_fixed(x, wp)
     t0 = t1 = acc0 = acc1 = 1 << wp
@@ -140,7 +154,7 @@ def _k0_k1_asymptotic(x, wp: int, dps: int):
     _, man, exp, _ = mpf_mul(
         mpf_sqrt(mpf_div(mpf_pi(wp), mpf_shift(x, 1), wp), wp), mpf_exp(mpf_neg(x), wp), wp
     )
-    return (man * acc0, exp - wp), (man * acc1, exp - wp)
+    return man * acc0 >> wp, man * acc1 >> wp, exp
 
 
 def _libmp(x, prec: int):
@@ -156,14 +170,10 @@ def _libmp(x, prec: int):
     return from_str(str(x), prec, round_nearest)
 
 
-def _rounded(dps: int, v):
-    """round_to for a libmp value."""
-    return round_to(dps, _value_context(dps).make_mpf(v))
-
-
 def _k0_k1(x, dps: int):
-    """(x, K_0(x), K_1(x), prec): K_0 and K_1 unrounded, as libmp values at
-    the working precision prec, which carries the guard digits."""
+    """(x, K_0, K_1, exp): x as a libmp value and K_0(x), K_1(x) unrounded,
+    as integer mantissas of K 2^exp, summed at the working precision
+    (D + 15 digits, or D + 0.87 x + 15 on the series branch) plus 20 bits."""
     xf = float(x)
     if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
         raise OverflowError(
@@ -174,16 +184,17 @@ def _k0_k1(x, dps: int):
     prec = dps_to_prec(dps + 15 if asymptotic else dps + int(0.87 * xf) + 15)
     xm = _libmp(x, prec)
     wp = prec + 20
-    k01 = _k0_k1_asymptotic(xm, wp, dps) if asymptotic else _k0_k1_series(xm, wp)
-    k0, k1 = (from_man_exp(m, e, prec, round_nearest) for m, e in k01)
-    return xm, k0, k1, prec
+    k0_k1 = _k0_k1_asymptotic(xm, wp, dps) if asymptotic else _k0_k1_series(xm, wp)
+    return (xm, *k0_k1)
 
 
-def _bessel_k01(x, dps: int):
-    """(K_0(x), K_1(x)) to dps digits from one evaluation, each equal to
-    what bessel_k returns for it."""
-    _, k0, k1, _ = _k0_k1(x, dps)
-    return _rounded(dps, k0), _rounded(dps, k1)
+def _k_up(x, K: list, nu: int) -> list:
+    """[K_0, ..., K_nu] from K = [K_0, K_1], mantissas at one shared
+    exponent, by K_(j+1) = K_(j-1) + (2j / x) K_j on integers."""
+    shift, d = _divisor(x)
+    for j in range(1, nu):
+        K.append(K[j - 1] + (2 * j * K[j] << shift) // d)
+    return K
 
 
 def bessel_k(nu: int, x, dps: int):
@@ -191,11 +202,8 @@ def bessel_k(nu: int, x, dps: int):
     x inside (1e-6, 1e4)."""
     if not 0 <= nu <= BESSEL_NU_MAX:
         raise ValueError(f"order must be an integer in 0..{BESSEL_NU_MAX}")
-    xm, *K, prec = _k0_k1(x, dps)
-    for j in range(1, nu):
-        step = mpf_mul(mpf_div(from_int(2 * j), xm, prec, round_nearest), K[j], prec, round_nearest)
-        K.append(mpf_add(K[j - 1], step, prec, round_nearest))
-    return _rounded(dps, K[nu])
+    xm, k0, k1, exp = _k0_k1(x, dps)
+    return _rounded(dps, from_man_exp(_k_up(xm, [k0, k1], nu)[nu], exp))
 
 
 def bickley_ki1(x, dps: int):
@@ -208,20 +216,26 @@ def bickley_ki1(x, dps: int):
     an integrand analytic in |Im r| < sqrt(x).  Its trapezoid sum with step
     h = 2 pi sqrt(x) / (x + B), cut where e^(-r^2) < e^-B, is off by about
     e^-B, and B is set from the working digits: the error is below the
-    result's last digit by construction, at any x."""
+    result's last digit by construction, at any x.  The sum runs on
+    integers at 2^-wp, the working precision plus 20 bits."""
     ctx = context(dps + 10)
     x = ctx.convert(x)
     if x < 1:
         raise ValueError("Ki_1 implemented for x >= 1 only")
     B = (ctx.dps + 6) * ctx.log(10)
     h = 2 * ctx.pi * ctx.sqrt(x) / (x + B)
+    wp = ctx.prec + 20
+    one = 1 << wp
+    hf, xf = to_fixed(h._mpf_, wp), to_fixed(x._mpf_, wp)
     # g = e^(-(k h)^2) by g_k = g_(k-1) q_k, q_k = e^(-h^2 (2k - 1))
-    q, q_step = ctx.exp(-h * h), ctx.exp(-2 * h * h)
-    g = ctx.one
-    total = 1 / ctx.sqrt(2)
+    q, q_step = (to_fixed(ctx.exp(-c * h * h)._mpf_, wp) for c in (1, 2))
+    g = one
+    total = (one << wp) // math.isqrt(2 << 2 * wp)
     for k in range(1, int(ctx.sqrt(B) / h) + 2):
-        g *= q
-        q *= q_step
-        y = (k * h) ** 2 / x
-        total += 2 * g / ((1 + y) * ctx.sqrt(2 + y))
-    return round_to(dps, ctx.exp(-x) * h * total / ctx.sqrt(x))
+        g = g * q >> wp
+        q = q * q_step >> wp
+        y = (k * hf) ** 2 // xf
+        root = math.isqrt(one + one + y << wp)
+        total += (g << 2 * wp + 1) // ((one + y) * root)
+    pre = ctx.exp(-x) * h / ctx.sqrt(x)
+    return _rounded(dps, mpf_mul(pre._mpf_, from_man_exp(total, -wp)))

@@ -8,7 +8,8 @@ Three comparisons per s:
   (iii) main_identity(s)      * pi^P * both     vs  the triple product
 
 where the norms are either the stored high-precision constants below or
-recomputed at the working precision.
+recomputed at the working precision.  The exact value of (iii) is the
+product of those of (i) and (ii), built as main_identity builds it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..critical_values import main_identity, rankin_g20_value, two_delta_product
+from ..critical_values import _product, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
 from .bigfloat import context, round_to
 from .evaluators import l_degree2, l_rankin4, petersson_norm
@@ -110,10 +111,11 @@ def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = False) ->
     for s in range(12, 20):
         pair_direct = ldelta[s - 9] * ldelta[s - 10]
         rank_direct = ctx.convert(l_rankin4(A, s, dps, M))
+        pair, rank = two_delta_product(s), rankin_g20_value(s)
         rows = (
-            ("delta_pair", two_delta_product(s), dn, pair_direct),
-            ("rankin", rankin_g20_value(s), gn, rank_direct),
-            ("spin", main_identity(s), dn * gn, pair_direct * rank_direct),
+            ("delta_pair", pair, dn, pair_direct),
+            ("rankin", rank, gn, rank_direct),
+            ("spin", _product(pair, rank), dn * gn, pair_direct * rank_direct),
         )
         for branch, exact, norm, direct in rows:
             rendered = _render(ctx, exact, norm)

@@ -225,16 +225,21 @@ class TestDeterminism:
     def test_cross_process_byte_identical(self, tmp_path):
         # identical invocations in separate interpreters must produce
         # byte-identical files
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outs = []
         for name in ("a.json", "b.json"):
             target = tmp_path / name
             r = subprocess.run(
                 [sys.executable, "-m", "spinl.cli", "--format", "json",
                  "--prec", "25", "table", "3", "--out", str(target)],
-                capture_output=True,
+                capture_output=True, env=env,
             )
             assert r.returncode == 0, r.stderr
             outs.append(target.read_bytes())

@@ -1,0 +1,92 @@
+"""The per-n kernels of both smoothed sums against independent mpmath
+evaluations of their defining formulas.
+
+Degree 4, at a = (2 pi)^2 n and X = 2 sqrt(a): c = 2 / a^11,
+g0 = c K_0(X) / X^2, w_j = a^-(j+1) (X/2)^-(10-j) K_(10-j)(X) and
+tau_m = c X^-(m+1) R_m with R_m = int_X^inf x^m K_0(x) dx.  The reference
+takes K_0 and K_1 from mpmath's besselk, K_2..K_10 from the textbook
+recurrence, R_0 = Ki_1(X) from mpmath's quad of
+int_0^inf e^(-X cosh t) / cosh t dt, R_1 = X K_1(X), and the higher R_m
+by parts: R_m = X^m K_1 + (m-1) X^(m-1) K_0 + (m-1)^2 R_(m-2).  Degree 2:
+G_j = x^-j Gamma(j, x) at x = 2 pi n from mpmath's gammainc.
+
+All at 92 digits, D + 20 for the largest D.  The kernels use X rounded to
+D digits, which moves the values by up to ~200 ulps, so the tolerance is
+10^-(D-4) relative.
+"""
+
+import mpmath
+import pytest
+
+from spinl.numeric_lfun.evaluators import _G_TOP, _deg2_table, _deg4_node, _even_chain
+
+REF_DPS = 92
+# both sides of the K_0/K_1 series/asymptotic switch (n = 61/62 at 72 digits)
+NS = (1, 2, 7, 61, 62, 150, 300)
+DPS = (30, 42, 72)
+
+
+@pytest.fixture(scope="module")
+def ref():
+    mp = mpmath.mp.clone()
+    mp.dps = REF_DPS
+    out = {}
+    for n in NS:
+        a = (2 * mp.pi) ** 2 * n
+        X = 2 * mp.sqrt(a)
+        K = [mp.besselk(0, X), mp.besselk(1, X)]
+        for j in range(1, 10):
+            K.append(K[j - 1] + 2 * j / X * K[j])
+        if n >= 150:  # where mpmath's besselk takes its cheap expansion
+            assert abs(K[10] / mp.besselk(10, X) - 1) < mp.mpf(10) ** (5 - REF_DPS)
+        cut = mp.acosh(1 + (REF_DPS + 10) * mp.log(10) / X)
+        ki1 = mp.exp(-X) * mp.quad(
+            lambda t: mp.exp(-X * (mp.cosh(t) - 1)) / mp.cosh(t), mp.linspace(0, cut, 5)
+        )
+        R = [ki1, X * K[1]]
+        for m in range(2, 16):
+            R.append(X**m * K[1] + (m - 1) * X ** (m - 1) * K[0] + (m - 1) ** 2 * R[m - 2])
+        c = 2 / a**11
+        x2 = 2 * mp.pi * n
+        out[n] = {
+            "c": c,
+            "g0": c * K[0] / X**2,
+            "w": [K[10 - j] / a ** (j + 1) / (X / 2) ** (10 - j) for j in range(11)],
+            "tau": [c * X ** -(m + 1) * R[m] for m in range(16)],
+            "G": [x2**-j * mp.gammainc(j, x2) for j in range(1, _G_TOP + 1)],
+        }
+    return mp, out
+
+
+def _close(mp, dps, got, want, what):
+    got = mp.convert(got)
+    assert abs(got - want) / abs(want) < mp.mpf(10) ** (4 - dps), what
+
+
+@pytest.mark.parametrize("dps", DPS)
+@pytest.mark.parametrize("n", NS)
+def test_deg4_node_against_defining_formulas(ref, n, dps):
+    mp, want = ref[0], ref[1][n]
+    node = _deg4_node(n, dps)
+    _close(mp, dps, node.c, want["c"], "c")
+    _close(mp, dps, node.g0, want["g0"], "g0")
+    assert len(node.w) == 11
+    for j, w in enumerate(node.w):
+        _close(mp, dps, w, want["w"][j], f"w_{j}")
+    assert len(node.tau) == 8
+    for i, tau in enumerate(node.tau):
+        _close(mp, dps, tau, want["tau"][2 * i + 1], f"tau_{2 * i + 1}")
+    even = _even_chain(n, dps, node)
+    assert len(even) == 8
+    for i, tau in enumerate(even):
+        _close(mp, dps, tau, want["tau"][2 * i], f"tau_{2 * i}")
+
+
+@pytest.mark.parametrize("dps", DPS)
+@pytest.mark.parametrize("n", NS)
+def test_deg2_table_against_gammainc(ref, n, dps):
+    mp, want = ref[0], ref[1][n]
+    table = _deg2_table(n, dps)
+    assert len(table) == _G_TOP
+    for j, g in enumerate(table, 1):
+        _close(mp, dps, g, want["G"][j - 1], f"G_{j}")

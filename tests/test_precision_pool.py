@@ -6,7 +6,7 @@ caller did to a context it was handed."""
 import threading
 
 import pytest
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from spinl import delta_qexp, rankin_coeffs
 from spinl.numeric_lfun import (
@@ -20,7 +20,7 @@ from spinl.numeric_lfun import (
     verify_tables,
 )
 from spinl.numeric_lfun import evaluators
-from spinl.numeric_lfun.special import _bessel_k01
+from spinl.numeric_lfun.special import _k0_k1
 
 
 PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE, evaluators._GAMMA_CACHE)
@@ -217,14 +217,17 @@ class TestBoundedCaches:
 class TestBesselPair:
     @pytest.mark.parametrize("x", ["0.003", "2.5", "17.7", "30.1", "64", "250"])
     def test_pair_equals_bessel_k(self, x):
+        # the unrounded pair from the fixed-point core, rounded once to
+        # dps digits, is what bessel_k returns for orders 0 and 1
         ctx = context(30)
         for dps in (20, 45):
-            k0, k1 = _bessel_k01(ctx.mpf(x), dps)
-            assert repr(k0) == repr(bessel_k(0, ctx.mpf(x), dps))
-            assert repr(k1) == repr(bessel_k(1, ctx.mpf(x), dps))
+            _, k0, k1, exp = _k0_k1(ctx.mpf(x), dps)
+            for nu, man in enumerate((k0, k1)):
+                once = from_man_exp(man, exp, dps_to_prec(dps), round_nearest)
+                assert bessel_k(nu, ctx.mpf(x), dps)._mpf_ == once
 
     def test_no_context_per_series_precision(self):
-        # the fixed-point core and the recurrence run on libmp values: a
+        # the fixed-point core and the recurrence run on integers: a
         # series-branch argument (working precision D + 0.87 x + 15) must
         # not add a pooled context for its precision
         from spinl.numeric_lfun import bigfloat
@@ -233,11 +236,11 @@ class TestBesselPair:
         before = set(bigfloat._threads.pool)
         for x in ("0.5", "3.25", "17.7", "40.4"):
             bessel_k(7, ctx.mpf(x), 23)
-            _bessel_k01(ctx.mpf(x), 23)
+            _k0_k1(ctx.mpf(x), 23)
         assert set(bigfloat._threads.pool) == before
 
     def test_domain_checks_kept(self):
         with pytest.raises(OverflowError):
-            _bessel_k01(1e5, 20)
+            _k0_k1(1e5, 20)
         with pytest.raises(ValueError):
             bessel_k(21, 2.0, 20)

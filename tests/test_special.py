@@ -13,7 +13,7 @@ from spinl.numeric_lfun import (
     incomplete_gamma_int,
     tanh_sinh,
 )
-from spinl.numeric_lfun.special import BESSEL_X_MAX, BESSEL_X_MIN, _bessel_k01
+from spinl.numeric_lfun.special import BESSEL_X_MAX, BESSEL_X_MIN
 
 
 class TestTanhSinh:
@@ -190,7 +190,7 @@ class TestBesselPrecision:
         ctx = context(72)
         for n in ns:
             x = 4 * ctx.pi * ctx.sqrt(n)
-            for nu, got in enumerate(_bessel_k01(x, 72)):
+            for nu, got in enumerate((bessel_k(0, x, 72), bessel_k(1, x, 72))):
                 ref = mp.besselk(nu, mp.convert(x))
                 assert abs(mp.convert(got) - ref) / ref < mp.mpf("1e-70"), (n, nu)
 
@@ -233,3 +233,46 @@ class TestBickley:
     def test_rejects_small_x(self):
         with pytest.raises(ValueError):
             bickley_ki1(0.5, 20)
+
+
+class TestPrecisionProperties:
+    """A value at D digits agrees with the same value at D + 15 to D - 1
+    digits, across each function's domain; outside it, a call raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(log10_x=st.floats(0, 4), dps=st.integers(15, 60))
+    def test_bickley_ki1_agrees_with_fifteen_more_digits(self, log10_x, dps):
+        x = 10**log10_x
+        ctx = context(dps + 20)
+        lo, hi = bickley_ki1(x, dps), bickley_ki1(x, dps + 15)
+        assert _rel(ctx, lo, hi) < ctx.mpf(10) ** (1 - dps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.one_of(st.integers(1, 40), st.floats(-20, 40).filter(lambda s: s != int(s))),
+        log10_x=st.floats(-3, 3),
+        dps=st.integers(15, 60),
+    )
+    def test_gamma_upper_agrees_with_fifteen_more_digits(self, s, log10_x, dps):
+        x = 10**log10_x
+        ctx = context(dps + 20)
+        lo, hi = gamma_upper(s, x, dps), gamma_upper(s, x, dps + 15)
+        assert _rel(ctx, lo, hi) < ctx.mpf(10) ** (1 - dps)
+
+    @given(x=st.floats(-1e4, 1, exclude_max=True, allow_nan=False))
+    def test_bickley_ki1_rejects_x_below_one(self, x):
+        with pytest.raises(ValueError):
+            bickley_ki1(x, 20)
+
+    @given(
+        s=st.floats(-40, 40, allow_nan=False),
+        x=st.floats(-1e3, 0, allow_nan=False),
+    )
+    def test_gamma_upper_rejects_nonpositive_x(self, s, x):
+        with pytest.raises(ValueError):
+            gamma_upper(s, x, 20)
+
+    @given(s=st.integers(-40, 0), x=st.floats(1e-3, 1e3))
+    def test_gamma_upper_rejects_nonpositive_integer_s(self, s, x):
+        with pytest.raises(ValueError):
+            gamma_upper(s, x, 20)
