@@ -75,13 +75,6 @@ def _rounded(dps: int, v):
     return home.make_mpf(mpf_pos(v, home.prec, round_nearest))
 
 
-def _settle(dps: int, value):
-    """Move a value computed at D digits into the value context: exact,
-    since its precision already is D digits.  For values that outlive
-    the call that made them (the evaluators' caches)."""
-    return _value_context(dps).convert(value)
-
-
 def fraction_to_mpf(ctx, q: Fraction):
     return ctx.mpf(q.numerator) / q.denominator
 

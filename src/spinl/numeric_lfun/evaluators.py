@@ -4,14 +4,17 @@ Degree 2 (weight-k level-1 eigenforms).  With Lambda(s) = (2 pi)^-s Gamma(s) L(s
 and sign eps = (-1)^(k/2):
 
     Lambda(s) = sum_n a(n) [ G_s(2 pi n) + eps G_(k-s)(2 pi n) ],
-    G_j(x)    = x^-j Gamma(j, x).
+    G_a(x)    = x^-a Gamma(a, x).
 
-For integer s the G_j, j = 1..19, come as one table per n (and precision)
-from one e^-x and the all-positive upward recurrence
-G_(j+1) = (j G_j + e^-x) / x, run as G_j = (e^-x / x) H_j with
-H_(j+1) = j H_j / x + 1 on Python integers.  The sums S_j = sum_n a(n) G_j(2 pi n) are
-taken once per coefficient set, so an integer s costs two table entries,
-Lambda(s) = S_s + eps S_(k-s); any other s calls gamma_upper per term.
+For 0 < s < k <= 20 write s = f + j with 0 <= f < 1.  The G_(f+j) come
+as one table per n, f and precision from one e^-x and the all-positive
+upward recurrence G_(a+1) = (a G_a + e^-x) / x, run as G_a = (e^-x / x) H_a
+with H_(a+1) = a H_a / x + 1 on Python integers: j = 1..19 from H_1 = 1
+when f = 0, j = 0..19 when f > 0 from H_f = x e^x x^-f Gamma(f, x), which
+Legendre's continued fraction gives on the same integers.  The sums
+S_a = sum_n a(n) G_a(2 pi n) are taken once per coefficient set and f,
+so any s in the strip costs two table entries, Lambda(s) = S_s + eps S_(k-s),
+with k - s = (1 - f) + (k - 1 - j) read from the 1 - f table.
 
 Degree 4 (the weight-12 x weight-20 convolution, Gamma_C(s) Gamma_C(s-11)).
 With Lambda(s) = (2 pi)^-2s Gamma(s) Gamma(s-11) L(s) and eps = +1:
@@ -65,17 +68,17 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import (
-    dps_to_prec, fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_shift, mpf_sum,
-    round_nearest, to_fixed,
+    dps_to_prec, fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_pi, mpf_shift, mpf_sqrt,
+    mpf_sub, mpf_sum, round_nearest, to_fixed,
 )
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import (
-    _rounded, _settle, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
+    _rounded, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
 )
 from .quadrature import tanh_sinh
-from .special import _divisor, _k0_k1, _k_up, bessel_k, bickley_ki1, gamma_upper
+from .special import _divisor, _k0_k1, _k_up, _libmp, bessel_k, bickley_ki1
 
 __all__ = [
     "LFunctionSpec",
@@ -222,48 +225,89 @@ def _deg2_tail_ok(k: int, M: int, dps: int) -> bool:
 _G_TOP = 19  # G_j for j = 1..19 covers k - 1 at weight 20
 
 
-def _deg2_table(n: int, dps: int):
-    """(G_1, ..., G_19) at x = 2 pi n, G_j = x^-j Gamma(j, x), as G_j = e H_j
-    with e = e^-x / x, H_1 = 1 and H_(j+1) = j H_j / x + 1 summed on
-    integers at the working precision plus 20 bits, each G_j rounded once;
-    cached per (n, dps)."""
-    key = (n, dps)
+def _legendre_seed(x, F: int, wp: int) -> int:
+    """x^(1-f) e^x Gamma(f, x) at 2^-wp, for a libmp x > 0 and F = f at
+    2^-wp with 0 < f < 1, from Legendre's continued fraction
+
+        x^-f e^x Gamma(f, x) = 1/(x+1-f - 1(1-f)/(x+3-f - 2(2-f)/(x+5-f - ...))),
+
+    run backward on integers from depth N.  Its truncation error after N
+    terms falls like e^(-4 sqrt(N x)), so N = (B/4)^2 / x + B/4 + 10 with
+    B = wp ln 2 puts it below 2^-wp."""
+    one = 1 << wp
+    X = to_fixed(x, wp)
+    B = wp * math.log(2)
+    N = int((B / 4) ** 2 / (X / one) + B / 4) + 10
+    T = X + (2 * N + 1) * one - F
+    for i in range(N, 0, -1):
+        T = X + (2 * i - 1) * one - F - (i * (i * one - F) << wp) // T
+    return (X << wp) // T
+
+
+def _deg2_table(n: int, dps: int, f=0):
+    """(G_a) for a = f + j at x = 2 pi n, G_a = x^-a Gamma(a, x): j = 1..19
+    for f = 0, j = 0..19 for a real f in (0, 1).  G_a = e H_a with
+    e = e^-x / x and the all-positive recurrence H_(a+1) = a H_a / x + 1,
+    from H_1 = 1, or from H_f = x e^x x^-f Gamma(f, x) (_legendre_seed);
+    summed on integers at the working precision plus 20 bits, each G_a
+    rounded once; cached per (n, dps) and f's exact value."""
+    wp = dps_to_prec(dps + 8) + 20
+    fm = _libmp(f, wp)
+    sign, man, exp, bc = fm
+    if sign or (man and bc + exp > 0):
+        raise ValueError(f"f = {f} outside [0, 1)")
+    key = (n, dps, fm) if man else (n, dps)
     hit = _GAMMA_CACHE.get(key)
     if hit is not None:
         return hit
     ctx = context(dps + 8)
     x = 2 * ctx.pi * n
     e = (ctx.exp(-x) / x)._mpf_
-    wp = ctx.prec + 20
     shift, d = _divisor(x._mpf_)
-    H = [1 << wp]
-    for j in range(1, _G_TOP):
-        H.append((j * H[-1] << shift) // d + (1 << wp))
+    # a = f + j = (man + j 2^q) / 2^q exactly
+    q = -exp if man else 0
+    one = 1 << wp
+    H = [_legendre_seed(x._mpf_, to_fixed(fm, wp), wp) if man else one]
+    for j in range(0 if man else 1, _G_TOP):
+        H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
     table = tuple(_rounded(dps, mpf_mul(e, from_man_exp(h, -wp))) for h in H)
     _GAMMA_CACHE[key] = table
     return table
 
 
+def _deg2_moments(coeffs: tuple, f, dps: int) -> tuple:
+    """(S_a)_a over the entries a = f + j of _deg2_table(., dps, f),
+    S_a = sum_n c_n G_a(2 pi n), for an mpf f in [0, 1)."""
+    kind = ("deg2", f._mpf_) if f else "deg2"
+    return _moments(kind, coeffs, dps, lambda n: _deg2_table(n, dps, f))
+
+
 def _lambda_deg2(ctx, a: Callable[[int], int], k: int, s, M: int, dps: int, sign: int):
+    """Lambda(s) = S_s + eps S_(k-s) for 0 < s < k <= 20: s and k - s
+    each split as f + j with 0 <= f < 1, and S_(f+j) read from the
+    moments of the f table."""
     s = ctx.convert(s)
-    if s == int(s) and 0 < s < k <= _G_TOP + 1:
-        coeffs = tuple(a(n) for n in range(1, M + 1))
-        S = _moments("deg2", coeffs, dps, lambda n: _deg2_table(n, dps))
-        return ctx.convert(S[int(s) - 1]) + sign * ctx.convert(S[k - int(s) - 1])
-    acc = ctx.zero
-    twopi = 2 * ctx.pi
-    for n in range(1, M + 1):
-        x = twopi * n
-        t = x ** (-s) * ctx.convert(gamma_upper(s, x, dps)) + sign * x ** (
-            s - k
-        ) * ctx.convert(gamma_upper(k - s, x, dps))
-        acc += a(n) * t
-    return acc
+    if not 0 < s < k <= _G_TOP + 1:
+        raise ValueError(f"need 0 < s < k <= {_G_TOP + 1}, got s = {s}, k = {k}")
+    coeffs = tuple(a(n) for n in range(1, M + 1))
+    j = int(s)
+    f = s - j  # exact: the fraction has no more bits than s
+    if f:
+        # k - s = (1 - f) + (k - 1 - j), and these tables start at G_f
+        g = ctx.make_mpf(mpf_sub(fone, f._mpf_))
+        left = _deg2_moments(coeffs, f, dps)[j]
+        right = _deg2_moments(coeffs, g, dps)[k - 1 - j]
+    else:
+        # the integer table starts at G_1
+        S = _deg2_moments(coeffs, f, dps)
+        left, right = S[j - 1], S[k - j - 1]
+    return ctx.convert(left) + sign * ctx.convert(right)
 
 
 def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
     """L(s, f) for a weight-k level-1 eigenform given by its q-expansion,
-    via the incomplete-gamma smoothed sum over M coefficients."""
+    via the incomplete-gamma smoothed sum over M coefficients, for real s
+    in the critical strip 0 < s < k; any other s raises ValueError."""
     if k not in (12, 20):
         raise ValueError("supported weights are 12 and 20")
     if form.precision < M:
@@ -290,7 +334,7 @@ class _Node(NamedTuple):
     """Per-n data of the degree-4 sum at a = (2 pi)^2 n, X = 2 sqrt(a)."""
 
     c: object  # 2 / a^11
-    X: object
+    X: object  # at dps digits plus 20 bits, not rounded to dps
     g0: object  # c K_0(X) / X^2
     w: tuple  # w_j = a^-(j+1) (X/2)^-(10-j) K_(10-j)(X), j = 0..10
     tau: tuple  # the odd chain tau_1, tau_3, ..., tau_15; tau_1 = c K_1(X) / X
@@ -322,23 +366,26 @@ def _deg4_node(n: int, dps: int) -> _Node:
         g0 = c K_0 / X^2 = K_0 r^24 / 2,  tau_1 = c K_1 / X = K_1 r^23,
 
     all from one power chain of r at dps digits plus 20 bits, each
-    rounded once; cached per (n, dps)."""
+    rounded once; cached per (n, dps).  X = 4 pi sqrt(n) itself is taken
+    at those bits and kept unrounded for the chains, so every field is
+    good to about an ulp."""
     key = (n, dps)
     hit = _NODE_CACHE.get(key)
     if hit is not None:
         return hit
-    ctx = context(dps)
-    X = 2 * ctx.sqrt((2 * ctx.pi) ** 2 * n)
+    wp = dps_to_prec(dps) + 20
+    root_n = mpf_sqrt(from_int(n), wp, round_nearest)
+    X = mpf_shift(mpf_mul(mpf_pi(wp, round_nearest), root_n, wp, round_nearest), 2)
+    X = _value_context(dps).make_mpf(X)
     xm, k0, k1, exp = _k0_k1(X, dps)
     K = [from_man_exp(k, exp) for k in _k_up(xm, [k0, k1], 10)]
-    wp = dps_to_prec(dps) + 20
     r = mpf_div(from_int(2), xm, wp, round_nearest)
     rp = [fone]
     for _ in range(24):
         rp.append(mpf_mul(rp[-1], r, wp, round_nearest))
     node = _Node(
         _rounded(dps, mpf_shift(rp[22], 1)),
-        _settle(dps, X),
+        X,
         _rounded(dps, mpf_shift(mpf_mul(K[0], rp[24]), -1)),
         tuple(_rounded(dps, mpf_mul(K[10 - j], rp[12 + j])) for j in range(11)),
         (_rounded(dps, mpf_mul(K[1], rp[23])),),

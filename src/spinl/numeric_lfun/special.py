@@ -1,6 +1,8 @@
 """Special functions for the L-evaluators: incomplete gamma at integer (and
 real) first argument, the modified Bessel function K_nu at integer order,
-and the Bickley function Ki_1.
+and the Bickley function Ki_1.  The evaluators take K_nu and Ki_1 from
+here; incomplete gamma is public and serves the tests as the oracle of
+the evaluators' own degree-2 table.
 
 K_nu is summed in fixed point: Python integers scaled by a power of two,
 with the working precision plus 20 guard bits (wp), so each term of a
@@ -87,9 +89,11 @@ def incomplete_gamma_int(s: int, x, dps: int):
 def gamma_upper(s, x, dps: int):
     """Upper incomplete Gamma(s, x) for x > 0 and s a positive integer or
     any non-integer real: the exact finite sum at integer s, mpmath's
-    gammainc otherwise (needed only at the non-integer functional-equation
-    test points).  Integer s <= 0 raises: there gammainc takes an integer
-    path that loses up to ~15 of the asked-for digits near x = 100."""
+    gammainc otherwise.  The evaluators do not call it (their degree-2
+    table covers every real order); it is the public function and the
+    tests' oracle for that table.  Integer s <= 0 raises: there gammainc
+    takes an integer path that loses up to ~15 of the asked-for digits
+    near x = 100."""
     if s == int(s):
         return incomplete_gamma_int(int(s), x, dps)
     ctx = context(dps + 8)

@@ -8,15 +8,17 @@ takes K_0 and K_1 from mpmath's besselk, K_2..K_10 from the textbook
 recurrence, R_0 = Ki_1(X) from mpmath's quad of
 int_0^inf e^(-X cosh t) / cosh t dt, R_1 = X K_1(X), and the higher R_m
 by parts: R_m = X^m K_1 + (m-1) X^(m-1) K_0 + (m-1)^2 R_(m-2).  Degree 2:
-G_j = x^-j Gamma(j, x) at x = 2 pi n from mpmath's gammainc.
+G_a = x^-a Gamma(a, x) at x = 2 pi n from mpmath's gammainc, at integer
+a and at a = f + j for fractional f.
 
-All at 92 digits, D + 20 for the largest D.  The kernels use X rounded to
-D digits, which moves the values by up to ~200 ulps, so the tolerance is
-10^-(D-4) relative.
+All at 92 digits, D + 20 for the largest D, to 10^-(D-4) relative (the
+fractional-order table to 10^-(D-1)).  The degree-4 node's fields are
+further held to a few ulps of the same kernels run at D + 30.
 """
 
 import mpmath
 import pytest
+from mpmath.libmp import dps_to_prec, mpf_sub
 
 from spinl.numeric_lfun.evaluators import _G_TOP, _deg2_table, _deg4_node, _even_chain
 
@@ -90,3 +92,57 @@ def test_deg2_table_against_gammainc(ref, n, dps):
     assert len(table) == _G_TOP
     for j, g in enumerate(table, 1):
         _close(mp, dps, g, want["G"][j - 1], f"G_{j}")
+
+
+# fractional parts of the order a = f + j, both ends of (0, 1) included
+FS = (1e-6, 0.25, 0.5, 0.75, 0.999999)
+NS_DEG2 = (1, 2, 7, 30, 61, 300)
+
+
+@pytest.fixture(scope="module")
+def ref_frac():
+    mp = mpmath.mp.clone()
+    mp.dps = REF_DPS
+    out = {}
+    for n in NS_DEG2:
+        x = 2 * mp.pi * n
+        for f in FS:
+            orders = [mp.mpf(f) + j for j in range(_G_TOP + 1)]
+            out[n, f] = [x**-a * mp.gammainc(a, x) for a in orders]
+    return mp, out
+
+
+@pytest.mark.parametrize("dps", DPS)
+@pytest.mark.parametrize("n", NS_DEG2)
+@pytest.mark.parametrize("f", FS)
+def test_deg2_table_at_fractional_order_against_gammainc(ref_frac, f, n, dps):
+    # G_f, ..., G_(f+19): the continued-fraction seed and the recurrence
+    # in a = f + j, near f = 0 and f = 1 too
+    mp, want = ref_frac[0], ref_frac[1][n, f]
+    table = _deg2_table(n, dps, f)
+    assert len(table) == _G_TOP + 1
+    for j, g in enumerate(table):
+        got = mp.convert(g)
+        assert abs(got - want[j]) / want[j] < mp.mpf(10) ** (1 - dps), f"G_{f}+{j}"
+
+
+def _ulps(got, ref, dps: int) -> float:
+    """|got - ref| in units of got's last place at dps digits."""
+    g = got._mpf_
+    _, man, exp, _ = mpf_sub(g, ref._mpf_)
+    return man * 2.0 ** (exp - (g[2] + g[3] - dps_to_prec(dps)))
+
+
+@pytest.mark.parametrize("dps", (30, 72))
+def test_deg4_node_fields_within_a_few_ulps(dps):
+    # every cached field against the same kernels 30 digits up; rounding
+    # X = 4 pi sqrt(n) to dps digits before the kernels would show here
+    ns = (*range(1, 11), 13, 17, 24, 30, 41, 55, 61, 62, 80, 100, 128, 150, 200, 240, 280, 300)
+    for n in ns:
+        lo, hi = _deg4_node(n, dps), _deg4_node(n, dps + 30)
+        fields = zip(
+            (lo.c, lo.g0, *lo.w, *lo.tau, *_even_chain(n, dps, lo)),
+            (hi.c, hi.g0, *hi.w, *hi.tau, *_even_chain(n, dps + 30, hi)),
+        )
+        for i, (a, b) in enumerate(fields):
+            assert _ulps(a, b, dps) <= 4, (n, i)

@@ -3,6 +3,7 @@ oracles and reference numerics, Rankin norms, and the functional-equation
 residual certificates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinl import delta_qexp, g20_qexp
 from spinl.numeric_lfun import (
@@ -103,6 +104,34 @@ class TestLDegree2:
         for j, g in enumerate(table, start=1):
             ref = x ** -j * ctx.convert(gamma_upper(j, x, 45))
             assert abs(g - ref) / ref < ctx.mpf("1e-38"), j
+
+
+class TestLDegree2Precision:
+    """l_degree2 at D digits against itself at D + 15, over the strip."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.sampled_from([12, 20]),
+        data=st.data(),
+        dps=st.integers(15, 60),
+    )
+    def test_agrees_with_fifteen_more_digits(self, k, data, dps):
+        s = data.draw(st.one_of(
+            st.integers(1, k - 1),
+            st.floats(0, k, exclude_min=True, exclude_max=True),
+        ))
+        form = delta_qexp(40) if k == 12 else g20_qexp(40)
+        lo, hi = l_degree2(form, k, s, dps, 40), l_degree2(form, k, s, dps + 15, 40)
+        ctx = context(dps + 15)
+        assert abs(ctx.convert(lo) - hi) <= abs(hi) * ctx.mpf(10) ** (1 - dps)
+
+    @pytest.mark.parametrize("k", [12, 20])
+    @pytest.mark.parametrize("edge", [0, "k", -0.5, "k + 0.5"])
+    def test_outside_the_strip_raises(self, k, edge):
+        s = {"k": k, "k + 0.5": k + 0.5}.get(edge, edge)
+        form = delta_qexp(40) if k == 12 else g20_qexp(40)
+        with pytest.raises(ValueError):
+            l_degree2(form, k, s, 30, 40)
 
 
 class TestLRankin4:
@@ -376,6 +405,45 @@ class TestMoments:
                 for x in [2 * ref_ctx.pi * n]
             )
             assert abs(got - ref) / abs(ref) < ctx.mpf(10) ** -(D + 5), s
+
+    @pytest.mark.parametrize("D", [20, 30, 60])
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_deg2_at_non_integer_s_against_gamma_upper_sums(self, D, k):
+        # the fractional-order tables: s and k - s each split as f + j
+        from spinl.numeric_lfun import gamma_upper
+        from spinl.numeric_lfun.evaluators import _lambda_deg2
+
+        M = 40
+        a = (delta_qexp(M) if k == 12 else g20_qexp(M)).integer_coeffs()
+        ctx, ref_ctx = context(D + 10), context(D + 20)
+        for s in ("0.3", "2.3", "6.25", "7.3", "9.1", "11.9", "13.7", "19.5"):
+            s = ctx.mpf(s)
+            if s >= k:
+                continue
+            got = ctx.convert(_lambda_deg2(ctx, a.__getitem__, k, s, M, D + 10, 1))
+            ref = ref_ctx.fsum(
+                a[n] * (x ** -s * ref_ctx.convert(gamma_upper(s, x, D + 20))
+                        + x ** (s - k) * ref_ctx.convert(gamma_upper(k - s, x, D + 20)))
+                for n in range(1, M + 1)
+                for x in [2 * ref_ctx.pi * n]
+            )
+            assert abs(got - ref) / abs(ref) < ctx.mpf(10) ** -(D + 5), s
+
+    def test_no_stale_hit_at_non_integer_s(self):
+        # the fractional moments are keyed on the coefficients too: a
+        # crooked a(2) moves Lambda(7.3) by exactly 7 (G_7.3 + G_4.7)(4 pi)
+        from spinl.numeric_lfun.evaluators import _deg2_table, _lambda_deg2
+
+        D, M = 30, 40
+        tau = delta_qexp(M).integer_coeffs()
+        ctx = context(D + 10)
+        s = ctx.mpf("7.3")
+        f = s - 7
+        good = _lambda_deg2(ctx, tau.__getitem__, 12, s, M, D + 10, 1)
+        bad = _lambda_deg2(ctx, lambda n: tau[n] + 7 * (n == 2), 12, s, M, D + 10, 1)
+        term = 7 * (ctx.convert(_deg2_table(2, D + 10, f)[7])
+                    + ctx.convert(_deg2_table(2, D + 10, 1 - f)[4]))
+        assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 6)
 
     def test_no_stale_hit_for_other_coefficients(self, rankin150):
         # the moments are keyed on the coefficient values: a crooked a(2)
