@@ -5,12 +5,19 @@ operator T_p, and the Dirichlet coefficients of the degree-4 convolution.
 Coefficients are exact: a coefficient is stored as an ``int`` when it is
 integral and as a ``Fraction`` only when it is not (E_k's 2k/B_k factor,
 the constant term of G_{2,p}, and what is derived from those). Integral
-series therefore multiply as plain integers, by Kronecker substitution,
-with no conversion. Series are immutable after construction.
+series therefore multiply as plain integers, with no conversion, by
+Kronecker substitution: each operand becomes one decimal number of biased
+w-digit slots, and one multiply in the standard ``decimal`` module
+(libmpdec, a number-theoretic transform for large operands, O(n log n))
+gives every product coefficient. That multiply runs in a private context
+that traps any rounding, so it is exact or raises. Delta is q times
+Jacobi's eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) squared three times.
+Series are immutable after construction.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,43 +64,62 @@ def _schoolbook(a: Sequence, b: Sequence, n_out: int) -> list:
     return out
 
 
-def _pack(xs: Sequence[int], w: int) -> int:
-    """sum xs[i] 2^(8wi) for integers |xs[i]| < 2^(8w-1), in linear time.
-
-    The two's-complement chunks read as one unsigned integer carry an extra
-    2^(8w(i+1)) for each negative xs[i]; one packed borrow removes them.
-    """
-    one, zero = (1).to_bytes(w, "little"), bytes(w)
-    digits = b"".join(x.to_bytes(w, "little", signed=True) for x in xs)
-    borrow = b"".join(one if x < 0 else zero for x in xs)
-    return int.from_bytes(digits, "little") - (int.from_bytes(borrow, "little") << 8 * w)
+# _kronecker's own context: private, and exact or raising (see there)
+_DEC = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+)
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
     """Coefficients 0..n_out of the product of two integer polynomials.
 
-    Kronecker substitution: pack each operand into one bigint with w-byte
-    digits, make one bigint multiply, and read back balanced digits. Packing
-    and unpacking are linear in the bigint size, so the multiply dominates.
+    Kronecker substitution in base 10^w: each operand is one decimal number
+    with a w-digit slot per coefficient, and the product is one
+    ``decimal`` multiply, which libmpdec makes with a number-theoretic
+    transform in O(n log n) for large operands. A slot holds x + h with
+    h = 5 10^(w-1), so it is written as nonnegative digits; subtracting the
+    packed h's (a constant "50...0" string) leaves sum x_i 10^(wi). Every
+    product coefficient c has |c| < h, so adding h back to each slot of the
+    product makes the slots c + h, which read off without carries. The
+    arithmetic runs in the private context ``_DEC``, never the thread's
+    current one, and that context traps Inexact and Rounded: a result too
+    long for it raises instead of losing digits.
+
+    Slots pass through ``str`` and ``int``, so a slot of more than
+    ``sys.get_int_max_str_digits()`` digits (4,300 by default) raises
+    ValueError; the package's own series need fewer than ~60.
     """
     max_a = max(map(abs, a))
     max_b = max(map(abs, b))
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
-    # every product coefficient c satisfies |c| <= bound < 2^(8w-1)
+    # Every coefficient x of a, b and the product has |x| <= bound, and w is
+    # the smallest width with 4 bound < 10^w: then x + h lies strictly
+    # between 2.5 10^(w-1) and 7.5 10^(w-1), so it is exactly w digits.
     bound = max_a * max_b * min(len(a), len(b))
-    w = (bound.bit_length() + 8) // 8
-    A = _pack(a, w)
-    C = A * A if a is b else A * _pack(b, w)
-    size = w * (n_out + 1)
-    raw = (C & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    # A digit read as negative borrowed 1 from the digit above it.
-    s = [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, size, w)]
-    return [s[0]] + [x + (y < 0) for x, y in zip(s[1:], s)]
+    w = len(str(4 * bound))
+    h = 5 * 10 ** (w - 1)
+    slot = str(h)
+
+    def pack(xs):
+        digits = "".join([str(x + h) for x in reversed(xs)])
+        return _DEC.subtract(_DEC.create_decimal(digits), _DEC.create_decimal(slot * len(xs)))
+
+    A = pack(a)
+    C = _DEC.multiply(A, A if a is b else pack(b))
+    n_slots = max(n_out + 1, len(a) + len(b) - 1)
+    C = _DEC.add(C, _DEC.create_decimal(slot * n_slots))
+    s = _DEC.to_sci_string(C)
+    # slot i is the i-th w-digit group from the right
+    return [int(s[j - w : j]) - h for j in range(len(s), len(s) - w * (n_out + 1), -w)]
 
 
-# Integral products always use Kronecker substitution: it is faster than the
-# schoolbook product from about 15 output coefficients on.
+# Integral products take the decimal transform at every size, with no cut-off:
+# below about 1,000 terms byte packing around CPython's own (Karatsuba) bigint
+# multiply would be a little faster, by under a millisecond per series.
 _int_multiply = _kronecker
 
 
@@ -214,35 +240,16 @@ def _exact_series(cs: list, precision: int) -> QSeries:
     return QSeries(cs, precision)
 
 
-def _eta_coeffs(n: int) -> list:
-    """prod_{m>=1} (1 - q^m) to precision n via the pentagonal number theorem."""
+def _eta_cubed(n: int) -> list:
+    """prod_{m>=1} (1 - q^m)^3 to precision n by Jacobi's identity: the sum
+    of (-1)^k (2k+1) q^(k(k+1)/2) over k >= 0."""
     out = [0] * (n + 1)
-    out[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        s = -1 if k % 2 else 1
-        if g1 <= n:
-            out[g1] += s
-        if g2 <= n:
-            out[g2] += s
+    k = t = 0
+    while t <= n:
+        out[t] = -(2 * k + 1) if k % 2 else 2 * k + 1
         k += 1
+        t += k
     return out
-
-
-def _int_power(base: list, e: int, n_out: int) -> list:
-    result = None
-    p = base
-    while e:
-        if e & 1:
-            result = p if result is None else _kronecker(result, p, n_out)
-        e >>= 1
-        if e:
-            p = _kronecker(p, p, n_out)
-    return result if result is not None else [1] + [0] * n_out
 
 
 # the precisions delta_qexp and g20_qexp have built, so that a shorter
@@ -268,8 +275,10 @@ def delta_qexp(N: int) -> QSeries:
     if N < 1:
         raise ValueError("need N >= 1")
     _DELTA_SIZES.add(N)
-    eta24 = _int_power(_eta_coeffs(N - 1), 24, N - 1)
-    return QSeries._of([0] + eta24, N)
+    eta = _eta_cubed(N - 1)
+    for _ in range(3):  # eta^3 -> eta^6 -> eta^12 -> eta^24
+        eta = _kronecker(eta, eta, N - 1)
+    return QSeries._of([0] + eta, N)
 
 
 def _divisor_power_sums(N: int, e: int) -> list:

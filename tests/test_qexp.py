@@ -1,8 +1,12 @@
 """q-expansion layer: the five forms, Hecke action, convolution coefficients,
 and the local-factor identity."""
 
+import decimal
+import hashlib
+import random
+import threading
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -137,6 +141,164 @@ class TestConvolutionBackends:
     @pytest.mark.parametrize("n", [100, 599, 600])
     def test_delta_truncation_matches_direct(self, n):
         assert delta_qexp(700).truncate(n) == delta_qexp(n)
+
+
+def _byte_kronecker(a, b, n_out):
+    """The earlier Kronecker product, kept here as an independent reference:
+    w-byte two's-complement slots around one CPython bigint multiply."""
+    max_a, max_b = max(map(abs, a)), max(map(abs, b))
+    if max_a == 0 or max_b == 0:
+        return [0] * (n_out + 1)
+    w = ((max_a * max_b * min(len(a), len(b))).bit_length() + 8) // 8
+
+    def pack(xs):
+        one, zero = (1).to_bytes(w, "little"), bytes(w)
+        digits = b"".join(x.to_bytes(w, "little", signed=True) for x in xs)
+        borrow = b"".join(one if x < 0 else zero for x in xs)
+        return int.from_bytes(digits, "little") - (int.from_bytes(borrow, "little") << 8 * w)
+
+    C = pack(a) * pack(b)
+    size = w * (n_out + 1)
+    raw = (C & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    s = [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, size, w)]
+    return [s[0]] + [x + (y < 0) for x, y in zip(s[1:], s)]
+
+
+class TestKroneckerTransformSizes:
+    """Operands long enough for libmpdec's Karatsuba (300 terms) and
+    number-theoretic-transform (3,000 terms) products, with slot widths on
+    either side of its 19-digit words."""
+
+    @staticmethod
+    def _magnitudes(width, length):
+        # the largest and the smallest coefficient size m for which the
+        # product coefficient bound m * m * length gets slots of exactly
+        # `width` digits (4 * bound < 10^width <= 40 * bound)
+        hi = isqrt((10**width - 1) // (4 * length))
+        lo = isqrt(-(-(10 ** (width - 1)) // (4 * length)))
+        lo += 4 * lo * lo * length < 10 ** (width - 1)
+        for m in (hi, lo):
+            assert len(str(4 * m * m * length)) == width
+        return hi, lo
+
+    @staticmethod
+    def _operands(m, length, rng):
+        rand = [rng.randint(-m, m) for _ in range(length - 1)] + [-m]
+        return {
+            "random": rand,  # negative leading coefficient
+            "all_negative": [-m] * length,  # its square reaches the bound
+            "alternating": [m if i % 2 else -m for i in range(length)],
+        }
+
+    @pytest.mark.parametrize("length", [300, 3000])
+    @pytest.mark.parametrize("width", [18, 19, 20, 37, 38, 39, 56, 57, 58])
+    def test_matches_byte_product(self, length, width):
+        rng = random.Random(width * 10007 + length)
+        full = 2 * length - 2
+        for m in self._magnitudes(width, length):
+            ops = self._operands(m, length, rng)
+            for name, a in ops.items():
+                b = ops["random"] if name != "random" else ops["alternating"]
+                # n_out below, at and above the full product length
+                ref = _byte_kronecker(a, b, full + 5)
+                for n in (length // 2, full, full + 5):
+                    assert _kronecker(a, b, n) == ref[: n + 1], (name, m, n)
+                # a is b: the squaring path
+                n = length + 7
+                assert _kronecker(a, a, n) == _byte_kronecker(a, list(a), n), (name, m)
+
+    @pytest.mark.parametrize("length", [300, 3000])
+    @pytest.mark.parametrize("width", [18, 19, 20, 37, 38, 39, 56, 57, 58])
+    def test_one_term_operand(self, length, width):
+        # times +-1 the bound is the largest operand coefficient itself, so
+        # the operands' slots are as full as the product's
+        top = 10**width // 2 - 1
+        a = [-top if i % 3 else top for i in range(length)]
+        for c in (1, -1):
+            assert _kronecker(a, [c], length - 1) == [c * x for x in a]
+            assert _kronecker([c], a, length + 2) == [c * x for x in a] + [0] * 3
+
+    @pytest.mark.parametrize("length", [300, 3000])
+    def test_zero_operands(self, length):
+        zeros = [0] * length
+        other = [(-1) ** i * (i + 1) for i in range(length)]
+        for n in (length // 2, 2 * length - 2, 2 * length + 3):
+            assert _kronecker(zeros, other, n) == [0] * (n + 1)
+            assert _kronecker(other, zeros, n) == [0] * (n + 1)
+            assert _kronecker(zeros, zeros, n) == [0] * (n + 1)
+
+    def test_slot_wider_than_int_str_limit_raises(self):
+        # slots go through str and int, capped at sys.get_int_max_str_digits()
+        with pytest.raises(ValueError):
+            _kronecker([2**15000, 1], [1, -1], 1)
+        with pytest.raises(ValueError):
+            _kronecker([1] * 300, [-(2**15000)] + [3] * 299, 400)
+
+    def test_ignores_the_current_decimal_context(self):
+        serial = delta_qexp.__wrapped__(2000)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = True
+            assert decimal.getcontext().prec == 5
+            assert delta_qexp.__wrapped__(2000) == serial
+        assert serial == delta_qexp(5000).truncate(2000)
+
+    def test_threads_build_the_serial_series(self):
+        sizes = (1500, 2500)
+        serial = {N: (delta_qexp.__wrapped__(N), g20_qexp.__wrapped__(N)) for N in sizes}
+        got, errors = {}, []
+
+        def build(N):
+            try:
+                decimal.getcontext().prec = 3  # a hostile per-thread context
+                for _ in range(3):
+                    got[N] = (delta_qexp.__wrapped__(N), g20_qexp.__wrapped__(N))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(N,)) for N in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert got == serial
+
+
+def _sha256(coeffs):
+    return hashlib.sha256(repr(tuple(coeffs)).encode()).hexdigest()
+
+
+class TestLargeN:
+    """The forms at N = 5000, where the products run on the transform."""
+
+    N = 5000
+    # sha256 of repr(tuple(...)) of the coefficient tuples, taken from the
+    # byte-packing implementation that preceded the decimal product
+    DELTA_SHA256 = "5a693014bbdccca0e7c0a65d57042fee6bc5b5a87467505f2a3655c99677d053"
+    G20_SHA256 = "f91bfcd018f5cafc66b63bdae6a03a822c4d2176e1979db750be4ae4c3744fef"
+    RANKIN_SHA256 = "d2bb69ec0a7dc94c110f45b93831bd5a7556032566676ccd07759121206ec245"
+    COPRIME_PAIRS = [(2, 2499), (3, 1666), (4, 1249), (7, 713), (25, 199), (27, 185),
+                     (49, 102), (64, 77), (70, 71), (125, 39), (128, 39), (1, 4999)]
+
+    def test_pinned_coefficients(self):
+        assert _sha256(delta_qexp(self.N).coeffs) == self.DELTA_SHA256
+        assert _sha256(g20_qexp(self.N).coeffs) == self.G20_SHA256
+        assert _sha256(rankin_coeffs(self.N).values) == self.RANKIN_SHA256
+
+    @pytest.mark.parametrize("form,k,eigenvalue", [(delta_qexp, 12, -24), (g20_qexp, 20, 456)])
+    def test_t2_eigenvalue(self, form, k, eigenvalue):
+        f = form(self.N)
+        t2 = hecke_tp(f, 2, k)
+        assert t2.precision == self.N // 2
+        assert t2 == QSeries([eigenvalue * c for c in f.coeffs[: self.N // 2 + 1]])
+
+    def test_multiplicative(self):
+        tau, b, A = delta_qexp(self.N), g20_qexp(self.N), rankin_coeffs(self.N)
+        for m, n in self.COPRIME_PAIRS:
+            assert gcd(m, n) == 1 and m * n <= self.N
+            for f in (tau, b, A):
+                assert f[m * n] == f[m] * f[n], (f, m, n)
 
 
 class TestDelta:
