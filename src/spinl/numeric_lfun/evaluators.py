@@ -68,8 +68,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import (
-    dps_to_prec, fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_pi, mpf_shift, mpf_sqrt,
-    mpf_sub, mpf_sum, round_nearest, to_fixed,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
+    mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest, to_fixed,
+    to_float,
 )
 
 from ..exact_arith import bernoulli, zeta_exact
@@ -77,7 +78,7 @@ from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import (
     _rounded, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
 )
-from .quadrature import tanh_sinh
+from .quadrature import QuadratureError, tanh_sinh
 from .special import _divisor, _k0_k1, _k_up, _libmp, bessel_k, bickley_ki1
 
 __all__ = [
@@ -528,42 +529,81 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     )
 
 
-def kernel_mellin_check(s0: int, dps: int):
-    """Relative error of the quadrature of int_0^inf phi(t) t^(s0-1) dt
-    against Gamma(s0) Gamma(s0-11): the identity that certifies the
-    degree-4 kernel before any L-value is trusted.
+# the kernel check's trapezoid error falls like C e^(-c/h) in its step h:
+# c = 8, C ~ 1e11 at s0 = 19, the slowest point; the gate asks 10^-(D+18)
+_KERNEL_RATE, _KERNEL_GATE = 8.0, 18
+_KERNEL_CACHE = _BoundedCache(_MOMENT_CAP)  # the errors at s0 = 13..19, per dps
 
-    Integrates in v = sqrt(t), then log coordinates, down to v0 = 2e-6.
-    The piece below v0 is added in closed form from the finite part of
-    K_11's small-argument series,
 
-        4 int_0^v0 v^(2 s0 - 12) K_11(2v) dv
-            = 2 sum_(k=0..10) (-1)^k (10-k)!/k! v0^(2 s0 - 22 + 2k) / (2 s0 - 22 + 2k),
-
-    whose remainder is O(v0^(2 s0 - 1) log v0).  Both quadratures are
-    strict: an unconverged estimate raises QuadratureError."""
-    if s0 <= 12:
-        raise ValueError("check points need s0 > 12")
+def _kernel_errors(dps: int) -> tuple:
+    hit = _KERNEL_CACHE.get(("kernel", dps))
+    if hit is not None:
+        return hit
     ctx = context(dps + 20)
+    wp = ctx.prec + 20
+    B, L = (dps + 33) * math.log(10), (dps + 8) * math.log(10)
+    h, v_hi = _KERNEL_RATE / B, L / 2
+    for _ in range(20):  # the cut: v^27 e^(-2v) = 10^-(dps+8)
+        v_hi = (L + 27 * math.log(v_hi)) / 2
+    v0, step = ctx.mpf("2e-6"), from_float(h)
+    parts = [[0] * 7, [0] * 7]  # the sums over even and odd k
+    k = math.floor(-math.log(B) / h)
+    while True:
+        t = mpf_mul(from_int(k), step)
+        em = mpf_exp(mpf_neg(t), wp)
+        E = mpf_exp(mpf_sub(t, em, wp), wp)
+        v = mpf_mul(v0._mpf_, mpf_add(fone, E, wp), wp)
+        if to_float(v) > v_hi:
+            break
+        xm, k0, k1, exp = _k0_k1(ctx.make_mpf(mpf_shift(v, 1)), dps + 12)
+        K = from_man_exp(_k_up(xm, [k0, k1], 11)[11], exp)
+        g = mpf_mul(mpf_mul(E, mpf_add(fone, em, wp), wp), mpf_mul(mpf_pow_int(v, 14, wp), K), wp)
+        G, V2 = to_fixed(g, wp), to_fixed(mpf_mul(v, v), wp)
+        for i in range(7):
+            parts[k % 2][i] += G
+            G = G * V2 >> wp
+        k += 1
+    scale = mpf_mul(mpf_shift(v0._mpf_, 2), step)  # 4 v0 h
+    errors = []
+    for s0, even, odd in zip(range(13, 20), *parts):
+        # step 2h is off by ~|odd - even| h; step h, by e^(-c/2h) = e^(-B/2) times that
+        pred = math.log(abs(odd - even) or 1) - math.log(odd + even) - B / 2
+        if pred > -(dps + _KERNEL_GATE) * math.log(10):
+            raise QuadratureError(f"kernel node set too coarse at s0 = {s0}, D = {dps}")
+        head = 2 * ctx.fsum(
+            (-1) ** j * ctx.factorial(10 - j) / ctx.factorial(j) * v0 ** (2 * s0 - 22 + 2 * j)
+            / (2 * s0 - 22 + 2 * j)
+            for j in range(11)
+        )
+        quad = ctx.make_mpf(mpf_mul(scale, from_man_exp(even + odd, -wp), ctx.prec, round_nearest))
+        ref = ctx.gamma(s0) * ctx.gamma(s0 - 11)
+        errors.append(round_to(dps, abs(head + quad - ref) / ref))
+    errors = _KERNEL_CACHE[("kernel", dps)] = tuple(errors)
+    return errors
 
-    def f(w):
-        v = ctx.exp(w)
-        return v ** (2 * s0 - 11) * ctx.convert(bessel_k(11, 2 * v, dps + 18))
 
-    v0 = ctx.mpf("2e-6")
-    v_hi = (dps + 14) * ctx.log(10) / 2 + 25
-    w_cuts = (ctx.log(v0), ctx.zero, ctx.log(v_hi))
-    head = 2 * ctx.fsum(
-        (-1) ** k * ctx.factorial(10 - k) / ctx.factorial(k) * v0 ** (2 * s0 - 22 + 2 * k)
-        / (2 * s0 - 22 + 2 * k)
-        for k in range(11)
-    )
-    val = head + 4 * (
-        tanh_sinh(ctx, f, w_cuts[0], w_cuts[1], strict=True)
-        + tanh_sinh(ctx, f, w_cuts[1], w_cuts[2], strict=True)
-    )
-    ref = ctx.gamma(s0) * ctx.gamma(s0 - 11)
-    return round_to(dps, abs(val - ref) / ref)
+def kernel_mellin_check(s0: int, dps: int):
+    """Relative error, compared at D + 20 digits, of the quadrature of
+    int_0^inf phi(t) t^(s0-1) dt = Gamma(s0) Gamma(s0-11), the identity that
+    certifies the degree-4 kernel, for an integer s0 in 13..19 (any other
+    s0 raises ValueError).
+
+    In v = sqrt(t) the integrand is 4 v^(2 s0 - 12) K_11(2v).  Below
+    v0 = 2e-6 the finite part of K_11's small-argument series integrates to
+    2 sum_(k=0..10) (-1)^k (10-k)!/k! v0^e / e, e = 2 s0 - 22 + 2k, with a
+    remainder O(v0^(2 s0 - 1) log v0).  Above it, v = v0 (1 + exp(t - e^-t))
+    makes the integrand fall double exponentially as t -> -inf, and its
+    trapezoid sum at t = k h, h = c / B, B = (D + 33) ln 10, runs from
+    t = -log B to the cut v^27 e^(-2v) < 10^-(D+8) of s0 = 19.  K_11(2v) is
+    taken once per node from the fixed-point core, and the seven sums of
+    v^14 (v^2)^(s0 - 13) K_11 run on integers at one scale, each rounded
+    once.  The even nodes give the sum at step 2h; by the error model
+    C e^(-c/h) their difference from the full sum, times e^(-c/2h),
+    predicts the error at h, and a prediction above 10^-(D+18) at any s0
+    raises QuadratureError.  The seven errors are cached per D."""
+    if s0 not in range(13, 20):
+        raise ValueError("check points are the integers s0 = 13..19")
+    return _kernel_errors(dps)[int(s0) - 13]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from spinl.numeric_lfun import (
     petersson_norm,
     rankin_lfunction,
     stored_norms,
+    QuadratureError,
 )
+from spinl.numeric_lfun import evaluators
 
 from reference_values import (
     REF_DELTA_NORM,
@@ -208,6 +210,31 @@ class TestKernel:
     def test_rejects_low_s(self):
         with pytest.raises(ValueError):
             kernel_mellin_check(12, 20)
+
+    @pytest.mark.parametrize("s0", [20, 13.5, "13"])
+    def test_rejects_points_off_the_node_set(self, s0):
+        with pytest.raises(ValueError):
+            kernel_mellin_check(s0, 20)
+
+    @pytest.mark.parametrize("s0", range(13, 20))
+    def test_all_seven_points(self, s0):
+        # the cut follows s0: one sized for s0 = 13 leaves s0 = 19 ~1e-38
+        ctx = context(30)
+        assert ctx.convert(kernel_mellin_check(s0, 30)) < ctx.mpf("1e-45")
+
+    def test_coarser_step_raises(self, monkeypatch):
+        # twice the step is the node set one level too coarse
+        monkeypatch.setattr(evaluators, "_KERNEL_RATE", 2 * evaluators._KERNEL_RATE)
+        monkeypatch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
+        with pytest.raises(QuadratureError):
+            kernel_mellin_check(13, 30)
+
+    @pytest.mark.parametrize("dps", [22, 28, 30, 60])
+    def test_half_step_gate_has_margin(self, monkeypatch, dps):
+        # the a-priori step passes the gate with ten times to spare
+        monkeypatch.setattr(evaluators, "_KERNEL_GATE", evaluators._KERNEL_GATE + 1)
+        monkeypatch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
+        kernel_mellin_check(19, dps)
 
 
 class TestPeterssonNorm:

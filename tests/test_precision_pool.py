@@ -13,6 +13,7 @@ from spinl.numeric_lfun import (
     bessel_k,
     context,
     functional_eq_residual,
+    kernel_mellin_check,
     l_degree2,
     l_rankin4,
     rankin_lfunction,
@@ -24,7 +25,7 @@ from spinl.numeric_lfun.special import _k0_k1
 
 
 PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE, evaluators._GAMMA_CACHE)
-CACHES = PER_N_CACHES + (evaluators._MOMENT_CACHE,)
+CACHES = PER_N_CACHES + (evaluators._MOMENT_CACHE, evaluators._KERNEL_CACHE)
 
 
 def _clear_caches():
@@ -112,6 +113,7 @@ class TestValuesIgnoreContextMutation:
         l_rankin4(rankin_coeffs(14), 14, 20, 14)
         functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 8)
         l_degree2(delta_qexp(30), 12, 6, 20, 30)
+        kernel_mellin_check(13, 20)
         for cache in CACHES:
             assert cache
             for key, entry in cache._data.items():
@@ -141,6 +143,16 @@ class TestThreads:
             lambda: repr(l_rankin4(A, 15, 27, 40)),
         )
         assert got == serial
+
+    def test_kernel_check_concurrent_equals_serial(self):
+        def seven():
+            return [repr(kernel_mellin_check(s0, 30)) for s0 in range(13, 20)]
+
+        _clear_caches()
+        serial = seven()
+        assert seven() == serial  # from the cache
+        _clear_caches()
+        assert _in_threads(seven, seven) == [serial, serial]
 
 
 class TestBoundedCaches:
@@ -172,6 +184,7 @@ class TestBoundedCaches:
         for cache in PER_N_CACHES:
             assert cache.cap == evaluators._CACHE_CAP >= 300
         assert evaluators._MOMENT_CACHE.cap == evaluators._MOMENT_CAP > 0
+        assert evaluators._KERNEL_CACHE.cap == evaluators._MOMENT_CAP
 
     def test_moment_cache_is_bounded(self):
         # one entry per coefficient set: distinct crooked sets evict the
