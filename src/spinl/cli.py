@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .critical_values import (
     rankin_g20_value,
     two_delta_product,
 )
-from .numeric_lfun import context, stored_norms, fresh_norms, verify_tables
+from .numeric_lfun import context, fresh_norms, render_exact, stored_norms, verify_tables
 from .qexp import delta_qexp, g20_qexp, rankin_coeffs
 
 __all__ = ["main", "OutputRecord", "factor_integer", "factored_form"]
@@ -110,37 +111,27 @@ def _record(s, q: Fraction, pi_exp: int, numeric, part=None) -> OutputRecord:
     )
 
 
-def _numeric_str(ctx, value, digits: int) -> str:
-    return ctx.nstr(value, digits, strip_zeros=False)
-
-
 def _table_rows(which: int, prec: int, use_fresh: bool):
     ctx = context(prec + 5)
-    show = prec
     rows: List[OutputRecord] = []
     dn, gn = (fresh_norms(prec + 5) if use_fresh else stored_norms(prec + 5))
     dn, gn = ctx.convert(dn), ctx.convert(gn)
+
+    def add(s, q: Fraction, e: int, norm=None, part=None) -> None:
+        value = render_exact(ctx, q, e, norm)
+        rows.append(_record(s, q, e, ctx.nstr(value, prec, strip_zeros=False), part))
+
     if which == 1:
         for s in range(3, 11):
             pc = projection_coeffs(s)
             for part, pv in (("A1", pc.a1), ("A2", pc.a2)):
-                q, e = pv.as_monomial()
-                num = ctx.mpf(q.numerator) / q.denominator * ctx.pi**e
-                rows.append(_record(s, q, e, _numeric_str(ctx, num, show), part))
+                add(s, *pv.as_monomial(), part=part)
         return rows, dn, gn
     producer = {2: two_delta_product, 3: rankin_g20_value, 4: main_identity}[which]
     norm = {2: dn, 3: gn, 4: dn * gn}[which]
     for s in range(12, 20):
         res = producer(s)
-        value = (
-            ctx.mpf(res.rational.numerator)
-            / res.rational.denominator
-            * ctx.pi**res.pi_exponent
-            * norm
-        )
-        rows.append(
-            _record(s, res.rational, res.pi_exponent, _numeric_str(ctx, value, show))
-        )
+        add(s, res.rational, res.pi_exponent, norm)
     return rows, dn, gn
 
 
@@ -218,6 +209,9 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.tol < math.inf:  # a nan gate passes every row
+        print("--tol must be a finite number >= 0", file=sys.stderr)
+        return 2
     report = verify_tables(args.prec, args.coeffs, use_fresh_norms=args.fresh_norms)
     tol = context(args.prec).mpf(args.tol)
     bad = report.failures(tol)

@@ -10,12 +10,14 @@ A_1(s), A_2(s), and the assembled critical values of
 
 each as an exact rational times a single power of pi, for s = 12..19.
 No table is ever an input here; printed tables are regression fixtures in
-the test suite only.
+the test suite only.  The per-s results are immutable and LRU-cached; an
+s out of range raises on every call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -89,6 +91,10 @@ def whittaker_closed_form(alpha: int, r: int) -> List[Fraction]:
     return coeffs
 
 
+# typed: an s of another type never meets the entry of an int s
+_cached = functools.lru_cache(maxsize=32, typed=True)
+
+
 def _check_s_range(s: int, lo: int, hi: int) -> None:
     if not lo <= s <= hi:
         raise ValueError(f"s must be in {lo}..{hi}, got {s}")
@@ -137,6 +143,7 @@ def _whittaker_moment_sum(s: int, two_power: bool) -> Fraction:
     return acc
 
 
+@_cached
 def projection_coeffs(s: int) -> ProjectionCoeffs:
     """Fourier coefficients A_1(s), A_2(s) of the holomorphic projection of
     G_{2,2}(z) (4 pi y)^(s-11) E_{10,2}(z, s-11), for s in 3..10."""
@@ -163,6 +170,7 @@ def projection_coeffs(s: int) -> ProjectionCoeffs:
     return ProjectionCoeffs(s, a1, a2)
 
 
+@_cached
 def two_delta_product(s: int) -> CriticalValueResult:
     """Coefficient of <Delta,Delta> in L(s-9, Delta) L(s-10, Delta), a single
     monomial with pi-exponent 2s-19, for s in 12..19.
@@ -212,6 +220,7 @@ def d_constants(s: int) -> Tuple[PiValue, PiValue]:
     return d0p, d0pp
 
 
+@_cached
 def rankin_g20_value(s: int) -> CriticalValueResult:
     """Coefficient of <g20,g20> in the degree-4 value L(s, Delta x g20), a
     single monomial with pi-exponent 2s-11, for s in 12..19:
@@ -237,6 +246,7 @@ def _product(left: CriticalValueResult, right: CriticalValueResult) -> CriticalV
     )
 
 
+@_cached
 def main_identity(s: int) -> CriticalValueResult:
     """Coefficient of <Delta,Delta><g20,g20> in the spinor critical value at
     s in 12..19: the product of the two factor results (rationals multiply,

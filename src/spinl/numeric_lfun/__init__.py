@@ -7,10 +7,12 @@ mpmath's global context.  Work runs in contexts pooled per thread and per
 D, and results come back in per-D value contexts (see `bigfloat`); the
 per-coefficient data of both smoothed sums, and its sums over n, are
 kept in four bounded, thread-safe caches whose values are the same in
-every thread.
+every thread: the degree-4 per-n data as unrounded integers at one
+exponent per node, the degree-2 tables and every sum over n rounded once
+into a value context.
 """
 
-from .bigfloat import context, pi_value_numeric, round_to
+from .bigfloat import context, pi_value_numeric, render_exact, round_to
 from .evaluators import (
     LFunctionSpec,
     PeterssonNorm,
@@ -38,6 +40,7 @@ from .verify import (
 __all__ = [
     "context",
     "pi_value_numeric",
+    "render_exact",
     "round_to",
     "LFunctionSpec",
     "PeterssonNorm",

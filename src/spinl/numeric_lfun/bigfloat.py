@@ -79,10 +79,17 @@ def fraction_to_mpf(ctx, q: Fraction):
     return ctx.mpf(q.numerator) / q.denominator
 
 
+def render_exact(ctx, q: Fraction, pi_exponent: int, norm=None):
+    """q pi^e, times norm if one is given, in ctx: the one rendering of an
+    exact value for the tables, the verification and pi_value_numeric."""
+    value = fraction_to_mpf(ctx, q) * ctx.pi**pi_exponent
+    return value if norm is None else value * norm
+
+
 def pi_value_numeric(pv: PiValue, dps: int):
     """Evaluate an exact rational-times-pi-power sum to dps digits."""
     ctx = context(dps + 8)
     acc = ctx.zero
     for coeff, expo in pv.monomials:
-        acc += fraction_to_mpf(ctx, coeff) * ctx.pi**expo
+        acc += render_exact(ctx, coeff, expo)
     return round_to(dps, acc)

@@ -44,15 +44,16 @@ cached per (n, precision) up to m = 15 (s = 19).
 Since a = (X/2)^2, every factor above is a power of r = 2/X:
 w_j = K_(10-j) r^(12+j), 2/a^11 = 2 r^22, tau_1 = K_1 r^23 and
 g_0 = K_0 r^24 / 2.  A node is built from one fixed-point K_0/K_1
-evaluation, the K_2..K_10 recurrence on the same integers, and one power
-chain of r, 20 bits above the cached precision; the tau chains run on
-integers at one scale.  Each cached number is rounded once.  Since p does not depend
+evaluation, the K_2..K_10 recurrence on the same integers, and one
+fixed-point power chain of r; the fields and both tau chains stay
+unrounded, integers at one exponent per node.  Since p does not depend
 on n, the n-sum commutes with the dot product:
 
     sum_n A(n) F(s, a_n) = 2 [ sum_j p_j(s) W_j + p_11(s) T_m ],
     W_j = sum_n A(n) w_j(n),   T_m = sum_n A(n) tau_m(n),
 
-and the moments W, T are summed once per coefficient set, so each
+and the moments W, T (like the degree-2 S_a) are summed once per
+coefficient set, each one exact integer sum rounded once, so each
 critical value is one dot per side.  Past m = 15 the chain is climbed per
 n (the recurrence depends on X), and any other real s falls back to
 tanh-sinh quadrature per n.
@@ -68,7 +69,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import (
-    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_exp, mpf_mul,
     mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest, to_fixed,
     to_float,
 )
@@ -79,7 +80,7 @@ from .bigfloat import (
     _rounded, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
 )
 from .quadrature import QuadratureError, tanh_sinh
-from .special import _divisor, _k0_k1, _k_up, _libmp, bessel_k, bickley_ki1
+from .special import _divisor, _k0_k1, _k_up, _ki1, _libmp, bessel_k
 
 __all__ = [
     "LFunctionSpec",
@@ -190,23 +191,22 @@ _MOMENT_CAP = 64
 _MOMENT_CACHE = _BoundedCache(_MOMENT_CAP)
 
 
-def _moments(kind: str, coeffs: tuple, dps: int, vector: Callable[[int], tuple]) -> tuple:
-    """(sum_n c_n v_j(n))_j over n = 1..len(coeffs), v = vector(n), for
-    coeffs = (c_1, ..., c_M): each sum exact, then rounded once to dps
-    digits in the value context; cached per (kind, coeffs, dps)."""
+def _moments(kind: str, coeffs: tuple, dps: int, vector: Callable[[int], list]) -> tuple:
+    """(sum_n c_n v_j(n))_j over n = 1..len(coeffs) for coeffs = (c_1, ...,
+    c_M), vector(n) the v_j(n) as signed (mantissa, exponent) pairs: each
+    sum one exact integer dot product, rounded once to dps digits in the
+    value context; cached per (kind, coeffs, dps)."""
     key = (kind, coeffs, dps)
     hit = _MOMENT_CACHE.get(key)
     if hit is not None:
         return hit
     home = _value_context(dps)
-    cs = [from_int(c) for c in coeffs]
-    columns = zip(*(vector(n) for n in range(1, len(cs) + 1)))
-    sums = _MOMENT_CACHE[key] = tuple(
-        home.make_mpf(
-            mpf_sum([mpf_mul(c, v._mpf_) for c, v in zip(cs, col)], home.prec, round_nearest)
-        )
-        for col in columns
-    )
+    sums = []
+    for col in zip(*(vector(n) for n in range(1, len(coeffs) + 1))):
+        low = min(e for _, e in col)
+        total = sum(c * v << e - low for c, (v, e) in zip(coeffs, col))
+        sums.append(home.make_mpf(from_man_exp(total, low, home.prec, round_nearest)))
+    sums = _MOMENT_CACHE[key] = tuple(sums)
     return sums
 
 
@@ -279,8 +279,12 @@ def _deg2_table(n: int, dps: int, f=0):
 def _deg2_moments(coeffs: tuple, f, dps: int) -> tuple:
     """(S_a)_a over the entries a = f + j of _deg2_table(., dps, f),
     S_a = sum_n c_n G_a(2 pi n), for an mpf f in [0, 1)."""
+    def vector(n: int) -> list:
+        table = _deg2_table(n, dps, f)
+        return [(-man if sign else man, exp) for sign, man, exp, _ in (g._mpf_ for g in table)]
+
     kind = ("deg2", f._mpf_) if f else "deg2"
-    return _moments(kind, coeffs, dps, lambda n: _deg2_table(n, dps, f))
+    return _moments(kind, coeffs, dps, vector)
 
 
 def _lambda_deg2(ctx, a: Callable[[int], int], k: int, s, M: int, dps: int, sign: int):
@@ -332,30 +336,28 @@ _M_TOP = 15  # m = 2s - 23 at s = 19, the top of both cached chains
 
 
 class _Node(NamedTuple):
-    """Per-n data of the degree-4 sum at a = (2 pi)^2 n, X = 2 sqrt(a)."""
+    """Per-n data of the degree-4 sum at a = (2 pi)^2 n, X = 2 sqrt(a):
+    every field but X is an integer F standing for F 2^exp, unrounded."""
 
-    c: object  # 2 / a^11
     X: object  # at dps digits plus 20 bits, not rounded to dps
-    g0: object  # c K_0(X) / X^2
+    exp: int
+    c: int  # 2 / a^11
+    g0: int  # c K_0(X) / X^2
     w: tuple  # w_j = a^-(j+1) (X/2)^-(10-j) K_(10-j)(X), j = 0..10
     tau: tuple  # the odd chain tau_1, tau_3, ..., tau_15; tau_1 = c K_1(X) / X
 
 
-def _chain(node: _Node, first, m: int, top: int, dps: int) -> tuple:
-    """(tau_m, tau_(m+2), ..., tau_top) from tau_m = first, a libmp value,
-    by tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2).  Past the first,
-    every tau is positive and at least tau_1, so the chain runs on integers
-    at one scale, dps digits plus 20 bits below tau_1's leading bit, and
-    each entry is rounded once."""
-    g1 = node.tau[0]._mpf_
-    exp = g1[2] + g1[3] - dps_to_prec(dps) - 20
-    G0, G1, t = (to_fixed(v, -exp) for v in (node.g0._mpf_, g1, first))
+def _chain(node: _Node, first: int, m: int, top: int) -> tuple:
+    """(tau_m, tau_(m+2), ..., tau_top) from tau_m = first by
+    tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2), on the node's
+    integers: past the first, every tau is positive and at least tau_1."""
     shift, d = _divisor(mpf_mul(node.X._mpf_, node.X._mpf_))
-    chain = [t]
+    g0, g1 = node.g0, node.tau[0]
+    chain = [first]
     while m < top:
         m += 2
-        chain.append(G1 + (m - 1) * G0 + ((m - 1) ** 2 * chain[-1] << shift) // d)
-    return tuple(_rounded(dps, from_man_exp(t, exp)) for t in chain)
+        chain.append(g1 + (m - 1) * g0 + ((m - 1) ** 2 * chain[-1] << shift) // d)
+    return tuple(chain)
 
 
 def _deg4_node(n: int, dps: int) -> _Node:
@@ -366,10 +368,10 @@ def _deg4_node(n: int, dps: int) -> _Node:
         w_j = K_(10-j) r^(12+j),  c = 2 r^22,
         g0 = c K_0 / X^2 = K_0 r^24 / 2,  tau_1 = c K_1 / X = K_1 r^23,
 
-    all from one power chain of r at dps digits plus 20 bits, each
-    rounded once; cached per (n, dps).  X = 4 pi sqrt(n) itself is taken
-    at those bits and kept unrounded for the chains, so every field is
-    good to about an ulp."""
+    each an exact product of integers from one fixed-point chain of r,
+    cut to the node's exponent, where g0, the smallest, keeps dps digits
+    plus 30 bits; nothing is rounded; cached per (n, dps).  X = 4 pi sqrt(n)
+    is taken at dps digits plus 20 bits and kept unrounded for the chains."""
     key = (n, dps)
     hit = _NODE_CACHE.get(key)
     if hit is not None:
@@ -379,44 +381,54 @@ def _deg4_node(n: int, dps: int) -> _Node:
     X = mpf_shift(mpf_mul(mpf_pi(wp, round_nearest), root_n, wp, round_nearest), 2)
     X = _value_context(dps).make_mpf(X)
     xm, k0, k1, exp = _k0_k1(X, dps)
-    K = [from_man_exp(k, exp) for k in _k_up(xm, [k0, k1], 10)]
-    r = mpf_div(from_int(2), xm, wp, round_nearest)
-    rp = [fone]
+    K = _k_up(xm, [k0, k1], 10)
+    # r at 2^-L: log2(X/2) < bc + e - 1 for X = m 2^e, m < 2^bc
+    L = wp + 10 + 24 * (xm[3] + xm[2] - 1)
+    shift, d = _divisor(xm)
+    r = (2 << L + shift) // d
+    P = [1 << L]
     for _ in range(24):
-        rp.append(mpf_mul(rp[-1], r, wp, round_nearest))
+        P.append(P[-1] * r >> L)
+    # K P stands for K P 2^(exp - L); the node keeps it at 2^(exp - L + t)
+    t = (K[0] * P[24]).bit_length() - wp - 11
+    tau1 = K[1] * P[23] >> t
     node = _Node(
-        _rounded(dps, mpf_shift(rp[22], 1)),
         X,
-        _rounded(dps, mpf_shift(mpf_mul(K[0], rp[24]), -1)),
-        tuple(_rounded(dps, mpf_mul(K[10 - j], rp[12 + j])) for j in range(11)),
-        (_rounded(dps, mpf_mul(K[1], rp[23])),),
+        exp - L + t,
+        P[22] << 1 - exp - t,
+        K[0] * P[24] >> t + 1,
+        tuple(K[10 - j] * P[12 + j] >> t for j in range(11)),
+        (tau1,),
     )
-    node = node._replace(tau=_chain(node, node.tau[0]._mpf_, 1, _M_TOP, dps))
+    node = node._replace(tau=_chain(node, tau1, 1, _M_TOP))
     _NODE_CACHE[key] = node
     return node
 
 
 def _even_chain(n: int, dps: int, node: _Node) -> tuple:
     """The even chain tau_0, tau_2, ..., tau_14 (half-integer s), from
-    tau_0 = c Ki_1(X) / X; built on first use and cached per (n, dps)."""
+    tau_0 = c Ki_1(X) / X with Ki_1 unrounded, on the node's integers;
+    built on first use and cached per (n, dps)."""
     key = (n, dps)
     hit = _KI1_CACHE.get(key)
     if hit is not None:
         return hit
-    ki1 = bickley_ki1(node.X, dps)._mpf_
-    tau0 = mpf_div(mpf_mul(node.c._mpf_, ki1), node.X._mpf_, dps_to_prec(dps) + 20, round_nearest)
-    chain = _KI1_CACHE[key] = _chain(node, tau0, 0, _M_TOP - 1, dps)
+    # Ki_1 = man 2^exp < 1 has more mantissa bits than X: exp + shift < 0
+    _, man, exp, _ = _ki1(node.X, dps)
+    shift, d = _divisor(node.X._mpf_)
+    tau0 = (node.c * man >> -exp - shift) // d
+    chain = _KI1_CACHE[key] = _chain(node, tau0, 0, _M_TOP - 1)
     return chain
 
 
-def _tau(node: _Node, m: int, n: int, dps: int):
-    """tau_m = (2 / a^11) X^-(m+1) int_X^inf x^m K_0(x) dx for m >= 0: a
-    cached chain entry, climbed further past m = 15."""
+def _tau(node: _Node, m: int, n: int, dps: int) -> int:
+    """tau_m = (2 / a^11) X^-(m+1) int_X^inf x^m K_0(x) dx for m >= 0, at
+    the node's exponent: a cached chain entry, climbed further past m = 15."""
     chain = node.tau if m % 2 else _even_chain(n, dps, node)
     top = 2 * len(chain) - 2 + m % 2
     if m <= top:
         return chain[m // 2]
-    return _chain(node, chain[-1]._mpf_, top, m, dps)[-1]
+    return _chain(node, chain[-1], top, m)[-1]
 
 
 def _falling(ctx, s):
@@ -429,16 +441,17 @@ def _falling(ctx, s):
 
 
 def _dot(ctx, p, v):
-    """sum_j p_j v_j rounded once in ctx: what ctx.fdot computes, without
-    its conversion of every v_j out of the value context."""
-    terms = [mpf_mul(x._mpf_, y._mpf_) for x, y in zip(p, v)]
+    """sum_j p_j v_j rounded once in ctx, for libmp values v_j: what
+    ctx.fdot computes, without its conversion of every v_j."""
+    terms = [mpf_mul(x._mpf_, y) for x, y in zip(p, v)]
     return ctx.make_mpf(mpf_sum(terms, ctx.prec, round_nearest))
 
 
 def _closed_form(ctx, p, m: int, n: int, dps: int):
     """F(s, (2 pi)^2 n) from the falling products p of s and m = 2s - 23."""
     node = _deg4_node(n, dps)
-    return 2 * _dot(ctx, p, (*node.w, _tau(node, m, n, dps)))
+    v = [from_man_exp(x, node.exp) for x in (*node.w, _tau(node, m, n, dps))]
+    return 2 * _dot(ctx, p, v)
 
 
 def _incomplete_mellin_deg4(ctx, s, n: int, dps: int):
@@ -478,11 +491,12 @@ def _deg4_tail_ok(M: int) -> bool:
     return M >= 12
 
 
-def _deg4_vector(n: int, dps: int, parity: int) -> tuple:
-    """(w_0, ..., w_10, tau_parity, tau_parity+2, ..., ) at n: the per-n
-    data the moments of one chain sum."""
+def _deg4_vector(n: int, dps: int, parity: int) -> list:
+    """(w_0, ..., w_10, tau_parity, tau_parity+2, ..., ) at n as (mantissa,
+    exponent) pairs: the per-n data the moments of one chain sum."""
     node = _deg4_node(n, dps)
-    return node.w + (node.tau if parity else _even_chain(n, dps, node))
+    chain = node.tau if parity else _even_chain(n, dps, node)
+    return [(v, node.exp) for v in (*node.w, *chain)]
 
 
 def _deg4_sum(ctx, coeffs: tuple, s, dps: int):
@@ -498,7 +512,7 @@ def _deg4_sum(ctx, coeffs: tuple, s, dps: int):
         if m <= _M_TOP:
             parity = m % 2
             v = _moments(f"deg4-{parity}", coeffs, dps, lambda n: _deg4_vector(n, dps, parity))
-            return 2 * _dot(ctx, p, (*v[:11], v[11 + m // 2]))
+            return 2 * _dot(ctx, p, [x._mpf_ for x in (*v[:11], v[11 + m // 2])])
         term = lambda n: _closed_form(ctx, p, m, n, dps)
     else:
         term = lambda n: _incomplete_mellin_deg4_quad(ctx, s, n, dps)
@@ -515,7 +529,8 @@ def _lambda_deg4(ctx, A: Callable[[int], int], s, M: int, dps: int):
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     """L(s, Delta x g20) for s in 12..19 via the smoothed Bessel-kernel sum
-    over M coefficients (M >= 150 recommended for 30-digit work)."""
+    over M coefficients; the truncation error at s = 12 reaches the
+    30-digit floor near M = 80 and the 60-digit one near M = 230."""
     if not 12 <= s <= 19 or s != int(s):
         raise ValueError("s must be an integer in 12..19")
     if M > coeffs.precision:

@@ -222,6 +222,11 @@ def bickley_ki1(x, dps: int):
     e^-B, and B is set from the working digits: the error is below the
     result's last digit by construction, at any x.  The sum runs on
     integers at 2^-wp, the working precision plus 20 bits."""
+    return _rounded(dps, _ki1(x, dps))
+
+
+def _ki1(x, dps: int):
+    """Ki_1(x) as bickley_ki1 sums it, an exact libmp product not yet rounded."""
     ctx = context(dps + 10)
     x = ctx.convert(x)
     if x < 1:
@@ -242,4 +247,4 @@ def bickley_ki1(x, dps: int):
         root = math.isqrt(one + one + y << wp)
         total += (g << 2 * wp + 1) // ((one + y) * root)
     pre = ctx.exp(-x) * h / ctx.sqrt(x)
-    return _rounded(dps, mpf_mul(pre._mpf_, from_man_exp(total, -wp)))
+    return mpf_mul(pre._mpf_, from_man_exp(total, -wp))

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from ..critical_values import _product, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
-from .bigfloat import context, round_to
+from .bigfloat import context, render_exact, round_to
 from .evaluators import l_degree2, l_rankin4, petersson_norm
 
 __all__ = [
@@ -91,11 +91,6 @@ class VerificationReport:
         }
 
 
-def _render(ctx, result, norm_factor):
-    num = ctx.mpf(result.rational.numerator)
-    return num / result.rational.denominator * ctx.pi**result.pi_exponent * norm_factor
-
-
 def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = False) -> VerificationReport:
     """Compare all 24 exact renderings against direct numeric products."""
     report = VerificationReport(dps, M, use_fresh_norms)
@@ -118,7 +113,7 @@ def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = False) ->
             ("spin", _product(pair, rank), dn * gn, pair_direct * rank_direct),
         )
         for branch, exact, norm, direct in rows:
-            rendered = _render(ctx, exact, norm)
+            rendered = render_exact(ctx, exact.rational, exact.pi_exponent, norm)
             diff = abs(rendered - direct)
             report.rows.append(
                 VerificationRow(

@@ -171,6 +171,16 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+    def test_non_finite_or_negative_tolerance_exits_2(self, capsys, tol):
+        # every rel_diff > nan is False: a nan gate would pass any run
+        code, out, err = run(
+            capsys, "--prec", "15", "--coeffs", "20", f"--tol={tol}", "verify"
+        )
+        assert code == 2
+        assert "--tol" in err
+        assert out == ""
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "--prec", "15", "--coeffs", "20", "--tol", "1e-3",

@@ -147,6 +147,28 @@ class TestTables:
                 fn(20)
 
 
+class TestCachedResults:
+    CALLS = (
+        (projection_coeffs, 3, 10),
+        (two_delta_product, 12, 19),
+        (rankin_g20_value, 12, 19),
+        (main_identity, 12, 19),
+    )
+
+    def test_repeated_call_returns_the_same_result(self):
+        for fn, lo, hi in self.CALLS:
+            for s in (lo, hi):
+                assert fn(s) is fn(s)
+
+    def test_out_of_range_raises_on_every_call(self):
+        # an exception is never cached
+        for fn, lo, hi in self.CALLS:
+            for _ in range(3):
+                for s in (lo - 1, hi + 1):
+                    with pytest.raises(ValueError):
+                        fn(s)
+
+
 class TestEulerFactorConsistency:
     def test_denominator_is_shifted_euler_factor(self, delta200):
         # 1 + 3*2^(13-s) + 2^(31-2s) must equal the weight-12 Euler factor at

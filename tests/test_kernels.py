@@ -12,13 +12,14 @@ G_a = x^-a Gamma(a, x) at x = 2 pi n from mpmath's gammainc, at integer
 a and at a = f + j for fractional f.
 
 All at 92 digits, D + 20 for the largest D, to 10^-(D-4) relative (the
-fractional-order table to 10^-(D-1)).  The degree-4 node's fields are
-further held to a few ulps of the same kernels run at D + 30.
+fractional-order table to 10^-(D-1)).  The degree-4 node's fields, integers
+F standing for F 2^exp, are further held to a few ulps of the same kernels
+run at D + 30.
 """
 
 import mpmath
 import pytest
-from mpmath.libmp import dps_to_prec, mpf_sub
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_sub
 
 from spinl.numeric_lfun.evaluators import _G_TOP, _deg2_table, _deg4_node, _even_chain
 
@@ -65,22 +66,28 @@ def _close(mp, dps, got, want, what):
     assert abs(got - want) / abs(want) < mp.mpf(10) ** (4 - dps), what
 
 
+def _fields(node, n, dps):
+    """c, g0, w_0..w_10, the odd and the even chain of a node, as libmp values."""
+    ints = (node.c, node.g0, *node.w, *node.tau, *_even_chain(n, dps, node))
+    return [from_man_exp(v, node.exp) for v in ints]
+
+
 @pytest.mark.parametrize("dps", DPS)
 @pytest.mark.parametrize("n", NS)
 def test_deg4_node_against_defining_formulas(ref, n, dps):
     mp, want = ref[0], ref[1][n]
     node = _deg4_node(n, dps)
-    _close(mp, dps, node.c, want["c"], "c")
-    _close(mp, dps, node.g0, want["g0"], "g0")
     assert len(node.w) == 11
-    for j, w in enumerate(node.w):
-        _close(mp, dps, w, want["w"][j], f"w_{j}")
     assert len(node.tau) == 8
-    for i, tau in enumerate(node.tau):
+    assert len(_even_chain(n, dps, node)) == 8
+    c, g0, *rest = (mp.make_mpf(v) for v in _fields(node, n, dps))
+    _close(mp, dps, c, want["c"], "c")
+    _close(mp, dps, g0, want["g0"], "g0")
+    for j, w in enumerate(rest[:11]):
+        _close(mp, dps, w, want["w"][j], f"w_{j}")
+    for i, tau in enumerate(rest[11:19]):
         _close(mp, dps, tau, want["tau"][2 * i + 1], f"tau_{2 * i + 1}")
-    even = _even_chain(n, dps, node)
-    assert len(even) == 8
-    for i, tau in enumerate(even):
+    for i, tau in enumerate(rest[19:]):
         _close(mp, dps, tau, want["tau"][2 * i], f"tau_{2 * i}")
 
 
@@ -127,10 +134,10 @@ def test_deg2_table_at_fractional_order_against_gammainc(ref_frac, f, n, dps):
 
 
 def _ulps(got, ref, dps: int) -> float:
-    """|got - ref| in units of got's last place at dps digits."""
-    g = got._mpf_
-    _, man, exp, _ = mpf_sub(g, ref._mpf_)
-    return man * 2.0 ** (exp - (g[2] + g[3] - dps_to_prec(dps)))
+    """|got - ref| in units of got's last place at dps digits, for libmp
+    values."""
+    _, man, exp, _ = mpf_sub(got, ref)
+    return man * 2.0 ** (exp - (got[2] + got[3] - dps_to_prec(dps)))
 
 
 @pytest.mark.parametrize("dps", (30, 72))
@@ -140,9 +147,6 @@ def test_deg4_node_fields_within_a_few_ulps(dps):
     ns = (*range(1, 11), 13, 17, 24, 30, 41, 55, 61, 62, 80, 100, 128, 150, 200, 240, 280, 300)
     for n in ns:
         lo, hi = _deg4_node(n, dps), _deg4_node(n, dps + 30)
-        fields = zip(
-            (lo.c, lo.g0, *lo.w, *lo.tau, *_even_chain(n, dps, lo)),
-            (hi.c, hi.g0, *hi.w, *hi.tau, *_even_chain(n, dps + 30, hi)),
-        )
+        fields = zip(_fields(lo, n, dps), _fields(hi, n, dps + 30))
         for i, (a, b) in enumerate(fields):
             assert _ulps(a, b, dps) <= 4, (n, i)

@@ -396,6 +396,72 @@ class TestMoments:
     """Each smoothed sum is taken once per coefficient set, as moments;
     a critical value must equal the per-n sum it regroups."""
 
+    def test_moments_are_exact_sums_rounded_once(self):
+        # synthetic columns whose partial sums cancel far below the largest
+        # term: each moment must be the exact dot product rounded once
+        import random
+        from fractions import Fraction
+
+        from mpmath.libmp import (
+            dps_to_prec, from_int, from_man_exp, fzero, mpf_div, mpf_sum, round_nearest,
+        )
+
+        rng = random.Random(12)
+        big = rng.getrandbits(100)
+        coeffs = (1, 1, -1, 3, 0, -2)
+        columns = [
+            # 2^-400, then 2^300 - 2^300
+            [(1, -400), (1, 300), (1, 300), (0, 0), (5, 7), (0, 0)],
+            # everything cancels: 3 2^-299 - 2 (3 2^-300) = 0
+            [(0, 0), (-7, 100), (-7, 100), (1, -299), (9, 9), (3, -300)],
+            # random survivors near 2^-540 under a cancelling pair at 2^500
+            [(rng.getrandbits(100), -650), (big, 400), (big, 400),
+             (-rng.getrandbits(100), -700), (rng.getrandbits(100), 0),
+             (rng.getrandbits(100), -640)],
+        ]
+        dps = 30
+        prec = dps_to_prec(dps)
+        got = evaluators._moments(
+            "synthetic", coeffs, dps, lambda n: [col[n - 1] for col in columns]
+        )
+        for j, col in enumerate(columns):
+            exact = sum(c * Fraction(m) * Fraction(2) ** e for c, (m, e) in zip(coeffs, col))
+            want = mpf_div(
+                from_int(exact.numerator), from_int(exact.denominator), prec, round_nearest
+            )
+            assert got[j]._mpf_ == want, j
+        assert got[0]._mpf_ == from_man_exp(1, -400)
+        assert got[1]._mpf_ == fzero
+        # mpf_sum drops 2^-400 on meeting 2^300, more than 2 prec bits up
+        dropped = [from_man_exp(c * m, e) for c, (m, e) in zip(coeffs, columns[0])]
+        assert mpf_sum(dropped, prec, round_nearest) == fzero
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-10**40, 10**40) | st.just(0), min_size=1, max_size=40),
+        parity=st.sampled_from([0, 1]),
+        dps=st.sampled_from([20, 30, 45]),
+    )
+    def test_deg4_moments_agree_with_twenty_more_digits(self, coeffs, parity, dps):
+        # the integer node data summed exactly: the moments at dps are
+        # within an ulp at dps of those at dps + 20, for any signed
+        # coefficients
+        coeffs = tuple(coeffs)
+        lo, hi = (
+            evaluators._moments(
+                f"deg4-{parity}", coeffs, d, lambda n: evaluators._deg4_vector(n, d, parity)
+            )
+            for d in (dps, dps + 20)
+        )
+        assert len(lo) == len(hi) == 19
+        for j, (a, b) in enumerate(zip(lo, hi)):
+            if not any(coeffs):
+                assert a == b == 0
+                continue
+            _, _, exp, bc = a._mpf_
+            ulp = b.context.ldexp(1, exp + bc - a.context.prec)
+            assert abs(b.context.convert(a) - b) <= ulp, j
+
     @pytest.mark.parametrize("D", [20, 30, 60])
     @pytest.mark.parametrize("M", [12, 40, 150])
     def test_deg4_against_per_n_sums(self, D, M):

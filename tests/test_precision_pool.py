@@ -108,7 +108,8 @@ class TestValuesIgnoreContextMutation:
 
     def test_cached_values_live_in_value_contexts(self):
         # a cached number typed to a working context would round at that
-        # context's precision of the moment, in whichever thread reads it
+        # context's precision of the moment, in whichever thread reads it;
+        # the degree-4 per-n data are plain integers at a node exponent
         _clear_caches()
         l_rankin4(rankin_coeffs(14), 14, 20, 14)
         functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 8)
@@ -118,7 +119,8 @@ class TestValuesIgnoreContextMutation:
             assert cache
             for key, entry in cache._data.items():
                 home = round_to(key[-1], 1).context
-                assert all(v.context is home for v in _numbers(entry))
+                for v in _numbers(entry):
+                    assert type(v) is int or v.context is home
 
 
 class TestThreads:
@@ -143,6 +145,27 @@ class TestThreads:
             lambda: repr(l_rankin4(A, 15, 27, 40)),
         )
         assert got == serial
+
+    def test_moments_concurrent_equal_serial(self):
+        # the integer per-n data and the moments summed from them, built by
+        # two threads at once after clear(), equal the serial build
+        A = rankin_coeffs(60)
+        tau = delta_qexp(40).integer_coeffs()
+        deg4, deg2 = tuple(A[n] for n in range(1, 61)), tuple(tau[1:])
+
+        def build():
+            out = [
+                repr(evaluators._moments(
+                    f"deg4-{p}", deg4, 32, lambda n: evaluators._deg4_vector(n, 32, p)
+                ))
+                for p in (0, 1)
+            ]
+            return out + [repr(evaluators._deg2_moments(deg2, 0, 32))]
+
+        _clear_caches()
+        serial = build()
+        _clear_caches()
+        assert _in_threads(build, build) == [serial, serial]
 
     def test_kernel_check_concurrent_equals_serial(self):
         def seven():
