@@ -3,7 +3,7 @@
 Subcommands:
 
   table {1,2,3,4}     exact table regenerated from first principles, with a
-                      numeric column (tables 2-4) using stored or fresh norms
+                      numeric column (tables 2-4) using norms computed at --prec
   coeffs FORM         exact integer coefficient listings (delta, g20, rankin)
   verify              exact-vs-numeric verification report with exit status
 
@@ -29,7 +29,7 @@ from .critical_values import (
     rankin_g20_value,
     two_delta_product,
 )
-from .numeric_lfun import context, fresh_norms, render_exact, stored_norms, verify_tables
+from .numeric_lfun import context, fresh_norms, render_exact, verify_tables
 from .qexp import delta_qexp, g20_qexp, rankin_coeffs
 
 __all__ = ["main", "OutputRecord", "factor_integer", "factored_form"]
@@ -111,11 +111,10 @@ def _record(s, q: Fraction, pi_exp: int, numeric, part=None) -> OutputRecord:
     )
 
 
-def _table_rows(which: int, prec: int, use_fresh: bool):
+def _table_rows(which: int, prec: int):
     ctx = context(prec + 5)
     rows: List[OutputRecord] = []
-    dn, gn = (fresh_norms(prec + 5) if use_fresh else stored_norms(prec + 5))
-    dn, gn = ctx.convert(dn), ctx.convert(gn)
+    dn, gn = map(ctx.convert, fresh_norms(prec + 5))
 
     def add(s, q: Fraction, e: int, norm=None, part=None) -> None:
         value = render_exact(ctx, q, e, norm)
@@ -174,7 +173,7 @@ def _render_table(which, rows, dn, gn, args) -> str:
 
 
 def _cmd_table(args) -> int:
-    rows, dn, gn = _table_rows(args.table, args.prec, args.fresh_norms)
+    rows, dn, gn = _table_rows(args.table, args.prec)
     _emit(_render_table(args.table, rows, dn, gn, args), args.out)
     return 0
 
@@ -212,7 +211,7 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.tol < math.inf:  # a nan gate passes every row
         print("--tol must be a finite number >= 0", file=sys.stderr)
         return 2
-    report = verify_tables(args.prec, args.coeffs, use_fresh_norms=args.fresh_norms)
+    report = verify_tables(args.prec, args.coeffs)
     tol = context(args.prec).mpf(args.tol)
     bad = report.failures(tol)
     if args.format == "json":
@@ -222,8 +221,7 @@ def _cmd_verify(args) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = [
-            f"verification at {args.prec} digits, {args.coeffs} coefficients,"
-            f" {'fresh' if args.fresh_norms else 'stored'} norms"
+            f"verification at {args.prec} digits, {args.coeffs} coefficients, fresh norms"
         ]
         for r in report.rows:
             lines.append(
@@ -260,7 +258,7 @@ def _add_common(parser, top: bool) -> None:
     kw = {"action": "store_true"} if top else {"action": "store_true", "default": argparse.SUPPRESS}
     parser.add_argument(
         "--fresh-norms",
-        help="recompute Petersson norms at --prec instead of using stored constants",
+        help="accepted; norms are always computed at --prec",
         **kw,
     )
 

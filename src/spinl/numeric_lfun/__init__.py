@@ -27,15 +27,7 @@ from .evaluators import (
 )
 from .quadrature import QuadratureError, tanh_sinh
 from .special import bessel_k, bickley_ki1, gamma_upper, incomplete_gamma_int
-from .verify import (
-    STORED_DELTA_NORM,
-    STORED_G20_NORM,
-    VerificationReport,
-    VerificationRow,
-    fresh_norms,
-    stored_norms,
-    verify_tables,
-)
+from .verify import VerificationReport, VerificationRow, fresh_norms, verify_tables
 
 __all__ = [
     "context",
@@ -58,11 +50,8 @@ __all__ = [
     "bickley_ki1",
     "gamma_upper",
     "incomplete_gamma_int",
-    "STORED_DELTA_NORM",
-    "STORED_G20_NORM",
     "VerificationReport",
     "VerificationRow",
-    "stored_norms",
     "fresh_norms",
     "verify_tables",
 ]

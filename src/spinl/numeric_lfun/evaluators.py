@@ -481,7 +481,7 @@ def _incomplete_mellin_deg4_quad(ctx, s, n: int, dps: int):
     V, prev = 1 + B / r, 0.0
     while abs(V - prev) > 1e-9 * V:
         V, prev = 1 + (B + c * math.log(V)) / r, V
-    val = tanh_sinh(ctx, f, ctx.one, V, max_level=8, strict=True)
+    val = tanh_sinh(ctx, f, ctx.one, V, max_level=8)
     return 4 * a ** ctx.mpf("-5.5") * val / scale
 
 
@@ -502,12 +502,12 @@ def _deg4_vector(n: int, dps: int, parity: int) -> list:
 def _deg4_sum(ctx, coeffs: tuple, s, dps: int):
     """sum_n A(n) F(s, (2 pi)^2 n) over coeffs = (A(1), ..., A(M)): two dots
     with the cached moments when 2s is an integer and m = 2s - 23 is in
-    1..15, else a sum over n of the chain climbed past m = 15 or, for 2s
-    not an integer >= 24, of tanh-sinh."""
+    0..15, else a sum over n of the chain climbed past m = 15 or, for 2s
+    not an integer >= 23, of tanh-sinh."""
     s = ctx.convert(s)
-    two_s = float(2 * s)
-    m = round(two_s) - 23
-    if abs(two_s - round(two_s)) < 1e-12 and m >= 1:
+    two_s = 2 * s  # exact: a power-of-two scaling
+    m = int(two_s) - 23
+    if ctx.isint(two_s) and m >= 0:
         p = _falling(ctx, s)
         if m <= _M_TOP:
             parity = m % 2

@@ -18,12 +18,11 @@ class QuadratureError(ArithmeticError):
     """Raised when the level sequence fails to settle at the target."""
 
 
-def tanh_sinh(ctx, f, a, b, max_level: int = 9, tol=None, strict: bool = False):
+def tanh_sinh(ctx, f, a, b, max_level: int = 9, tol=None):
     """Integrate f over [a, b] in the given mpmath context.
 
-    tol defaults to a small multiple of the context epsilon; with strict
-    set, failure to reach tol by max_level raises QuadratureError instead
-    of returning the best estimate.
+    tol defaults to a small multiple of the context epsilon; failure to
+    reach it by max_level raises QuadratureError.
     """
     if tol is None:
         tol = ctx.eps * 256
@@ -63,7 +62,7 @@ def tanh_sinh(ctx, f, a, b, max_level: int = 9, tol=None, strict: bool = False):
             if m >= 2 and delta <= tol * (1 + abs(value)):
                 return value
         prev = value
-    if strict and delta is not None and delta > tol * (1 + abs(prev)) * 1024:
+    if delta is not None and delta > tol * (1 + abs(prev)) * 1024:
         raise QuadratureError(
             f"tanh-sinh did not converge: last delta {ctx.nstr(delta, 3)}"
         )

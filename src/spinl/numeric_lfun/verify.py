@@ -7,9 +7,9 @@ Three comparisons per s:
   (ii)  rankin_g20_value(s)   * pi^P * <g,g>    vs  L(s, D x g20)
   (iii) main_identity(s)      * pi^P * both     vs  the triple product
 
-where the norms are either the stored high-precision constants below or
-recomputed at the working precision.  The exact value of (iii) is the
-product of those of (i) and (ii), built as main_identity builds it.
+where the norms come from Rankin's formula at the working precision.  The
+exact value of (iii) is the product of those of (i) and (ii), built as
+main_identity builds it.
 """
 
 from __future__ import annotations
@@ -23,28 +23,15 @@ from .bigfloat import context, render_exact, round_to
 from .evaluators import l_degree2, l_rankin4, petersson_norm
 
 __all__ = [
-    "STORED_DELTA_NORM",
-    "STORED_G20_NORM",
-    "stored_norms",
     "fresh_norms",
     "VerificationRow",
     "VerificationReport",
     "verify_tables",
 ]
 
-# Petersson norms frozen at 36 digits from petersson_norm(12,4) and
-# petersson_norm(20,4) at working precision 42; regenerating them is itself
-# a test.  The weight-20 value is identical for r = 4, 6, 8 well beyond
-# this length.
-STORED_DELTA_NORM = "0.000001035362056804320922347816812225164593"
-STORED_G20_NORM = "0.000008265541531659703164230062760258225715"
-
-
-def stored_norms(dps: int) -> Tuple[object, object]:
-    return round_to(dps, STORED_DELTA_NORM), round_to(dps, STORED_G20_NORM)
-
 
 def fresh_norms(dps: int) -> Tuple[object, object]:
+    """<Delta, Delta> and <g20, g20> by Rankin's formula at dps digits."""
     return petersson_norm(12, 4, dps).value, petersson_norm(20, 4, dps).value
 
 
@@ -62,7 +49,7 @@ class VerificationRow:
 class VerificationReport:
     precision_digits: int
     coefficients_used: int
-    fresh_norms: bool
+    fresh_norms: bool  # always True: the norms are computed in every run
     rows: List[VerificationRow] = field(default_factory=list)
 
     @property
@@ -91,12 +78,13 @@ class VerificationReport:
         }
 
 
-def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = False) -> VerificationReport:
-    """Compare all 24 exact renderings against direct numeric products."""
-    report = VerificationReport(dps, M, use_fresh_norms)
+def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = True) -> VerificationReport:
+    """Compare all 24 exact renderings against direct numeric products.
+    use_fresh_norms is accepted and ignored: the norms are always computed
+    at dps + 5."""
+    report = VerificationReport(dps, M, True)
     ctx = context(dps + 5)
-    dn, gn = (fresh_norms(dps + 5) if use_fresh_norms else stored_norms(dps + 5))
-    dn, gn = ctx.convert(dn), ctx.convert(gn)
+    dn, gn = map(ctx.convert, fresh_norms(dps + 5))
     m_deg2 = max(20, min(M, 60))
     delta = delta_qexp(m_deg2)
     A = rankin_coeffs(M)

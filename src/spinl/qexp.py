@@ -117,12 +117,6 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
     return [int(s[j - w : j]) - h for j in range(len(s), len(s) - w * (n_out + 1), -w)]
 
 
-# Integral products take the decimal transform at every size, with no cut-off:
-# below about 1,000 terms byte packing around CPython's own (Karatsuba) bigint
-# multiply would be a little faster, by under a millisecond per series.
-_int_multiply = _kronecker
-
-
 def _exact(c):
     """c as an int when it is integral, else as a Fraction."""
     if isinstance(c, int):
@@ -206,6 +200,10 @@ class QSeries:
             n = min(self.precision, other.precision)
             a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
             if self.is_integral() and other.is_integral():
+                # the decimal transform at every size, with no cut-off: below
+                # about 1,000 terms byte packing around CPython's own
+                # (Karatsuba) bigint multiply would be a little faster, by
+                # under a millisecond per series
                 return QSeries._of(_kronecker(a, b, n), n)
             return QSeries(_schoolbook(a, b, n), n)
         if isinstance(other, (int, Fraction)):

@@ -149,3 +149,10 @@ REF_G20_NORMS = {
     6: "8.265541531659703390644766954e-6",   # l = 14
     4: "8.265541531659703069998511729e-6",   # l = 16
 }
+
+# Petersson norms frozen at 36 digits from petersson_norm(12, 4) and
+# petersson_norm(20, 4) at working precision 42: a regression reference for
+# Rankin's formula (the weight-20 value is identical for r = 4, 6, 8 well
+# beyond this length)
+FROZEN_DELTA_NORM = "0.000001035362056804320922347816812225164593"
+FROZEN_G20_NORM = "0.000008265541531659703164230062760258225715"

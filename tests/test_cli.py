@@ -192,7 +192,8 @@ class TestVerifyCommand:
         assert doc["failures"] == 0
 
     def test_default_tolerance_ok(self, capsys):
-        # stored norms vs direct runs sit far below the default 1e-9 gate
+        # exact values times computed norms vs direct runs sit far below the
+        # default 1e-9 gate
         code, _, _ = run(capsys, "--prec", "20", "--coeffs", "30", "verify")
         assert code == 0
 
@@ -202,6 +203,43 @@ class TestVerifyCommand:
             "--fresh-norms", "verify",
         )
         assert code == 0
+
+
+def _numeric_column(out):
+    return [line.split("numeric:")[1].strip() for line in out.splitlines()[1:]]
+
+
+class TestHonestDigits:
+    """The norms are computed at every precision, so no digit of a table or
+    a verification rests on a constant shorter than the run asks for."""
+
+    def test_verify_tables_at_60_digits(self):
+        from spinl.numeric_lfun import context, verify_tables
+
+        ctx = context(60)
+        assert ctx.convert(verify_tables(60, 300).max_rel_diff) < ctx.mpf("1e-55")
+
+    @pytest.mark.parametrize("table,D", [("3", 45), ("4", 60)])
+    def test_numeric_column_against_twenty_more_digits(self, capsys, table, D):
+        from spinl.numeric_lfun import context
+
+        ctx = context(D + 25)
+        _, lo, _ = run(capsys, "--prec", str(D), "table", table)
+        # the reference takes its norms from Rankin's formula by name
+        _, hi, _ = run(capsys, "--prec", str(D + 20), "--fresh-norms", "table", table)
+        for a, b in zip(_numeric_column(lo), _numeric_column(hi), strict=True):
+            a, b = ctx.mpf(a), ctx.mpf(b)
+            assert abs(a - b) / b < ctx.mpf(10) ** (2 - D), (a, b)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--prec", "40", "table", "2"),
+         ("--prec", "20", "--coeffs", "30", "--format", "json", "verify")],
+    )
+    def test_fresh_norms_flag_changes_no_byte(self, capsys, argv):
+        plain = run(capsys, *argv)
+        flagged = run(capsys, "--fresh-norms", *argv)
+        assert plain == flagged and plain[0] == 0
 
 
 class TestDeterminism:

@@ -16,12 +16,14 @@ from spinl.numeric_lfun import (
     l_rankin4,
     petersson_norm,
     rankin_lfunction,
-    stored_norms,
+    round_to,
     QuadratureError,
 )
 from spinl.numeric_lfun import evaluators
 
 from reference_values import (
+    FROZEN_DELTA_NORM,
+    FROZEN_G20_NORM,
     REF_DELTA_NORM,
     REF_G20_NORMS,
     TABLE3_NUMERIC as RANKIN_NUMERIC,
@@ -272,7 +274,7 @@ class TestPeterssonNorm:
 
     def test_stored_norms_regenerate(self):
         ctx = context(40)
-        dn, gn = stored_norms(38)
+        dn, gn = round_to(38, FROZEN_DELTA_NORM), round_to(38, FROZEN_G20_NORM)
         assert abs(ctx.convert(petersson_norm(12, 4, 34).value) - dn) / dn < ctx.mpf("1e-30")
         assert abs(ctx.convert(petersson_norm(20, 4, 34).value) - gn) / gn < ctx.mpf("1e-30")
 
@@ -390,6 +392,36 @@ class TestMellinTailRoutes:
         closed = _incomplete_mellin_deg4(ctx, s, 1, 40)
         quad = _incomplete_mellin_deg4_quad(ctx, s, 1, 40)
         assert abs(closed - quad) / abs(closed) < ctx.mpf("1e-38")
+
+
+class TestDeg4SumRoutes:
+    def test_near_half_integer_s_takes_the_quadrature(self):
+        # 2s = 25 + 2e-14 is not an integer: the half-integer closed form
+        # would be off by ~2e-18 here
+        from spinl.numeric_lfun.evaluators import _deg4_sum, _incomplete_mellin_deg4_quad
+
+        ctx = context(40)
+        s = ctx.mpf("12.5") + ctx.mpf("1e-14")
+        got = _deg4_sum(ctx, (1,), s, 40)
+        quad = _incomplete_mellin_deg4_quad(ctx, s, 1, 40)
+        assert abs(got - quad) / abs(quad) < ctx.mpf("1e-35")
+
+    def test_s_11_5_sums_the_even_chain(self, monkeypatch):
+        # m = 2s - 23 = 0 is tau_0, the seed of the even chain: no per-n
+        # quadrature runs
+        from spinl.numeric_lfun.evaluators import _deg4_sum, _incomplete_mellin_deg4_quad
+
+        ctx = context(40)
+        s = ctx.mpf("11.5")
+        coeffs = (1, -10944)
+        quad = sum(c * _incomplete_mellin_deg4_quad(ctx, s, n, 40) for n, c in enumerate(coeffs, 1))
+
+        def refuse(*args):
+            raise AssertionError("per-n quadrature at s = 11.5")
+
+        monkeypatch.setattr(evaluators, "_incomplete_mellin_deg4_quad", refuse)
+        got = _deg4_sum(ctx, coeffs, s, 40)
+        assert abs(got - quad) / abs(quad) < ctx.mpf("1e-35")
 
 
 class TestMoments:

@@ -21,7 +21,7 @@ from spinl import (
     lemma1_local_check,
     rankin_coeffs,
 )
-from spinl.qexp import _int_multiply, _kronecker, _schoolbook
+from spinl.qexp import _kronecker, _schoolbook
 
 # first coefficients of the discriminant form: q - 24q^2 + 252q^3 - ...
 DELTA_HEAD = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048}
@@ -111,7 +111,7 @@ class TestConvolutionBackends:
 
     def test_dispatch_consistency(self):
         a = list(range(-400, 401))
-        got = _int_multiply(a, a, 800)
+        got = _kronecker(a, a, 800)
         assert got == _schoolbook(a, a, 800)
 
     # Small and huge magnitudes mixed, so digits of both signs and widths

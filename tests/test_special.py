@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinl.numeric_lfun import (
+    QuadratureError,
     bessel_k,
     bickley_ki1,
     context,
@@ -35,6 +36,14 @@ class TestTanhSinh:
     def test_empty_interval(self):
         ctx = context(20)
         assert tanh_sinh(ctx, lambda x: x, ctx.one, ctx.one) == 0
+
+    def test_non_convergence_raises(self):
+        # a jump inside the interval defeats the double-exponential rate:
+        # there is no silent best estimate to return
+        ctx = context(30)
+        third = ctx.mpf(1) / 3
+        with pytest.raises(QuadratureError):
+            tanh_sinh(ctx, lambda x: ctx.one if x < third else ctx.zero, 0, 1, max_level=5)
 
 
 class TestIncompleteGammaInt:
