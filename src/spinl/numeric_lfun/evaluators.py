@@ -11,7 +11,9 @@ as one table per n, f and precision from one e^-x and the all-positive
 upward recurrence G_(a+1) = (a G_a + e^-x) / x, run as G_a = (e^-x / x) H_a
 with H_(a+1) = a H_a / x + 1 on Python integers: j = 1..19 from H_1 = 1
 when f = 0, j = 0..19 when f > 0 from H_f = x e^x x^-f Gamma(f, x), which
-Legendre's continued fraction gives on the same integers.  The sums
+Legendre's continued fraction gives on the same integers; x, pi and e^-x
+come from libmp, and each G_a stays unrounded, an integer at the
+exponent of e^-x / x.  The sums
 S_a = sum_n a(n) G_a(2 pi n) are taken once per coefficient set and f,
 so any s in the strip costs two table entries, Lambda(s) = S_s + eps S_(k-s),
 with k - s = (1 - f) + (k - 1 - j) read from the 1 - f table.
@@ -57,6 +59,15 @@ coefficient set, each one exact integer sum rounded once, so each
 critical value is one dot per side.  Past m = 15 the chain is climbed per
 n (the recurrence depends on X), and any other real s falls back to
 tanh-sinh quadrature per n.
+
+Per-term precision.  Term n of either sum decays like e^-X = e^(-4 pi
+sqrt(n)) (degree 4) or e^(-2 pi n) (degree 2), so at D = 60 the node at
+n = 300 is ~10^-50 of the one at n = 1.  On a cache miss _moments builds
+each node or table at its own level, the digits its share of the sum
+needs: dps at the largest term, one digit fewer per digit below it,
+never fewer than MIN_DPS, from a float estimate of |c_n| times the
+slowest decay among the per-n entries.  The caches keep their (n, dps)
+keys, dps being the level; no per-n step makes an mpmath context.
 """
 
 from __future__ import annotations
@@ -66,10 +77,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import (
-    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_exp, mpf_mul,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
     mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest, to_fixed,
     to_float,
 )
@@ -77,7 +89,7 @@ from mpmath.libmp import (
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import (
-    _rounded, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
+    MIN_DPS, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
 )
 from .quadrature import QuadratureError, tanh_sinh
 from .special import _divisor, _k0_k1, _k_up, _ki1, _libmp, bessel_k
@@ -191,20 +203,53 @@ _MOMENT_CAP = 64
 _MOMENT_CACHE = _BoundedCache(_MOMENT_CAP)
 
 
-def _moments(kind: str, coeffs: tuple, dps: int, vector: Callable[[int], list]) -> tuple:
+_LN10 = math.log(10)
+
+# digits by which each term of a moment is built above its share of the
+# sum, set by measurement (tests/test_lfun.py::TestLevels): at 0 a single
+# coefficient's moments stay within 0.499 ulp of the exact sum, as at full
+# precision; at -3 they reach 0.82 ulp and at -4 5 ulps, the per-n data
+# carrying ~4 guard digits of their own
+_LEVEL_MARGIN = 0
+
+
+def _moments(
+    kind, coeffs: tuple, dps: int, vector: Callable[[int, int], list],
+    scale: Callable[[int], float],
+) -> tuple:
     """(sum_n c_n v_j(n))_j over n = 1..len(coeffs) for coeffs = (c_1, ...,
-    c_M), vector(n) the v_j(n) as signed (mantissa, exponent) pairs: each
-    sum one exact integer dot product, rounded once to dps digits in the
-    value context; cached per (kind, coeffs, dps)."""
+    c_M): each sum one exact integer dot product, rounded once to dps
+    digits in the value context; cached per (kind, coeffs, dps).
+
+    vector(n, d) gives the v_j(n) as signed (mantissa, exponent) pairs,
+    each good to 10^-d of itself with a few guard digits, and scale(n) is
+    the float log10 of a function of n that no v_j falls slower than:
+    v_j(n) / v_j(m) <= 10^(scale(n) - scale(m)) for m < n.  With
+    mag_n = log10 |c_n| + scale(n), term n is then at most
+    10^-(top_n - mag_n) of term m in every sum, top_n = mag_m the largest
+    mag up to n, so it is built at the level
+    d_n = dps - floor(top_n - mag_n) + _LEVEL_MARGIN, clamped to
+    [MIN_DPS, dps], and errs by at most 10^-(dps + _LEVEL_MARGIN) of the
+    largest term of every sum, before its guard digits.  The first term
+    is built at dps, so a constant taken for it (Euler's gamma in the
+    K_0/K_1 series) serves every later one.  A zero c_n builds nothing."""
     key = (kind, coeffs, dps)
     hit = _MOMENT_CACHE.get(key)
     if hit is not None:
         return hit
+    ns = [n for n, c in enumerate(coeffs, 1) if c]
+    mags = [math.log10(abs(coeffs[n - 1])) + scale(n) for n in ns]
+    terms = []
+    for n, mag, top in zip(ns, mags, accumulate(mags, max)):
+        d = dps - math.floor(top - mag) + _LEVEL_MARGIN
+        terms.append((coeffs[n - 1], vector(n, min(dps, max(MIN_DPS, d)))))
+    if not terms:  # zeros, in the vector's shape
+        terms = [(0, vector(1, MIN_DPS))]
     home = _value_context(dps)
     sums = []
-    for col in zip(*(vector(n) for n in range(1, len(coeffs) + 1))):
+    for col in zip(*(v for _, v in terms)):
         low = min(e for _, e in col)
-        total = sum(c * v << e - low for c, (v, e) in zip(coeffs, col))
+        total = sum(c * v << e - low for (c, _), (v, e) in zip(terms, col))
         sums.append(home.make_mpf(from_man_exp(total, low, home.prec, round_nearest)))
     sums = _MOMENT_CACHE[key] = tuple(sums)
     return sums
@@ -245,13 +290,15 @@ def _legendre_seed(x, F: int, wp: int) -> int:
     return (X << wp) // T
 
 
-def _deg2_table(n: int, dps: int, f=0):
+def _deg2_table(n: int, dps: int, f=0) -> tuple:
     """(G_a) for a = f + j at x = 2 pi n, G_a = x^-a Gamma(a, x): j = 1..19
     for f = 0, j = 0..19 for a real f in (0, 1).  G_a = e H_a with
     e = e^-x / x and the all-positive recurrence H_(a+1) = a H_a / x + 1,
-    from H_1 = 1, or from H_f = x e^x x^-f Gamma(f, x) (_legendre_seed);
-    summed on integers at the working precision plus 20 bits, each G_a
-    rounded once; cached per (n, dps) and f's exact value."""
+    from H_1 = 1, or from H_f = x e^x x^-f Gamma(f, x) (_legendre_seed).
+    x, pi and e come from libmp and the H_a are summed on integers, all at
+    dps + 8 digits plus 20 bits; each G_a is an unrounded (mantissa,
+    exponent) pair at e's exponent, cached per (n, dps) and f's exact
+    value."""
     wp = dps_to_prec(dps + 8) + 20
     fm = _libmp(f, wp)
     sign, man, exp, bc = fm
@@ -261,30 +308,32 @@ def _deg2_table(n: int, dps: int, f=0):
     hit = _GAMMA_CACHE.get(key)
     if hit is not None:
         return hit
-    ctx = context(dps + 8)
-    x = 2 * ctx.pi * n
-    e = (ctx.exp(-x) / x)._mpf_
-    shift, d = _divisor(x._mpf_)
+    x = mpf_mul(mpf_pi(wp), from_int(2 * n), wp)
+    _, e, e_exp, _ = mpf_div(mpf_exp(mpf_neg(x), wp), x, wp)
+    shift, d = _divisor(x)
     # a = f + j = (man + j 2^q) / 2^q exactly
     q = -exp if man else 0
     one = 1 << wp
-    H = [_legendre_seed(x._mpf_, to_fixed(fm, wp), wp) if man else one]
+    H = [_legendre_seed(x, to_fixed(fm, wp), wp) if man else one]
     for j in range(0 if man else 1, _G_TOP):
         H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
-    table = tuple(_rounded(dps, mpf_mul(e, from_man_exp(h, -wp))) for h in H)
-    _GAMMA_CACHE[key] = table
+    # e H 2^(e_exp - wp), cut to e's exponent
+    table = _GAMMA_CACHE[key] = tuple((e * h >> wp, e_exp) for h in H)
     return table
+
+
+def _deg2_scale(n: int) -> float:
+    """log10 e^-x at x = 2 pi n: every entry of _deg2_table(n, .) falls in
+    n at least as fast (G_a = x^-a Gamma(a, x) for a near 0 comes
+    closest)."""
+    return -2 * math.pi * n / _LN10
 
 
 def _deg2_moments(coeffs: tuple, f, dps: int) -> tuple:
     """(S_a)_a over the entries a = f + j of _deg2_table(., dps, f),
     S_a = sum_n c_n G_a(2 pi n), for an mpf f in [0, 1)."""
-    def vector(n: int) -> list:
-        table = _deg2_table(n, dps, f)
-        return [(-man if sign else man, exp) for sign, man, exp, _ in (g._mpf_ for g in table)]
-
     kind = ("deg2", f._mpf_) if f else "deg2"
-    return _moments(kind, coeffs, dps, vector)
+    return _moments(kind, coeffs, dps, lambda n, d: _deg2_table(n, d, f), _deg2_scale)
 
 
 def _lambda_deg2(ctx, a: Callable[[int], int], k: int, s, M: int, dps: int, sign: int):
@@ -339,7 +388,7 @@ class _Node(NamedTuple):
     """Per-n data of the degree-4 sum at a = (2 pi)^2 n, X = 2 sqrt(a):
     every field but X is an integer F standing for F 2^exp, unrounded."""
 
-    X: object  # at dps digits plus 20 bits, not rounded to dps
+    X: tuple  # libmp, at dps digits plus 20 bits
     exp: int
     c: int  # 2 / a^11
     g0: int  # c K_0(X) / X^2
@@ -351,7 +400,7 @@ def _chain(node: _Node, first: int, m: int, top: int) -> tuple:
     """(tau_m, tau_(m+2), ..., tau_top) from tau_m = first by
     tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2), on the node's
     integers: past the first, every tau is positive and at least tau_1."""
-    shift, d = _divisor(mpf_mul(node.X._mpf_, node.X._mpf_))
+    shift, d = _divisor(mpf_mul(node.X, node.X))
     g0, g1 = node.g0, node.tau[0]
     chain = [first]
     while m < top:
@@ -379,7 +428,6 @@ def _deg4_node(n: int, dps: int) -> _Node:
     wp = dps_to_prec(dps) + 20
     root_n = mpf_sqrt(from_int(n), wp, round_nearest)
     X = mpf_shift(mpf_mul(mpf_pi(wp, round_nearest), root_n, wp, round_nearest), 2)
-    X = _value_context(dps).make_mpf(X)
     xm, k0, k1, exp = _k0_k1(X, dps)
     K = _k_up(xm, [k0, k1], 10)
     # r at 2^-L: log2(X/2) < bc + e - 1 for X = m 2^e, m < 2^bc
@@ -415,7 +463,7 @@ def _even_chain(n: int, dps: int, node: _Node) -> tuple:
         return hit
     # Ki_1 = man 2^exp < 1 has more mantissa bits than X: exp + shift < 0
     _, man, exp, _ = _ki1(node.X, dps)
-    shift, d = _divisor(node.X._mpf_)
+    shift, d = _divisor(node.X)
     tau0 = (node.c * man >> -exp - shift) // d
     chain = _KI1_CACHE[key] = _chain(node, tau0, 0, _M_TOP - 1)
     return chain
@@ -499,6 +547,22 @@ def _deg4_vector(n: int, dps: int, parity: int) -> list:
     return [(v, node.exp) for v in (*node.w, *chain)]
 
 
+def _deg4_scale(n: int) -> float:
+    """log10 of sqrt(pi/2X) e^-X r^12 at X = 4 pi sqrt(n), r = 2/X, the
+    leading term of K_nu(X) times the smallest power of r in the node:
+    every field of the node falls in n at least as fast (w_0 = K_10 r^12
+    comes closest; K_10 / K_0 falls in X)."""
+    X = 4 * math.pi * math.sqrt(n)
+    return (0.5 * math.log(math.pi / (2 * X)) - X + 12 * math.log(2 / X)) / _LN10
+
+
+def _deg4_moments(coeffs: tuple, parity: int, dps: int) -> tuple:
+    """(W_0, ..., W_10, T_parity, T_parity+2, ...): the sums over n of
+    _deg4_vector(n, ., parity) against coeffs."""
+    vector = lambda n, d: _deg4_vector(n, d, parity)
+    return _moments(f"deg4-{parity}", coeffs, dps, vector, _deg4_scale)
+
+
 def _deg4_sum(ctx, coeffs: tuple, s, dps: int):
     """sum_n A(n) F(s, (2 pi)^2 n) over coeffs = (A(1), ..., A(M)): two dots
     with the cached moments when 2s is an integer and m = 2s - 23 is in
@@ -510,8 +574,7 @@ def _deg4_sum(ctx, coeffs: tuple, s, dps: int):
     if ctx.isint(two_s) and m >= 0:
         p = _falling(ctx, s)
         if m <= _M_TOP:
-            parity = m % 2
-            v = _moments(f"deg4-{parity}", coeffs, dps, lambda n: _deg4_vector(n, dps, parity))
+            v = _deg4_moments(coeffs, m % 2, dps)
             return 2 * _dot(ctx, p, [x._mpf_ for x in (*v[:11], v[11 + m // 2])])
         term = lambda n: _closed_form(ctx, p, m, n, dps)
     else:
@@ -570,7 +633,7 @@ def _kernel_errors(dps: int) -> tuple:
         v = mpf_mul(v0._mpf_, mpf_add(fone, E, wp), wp)
         if to_float(v) > v_hi:
             break
-        xm, k0, k1, exp = _k0_k1(ctx.make_mpf(mpf_shift(v, 1)), dps + 12)
+        xm, k0, k1, exp = _k0_k1(mpf_shift(v, 1), dps + 12)
         K = from_man_exp(_k_up(xm, [k0, k1], 11)[11], exp)
         g = mpf_mul(mpf_mul(E, mpf_add(fone, em, wp), wp), mpf_mul(mpf_pow_int(v, 14, wp), K), wp)
         G, V2 = to_fixed(g, wp), to_fixed(mpf_mul(v, v), wp)

@@ -11,7 +11,10 @@ of several normalised mpf operations, and each result is rounded once,
 into the value context.  Below the threshold x = 1.2 (D + 10) K_0 and K_1
 come from their power series at 2^-wp, with 0.87 x + 15 guard digits in
 the working precision (and so in wp) absorbing the e^(2x) cancellation;
-log(x/2) and Euler's gamma enter once each as fixed-point numbers.  Above
+log(x/2) and Euler's gamma enter once each as fixed-point numbers, the
+latter taken at a multiple of 256 bits above every working precision of
+the series branch at D and shifted down, so that mpmath computes it once
+for a run of nodes at D digits or fewer.  Above
 it both come from one loop over the asymptotic expansion
 sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k, stopped once its terms fall below
 10^-(D+8), with the prefactor taken once from mpmath's libmp; there the
@@ -21,15 +24,18 @@ K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for K, runs on them: x is
 taken losslessly as a libmp value m 2^e, so each division by x is exact
 but for its floor.  The degree-4 node of the evaluators reuses that
 recurrence for K_2..K_10.  No mpmath context is made per series
-precision.  The tests check the core against the integral representation
-int_0^inf e^(-x cosh t) cosh(nu t) dt, against mpmath's besselk, and
-against itself at 15 more digits.
+precision, and x may be passed as a libmp value.  The tests check the
+core against the integral representation int_0^inf e^(-x cosh t)
+cosh(nu t) dt, against mpmath's besselk, and against itself at 15 more
+digits.
 
 Ki_1 is a trapezoid sum over the real line whose step follows from the
 integrand's strip of analyticity, so its error is set by the precision
-alone.  The sum runs on integers at 2^-wp too, with math.isqrt for the
-square root in each term; one mpf prefactor e^-x h / sqrt(x) and one
-rounding follow.  The tests check it against int_x^inf K_0.
+alone.  The step is a float, exact as a libmp value; the sum runs on
+integers at 2^-wp too, with math.isqrt for the square root in each term,
+and the prefactor e^-x h / sqrt(x) comes from libmp at wp, so Ki_1 makes
+no mpmath context either.  One rounding follows.  The tests check it
+against int_x^inf K_0.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import math
 from mpmath.libmp import (
     dps_to_prec,
     euler_fixed,
+    fone,
     from_float,
     from_int,
     from_man_exp,
@@ -46,6 +53,7 @@ from mpmath.libmp import (
     mpf_div,
     mpf_exp,
     mpf_log,
+    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pi,
@@ -53,6 +61,7 @@ from mpmath.libmp import (
     mpf_sqrt,
     round_nearest,
     to_fixed,
+    to_float,
 )
 
 from .bigfloat import _rounded, context, round_to
@@ -110,9 +119,10 @@ def _divisor(x):
     return max(-exp, 0), man << max(exp, 0)
 
 
-def _k0_k1_series(x, wp: int):
-    """K_0, K_1 from their power series as mantissas at 2^-wp; the caller's
-    wp carries the guard bits against the e^(2x) cancellation.  With
+def _k0_k1_series(x, wp: int, gamma: int):
+    """K_0, K_1 from their power series as mantissas at 2^-wp, given Euler's
+    gamma at 2^-wp; the caller's wp carries the guard bits against the
+    e^(2x) cancellation.  With
     t_k = q^k / (k! (k+1)!), q = x^2/4, H_k = 1 + 1/2 + ... + 1/k and
     c = log(x/2) + gamma:
 
@@ -121,7 +131,7 @@ def _k0_k1_series(x, wp: int):
     one = 1 << wp
     xf = to_fixed(x, wp)
     q = xf * xf >> (wp + 2)
-    c = to_fixed(mpf_log(mpf_shift(x, -1), wp), wp) + euler_fixed(wp)
+    c = to_fixed(mpf_log(mpf_shift(x, -1), wp), wp) + gamma
     t, h, k = one, 0, 0
     s0 = s1 = 0
     while t:
@@ -163,8 +173,10 @@ def _k0_k1_asymptotic(x, wp: int, dps: int):
 
 def _libmp(x, prec: int):
     """x as a libmp value, as a context of precision prec converts it:
-    exactly from an mpf, int or float, rounded to prec from a string or
-    a fraction."""
+    exactly from a libmp value, an mpf, int or float, rounded to prec from
+    a string or a fraction."""
+    if isinstance(x, tuple):
+        return x
     if hasattr(x, "_mpf_"):
         return x._mpf_
     if isinstance(x, int):
@@ -174,22 +186,37 @@ def _libmp(x, prec: int):
     return from_str(str(x), prec, round_nearest)
 
 
+# Euler's gamma is taken at a multiple of this many bits and shifted down
+_EULER_STEP = 256
+
+
+def _series_wp(x: float, dps: int) -> int:
+    # the series' guard digits absorb its e^(2x) cancellation
+    return dps_to_prec(dps + int(0.87 * x) + 15) + 20
+
+
 def _k0_k1(x, dps: int):
-    """(x, K_0, K_1, exp): x as a libmp value and K_0(x), K_1(x) unrounded,
-    as integer mantissas of K 2^exp, summed at the working precision
-    (D + 15 digits, or D + 0.87 x + 15 on the series branch) plus 20 bits."""
-    xf = float(x)
+    """(x, K_0, K_1, exp): x (an mpf, a libmp value, a number or a string)
+    as a libmp value and K_0(x), K_1(x) unrounded, as integer mantissas of
+    K 2^exp, summed at the working precision (D + 15 digits, or D + 0.87 x
+    + 15 on the series branch, x < 1.2 (D + 10)) plus 20 bits.  The series
+    takes Euler's gamma at the multiple of _EULER_STEP bits above its
+    largest working precision at D: mpmath's memo would compute it anew
+    each time a larger x asked for 5% more bits."""
+    xf = to_float(x) if isinstance(x, tuple) else float(x)
     if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
         raise OverflowError(
             f"argument {xf} outside the supported domain ({BESSEL_X_MIN}, {BESSEL_X_MAX})"
         )
-    asymptotic = xf > 1.2 * (dps + 10)
-    # the series' guard digits absorb its e^(2x) cancellation
-    prec = dps_to_prec(dps + 15 if asymptotic else dps + int(0.87 * xf) + 15)
-    xm = _libmp(x, prec)
-    wp = prec + 20
-    k0_k1 = _k0_k1_asymptotic(xm, wp, dps) if asymptotic else _k0_k1_series(xm, wp)
-    return (xm, *k0_k1)
+    cut = 1.2 * (dps + 10)
+    if xf > cut:
+        wp = dps_to_prec(dps + 15) + 20
+        xm = _libmp(x, wp - 20)
+        return (xm, *_k0_k1_asymptotic(xm, wp, dps))
+    wp = _series_wp(xf, dps)
+    xm = _libmp(x, wp - 20)
+    rung = -(-_series_wp(cut, dps) // _EULER_STEP) * _EULER_STEP
+    return (xm, *_k0_k1_series(xm, wp, euler_fixed(rung) >> rung - wp))
 
 
 def _k_up(x, K: list, nu: int) -> list:
@@ -226,25 +253,28 @@ def bickley_ki1(x, dps: int):
 
 
 def _ki1(x, dps: int):
-    """Ki_1(x) as bickley_ki1 sums it, an exact libmp product not yet rounded."""
-    ctx = context(dps + 10)
-    x = ctx.convert(x)
-    if x < 1:
+    """Ki_1(x) as bickley_ki1 sums it, an exact libmp product not yet
+    rounded; x an mpf, a libmp value, a number or a string."""
+    wp = dps_to_prec(dps + 10) + 20
+    x = _libmp(x, wp - 20)
+    if mpf_lt(x, fone):
         raise ValueError("Ki_1 implemented for x >= 1 only")
-    B = (ctx.dps + 6) * ctx.log(10)
-    h = 2 * ctx.pi * ctx.sqrt(x) / (x + B)
-    wp = ctx.prec + 20
+    xf, B = to_float(x), (dps + 16) * math.log(10)
+    # any step up to the strip's bound will do, so a float one, exact in libmp
+    step = 2 * math.pi * math.sqrt(xf) / (xf + B)
+    h = from_float(step)
     one = 1 << wp
-    hf, xf = to_fixed(h._mpf_, wp), to_fixed(x._mpf_, wp)
+    hf, X = to_fixed(h, wp), to_fixed(x, wp)
     # g = e^(-(k h)^2) by g_k = g_(k-1) q_k, q_k = e^(-h^2 (2k - 1))
-    q, q_step = (to_fixed(ctx.exp(-c * h * h)._mpf_, wp) for c in (1, 2))
+    h2 = mpf_neg(mpf_mul(h, h))
+    q, q_step = (to_fixed(mpf_exp(mpf_shift(h2, c), wp), wp) for c in (0, 1))
     g = one
     total = (one << wp) // math.isqrt(2 << 2 * wp)
-    for k in range(1, int(ctx.sqrt(B) / h) + 2):
+    for k in range(1, int(math.sqrt(B) / step) + 2):
         g = g * q >> wp
         q = q * q_step >> wp
-        y = (k * hf) ** 2 // xf
+        y = (k * hf) ** 2 // X
         root = math.isqrt(one + one + y << wp)
         total += (g << 2 * wp + 1) // ((one + y) * root)
-    pre = ctx.exp(-x) * h / ctx.sqrt(x)
-    return mpf_mul(pre._mpf_, from_man_exp(total, -wp))
+    pre = mpf_div(mpf_mul(mpf_exp(mpf_neg(x), wp), h), mpf_sqrt(x, wp), wp)
+    return mpf_mul(pre, from_man_exp(total, -wp))

@@ -66,6 +66,11 @@ def _close(mp, dps, got, want, what):
     assert abs(got - want) / abs(want) < mp.mpf(10) ** (4 - dps), what
 
 
+def _entries(mp, table):
+    """A degree-2 table's (mantissa, exponent) pairs as mpf in mp."""
+    return [mp.make_mpf(from_man_exp(m, e)) for m, e in table]
+
+
 def _fields(node, n, dps):
     """c, g0, w_0..w_10, the odd and the even chain of a node, as libmp values."""
     ints = (node.c, node.g0, *node.w, *node.tau, *_even_chain(n, dps, node))
@@ -97,7 +102,7 @@ def test_deg2_table_against_gammainc(ref, n, dps):
     mp, want = ref[0], ref[1][n]
     table = _deg2_table(n, dps)
     assert len(table) == _G_TOP
-    for j, g in enumerate(table, 1):
+    for j, g in enumerate(_entries(mp, table), 1):
         _close(mp, dps, g, want["G"][j - 1], f"G_{j}")
 
 
@@ -128,8 +133,7 @@ def test_deg2_table_at_fractional_order_against_gammainc(ref_frac, f, n, dps):
     mp, want = ref_frac[0], ref_frac[1][n, f]
     table = _deg2_table(n, dps, f)
     assert len(table) == _G_TOP + 1
-    for j, g in enumerate(table):
-        got = mp.convert(g)
+    for j, got in enumerate(_entries(mp, table)):
         assert abs(got - want[j]) / want[j] < mp.mpf(10) ** (1 - dps), f"G_{f}+{j}"
 
 

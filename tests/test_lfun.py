@@ -4,6 +4,7 @@ residual certificates."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from spinl import delta_qexp, g20_qexp
 from spinl.numeric_lfun import (
@@ -28,6 +29,11 @@ from reference_values import (
     REF_G20_NORMS,
     TABLE3_NUMERIC as RANKIN_NUMERIC,
 )
+
+
+def _gamma_table(ctx, n, dps, f=0):
+    """The degree-2 table's entries, (mantissa, exponent) pairs, as mpf in ctx."""
+    return [ctx.make_mpf(from_man_exp(m, e)) for m, e in evaluators._deg2_table(n, dps, f)]
 
 
 class TestLDegree2:
@@ -99,11 +105,10 @@ class TestLDegree2:
     def test_gamma_table_matches_gamma_upper(self, n):
         # the shared table's recurrence against the finite-sum Gamma(j, x)
         from spinl.numeric_lfun import gamma_upper
-        from spinl.numeric_lfun.evaluators import _deg2_table
 
         ctx = context(50)
         x = 2 * ctx.pi * n
-        table = _deg2_table(n, 40)
+        table = _gamma_table(ctx, n, 40)
         assert len(table) == 19
         for j, g in enumerate(table, start=1):
             ref = x ** -j * ctx.convert(gamma_upper(j, x, 45))
@@ -454,7 +459,7 @@ class TestMoments:
         dps = 30
         prec = dps_to_prec(dps)
         got = evaluators._moments(
-            "synthetic", coeffs, dps, lambda n: [col[n - 1] for col in columns]
+            "synthetic", coeffs, dps, lambda n, d: [col[n - 1] for col in columns], lambda n: 0.0
         )
         for j, col in enumerate(columns):
             exact = sum(c * Fraction(m) * Fraction(2) ** e for c, (m, e) in zip(coeffs, col))
@@ -479,12 +484,7 @@ class TestMoments:
         # within an ulp at dps of those at dps + 20, for any signed
         # coefficients
         coeffs = tuple(coeffs)
-        lo, hi = (
-            evaluators._moments(
-                f"deg4-{parity}", coeffs, d, lambda n: evaluators._deg4_vector(n, d, parity)
-            )
-            for d in (dps, dps + 20)
-        )
+        lo, hi = (evaluators._deg4_moments(coeffs, parity, d) for d in (dps, dps + 20))
         assert len(lo) == len(hi) == 19
         for j, (a, b) in enumerate(zip(lo, hi)):
             if not any(coeffs):
@@ -557,7 +557,7 @@ class TestMoments:
     def test_no_stale_hit_at_non_integer_s(self):
         # the fractional moments are keyed on the coefficients too: a
         # crooked a(2) moves Lambda(7.3) by exactly 7 (G_7.3 + G_4.7)(4 pi)
-        from spinl.numeric_lfun.evaluators import _deg2_table, _lambda_deg2
+        from spinl.numeric_lfun.evaluators import _lambda_deg2
 
         D, M = 30, 40
         tau = delta_qexp(M).integer_coeffs()
@@ -566,15 +566,13 @@ class TestMoments:
         f = s - 7
         good = _lambda_deg2(ctx, tau.__getitem__, 12, s, M, D + 10, 1)
         bad = _lambda_deg2(ctx, lambda n: tau[n] + 7 * (n == 2), 12, s, M, D + 10, 1)
-        term = 7 * (ctx.convert(_deg2_table(2, D + 10, f)[7])
-                    + ctx.convert(_deg2_table(2, D + 10, 1 - f)[4]))
+        term = 7 * (_gamma_table(ctx, 2, D + 10, f)[7] + _gamma_table(ctx, 2, D + 10, 1 - f)[4])
         assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 6)
 
     def test_no_stale_hit_for_other_coefficients(self, rankin150):
         # the moments are keyed on the coefficient values: a crooked a(2)
         # at the same (M, dps) must move Lambda by exactly its own term
         from spinl.numeric_lfun.evaluators import (
-            _deg2_table,
             _incomplete_mellin_deg4,
             _lambda_deg2,
             _lambda_deg4,
@@ -594,8 +592,93 @@ class TestMoments:
         ctx = context(D + 10)
         good = _lambda_deg2(ctx, tau.__getitem__, 12, 6, 40, D + 10, 1)
         bad = _lambda_deg2(ctx, lambda n: tau[n] + 7 * (n == 2), 12, 6, 40, D + 10, 1)
-        term = 14 * ctx.convert(_deg2_table(2, D + 10)[5])
+        term = 14 * _gamma_table(ctx, 2, D + 10)[5]
         assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 6)
+
+
+def _full_moments(coeffs, parity, dps):
+    """The degree-4 moments with every node at dps: the exact sums over n
+    of the node data against coeffs, each rounded once to dps digits."""
+    rows = [evaluators._deg4_vector(n, dps, parity) for n in range(1, len(coeffs) + 1)]
+    out = []
+    for col in zip(*rows):
+        low = min(e for _, e in col)
+        total = sum(c * v << e - low for c, (v, e) in zip(coeffs, col))
+        out.append(from_man_exp(total, low, dps_to_prec(dps), round_nearest))
+    return out
+
+
+class TestLevels:
+    """Each term of a smoothed sum is built only as precisely as its share
+    of the sum needs (evaluators._moments): the sums must still carry the
+    digits they did with every term at full precision."""
+
+    @pytest.mark.parametrize("D, M", [(45, 200), (60, 300)])
+    def test_deg4_within_a_unit_of_thirty_two_more_digits(self, D, M):
+        from spinl import rankin_coeffs
+        from spinl.numeric_lfun.evaluators import _lambda_deg4
+
+        A = rankin_coeffs(M)
+        ctx, ref = context(D + 12), context(D + 44)
+        for s in range(12, 20):
+            got = _lambda_deg4(ctx, A.__getitem__, s, M, D + 12)
+            want = _lambda_deg4(ref, A.__getitem__, s, M, D + 44)
+            assert abs(ref.convert(got) - want) < abs(want) * ref.mpf(10) ** -(D + 12), s
+
+    @pytest.mark.parametrize("D", [30, 60])
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_deg2_within_a_unit_of_thirty_more_digits(self, D, k):
+        from spinl.numeric_lfun.evaluators import _lambda_deg2
+
+        a = (delta_qexp(60) if k == 12 else g20_qexp(60)).integer_coeffs()
+        sign = +1 if (k // 2) % 2 == 0 else -1
+        ctx, ref = context(D + 10), context(D + 40)
+        for s in ("1", "5", "9", "3.25", "7.3"):
+            got = _lambda_deg2(ctx, a.__getitem__, k, ctx.mpf(s), 60, D + 10, sign)
+            want = _lambda_deg2(ref, a.__getitem__, k, ref.mpf(s), 60, D + 40, sign)
+            assert abs(ref.convert(got) - want) < abs(want) * ref.mpf(10) ** -(D + 10), s
+
+    def test_one_coefficient_rounded_as_at_full_precision(self):
+        # a lone coefficient is its own largest term, so its node is built
+        # at dps and each moment is its exact value rounded once: within
+        # 0.51 ulp of the moment at dps + 20 (0.499 measured; a level three
+        # digits lower reaches 0.82 at n = 300)
+        for dps in (20, 30, 45, 72):
+            for n in (1, 2, 8, 61, 62, 150, 300):
+                coeffs = (0,) * (n - 1) + (5,)
+                for parity in (0, 1):
+                    lo = evaluators._deg4_moments(coeffs, parity, dps)
+                    hi = evaluators._deg4_moments(coeffs, parity, dps + 20)
+                    for j, (a, b) in enumerate(zip(lo, hi)):
+                        _, _, exp, bc = a._mpf_
+                        ulp = b.context.ldexp(1, exp + bc - a.context.prec)
+                        assert abs(b.context.convert(a) - b) <= ulp * 0.51, (dps, n, parity, j)
+
+    @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
+    @pytest.mark.parametrize("crook", ["A(150) 1e40", "A(150) 1e70", "A(2) 0"])
+    def test_levels_follow_the_coefficients(self, D, M, crook):
+        # the levels come from the coefficients passed in, not from
+        # Rankin's: a large A(150) pulls the levels around n = 150 up and
+        # those near n = 1 down, and a zero A(2) builds no node
+        from spinl import rankin_coeffs
+
+        A = [rankin_coeffs(M)[n] for n in range(1, M + 1)]
+        if crook == "A(2) 0":
+            A[1] = 0
+        else:
+            A[149] *= 10 ** int(crook[-2:])
+        A = tuple(A)
+        dps = D + 12
+        for parity in (0, 1):
+            evaluators._NODE_CACHE.clear()
+            evaluators._KI1_CACHE.clear()
+            evaluators._MOMENT_CACHE.clear()
+            got = evaluators._deg4_moments(A, parity, dps)
+            if crook == "A(2) 0":
+                assert not any(key[0] == 2 for key in evaluators._NODE_CACHE._data)
+            for j, (a, b) in enumerate(zip(got, _full_moments(A, parity, dps))):
+                b = a.context.make_mpf(b)
+                assert abs(a - b) <= abs(b) * a.context.mpf(10) ** -dps, (parity, j)
 
 
 class TestTruncatedNormProvenance:

@@ -12,6 +12,7 @@ from spinl import delta_qexp, rankin_coeffs
 from spinl.numeric_lfun import (
     bessel_k,
     context,
+    delta_lfunction,
     functional_eq_residual,
     kernel_mellin_check,
     l_degree2,
@@ -93,8 +94,9 @@ class TestValuesIgnoreContextMutation:
         before = l_degree2(form, 12, 6, 20, 30)
         derived = before / 3 + before * before
         # l_degree2 at 20 digits works in context(30) and builds its Gamma
-        # table in context(38); knock both (and the returned value's
-        # neighbours) off, and rebuild the table under them
+        # tables on libmp values at 38 digits and below; knock context(30),
+        # context(38) and the returned value's neighbours off, and rebuild
+        # the tables under them
         for d in (20, 30, 38):
             context(d).dps = 120
         assert before / 3 + before * before == derived
@@ -154,12 +156,7 @@ class TestThreads:
         deg4, deg2 = tuple(A[n] for n in range(1, 61)), tuple(tau[1:])
 
         def build():
-            out = [
-                repr(evaluators._moments(
-                    f"deg4-{p}", deg4, 32, lambda n: evaluators._deg4_vector(n, 32, p)
-                ))
-                for p in (0, 1)
-            ]
+            out = [repr(evaluators._deg4_moments(deg4, p, 32)) for p in (0, 1)]
             return out + [repr(evaluators._deg2_moments(deg2, 0, 32))]
 
         _clear_caches()
@@ -248,6 +245,83 @@ class TestBoundedCaches:
             assert repr(l_degree2(form, 12, 6, 20, 30)) == full_2
             assert all(len(cache) <= cache.cap for cache in CACHES)
         _clear_caches()
+
+
+class TestLevelsMakeNoContexts:
+    """Per-n data at any level run on libmp values and integers, so a cold
+    run asks for no context precision that full-precision per-n data did
+    not; the sets below were recorded from that build."""
+
+    VERIFY_60_300 = ({65, 70, 72, 73, 78, 81, 83, 91}, {60, 65, 70, 72, 73, 83})
+    CERTIFY_30 = ({40, 48, 50}, {30, 40})
+
+    @staticmethod
+    def _requested(monkeypatch, job):
+        """(working, value) context precisions job asks for, run cold in a
+        fresh thread with an empty value-context table."""
+        from spinl.numeric_lfun import bigfloat
+
+        def run():
+            job()
+            return set(getattr(bigfloat._threads, "pool", ()))
+
+        monkeypatch.setattr(bigfloat, "_VALUE_CONTEXTS", {})
+        _clear_caches()
+        try:
+            (work,) = _in_threads(run)
+            return work, set(bigfloat._VALUE_CONTEXTS)
+        finally:
+            _clear_caches()  # their values live in the table being dropped
+
+    def test_verify(self, monkeypatch):
+        work, value = self._requested(monkeypatch, lambda: verify_tables(60, 300))
+        assert work <= self.VERIFY_60_300[0]
+        assert value <= self.VERIFY_60_300[1]
+
+    def test_certify(self, monkeypatch):
+        def job():
+            kernel_mellin_check(13, 30)
+            for t in (12.5, 15.5):
+                functional_eq_residual(rankin_lfunction(150), None, t, 30, 150)
+            functional_eq_residual(delta_lfunction(30), None, 6.25, 30, 30)
+
+        work, value = self._requested(monkeypatch, job)
+        assert work <= self.CERTIFY_30[0]
+        assert value <= self.CERTIFY_30[1]
+
+    def test_per_n_data_at_any_level(self, monkeypatch):
+        def job():
+            for d in range(15, 41, 5):
+                for n in (1, 7, 150):
+                    evaluators._even_chain(n, d, evaluators._deg4_node(n, d))
+                    for f in (0, 0.25):
+                        evaluators._deg2_table(n, d, f)
+
+        assert self._requested(monkeypatch, job) == (set(), set())
+
+
+def test_euler_gamma_computed_once(monkeypatch):
+    # the K_0/K_1 series takes Euler's gamma at one rung above its largest
+    # working precision, and the first node of a sum has the highest level:
+    # mpmath's memo computes the constant once in a cold verify, not each
+    # time a node asks for 5% more bits
+    from spinl.numeric_lfun import special
+
+    memoized = special.euler_fixed
+    body = memoized.__closure__[0].cell_contents  # what mpmath's memo calls
+    monkeypatch.setattr(body, "memo_prec", -1)
+    monkeypatch.setattr(body, "memo_val", None)
+    sizes = []
+
+    def recorded(prec):
+        value = memoized(prec)
+        sizes.append(body.memo_prec)
+        return value
+
+    monkeypatch.setattr(special, "euler_fixed", recorded)
+    _clear_caches()
+    verify_tables(60, 300)
+    assert len(set(sizes)) == 1
 
 
 class TestBesselPair:
