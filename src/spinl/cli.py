@@ -114,7 +114,7 @@ def _record(s, q: Fraction, pi_exp: int, numeric, part=None) -> OutputRecord:
 def _table_rows(which: int, prec: int):
     ctx = context(prec + 5)
     rows: List[OutputRecord] = []
-    dn, gn = map(ctx.convert, fresh_norms(prec + 5))
+    dn, gn = map(ctx.convert, fresh_norms(prec))
 
     def add(s, q: Fraction, e: int, norm=None, part=None) -> None:
         value = render_exact(ctx, q, e, norm)

@@ -29,6 +29,9 @@ from mpmath.libmp import mpf_pos, round_nearest
 from ..exact_arith import PiValue
 
 MIN_DPS = 15
+# digits above D at which every public numeric entry point works: the one
+# working precision of a run at D, rounded to D once at the end
+GUARD = 10
 
 _threads = threading.local()
 _VALUE_CONTEXTS: dict = {}
@@ -86,10 +89,11 @@ def render_exact(ctx, q: Fraction, pi_exponent: int, norm=None):
     return value if norm is None else value * norm
 
 
+def pi_sum(ctx, pv: PiValue):
+    """An exact rational-times-pi-power sum in ctx, unrounded beyond it."""
+    return sum(render_exact(ctx, coeff, expo) for coeff, expo in pv.monomials)
+
+
 def pi_value_numeric(pv: PiValue, dps: int):
     """Evaluate an exact rational-times-pi-power sum to dps digits."""
-    ctx = context(dps + 8)
-    acc = ctx.zero
-    for coeff, expo in pv.monomials:
-        acc += render_exact(ctx, coeff, expo)
-    return round_to(dps, acc)
+    return round_to(dps, pi_sum(context(dps + GUARD), pv))

@@ -6,17 +6,17 @@ and sign eps = (-1)^(k/2):
     Lambda(s) = sum_n a(n) [ G_s(2 pi n) + eps G_(k-s)(2 pi n) ],
     G_a(x)    = x^-a Gamma(a, x).
 
-For 0 < s < k <= 20 write s = f + j with 0 <= f < 1.  The G_(f+j) come
-as one table per n, f and precision from one e^-x and the all-positive
-upward recurrence G_(a+1) = (a G_a + e^-x) / x, run as G_a = (e^-x / x) H_a
-with H_(a+1) = a H_a / x + 1 on Python integers: j = 1..19 from H_1 = 1
-when f = 0, j = 0..19 when f > 0 from H_f = x e^x x^-f Gamma(f, x), which
-Legendre's continued fraction gives on the same integers; x, pi and e^-x
-come from libmp, and each G_a stays unrounded, an integer at the
-exponent of e^-x / x.  The sums
-S_a = sum_n a(n) G_a(2 pi n) are taken once per coefficient set and f,
-so any s in the strip costs two table entries, Lambda(s) = S_s + eps S_(k-s),
-with k - s = (1 - f) + (k - 1 - j) read from the 1 - f table.
+For 0 < s < k <= 20 write s = f + j with 0 < f <= 1.  The G_(f+j),
+j = 0..19, come as one table per n, f and precision from one e^-x and the
+all-positive upward recurrence G_(a+1) = (a G_a + e^-x) / x, run as
+G_a = (e^-x / x) H_a with H_(a+1) = a H_a / x + 1 on Python integers, from
+H_f = x e^x x^-f Gamma(f, x): H_1 = 1 at integer orders, otherwise
+Legendre's continued fraction on the same integers; x, pi and e^-x come
+from libmp, and each G_a stays unrounded, an integer at the exponent of
+e^-x / x.  The sums S_a = sum_n a(n) G_a(2 pi n) are taken once per
+coefficient set and f, so any s in the strip costs two table entries,
+Lambda(s) = S_s + eps S_(k-s), with k - s taken exactly and split the same
+way (its f is 1 - f, or 1 with s).
 
 Degree 4 (the weight-12 x weight-20 convolution, Gamma_C(s) Gamma_C(s-11)).
 With Lambda(s) = (2 pi)^-2s Gamma(s) Gamma(s-11) L(s) and eps = +1:
@@ -66,8 +66,12 @@ n = 300 is ~10^-50 of the one at n = 1.  On a cache miss _moments builds
 each node or table at its own level, the digits its share of the sum
 needs: dps at the largest term, one digit fewer per digit below it,
 never fewer than MIN_DPS, from a float estimate of |c_n| times the
-slowest decay among the per-n entries.  The caches keep their (n, dps)
-keys, dps being the level; no per-n step makes an mpmath context.
+slowest decay among the per-n entries.  The per-n caches key on that
+level; no per-n step makes an mpmath context.
+
+Every public entry point at D digits works in context(D + GUARD), sums its
+moments at D + GUARD and rounds once to D; the helpers it composes
+(_lambda, _l_value2, _norm) take that context and round nothing.
 """
 
 from __future__ import annotations
@@ -78,19 +82,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from mpmath.libmp import (
-    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
-    mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest, to_fixed,
-    to_float,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp,
+    mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum,
+    round_nearest, to_fixed, to_float, to_int,
 )
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import (
-    MIN_DPS, _value_context, context, fraction_to_mpf, pi_value_numeric, round_to
-)
+from .bigfloat import GUARD, MIN_DPS, _value_context, context, fraction_to_mpf, pi_sum, round_to
 from .quadrature import QuadratureError, tanh_sinh
 from .special import _divisor, _k0_k1, _k_up, _ki1, _libmp, bessel_k
 
@@ -131,21 +133,12 @@ class PeterssonNorm:
     l_used: int
 
 
-def _int_coeff_accessor(values: Sequence[int]) -> Callable[[int], int]:
-    def a(n: int) -> int:
-        return values[n]
-
-    return a
-
-
 def delta_lfunction(n_coeffs: int = 64) -> LFunctionSpec:
-    vals = delta_qexp(n_coeffs).integer_coeffs()
-    return LFunctionSpec((0, 1), 1, 12, +1, _int_coeff_accessor(vals))
+    return LFunctionSpec((0, 1), 1, 12, +1, delta_qexp(n_coeffs).integer_coeffs().__getitem__)
 
 
 def g20_lfunction(n_coeffs: int = 64) -> LFunctionSpec:
-    vals = g20_qexp(n_coeffs).integer_coeffs()
-    return LFunctionSpec((0, 1), 1, 20, +1, _int_coeff_accessor(vals))
+    return LFunctionSpec((0, 1), 1, 20, +1, g20_qexp(n_coeffs).integer_coeffs().__getitem__)
 
 
 def rankin_lfunction(n_coeffs: int = 200) -> LFunctionSpec:
@@ -262,13 +255,20 @@ def _moments(
 def _deg2_tail_ok(k: int, M: int, dps: int) -> bool:
     # first omitted term ~ |a(M+1)| e^(-2 pi (M+1)) / (2 pi (M+1)); Deligne
     # bound |a(n)| <= d(n) n^((k-1)/2), folded constants generous
-    log10_tail = (
-        3 + ((k - 1) / 2 + 1) * math.log10(M + 2) - 2 * math.pi * (M + 1) / math.log(10)
-    )
+    log10_tail = 3 + ((k - 1) / 2 + 1) * math.log10(M + 2) - 2 * math.pi * (M + 1) / _LN10
     return log10_tail < -(dps + 2)
 
 
-_G_TOP = 19  # G_j for j = 1..19 covers k - 1 at weight 20
+def _deg2_m(k: int, dps: int) -> int:
+    """The fewest coefficients whose degree-2 sum _deg2_tail_ok accepts at
+    dps digits: the one choice of M wherever the package picks it."""
+    M = 1
+    while not _deg2_tail_ok(k, M, dps):
+        M += 1
+    return M
+
+
+_G_TOP = 19  # a = f + j for j = 0..19 covers k - 1 at weight 20
 
 
 def _legendre_seed(x, F: int, wp: int) -> int:
@@ -290,21 +290,21 @@ def _legendre_seed(x, F: int, wp: int) -> int:
     return (X << wp) // T
 
 
-def _deg2_table(n: int, dps: int, f=0) -> tuple:
-    """(G_a) for a = f + j at x = 2 pi n, G_a = x^-a Gamma(a, x): j = 1..19
-    for f = 0, j = 0..19 for a real f in (0, 1).  G_a = e H_a with
-    e = e^-x / x and the all-positive recurrence H_(a+1) = a H_a / x + 1,
-    from H_1 = 1, or from H_f = x e^x x^-f Gamma(f, x) (_legendre_seed).
-    x, pi and e come from libmp and the H_a are summed on integers, all at
-    dps + 8 digits plus 20 bits; each G_a is an unrounded (mantissa,
-    exponent) pair at e's exponent, cached per (n, dps) and f's exact
-    value."""
-    wp = dps_to_prec(dps + 8) + 20
+def _deg2_table(n: int, dps: int, f) -> tuple:
+    """(G_a) for a = f + j, j = 0..19, at x = 2 pi n, G_a = x^-a Gamma(a, x),
+    for a real f in (0, 1].  G_a = e H_a with e = e^-x / x and the
+    all-positive recurrence H_(a+1) = a H_a / x + 1, from H_1 = 1 at f = 1
+    or from H_f = x e^x x^-f Gamma(f, x) (_legendre_seed).  x, pi and e
+    come from libmp and the H_a are summed on integers, all at dps digits
+    plus 20 bits, as the degree-4 node is built; each G_a is an unrounded
+    (mantissa, exponent) pair at e's exponent, cached per n, f's exact
+    value and dps."""
+    wp = dps_to_prec(dps) + 20
     fm = _libmp(f, wp)
-    sign, man, exp, bc = fm
-    if sign or (man and bc + exp > 0):
-        raise ValueError(f"f = {f} outside [0, 1)")
-    key = (n, dps, fm) if man else (n, dps)
+    sign, man, exp, _ = fm
+    if sign or not man or mpf_lt(fone, fm):
+        raise ValueError(f"f = {f} outside (0, 1]")
+    key = (n, fm, dps)  # dps last, as in every cache
     hit = _GAMMA_CACHE.get(key)
     if hit is not None:
         return hit
@@ -312,10 +312,10 @@ def _deg2_table(n: int, dps: int, f=0) -> tuple:
     _, e, e_exp, _ = mpf_div(mpf_exp(mpf_neg(x), wp), x, wp)
     shift, d = _divisor(x)
     # a = f + j = (man + j 2^q) / 2^q exactly
-    q = -exp if man else 0
+    q = -exp
     one = 1 << wp
-    H = [_legendre_seed(x, to_fixed(fm, wp), wp) if man else one]
-    for j in range(0 if man else 1, _G_TOP):
+    H = [one if fm == fone else _legendre_seed(x, to_fixed(fm, wp), wp)]
+    for j in range(_G_TOP):
         H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
     # e H 2^(e_exp - wp), cut to e's exponent
     table = _GAMMA_CACHE[key] = tuple((e * h >> wp, e_exp) for h in H)
@@ -331,51 +331,42 @@ def _deg2_scale(n: int) -> float:
 
 def _deg2_moments(coeffs: tuple, f, dps: int) -> tuple:
     """(S_a)_a over the entries a = f + j of _deg2_table(., dps, f),
-    S_a = sum_n c_n G_a(2 pi n), for an mpf f in [0, 1)."""
-    kind = ("deg2", f._mpf_) if f else "deg2"
-    return _moments(kind, coeffs, dps, lambda n, d: _deg2_table(n, d, f), _deg2_scale)
+    S_a = sum_n c_n G_a(2 pi n), for f in (0, 1]."""
+    f = _libmp(f, dps_to_prec(dps))
+    return _moments(("deg2", f), coeffs, dps, lambda n, d: _deg2_table(n, d, f), _deg2_scale)
 
 
-def _lambda_deg2(ctx, a: Callable[[int], int], k: int, s, M: int, dps: int, sign: int):
-    """Lambda(s) = S_s + eps S_(k-s) for 0 < s < k <= 20: s and k - s
-    each split as f + j with 0 <= f < 1, and S_(f+j) read from the
+def _deg2_side(coeffs: tuple, a, dps: int):
+    """S_a for a libmp a > 0: a = f + j with 0 < f <= 1, read from the
     moments of the f table."""
+    j = to_int(a)  # the floor, as a > 0
+    f = mpf_sub(a, from_int(j))  # exact
+    if f == fzero:
+        j, f = j - 1, fone
+    return _deg2_moments(coeffs, f, dps)[j]
+
+
+def _l_value2(ctx, coeffs: tuple, k: int, s):
+    """L(s) of the weight-k form with coefficients (a(1), ..., a(M)) in ctx,
+    unrounded beyond it."""
     s = ctx.convert(s)
-    if not 0 < s < k <= _G_TOP + 1:
-        raise ValueError(f"need 0 < s < k <= {_G_TOP + 1}, got s = {s}, k = {k}")
-    coeffs = tuple(a(n) for n in range(1, M + 1))
-    j = int(s)
-    f = s - j  # exact: the fraction has no more bits than s
-    if f:
-        # k - s = (1 - f) + (k - 1 - j), and these tables start at G_f
-        g = ctx.make_mpf(mpf_sub(fone, f._mpf_))
-        left = _deg2_moments(coeffs, f, dps)[j]
-        right = _deg2_moments(coeffs, g, dps)[k - 1 - j]
-    else:
-        # the integer table starts at G_1
-        S = _deg2_moments(coeffs, f, dps)
-        left, right = S[j - 1], S[k - j - 1]
-    return ctx.convert(left) + sign * ctx.convert(right)
+    lam = _lambda(ctx, 2, k, (-1) ** (k // 2), coeffs, s)
+    return lam * (2 * ctx.pi) ** s / ctx.gamma(s)
 
 
 def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
     """L(s, f) for a weight-k level-1 eigenform given by its q-expansion,
     via the incomplete-gamma smoothed sum over M coefficients, for real s
-    in the critical strip 0 < s < k; any other s raises ValueError."""
+    in the critical strip 0 < s < k; any other s raises ValueError, and so
+    does an M below _deg2_m(k, dps)."""
     if k not in (12, 20):
         raise ValueError("supported weights are 12 and 20")
     if form.precision < M:
         raise ValueError(f"form has {form.precision} coefficients, need {M}")
     if not _deg2_tail_ok(k, M, dps):
-        raise ValueError(
-            f"M={M} too small for {dps}-digit accuracy at weight {k}"
-        )
-    ctx = context(dps + 10)
-    coeffs = form.integer_coeffs()
-    sign = +1 if (k // 2) % 2 == 0 else -1
-    lam = _lambda_deg2(ctx, _int_coeff_accessor(coeffs), k, s, M, dps + 10, sign)
-    s = ctx.convert(s)
-    return round_to(dps, lam * (2 * ctx.pi) ** s / ctx.gamma(s))
+        raise ValueError(f"M={M} too small for {dps}-digit accuracy at weight {k}")
+    coeffs = tuple(form.integer_coeffs()[1 : M + 1])
+    return round_to(dps, _l_value2(context(dps + GUARD), coeffs, k, s))
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +486,21 @@ def _dot(ctx, p, v):
     return ctx.make_mpf(mpf_sum(terms, ctx.prec, round_nearest))
 
 
-def _closed_form(ctx, p, m: int, n: int, dps: int):
-    """F(s, (2 pi)^2 n) from the falling products p of s and m = 2s - 23."""
-    node = _deg4_node(n, dps)
-    v = [from_man_exp(x, node.exp) for x in (*node.w, _tau(node, m, n, dps))]
+def _closed_form(ctx, p, m: int, n: int):
+    """F(s, (2 pi)^2 n) from the falling products p of s and m = 2s - 23,
+    from the node at ctx's precision."""
+    node = _deg4_node(n, ctx.dps)
+    v = [from_man_exp(x, node.exp) for x in (*node.w, _tau(node, m, n, ctx.dps))]
     return 2 * _dot(ctx, p, v)
 
 
-def _incomplete_mellin_deg4(ctx, s, n: int, dps: int):
+def _incomplete_mellin_deg4(ctx, s, n: int):
     """F(s, (2 pi)^2 n) for s >= 12 with 2s integral (the closed-form chains)."""
     s = ctx.convert(s)
-    return _closed_form(ctx, _falling(ctx, s), int(2 * s) - 23, n, dps)
+    return _closed_form(ctx, _falling(ctx, s), int(2 * s) - 23, n)
 
 
-def _incomplete_mellin_deg4_quad(ctx, s, n: int, dps: int):
+def _incomplete_mellin_deg4_quad(ctx, s, n: int):
     """Generic-s fallback: F(s, a) = 4 a^(-11/2) int_1^V v^(2s-12) K_11(2 sqrt(a) v) dv
     by tanh-sinh.  The cut V is where v^(2s-12) e^(-2 sqrt(a) (v-1)), the
     integrand relative to its value at v = 1, falls below 10^-(dps+8).  The
@@ -520,12 +512,12 @@ def _incomplete_mellin_deg4_quad(ctx, s, n: int, dps: int):
     scale = ctx.exp(root)
 
     def f(v):
-        return v ** (2 * s - 12) * ctx.convert(bessel_k(11, root * v, dps)) * scale
+        return v ** (2 * s - 12) * ctx.convert(bessel_k(11, root * v, ctx.dps)) * scale
 
     # V = 1 + (B + (2s-12) log V) / root by fixed-point iteration: it
     # climbs monotonically for s > 6 and contracts for 0 < s <= 6, where
     # |2s-12| < 12 < root
-    B, c, r = (dps + 8) * math.log(10), 2 * float(s) - 12, float(root)
+    B, c, r = (ctx.dps + 8) * math.log(10), 2 * float(s) - 12, float(root)
     V, prev = 1 + B / r, 0.0
     while abs(V - prev) > 1e-9 * V:
         V, prev = 1 + (B + c * math.log(V)) / r, V
@@ -563,31 +555,26 @@ def _deg4_moments(coeffs: tuple, parity: int, dps: int) -> tuple:
     return _moments(f"deg4-{parity}", coeffs, dps, vector, _deg4_scale)
 
 
-def _deg4_sum(ctx, coeffs: tuple, s, dps: int):
-    """sum_n A(n) F(s, (2 pi)^2 n) over coeffs = (A(1), ..., A(M)): two dots
-    with the cached moments when 2s is an integer and m = 2s - 23 is in
-    0..15, else a sum over n of the chain climbed past m = 15 or, for 2s
-    not an integer >= 23, of tanh-sinh."""
+def _deg4_sum(ctx, coeffs: tuple, s):
+    """sum_n A(n) F(s, (2 pi)^2 n) over coeffs = (A(1), ..., A(M)) at ctx's
+    precision: two dots with the cached moments when 2s is an integer and
+    m = 2s - 23 is in 0..15, else a sum over n of the chain climbed past
+    m = 15 or, for 2s not an integer >= 23, of tanh-sinh."""
     s = ctx.convert(s)
     two_s = 2 * s  # exact: a power-of-two scaling
     m = int(two_s) - 23
     if ctx.isint(two_s) and m >= 0:
         p = _falling(ctx, s)
         if m <= _M_TOP:
-            v = _deg4_moments(coeffs, m % 2, dps)
+            v = _deg4_moments(coeffs, m % 2, ctx.dps)
             return 2 * _dot(ctx, p, [x._mpf_ for x in (*v[:11], v[11 + m // 2])])
-        term = lambda n: _closed_form(ctx, p, m, n, dps)
+        term = lambda n: _closed_form(ctx, p, m, n)
     else:
-        term = lambda n: _incomplete_mellin_deg4_quad(ctx, s, n, dps)
+        term = lambda n: _incomplete_mellin_deg4_quad(ctx, s, n)
     acc = ctx.zero
     for n, c in enumerate(coeffs, 1):
         acc += c * term(n)
     return acc
-
-
-def _lambda_deg4(ctx, A: Callable[[int], int], s, M: int, dps: int):
-    coeffs = tuple(A(n) for n in range(1, M + 1))
-    return _deg4_sum(ctx, coeffs, s, dps) + _deg4_sum(ctx, coeffs, 31 - s, dps)
 
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
@@ -600,11 +587,9 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
         raise ValueError(f"only {coeffs.precision} coefficients available")
     if not _deg4_tail_ok(M):
         raise ValueError(f"M={M} gives a meaningless truncation")
-    ctx = context(dps + 12)
-    lam = _lambda_deg4(ctx, lambda n: coeffs[n], int(s), M, dps + 12)
-    return round_to(
-        dps, lam * (2 * ctx.pi) ** (2 * s) / (ctx.gamma(s) * ctx.gamma(s - 11))
-    )
+    ctx = context(dps + GUARD)
+    lam = _lambda(ctx, 4, 31, +1, tuple(coeffs[n] for n in range(1, M + 1)), int(s))
+    return round_to(dps, lam * (2 * ctx.pi) ** (2 * s) / (ctx.gamma(s) * ctx.gamma(s - 11)))
 
 
 # the kernel check's trapezoid error falls like C e^(-c/h) in its step h:
@@ -685,7 +670,25 @@ def kernel_mellin_check(s0: int, dps: int):
 
 
 # ---------------------------------------------------------------------------
-# functional equation residual and Petersson norms
+# Lambda, the functional equation residual and Petersson norms
+
+
+def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
+    """Lambda(s) = side(s) + eps side(w - s) over coeffs = (a(1), ..., a(M)),
+    with the moments at ctx's precision and w - s taken exactly: side(a) is
+    S_a at degree 2, for 0 < s < w <= 20, and sum_n A(n) F(a, (2 pi)^2 n) at
+    degree 4."""
+    s = ctx.convert(s)
+    r = mpf_sub(from_int(w), s._mpf_)
+    if degree == 2:
+        if not 0 < s < w <= _G_TOP + 1:
+            raise ValueError(f"need 0 < s < k <= {_G_TOP + 1}, got s = {s}, k = {w}")
+        left, right = (ctx.convert(_deg2_side(coeffs, a, ctx.dps)) for a in (s._mpf_, r))
+    elif degree == 4:
+        left, right = (_deg4_sum(ctx, coeffs, a) for a in (s, ctx.make_mpf(r)))
+    else:
+        raise ValueError("only the degree-2 and degree-4 shapes are supported")
+    return left + sign * right
 
 
 def functional_eq_residual(
@@ -699,36 +702,38 @@ def functional_eq_residual(
     smoothed sum.
 
     This is not an accuracy certificate.  Both sides split the sum at the
-    symmetric point, so Lambda(w - t) adds the same terms as Lambda(t) in
-    swapped order: wherever w - t is exact in binary (every half-integer t,
-    for one) the result is exactly 0, and elsewhere only the rounding of
-    w - t shows.  A certificate would move the split point, the free
+    symmetric point and w - t is taken exactly, so Lambda(w - t) adds the
+    same two sides as Lambda(t) in swapped order: the result is exactly 0
+    at every t.  A certificate would move the split point, the free
     parameter of the smoothed functional equation, and compare."""
     a = coeffs if coeffs is not None else spec.coefficients
     w = spec.weight
     tf = float(t)
     if not 0 < tf < w:
         raise ValueError(f"t={t} outside the critical strip (0, {w})")
-    ctx = context(dps + 10)
-    if spec.degree == 2:
-        left = _lambda_deg2(ctx, a, w, t, M, dps + 10, spec.sign)
-        right = _lambda_deg2(ctx, a, w, ctx.convert(w) - ctx.convert(t), M, dps + 10, spec.sign)
-    elif spec.degree == 4:
-        left = _lambda_deg4(ctx, a, ctx.convert(t), M, dps + 10)
-        right = _lambda_deg4(ctx, a, ctx.convert(w) - ctx.convert(t), M, dps + 10)
-    else:
-        raise ValueError("only the degree-2 and degree-4 shapes are supported")
+    ctx = context(dps + GUARD)
+    c, t = tuple(a(n) for n in range(1, M + 1)), ctx.convert(t)
+    left, right = (
+        _lambda(ctx, spec.degree, w, spec.sign, c, x)
+        for x in (t, ctx.make_mpf(mpf_sub(from_int(w), t._mpf_)))
+    )
     return round_to(dps, abs(left - spec.sign * right))
 
 
 _VALID_NORM_ARGS = {(12, 4), (20, 4), (20, 6), (20, 8)}
 
 
-def _norm_m_for(dps: int) -> int:
-    M = 20
-    while 2 * math.pi * M - 13 * math.log(M + 1) < (dps + 8) * math.log(10):
-        M += 5
-    return M
+def _norm(ctx, k: int, r: int, M: int):
+    """<f_k, f_k> by Rankin's formula in ctx from M coefficients of f_k,
+    unrounded beyond ctx."""
+    l = k - r
+    alpha = {j: -Fraction(2 * j) / bernoulli(j) for j in (r, l, k)}
+    ratio = alpha[r] / (alpha[l] + alpha[r] - alpha[k])
+    form = delta_qexp(M) if k == 12 else g20_qexp(M)
+    coeffs = tuple(form.integer_coeffs()[1 : M + 1])
+    L1, L2 = _l_value2(ctx, coeffs, k, k - 1), _l_value2(ctx, coeffs, k, l)
+    value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / pi_sum(ctx, zeta_exact(l))
+    return value * fraction_to_mpf(ctx, ratio) * L1 * L2
 
 
 def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
@@ -738,25 +743,9 @@ def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
 
     with l = k - r, a_j = -2j/B_j the first Eisenstein coefficient, the
     Eisenstein data exact, zeta(l) rendered from its exact pi-power form,
-    and both L-values from the degree-2 evaluator."""
+    and both L-values from the degree-2 evaluator over _deg2_m(k, dps)
+    coefficients, all at dps + GUARD digits and rounded once."""
     if (k, r) not in _VALID_NORM_ARGS:
         raise ValueError(f"unsupported (k, r) = ({k}, {r})")
-    l = k - r
-    alpha = {j: -Fraction(2 * j) / bernoulli(j) for j in (r, l, k)}
-    ratio = alpha[r] / (alpha[l] + alpha[r] - alpha[k])
-    M = _norm_m_for(dps)
-    form = delta_qexp(M) if k == 12 else g20_qexp(M)
-    inner = dps + 8
-    ctx = context(inner)
-    L1 = ctx.convert(l_degree2(form, k, k - 1, inner, M))
-    L2 = ctx.convert(l_degree2(form, k, l, inner, M))
-    zl = ctx.convert(pi_value_numeric(zeta_exact(l), inner))
-    value = (
-        (4 * ctx.pi) ** (1 - k)
-        * ctx.factorial(k - 2)
-        / zl
-        * fraction_to_mpf(ctx, ratio)
-        * L1
-        * L2
-    )
-    return PeterssonNorm(k, round_to(dps, value), l)
+    value = _norm(context(dps + GUARD), k, r, _deg2_m(k, dps))
+    return PeterssonNorm(k, round_to(dps, value), k - r)

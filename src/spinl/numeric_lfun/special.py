@@ -64,7 +64,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .bigfloat import _rounded, context, round_to
+from .bigfloat import GUARD, _rounded, context, round_to
 
 __all__ = [
     "incomplete_gamma_int",
@@ -83,7 +83,7 @@ def incomplete_gamma_int(s: int, x, dps: int):
     finite sum Gamma(s,x) = (s-1)! e^(-x) sum_{k<s} x^k / k!."""
     if s < 1 or s != int(s):
         raise ValueError("s must be a positive integer")
-    ctx = context(dps + 8)
+    ctx = context(dps + GUARD)
     x = ctx.convert(x)
     if x <= 0:
         raise ValueError("x must be positive")
@@ -105,7 +105,7 @@ def gamma_upper(s, x, dps: int):
     near x = 100."""
     if s == int(s):
         return incomplete_gamma_int(int(s), x, dps)
-    ctx = context(dps + 8)
+    ctx = context(dps + GUARD)
     x = ctx.convert(x)
     if not x > 0:
         raise ValueError("x must be positive")

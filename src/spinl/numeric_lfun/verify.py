@@ -7,9 +7,11 @@ Three comparisons per s:
   (ii)  rankin_g20_value(s)   * pi^P * <g,g>    vs  L(s, D x g20)
   (iii) main_identity(s)      * pi^P * both     vs  the triple product
 
-where the norms come from Rankin's formula at the working precision.  The
-exact value of (iii) is the product of those of (i) and (ii), built as
-main_identity builds it.
+where the norms come from Rankin's formula at D + GUARD, rounded to the
+D + 5 digits the rows are rendered at; L(j, Delta) shares their context and
+coefficients, so one set of Delta moments serves both.  The exact value of
+(iii) is the product of those of (i) and (ii), built as main_identity
+builds it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Dict, List, Tuple
 
 from ..critical_values import _product, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
-from .bigfloat import context, render_exact, round_to
-from .evaluators import l_degree2, l_rankin4, petersson_norm
+from .bigfloat import GUARD, context, render_exact, round_to
+from .evaluators import _deg2_m, _norm, l_degree2, l_rankin4
 
 __all__ = [
     "fresh_norms",
@@ -31,8 +33,11 @@ __all__ = [
 
 
 def fresh_norms(dps: int) -> Tuple[object, object]:
-    """<Delta, Delta> and <g20, g20> by Rankin's formula at dps digits."""
-    return petersson_norm(12, 4, dps).value, petersson_norm(20, 4, dps).value
+    """<Delta, Delta> and <g20, g20> for a run at dps digits: Rankin's
+    formula at dps + GUARD over the _deg2_m(k, dps + 5) coefficients,
+    rounded to dps + 5 digits, the precision the run renders at."""
+    ctx = context(dps + GUARD)
+    return tuple(round_to(dps + 5, _norm(ctx, k, 4, _deg2_m(k, dps + 5))) for k in (12, 20))
 
 
 @dataclass(frozen=True)
@@ -79,18 +84,16 @@ class VerificationReport:
 
 
 def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = True) -> VerificationReport:
-    """Compare all 24 exact renderings against direct numeric products.
-    use_fresh_norms is accepted and ignored: the norms are always computed
-    at dps + 5."""
+    """Compare all 24 exact renderings against direct numeric products, the
+    degree-4 ones over M coefficients.  use_fresh_norms is accepted and
+    ignored: the norms are always computed (fresh_norms)."""
     report = VerificationReport(dps, M, True)
     ctx = context(dps + 5)
-    dn, gn = map(ctx.convert, fresh_norms(dps + 5))
-    m_deg2 = max(20, min(M, 60))
+    dn, gn = map(ctx.convert, fresh_norms(dps))
+    m_deg2 = _deg2_m(12, dps + 5)  # the Delta norm's coefficients
     delta = delta_qexp(m_deg2)
     A = rankin_coeffs(M)
-    ldelta = {
-        j: ctx.convert(l_degree2(delta, 12, j, dps, m_deg2)) for j in range(2, 11)
-    }
+    ldelta = {j: ctx.convert(l_degree2(delta, 12, j, dps, m_deg2)) for j in range(2, 11)}
     for s in range(12, 20):
         pair_direct = ldelta[s - 9] * ldelta[s - 10]
         rank_direct = ctx.convert(l_rankin4(A, s, dps, M))

@@ -18,6 +18,7 @@ Series are immutable after construction.
 from __future__ import annotations
 
 import decimal
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,7 +132,7 @@ class QSeries:
     Arithmetic between two series truncates to the smaller precision.
     """
 
-    __slots__ = ("_coeffs", "precision")
+    __slots__ = ("_coeffs", "precision", "__weakref__")
 
     def __init__(self, coeffs: Sequence, precision: int | None = None):
         cs = [_exact(c) for c in coeffs]
@@ -250,17 +251,17 @@ def _eta_cubed(n: int) -> list:
     return out
 
 
-# the precisions delta_qexp and g20_qexp have built, so that a shorter
-# series can be cut from a longer cached one (a size evicted from the
-# cache since is rebuilt: slower, never wrong)
-_DELTA_SIZES: set = set()
-_G20_SIZES: set = set()
+# the series delta_qexp and g20_qexp have built, by precision, while their
+# caches (or anything else) hold them, so that a shorter series can be cut
+# from a longer cached one; a series dropped since is forgotten, not rebuilt
+_DELTA_BUILT = weakref.WeakValueDictionary()
+_G20_BUILT = weakref.WeakValueDictionary()
 
 
-def _cut(builder, sizes: set, n: int) -> QSeries:
-    """builder(n), truncated from the shortest series of precision >= n the
-    builder has made, so that no second series is built."""
-    longer = [N for N in sorted(sizes) if N >= n]
+def _cut(builder, built, n: int) -> QSeries:
+    """builder(n), truncated from the shortest live series of precision
+    >= n the builder has made, so that no second series is built."""
+    longer = [N for N in sorted(built) if N >= n]
     return builder(longer[0]).truncate(n) if longer else builder(n)
 
 
@@ -272,11 +273,11 @@ def delta_qexp(N: int) -> QSeries:
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    _DELTA_SIZES.add(N)
     eta = _eta_cubed(N - 1)
     for _ in range(3):  # eta^3 -> eta^6 -> eta^12 -> eta^24
         eta = _kronecker(eta, eta, N - 1)
-    return QSeries._of([0] + eta, N)
+    series = _DELTA_BUILT[N] = QSeries._of([0] + eta, N)
+    return series
 
 
 def _divisor_power_sums(N: int, e: int) -> list:
@@ -324,8 +325,8 @@ def g20_qexp(N: int) -> QSeries:
     """The normalized weight-20 cusp eigenform E_8 * Delta to precision N."""
     if N < 1:
         raise ValueError("need N >= 1")
-    _G20_SIZES.add(N)
-    return eisenstein_qexp(8, N) * delta_qexp(N)
+    series = _G20_BUILT[N] = eisenstein_qexp(8, N) * delta_qexp(N)
+    return series
 
 
 def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
@@ -403,8 +404,8 @@ def lemma1_local_check(p: int, order: int) -> bool:
     n_direct = min(p**order, _DIRECT_COEFF_CAP)
     if n_direct < p and order >= 1:
         raise ValueError("insufficient q-expansion precision for tau(p), b(p)")
-    tau_series = _cut(delta_qexp, _DELTA_SIZES, max(n_direct, p)).integer_coeffs()
-    b_series = _cut(g20_qexp, _G20_SIZES, max(n_direct, p)).integer_coeffs()
+    tau_series = _cut(delta_qexp, _DELTA_BUILT, max(n_direct, p)).integer_coeffs()
+    b_series = _cut(g20_qexp, _G20_BUILT, max(n_direct, p)).integer_coeffs()
 
     def prime_powers(series: list, pk_weight: int) -> list:
         out = [1]

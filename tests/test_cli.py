@@ -197,6 +197,12 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "--prec", "20", "--coeffs", "30", "verify")
         assert code == 0
 
+    def test_150_digits_with_1000_coefficients(self, capsys):
+        # the degree-2 M follows the digits, not --coeffs: this exited 2
+        code, out, err = run(capsys, "--prec", "150", "--coeffs", "1000", "verify")
+        assert code == 0, err
+        assert "max relative difference" in out
+
     def test_fresh_norms_path(self, capsys):
         code, _, _ = run(
             capsys, "--prec", "16", "--coeffs", "20", "--tol", "1e-10",
@@ -249,6 +255,17 @@ class TestDeterminism:
     VERIFY_30_150_SHA256 = "7788c51e830811acbc71ff9042bf2ac3d8365a046e4fb8a1aa3236ba81eec20f"
     # the same at `--prec 60 --coeffs 300`
     VERIFY_60_300_SHA256 = "2a2f4b05a3811fb78c76d8c684dca324baf8af45058849688389d27bdf378164"
+    # sha256 of `spinl --prec D --format json table T`: the norms' path
+    TABLE_JSON_SHA256 = {
+        (1, 30): "ebef76cb07eb5b04f91686826a95bb497df9d5de45b14a05fc76a9cbc99ad22d",
+        (1, 60): "ca2b204f1056b5b10152abfb8db3eee94aacd55107d3189ed5b9728d585451de",
+        (2, 30): "0202e5ca2576af169fc8e6056809d1700498f8827c5e86f44baf59cad2369f87",
+        (2, 60): "74df42e39b30288a834b035ab3b6ecf61997abe2f7e6a7516095f3fcb4bfd65b",
+        (3, 30): "f3840361f8a32376b261c302f79923392315e9e3e62d84f16309f49a26455c63",
+        (3, 60): "af720636d6cbb557d29952c12d711e2829b7059edf5682df123e546f0e787ef7",
+        (4, 30): "adee77df62908e25ec16f8e75e4f50428f5b151a474ca1941c5b7c7b7d6bfc57",
+        (4, 60): "df253c52a5b114b95e8b0c2ef2d87c0cf79afd4d2b2697915ac35bb50e4f146e",
+    }
 
     def test_verify_json_pinned(self, capsys):
         import hashlib
@@ -269,6 +286,14 @@ class TestDeterminism:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_60_300_SHA256
+
+    @pytest.mark.parametrize("table,D", sorted(TABLE_JSON_SHA256))
+    def test_table_json_pinned(self, capsys, table, D):
+        import hashlib
+
+        code, out, _ = run(capsys, "--prec", str(D), "--format", "json", "table", str(table))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_JSON_SHA256[table, D]
 
     def test_cross_process_byte_identical(self, tmp_path):
         # identical invocations in separate interpreters must produce

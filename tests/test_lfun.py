@@ -31,7 +31,7 @@ from reference_values import (
 )
 
 
-def _gamma_table(ctx, n, dps, f=0):
+def _gamma_table(ctx, n, dps, f=1):
     """The degree-2 table's entries, (mantissa, exponent) pairs, as mpf in ctx."""
     return [ctx.make_mpf(from_man_exp(m, e)) for m, e in evaluators._deg2_table(n, dps, f)]
 
@@ -109,7 +109,7 @@ class TestLDegree2:
         ctx = context(50)
         x = 2 * ctx.pi * n
         table = _gamma_table(ctx, n, 40)
-        assert len(table) == 19
+        assert len(table) == 20
         for j, g in enumerate(table, start=1):
             ref = x ** -j * ctx.convert(gamma_upper(j, x, 45))
             assert abs(g - ref) / ref < ctx.mpf("1e-38"), j
@@ -141,6 +141,39 @@ class TestLDegree2Precision:
         form = delta_qexp(40) if k == 12 else g20_qexp(40)
         with pytest.raises(ValueError):
             l_degree2(form, k, s, 30, 40)
+
+
+class TestDeg2M:
+    """One rule picks the degree-2 M wherever the package picks it: the
+    fewest coefficients _deg2_tail_ok accepts at the digits asked for."""
+
+    @pytest.mark.parametrize("k", [12, 20])
+    @pytest.mark.parametrize("D", [15, 30, 60, 150])
+    def test_l_degree2_accepts_it_and_refuses_one_less(self, delta200, g20_200, k, D):
+        M = evaluators._deg2_m(k, D)
+        form = delta200 if k == 12 else g20_200
+        l_degree2(form, k, k - 1, D, M)
+        with pytest.raises(ValueError):
+            l_degree2(form, k, k - 1, D, M - 1)
+
+    @pytest.mark.parametrize("D", [30, 80])
+    def test_delta_rows_do_not_follow_the_degree4_m(self, D):
+        # once tied to M, verify_tables(80, 20) took 20 coefficients and raised
+        from spinl.numeric_lfun import verify_tables
+
+        rows = [
+            [r for r in verify_tables(D, M).as_dict()["rows"] if r["branch"] == "delta_pair"]
+            for M in (20, 150)
+        ]
+        assert len(rows[0]) == 8 and rows[0] == rows[1]
+
+    def test_verify_at_150_digits(self):
+        # verify once tied the degree-2 M to max(20, min(M, 60)): too few
+        # coefficients for 150 digits, so this run raised
+        from spinl.numeric_lfun import verify_tables
+
+        ctx = context(150)
+        assert ctx.convert(verify_tables(150, 1000).max_rel_diff) < ctx.mpf("1e-140")
 
 
 class TestLRankin4:
@@ -345,7 +378,7 @@ class TestResidualCustomCoefficients:
     def test_override_accessor_changes_lambda(self):
         # a residual evaluated with corrupted coefficients is still tiny
         # (the identity is formal), but the underlying Lambda must move
-        from spinl.numeric_lfun.evaluators import _lambda_deg2
+        from spinl.numeric_lfun.evaluators import _lambda
 
         spec = delta_lfunction(30)
         ctx = context(30)
@@ -357,8 +390,8 @@ class TestResidualCustomCoefficients:
         t = ctx.mpf("7.3")
         r = functional_eq_residual(spec, crooked, t, 24, 20)
         assert ctx.convert(r) < ctx.mpf("1e-18")
-        good = _lambda_deg2(ctx, spec.coefficients, 12, t, 20, 28, 1)
-        bad = _lambda_deg2(ctx, crooked, 12, t, 20, 28, 1)
+        good = _lambda(ctx, 2, 12, 1, tuple(tau[1:21]), t)
+        bad = _lambda(ctx, 2, 12, 1, tuple(crooked(n) for n in range(1, 21)), t)
         assert abs(good - bad) > ctx.mpf("1e-7")
 
 
@@ -380,8 +413,8 @@ class TestMellinTailRoutes:
 
         ctx = context(40)
         s = ctx.mpf(s_str)
-        closed = _incomplete_mellin_deg4(ctx, s, n, 40)
-        quad = _incomplete_mellin_deg4_quad(ctx, s, n, 40)
+        closed = _incomplete_mellin_deg4(ctx, s, n)
+        quad = _incomplete_mellin_deg4_quad(ctx, s, n)
         assert abs(closed - quad) / abs(quad) < ctx.mpf("1e-35")
 
     def test_quadrature_cut_follows_the_power_of_v(self):
@@ -394,8 +427,8 @@ class TestMellinTailRoutes:
 
         ctx = context(40)
         s = ctx.mpf("25.5")
-        closed = _incomplete_mellin_deg4(ctx, s, 1, 40)
-        quad = _incomplete_mellin_deg4_quad(ctx, s, 1, 40)
+        closed = _incomplete_mellin_deg4(ctx, s, 1)
+        quad = _incomplete_mellin_deg4_quad(ctx, s, 1)
         assert abs(closed - quad) / abs(closed) < ctx.mpf("1e-38")
 
 
@@ -407,8 +440,8 @@ class TestDeg4SumRoutes:
 
         ctx = context(40)
         s = ctx.mpf("12.5") + ctx.mpf("1e-14")
-        got = _deg4_sum(ctx, (1,), s, 40)
-        quad = _incomplete_mellin_deg4_quad(ctx, s, 1, 40)
+        got = _deg4_sum(ctx, (1,), s)
+        quad = _incomplete_mellin_deg4_quad(ctx, s, 1)
         assert abs(got - quad) / abs(quad) < ctx.mpf("1e-35")
 
     def test_s_11_5_sums_the_even_chain(self, monkeypatch):
@@ -419,13 +452,13 @@ class TestDeg4SumRoutes:
         ctx = context(40)
         s = ctx.mpf("11.5")
         coeffs = (1, -10944)
-        quad = sum(c * _incomplete_mellin_deg4_quad(ctx, s, n, 40) for n, c in enumerate(coeffs, 1))
+        quad = sum(c * _incomplete_mellin_deg4_quad(ctx, s, n) for n, c in enumerate(coeffs, 1))
 
         def refuse(*args):
             raise AssertionError("per-n quadrature at s = 11.5")
 
         monkeypatch.setattr(evaluators, "_incomplete_mellin_deg4_quad", refuse)
-        got = _deg4_sum(ctx, coeffs, s, 40)
+        got = _deg4_sum(ctx, coeffs, s)
         assert abs(got - quad) / abs(quad) < ctx.mpf("1e-35")
 
 
@@ -498,16 +531,16 @@ class TestMoments:
     @pytest.mark.parametrize("M", [12, 40, 150])
     def test_deg4_against_per_n_sums(self, D, M):
         from spinl import rankin_coeffs
-        from spinl.numeric_lfun.evaluators import _incomplete_mellin_deg4, _lambda_deg4
+        from spinl.numeric_lfun.evaluators import _incomplete_mellin_deg4, _lambda
 
         A = rankin_coeffs(M)
         ctx, ref_ctx = context(D + 12), context(D + 20)
         for s2 in range(24, 39):  # s = 12, 12.5, ..., 19
             s = ctx.mpf(s2) / 2
-            got = ctx.convert(_lambda_deg4(ctx, A.__getitem__, s, M, D + 12))
+            got = ctx.convert(_lambda(ctx, 4, 31, 1, tuple(A[n] for n in range(1, M + 1)), s))
             ref = ref_ctx.fsum(
-                A[n] * (_incomplete_mellin_deg4(ref_ctx, s, n, D + 20)
-                        + _incomplete_mellin_deg4(ref_ctx, 31 - s, n, D + 20))
+                A[n] * (_incomplete_mellin_deg4(ref_ctx, s, n)
+                        + _incomplete_mellin_deg4(ref_ctx, 31 - s, n))
                 for n in range(1, M + 1)
             )
             assert abs(got - ref) / abs(ref) < ctx.mpf(10) ** -(D + 5), s
@@ -516,13 +549,13 @@ class TestMoments:
     @pytest.mark.parametrize("k", [12, 20])
     def test_deg2_against_gamma_upper_sums(self, D, k):
         from spinl.numeric_lfun import gamma_upper
-        from spinl.numeric_lfun.evaluators import _lambda_deg2
+        from spinl.numeric_lfun.evaluators import _lambda
 
         M = 40
         a = (delta_qexp(M) if k == 12 else g20_qexp(M)).integer_coeffs()
         ctx, ref_ctx = context(D + 10), context(D + 20)
         for s in range(1, k):
-            got = ctx.convert(_lambda_deg2(ctx, a.__getitem__, k, s, M, D + 10, 1))
+            got = ctx.convert(_lambda(ctx, 2, k, 1, tuple(a[1 : M + 1]), s))
             ref = ref_ctx.fsum(
                 a[n] * (x ** -s * ref_ctx.convert(gamma_upper(s, x, D + 20))
                         + x ** (s - k) * ref_ctx.convert(gamma_upper(k - s, x, D + 20)))
@@ -536,7 +569,7 @@ class TestMoments:
     def test_deg2_at_non_integer_s_against_gamma_upper_sums(self, D, k):
         # the fractional-order tables: s and k - s each split as f + j
         from spinl.numeric_lfun import gamma_upper
-        from spinl.numeric_lfun.evaluators import _lambda_deg2
+        from spinl.numeric_lfun.evaluators import _lambda
 
         M = 40
         a = (delta_qexp(M) if k == 12 else g20_qexp(M)).integer_coeffs()
@@ -545,7 +578,7 @@ class TestMoments:
             s = ctx.mpf(s)
             if s >= k:
                 continue
-            got = ctx.convert(_lambda_deg2(ctx, a.__getitem__, k, s, M, D + 10, 1))
+            got = ctx.convert(_lambda(ctx, 2, k, 1, tuple(a[1 : M + 1]), s))
             ref = ref_ctx.fsum(
                 a[n] * (x ** -s * ref_ctx.convert(gamma_upper(s, x, D + 20))
                         + x ** (s - k) * ref_ctx.convert(gamma_upper(k - s, x, D + 20)))
@@ -557,41 +590,37 @@ class TestMoments:
     def test_no_stale_hit_at_non_integer_s(self):
         # the fractional moments are keyed on the coefficients too: a
         # crooked a(2) moves Lambda(7.3) by exactly 7 (G_7.3 + G_4.7)(4 pi)
-        from spinl.numeric_lfun.evaluators import _lambda_deg2
+        from spinl.numeric_lfun.evaluators import _lambda
 
         D, M = 30, 40
         tau = delta_qexp(M).integer_coeffs()
         ctx = context(D + 10)
         s = ctx.mpf("7.3")
         f = s - 7
-        good = _lambda_deg2(ctx, tau.__getitem__, 12, s, M, D + 10, 1)
-        bad = _lambda_deg2(ctx, lambda n: tau[n] + 7 * (n == 2), 12, s, M, D + 10, 1)
+        good = _lambda(ctx, 2, 12, 1, tuple(tau[1 : M + 1]), s)
+        bad = _lambda(ctx, 2, 12, 1, tuple(tau[n] + 7 * (n == 2) for n in range(1, M + 1)), s)
         term = 7 * (_gamma_table(ctx, 2, D + 10, f)[7] + _gamma_table(ctx, 2, D + 10, 1 - f)[4])
         assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 6)
 
     def test_no_stale_hit_for_other_coefficients(self, rankin150):
         # the moments are keyed on the coefficient values: a crooked a(2)
         # at the same (M, dps) must move Lambda by exactly its own term
-        from spinl.numeric_lfun.evaluators import (
-            _incomplete_mellin_deg4,
-            _lambda_deg2,
-            _lambda_deg4,
-        )
+        from spinl.numeric_lfun.evaluators import _incomplete_mellin_deg4, _lambda
 
         D, M, s = 30, 150, 14
         l_rankin4(rankin150, s, D, M)
-        ctx = context(D + 12)
-        good = _lambda_deg4(ctx, rankin150.__getitem__, s, M, D + 12)
-        bad = _lambda_deg4(ctx, lambda n: rankin150[n] + 7 * (n == 2), s, M, D + 12)
-        term = 7 * (_incomplete_mellin_deg4(ctx, s, 2, D + 12)
-                    + _incomplete_mellin_deg4(ctx, 31 - s, 2, D + 12))
+        ctx = context(D + 10)  # l_rankin4's working precision
+        A = tuple(rankin150[n] for n in range(1, M + 1))
+        good = _lambda(ctx, 4, 31, 1, A, s)
+        bad = _lambda(ctx, 4, 31, 1, tuple(c + 7 * (n == 2) for n, c in enumerate(A, 1)), s)
+        term = 7 * (_incomplete_mellin_deg4(ctx, s, 2) + _incomplete_mellin_deg4(ctx, 31 - s, 2))
         assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 8)
 
         tau = delta_qexp(40).integer_coeffs()
         l_degree2(delta_qexp(40), 12, 6, D, 40)
         ctx = context(D + 10)
-        good = _lambda_deg2(ctx, tau.__getitem__, 12, 6, 40, D + 10, 1)
-        bad = _lambda_deg2(ctx, lambda n: tau[n] + 7 * (n == 2), 12, 6, 40, D + 10, 1)
+        good = _lambda(ctx, 2, 12, 1, tuple(tau[1:41]), 6)
+        bad = _lambda(ctx, 2, 12, 1, tuple(tau[n] + 7 * (n == 2) for n in range(1, 41)), 6)
         term = 14 * _gamma_table(ctx, 2, D + 10)[5]
         assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 6)
 
@@ -616,26 +645,27 @@ class TestLevels:
     @pytest.mark.parametrize("D, M", [(45, 200), (60, 300)])
     def test_deg4_within_a_unit_of_thirty_two_more_digits(self, D, M):
         from spinl import rankin_coeffs
-        from spinl.numeric_lfun.evaluators import _lambda_deg4
+        from spinl.numeric_lfun.evaluators import _lambda
 
         A = rankin_coeffs(M)
+        A = tuple(A[n] for n in range(1, M + 1))
         ctx, ref = context(D + 12), context(D + 44)
         for s in range(12, 20):
-            got = _lambda_deg4(ctx, A.__getitem__, s, M, D + 12)
-            want = _lambda_deg4(ref, A.__getitem__, s, M, D + 44)
+            got = _lambda(ctx, 4, 31, 1, A, s)
+            want = _lambda(ref, 4, 31, 1, A, s)
             assert abs(ref.convert(got) - want) < abs(want) * ref.mpf(10) ** -(D + 12), s
 
     @pytest.mark.parametrize("D", [30, 60])
     @pytest.mark.parametrize("k", [12, 20])
     def test_deg2_within_a_unit_of_thirty_more_digits(self, D, k):
-        from spinl.numeric_lfun.evaluators import _lambda_deg2
+        from spinl.numeric_lfun.evaluators import _lambda
 
-        a = (delta_qexp(60) if k == 12 else g20_qexp(60)).integer_coeffs()
+        a = tuple((delta_qexp(60) if k == 12 else g20_qexp(60)).integer_coeffs()[1:61])
         sign = +1 if (k // 2) % 2 == 0 else -1
         ctx, ref = context(D + 10), context(D + 40)
         for s in ("1", "5", "9", "3.25", "7.3"):
-            got = _lambda_deg2(ctx, a.__getitem__, k, ctx.mpf(s), 60, D + 10, sign)
-            want = _lambda_deg2(ref, a.__getitem__, k, ref.mpf(s), 60, D + 40, sign)
+            got = _lambda(ctx, 2, k, sign, a, ctx.mpf(s))
+            want = _lambda(ref, 2, k, sign, a, ref.mpf(s))
             assert abs(ref.convert(got) - want) < abs(want) * ref.mpf(10) ** -(D + 10), s
 
     def test_one_coefficient_rounded_as_at_full_precision(self):

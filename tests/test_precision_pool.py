@@ -94,7 +94,7 @@ class TestValuesIgnoreContextMutation:
         before = l_degree2(form, 12, 6, 20, 30)
         derived = before / 3 + before * before
         # l_degree2 at 20 digits works in context(30) and builds its Gamma
-        # tables on libmp values at 38 digits and below; knock context(30),
+        # tables on libmp values at 30 digits and below; knock context(30),
         # context(38) and the returned value's neighbours off, and rebuild
         # the tables under them
         for d in (20, 30, 38):
@@ -157,7 +157,7 @@ class TestThreads:
 
         def build():
             out = [repr(evaluators._deg4_moments(deg4, p, 32)) for p in (0, 1)]
-            return out + [repr(evaluators._deg2_moments(deg2, 0, 32))]
+            return out + [repr(evaluators._deg2_moments(deg2, 1, 32))]
 
         _clear_caches()
         serial = build()
@@ -213,8 +213,8 @@ class TestBoundedCaches:
         ctx = context(30)
         _clear_caches()
         for i in range(evaluators._MOMENT_CAP + 5):
-            evaluators._lambda_deg2(
-                ctx, lambda n: tau[n] + i * (n == 3), 12, 6, 20, 30, 1
+            evaluators._lambda(
+                ctx, 2, 12, 1, tuple(tau[n] + i * (n == 3) for n in range(1, 21)), 6
             )
             assert len(evaluators._MOMENT_CACHE) <= evaluators._MOMENT_CAP
         assert len(evaluators._MOMENT_CACHE) == evaluators._MOMENT_CAP
@@ -289,12 +289,32 @@ class TestLevelsMakeNoContexts:
         assert work <= self.CERTIFY_30[0]
         assert value <= self.CERTIFY_30[1]
 
+    @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
+    def test_verify_works_at_one_precision(self, monkeypatch, D, M):
+        # the norms and L(j, Delta) work in context(D + GUARD) on one set of
+        # Delta moments, the rows render at D + 5 and round to D
+        from spinl.numeric_lfun.bigfloat import GUARD
+
+        built = []
+
+        class Recording(evaluators._BoundedCache):
+            def __setitem__(self, key, value):
+                built.append(key)
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(evaluators, "_MOMENT_CACHE", Recording(evaluators._MOMENT_CAP))
+        work, value = self._requested(monkeypatch, lambda: verify_tables(D, M))
+        assert work == {D + 5, D + GUARD}
+        assert value == {D, D + 5, D + GUARD}
+        delta = [key for key in built if key[0][0] == "deg2" and key[1][:2] == (1, -24)]
+        assert len(delta) == 1
+
     def test_per_n_data_at_any_level(self, monkeypatch):
         def job():
             for d in range(15, 41, 5):
                 for n in (1, 7, 150):
                     evaluators._even_chain(n, d, evaluators._deg4_node(n, d))
-                    for f in (0, 0.25):
+                    for f in (1, 0.25):
                         evaluators._deg2_table(n, d, f)
 
         assert self._requested(monkeypatch, job) == (set(), set())
