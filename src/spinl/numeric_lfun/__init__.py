@@ -1,6 +1,7 @@
 """Extended-precision numerical engine: special functions, tanh-sinh
-quadrature, approximate-functional-equation L-evaluators, Rankin's
-Petersson-norm formula, and the table verification harness.
+quadrature (public, and the tests' oracle; no evaluator calls it),
+approximate-functional-equation L-evaluators, Rankin's Petersson-norm
+formula, and the table verification harness.
 
 Every entry point takes an explicit decimal precision D and never touches
 mpmath's global context.  Each works at D + GUARD digits and rounds once
@@ -8,9 +9,11 @@ to D.  Work runs in contexts pooled per thread and per precision, and
 results come back in per-D value contexts (see `bigfloat`); the
 per-coefficient data of both smoothed sums, its sums over n and the
 kernel check's errors are kept in five bounded, thread-safe caches whose
-values are the same in every thread: the degree-4 per-n data as
-unrounded integers at one exponent per node, the degree-2 tables, and
-every sum over n and kernel error rounded once into a value context.
+values are the same in every thread: the degree-4 nodes and the seeded
+chains of their classes mu (one per fractional part of 2s), as unrounded
+integers at one exponent per node, the degree-2 tables, and every sum
+over n, per coefficient set and class, and every kernel error rounded
+once into a value context.
 """
 
 from .bigfloat import context, pi_value_numeric, render_exact, round_to

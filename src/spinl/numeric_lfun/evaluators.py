@@ -37,17 +37,23 @@ one incomplete integral R_m = int_X^inf x^m K_0(x) dx, m = 2s - 23:
     tau_m   = (2 / a^11) X^-(m+1) R_m.
 
 Only p depends on s, and only w and tau on n.  The tau satisfy one
-all-positive recurrence, tau_m = tau_1 + (m-1) g_0 + ((m-1)/X)^2 tau_(m-2)
-with tau_1 = (2/a^11) K_1/X and g_0 = (2/a^11) K_0/X^2; the odd chain
-(integer s) starts at tau_1, the even one (half-integer s) at
-tau_0 = (2/a^11) Ki_1(X)/X from the Bickley function.  Both chains are
-cached per (n, precision) up to m = 15 (s = 19).
+recurrence, tau_m = tau_1 + (m-1) g_0 + ((m-1)/X)^2 tau_(m-2) with
+tau_1 = (2/a^11) K_1/X and g_0 = (2/a^11) K_0/X^2, for real m, so each
+class mu in (-1, 1] of m mod 2 is one chain tau_mu, tau_(mu+2), ...,
+tau_(mu+16), which reaches every m < 17.  The chain of mu = 1 (integer s)
+starts at tau_1; any other starts at tau_mu = (2/a^11) X^-(mu+1) R_mu
+with R_mu = int_0^inf (cosh u)^(-mu-1) Gamma(mu+1, X cosh u) du summed by
+the Bickley function's trapezoid rule (special._ki1; Ki_1(X) at mu = 0,
+the half-integer s).  The degree-4 domain is 11 < s < 20: there both
+sides have m in (-1, 17) and every p_j(s) >= 0, so F is a sum of positive
+terms; below s = 11 the p_j alternate and the closed form cancels, and
+_lambda refuses such an s.
 
 Since a = (X/2)^2, every factor above is a power of r = 2/X:
 w_j = K_(10-j) r^(12+j), 2/a^11 = 2 r^22, tau_1 = K_1 r^23 and
 g_0 = K_0 r^24 / 2.  A node is built from one fixed-point K_0/K_1
 evaluation, the K_2..K_10 recurrence on the same integers, and one
-fixed-point power chain of r; the fields and both tau chains stay
+fixed-point power chain of r; the fields and the tau chains stay
 unrounded, integers at one exponent per node.  Since p does not depend
 on n, the n-sum commutes with the dot product:
 
@@ -55,10 +61,9 @@ on n, the n-sum commutes with the dot product:
     W_j = sum_n A(n) w_j(n),   T_m = sum_n A(n) tau_m(n),
 
 and the moments W, T (like the degree-2 S_a) are summed once per
-coefficient set, each one exact integer sum rounded once, so each
-critical value is one dot per side.  Past m = 15 the chain is climbed per
-n (the recurrence depends on X), and any other real s falls back to
-tanh-sinh quadrature per n.
+coefficient set and class mu, keyed by mu's exact value, each one exact
+integer sum rounded once, so Lambda at any real s in the domain is one
+dot per side.
 
 Per-term precision.  Term n of either sum decays like e^-X = e^(-4 pi
 sqrt(n)) (degree 4) or e^(-2 pi n) (degree 2), so at D = 60 the node at
@@ -85,16 +90,16 @@ from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from mpmath.libmp import (
-    dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp,
-    mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum,
-    round_nearest, to_fixed, to_float, to_int,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_ceil, mpf_div,
+    mpf_exp, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub,
+    mpf_sum, round_nearest, to_fixed, to_float, to_int,
 )
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import GUARD, MIN_DPS, _value_context, context, fraction_to_mpf, pi_sum, round_to
-from .quadrature import QuadratureError, tanh_sinh
-from .special import _divisor, _k0_k1, _k_up, _ki1, _libmp, bessel_k
+from .quadrature import QuadratureError
+from .special import _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp
 
 __all__ = [
     "LFunctionSpec",
@@ -180,9 +185,10 @@ class _BoundedCache:
             self._data.clear()
 
 
-# per-n data of both smoothed sums, keyed by (n, dps): a verify run at
-# D = 60, M = 300 holds 300 nodes; entries live in the value contexts, so a
-# hit is the same number in every thread
+# per-n data of both smoothed sums, keyed by (n, dps), the seeded degree-4
+# chains by (n, mu, dps) and the degree-2 tables by (n, f, dps): a verify
+# run at D = 60, M = 300 holds 300 nodes; entries live in the value
+# contexts, so a hit is the same number in every thread
 _CACHE_CAP = 2048
 _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
@@ -271,25 +277,6 @@ def _deg2_m(k: int, dps: int) -> int:
 _G_TOP = 19  # a = f + j for j = 0..19 covers k - 1 at weight 20
 
 
-def _legendre_seed(x, F: int, wp: int) -> int:
-    """x^(1-f) e^x Gamma(f, x) at 2^-wp, for a libmp x > 0 and F = f at
-    2^-wp with 0 < f < 1, from Legendre's continued fraction
-
-        x^-f e^x Gamma(f, x) = 1/(x+1-f - 1(1-f)/(x+3-f - 2(2-f)/(x+5-f - ...))),
-
-    run backward on integers from depth N.  Its truncation error after N
-    terms falls like e^(-4 sqrt(N x)), so N = (B/4)^2 / x + B/4 + 10 with
-    B = wp ln 2 puts it below 2^-wp."""
-    one = 1 << wp
-    X = to_fixed(x, wp)
-    B = wp * math.log(2)
-    N = int((B / 4) ** 2 / (X / one) + B / 4) + 10
-    T = X + (2 * N + 1) * one - F
-    for i in range(N, 0, -1):
-        T = X + (2 * i - 1) * one - F - (i * (i * one - F) << wp) // T
-    return (X << wp) // T
-
-
 def _deg2_table(n: int, dps: int, f) -> tuple:
     """(G_a) for a = f + j, j = 0..19, at x = 2 pi n, G_a = x^-a Gamma(a, x),
     for a real f in (0, 1].  G_a = e H_a with e = e^-x / x and the
@@ -314,7 +301,7 @@ def _deg2_table(n: int, dps: int, f) -> tuple:
     # a = f + j = (man + j 2^q) / 2^q exactly
     q = -exp
     one = 1 << wp
-    H = [one if fm == fone else _legendre_seed(x, to_fixed(fm, wp), wp)]
+    H = [one if fm == fone else _legendre_seed(to_fixed(x, wp), to_fixed(fm, wp), wp)]
     for j in range(_G_TOP):
         H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
     # e H 2^(e_exp - wp), cut to e's exponent
@@ -372,7 +359,9 @@ def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
 # ---------------------------------------------------------------------------
 # degree 4
 
-_M_TOP = 15  # m = 2s - 23 at s = 19, the top of both cached chains
+# a chain holds tau_m for m = mu + 2i, i = 0..8: every m < 17 (s < 20) of
+# its class mu in (-1, 1]
+_CHAIN_LEN = 9
 
 
 class _Node(NamedTuple):
@@ -384,25 +373,30 @@ class _Node(NamedTuple):
     c: int  # 2 / a^11
     g0: int  # c K_0(X) / X^2
     w: tuple  # w_j = a^-(j+1) (X/2)^-(10-j) K_(10-j)(X), j = 0..10
-    tau: tuple  # the odd chain tau_1, tau_3, ..., tau_15; tau_1 = c K_1(X) / X
+    tau: tuple  # the chain of mu = 1, tau_1, tau_3, ..., tau_17; tau_1 = c K_1(X) / X
 
 
-def _chain(node: _Node, first: int, m: int, top: int) -> tuple:
-    """(tau_m, tau_(m+2), ..., tau_top) from tau_m = first by
+def _chain(node: _Node, first: int, mu) -> tuple:
+    """(tau_mu, tau_(mu+2), ..., tau_(mu+16)) from tau_mu = first by
     tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2), on the node's
-    integers: past the first, every tau is positive and at least tau_1."""
+    integers, for a libmp mu, m - 1 = b / 2^q exact: past the first, every
+    tau is positive and at least tau_1."""
+    sign, man, exp, _ = mu
+    q = max(-exp, 0)
+    b = ((-man if sign else man) << max(exp, 0)) - (1 << q)  # mu - 1
     shift, d = _divisor(mpf_mul(node.X, node.X))
+    d <<= 2 * q
     g0, g1 = node.g0, node.tau[0]
     chain = [first]
-    while m < top:
-        m += 2
-        chain.append(g1 + (m - 1) * g0 + ((m - 1) ** 2 * chain[-1] << shift) // d)
+    for _ in range(_CHAIN_LEN - 1):
+        b += 2 << q
+        chain.append(g1 + (b * g0 >> q) + (b * b * chain[-1] << shift) // d)
     return tuple(chain)
 
 
 def _deg4_node(n: int, dps: int) -> _Node:
     """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
-    odd tau chain, from one K_0/K_1 evaluation and the integer recurrence
+    chain of mu = 1, from one K_0/K_1 evaluation and the integer recurrence
     for K_2..K_10.  With r = 2/X, so that a = r^-2,
 
         w_j = K_(10-j) r^(12+j),  c = 2 r^22,
@@ -439,35 +433,26 @@ def _deg4_node(n: int, dps: int) -> _Node:
         tuple(K[10 - j] * P[12 + j] >> t for j in range(11)),
         (tau1,),
     )
-    node = node._replace(tau=_chain(node, tau1, 1, _M_TOP))
+    node = node._replace(tau=_chain(node, tau1, fone))
     _NODE_CACHE[key] = node
     return node
 
 
-def _even_chain(n: int, dps: int, node: _Node) -> tuple:
-    """The even chain tau_0, tau_2, ..., tau_14 (half-integer s), from
-    tau_0 = c Ki_1(X) / X with Ki_1 unrounded, on the node's integers;
-    built on first use and cached per (n, dps)."""
-    key = (n, dps)
+def _seeded_chain(n: int, dps: int, node: _Node, mu) -> tuple:
+    """The chain of a class mu in (-1, 1), tau_mu, ..., tau_(mu+16), from
+    tau_mu = c X^-(mu+1) R_mu with X^-mu R_mu = _ki1(X, dps, mu) unrounded
+    (Ki_1(X) at mu = 0, the half-integer s), on the node's integers; built
+    on first use and cached per (n, mu, dps)."""
+    key = (n, mu, dps)
     hit = _KI1_CACHE.get(key)
     if hit is not None:
         return hit
-    # Ki_1 = man 2^exp < 1 has more mantissa bits than X: exp + shift < 0
-    _, man, exp, _ = _ki1(node.X, dps)
+    # the seed = man 2^exp < 1 has more mantissa bits than X: exp + shift < 0
+    _, man, exp, _ = _ki1(node.X, dps, mu)
     shift, d = _divisor(node.X)
     tau0 = (node.c * man >> -exp - shift) // d
-    chain = _KI1_CACHE[key] = _chain(node, tau0, 0, _M_TOP - 1)
+    chain = _KI1_CACHE[key] = _chain(node, tau0, mu)
     return chain
-
-
-def _tau(node: _Node, m: int, n: int, dps: int) -> int:
-    """tau_m = (2 / a^11) X^-(m+1) int_X^inf x^m K_0(x) dx for m >= 0, at
-    the node's exponent: a cached chain entry, climbed further past m = 15."""
-    chain = node.tau if m % 2 else _even_chain(n, dps, node)
-    top = 2 * len(chain) - 2 + m % 2
-    if m <= top:
-        return chain[m // 2]
-    return _chain(node, chain[-1], top, m)[-1]
 
 
 def _falling(ctx, s):
@@ -486,56 +471,18 @@ def _dot(ctx, p, v):
     return ctx.make_mpf(mpf_sum(terms, ctx.prec, round_nearest))
 
 
-def _closed_form(ctx, p, m: int, n: int):
-    """F(s, (2 pi)^2 n) from the falling products p of s and m = 2s - 23,
-    from the node at ctx's precision."""
-    node = _deg4_node(n, ctx.dps)
-    v = [from_man_exp(x, node.exp) for x in (*node.w, _tau(node, m, n, ctx.dps))]
-    return 2 * _dot(ctx, p, v)
-
-
-def _incomplete_mellin_deg4(ctx, s, n: int):
-    """F(s, (2 pi)^2 n) for s >= 12 with 2s integral (the closed-form chains)."""
-    s = ctx.convert(s)
-    return _closed_form(ctx, _falling(ctx, s), int(2 * s) - 23, n)
-
-
-def _incomplete_mellin_deg4_quad(ctx, s, n: int):
-    """Generic-s fallback: F(s, a) = 4 a^(-11/2) int_1^V v^(2s-12) K_11(2 sqrt(a) v) dv
-    by tanh-sinh.  The cut V is where v^(2s-12) e^(-2 sqrt(a) (v-1)), the
-    integrand relative to its value at v = 1, falls below 10^-(dps+8).  The
-    integrand is scaled by e^(2 sqrt(a)), as tanh-sinh's stopping test is
-    absolute."""
-    a = (2 * ctx.pi) ** 2 * n
-    root = 2 * ctx.sqrt(a)
-    s = ctx.convert(s)
-    scale = ctx.exp(root)
-
-    def f(v):
-        return v ** (2 * s - 12) * ctx.convert(bessel_k(11, root * v, ctx.dps)) * scale
-
-    # V = 1 + (B + (2s-12) log V) / root by fixed-point iteration: it
-    # climbs monotonically for s > 6 and contracts for 0 < s <= 6, where
-    # |2s-12| < 12 < root
-    B, c, r = (ctx.dps + 8) * math.log(10), 2 * float(s) - 12, float(root)
-    V, prev = 1 + B / r, 0.0
-    while abs(V - prev) > 1e-9 * V:
-        V, prev = 1 + (B + c * math.log(V)) / r, V
-    val = tanh_sinh(ctx, f, ctx.one, V, max_level=8)
-    return 4 * a ** ctx.mpf("-5.5") * val / scale
-
-
 def _deg4_tail_ok(M: int) -> bool:
     # measured truncation: ~1e-8 relative at M = 12, ~6e-13 at M = 20,
     # below 1e-25 at M >= 60; under 12 the value is meaningless
     return M >= 12
 
 
-def _deg4_vector(n: int, dps: int, parity: int) -> list:
-    """(w_0, ..., w_10, tau_parity, tau_parity+2, ..., ) at n as (mantissa,
-    exponent) pairs: the per-n data the moments of one chain sum."""
+def _deg4_vector(n: int, dps: int, mu) -> list:
+    """(w_0, ..., w_10, tau_mu, tau_(mu+2), ..., tau_(mu+16)) at n as
+    (mantissa, exponent) pairs, for a libmp mu in (-1, 1]: the per-n data
+    the moments of one class sum."""
     node = _deg4_node(n, dps)
-    chain = node.tau if parity else _even_chain(n, dps, node)
+    chain = node.tau if mu == fone else _seeded_chain(n, dps, node, mu)
     return [(v, node.exp) for v in (*node.w, *chain)]
 
 
@@ -548,33 +495,26 @@ def _deg4_scale(n: int) -> float:
     return (0.5 * math.log(math.pi / (2 * X)) - X + 12 * math.log(2 / X)) / _LN10
 
 
-def _deg4_moments(coeffs: tuple, parity: int, dps: int) -> tuple:
-    """(W_0, ..., W_10, T_parity, T_parity+2, ...): the sums over n of
-    _deg4_vector(n, ., parity) against coeffs."""
-    vector = lambda n, d: _deg4_vector(n, d, parity)
-    return _moments(f"deg4-{parity}", coeffs, dps, vector, _deg4_scale)
+def _deg4_moments(coeffs: tuple, mu, dps: int) -> tuple:
+    """(W_0, ..., W_10, T_mu, T_(mu+2), ..., T_(mu+16)): the sums over n of
+    _deg4_vector(n, ., mu) against coeffs, for mu in (-1, 1], keyed by
+    mu's exact value."""
+    mu = _libmp(mu, dps_to_prec(dps))
+    vector = lambda n, d: _deg4_vector(n, d, mu)
+    return _moments(("deg4", mu), coeffs, dps, vector, _deg4_scale)
 
 
 def _deg4_sum(ctx, coeffs: tuple, s):
     """sum_n A(n) F(s, (2 pi)^2 n) over coeffs = (A(1), ..., A(M)) at ctx's
-    precision: two dots with the cached moments when 2s is an integer and
-    m = 2s - 23 is in 0..15, else a sum over n of the chain climbed past
-    m = 15 or, for 2s not an integer >= 23, of tanh-sinh."""
+    precision, for 11 < s < 20: m = 2s - 23 = mu + 2i with i = ceil(s - 12)
+    and the class mu = 1 - 2 (i - (s - 12)) in (-1, 1], both exact, so the
+    sum is one dot with the cached moments of mu's chain."""
     s = ctx.convert(s)
-    two_s = 2 * s  # exact: a power-of-two scaling
-    m = int(two_s) - 23
-    if ctx.isint(two_s) and m >= 0:
-        p = _falling(ctx, s)
-        if m <= _M_TOP:
-            v = _deg4_moments(coeffs, m % 2, ctx.dps)
-            return 2 * _dot(ctx, p, [x._mpf_ for x in (*v[:11], v[11 + m // 2])])
-        term = lambda n: _closed_form(ctx, p, m, n)
-    else:
-        term = lambda n: _incomplete_mellin_deg4_quad(ctx, s, n)
-    acc = ctx.zero
-    for n, c in enumerate(coeffs, 1):
-        acc += c * term(n)
-    return acc
+    u = mpf_sub(s._mpf_, from_int(12))
+    i = to_int(mpf_ceil(u))
+    mu = mpf_sub(fone, mpf_shift(mpf_sub(from_int(i), u), 1))
+    v = _deg4_moments(coeffs, mu, ctx.dps)
+    return 2 * _dot(ctx, _falling(ctx, s), [x._mpf_ for x in (*v[:11], v[11 + i])])
 
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
@@ -677,7 +617,7 @@ def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
     """Lambda(s) = side(s) + eps side(w - s) over coeffs = (a(1), ..., a(M)),
     with the moments at ctx's precision and w - s taken exactly: side(a) is
     S_a at degree 2, for 0 < s < w <= 20, and sum_n A(n) F(a, (2 pi)^2 n) at
-    degree 4."""
+    degree 4, for 11 < s < 20 at w = 31; any other s raises ValueError."""
     s = ctx.convert(s)
     r = mpf_sub(from_int(w), s._mpf_)
     if degree == 2:
@@ -685,6 +625,8 @@ def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
             raise ValueError(f"need 0 < s < k <= {_G_TOP + 1}, got s = {s}, k = {w}")
         left, right = (ctx.convert(_deg2_side(coeffs, a, ctx.dps)) for a in (s._mpf_, r))
     elif degree == 4:
+        if w != 31 or not 11 < s < 20:
+            raise ValueError(f"need 11 < s < 20 at weight 31, got s = {s}, w = {w}")
         left, right = (_deg4_sum(ctx, coeffs, a) for a in (s, ctx.make_mpf(r)))
     else:
         raise ValueError("only the degree-2 and degree-4 shapes are supported")
@@ -699,7 +641,8 @@ def functional_eq_residual(
     M: int,
 ):
     """|Lambda(t) - eps Lambda(w - t)| with both sides evaluated by the
-    smoothed sum.
+    smoothed sum, for t in the evaluator's domain (_lambda: 0 < t < k at
+    degree 2, 11 < t < 20 at degree 4); any other t raises ValueError.
 
     This is not an accuracy certificate.  Both sides split the sum at the
     symmetric point and w - t is taken exactly, so Lambda(w - t) adds the
@@ -708,9 +651,6 @@ def functional_eq_residual(
     parameter of the smoothed functional equation, and compare."""
     a = coeffs if coeffs is not None else spec.coefficients
     w = spec.weight
-    tf = float(t)
-    if not 0 < tf < w:
-        raise ValueError(f"t={t} outside the critical strip (0, {w})")
     ctx = context(dps + GUARD)
     c, t = tuple(a(n) for n in range(1, M + 1)), ctx.convert(t)
     left, right = (

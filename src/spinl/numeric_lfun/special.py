@@ -1,8 +1,10 @@
 """Special functions for the L-evaluators: incomplete gamma at integer (and
 real) first argument, the modified Bessel function K_nu at integer order,
-and the Bickley function Ki_1.  The evaluators take K_nu and Ki_1 from
-here; incomplete gamma is public and serves the tests as the oracle of
-the evaluators' own degree-2 table.
+the Bickley function Ki_1 and its fractional moments
+x^-mu int_x^inf t^mu K_0(t) dt, and Legendre's continued fraction for
+Gamma(f, x).  The evaluators take K_nu, the moments and the continued
+fraction from here; incomplete gamma is public and serves the tests as
+the oracle of the evaluators' own degree-2 table.
 
 K_nu is summed in fixed point: Python integers scaled by a power of two,
 with the working precision plus 20 guard bits (wp), so each term of a
@@ -34,8 +36,10 @@ integrand's strip of analyticity, so its error is set by the precision
 alone.  The step is a float, exact as a libmp value; the sum runs on
 integers at 2^-wp too, with math.isqrt for the square root in each term,
 and the prefactor e^-x h / sqrt(x) comes from libmp at wp, so Ki_1 makes
-no mpmath context either.  One rounding follows.  The tests check it
-against int_x^inf K_0.
+no mpmath context either.  One rounding follows.  The fractional moment
+of order mu in (-1, 1) is the same sum with one more factor per node,
+z^-mu e^z Gamma(mu+1, z) at z = x + r^2, from the continued fraction on
+the same integers.  The tests check both against int_x^inf (t/x)^mu K_0.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     from_str,
+    fzero,
     mpf_div,
     mpf_exp,
     mpf_log,
@@ -248,13 +253,40 @@ def bickley_ki1(x, dps: int):
     h = 2 pi sqrt(x) / (x + B), cut where e^(-r^2) < e^-B, is off by about
     e^-B, and B is set from the working digits: the error is below the
     result's last digit by construction, at any x.  The sum runs on
-    integers at 2^-wp, the working precision plus 20 bits."""
+    integers at 2^-wp, the working precision plus 20 bits.  With one more
+    factor per node the same sum gives x^-mu int_x^inf t^mu K_0(t) dt, the
+    seeds of the degree-4 chains (_ki1)."""
     return _rounded(dps, _ki1(x, dps))
 
 
-def _ki1(x, dps: int):
-    """Ki_1(x) as bickley_ki1 sums it, an exact libmp product not yet
-    rounded; x an mpf, a libmp value, a number or a string."""
+def _legendre_seed(X: int, F: int, wp: int) -> int:
+    """x^(1-f) e^x Gamma(f, x) at 2^-wp, for X = x > 0 and F = f at 2^-wp
+    with 0 < f < 1, from Legendre's continued fraction
+
+        x^-f e^x Gamma(f, x) = 1/(x+1-f - 1(1-f)/(x+3-f - 2(2-f)/(x+5-f - ...))),
+
+    run backward on integers from depth N.  Its truncation error after N
+    terms falls like e^(-4 sqrt(N x)), so N = (B/4)^2 / x + B/4 + 10 with
+    B = wp ln 2 puts it below 2^-wp."""
+    one = 1 << wp
+    B = wp * math.log(2)
+    N = int((B / 4) ** 2 / (X / one) + B / 4) + 10
+    T = X + (2 * N + 1) * one - F
+    for i in range(N, 0, -1):
+        T = X + (2 * i - 1) * one - F - (i * (i * one - F) << wp) // T
+    return (X << wp) // T
+
+
+def _ki1(x, dps: int, mu=fzero):
+    """x^-mu int_x^inf t^mu K_0(t) dt for a libmp mu in (-1, 1), an exact
+    libmp product not yet rounded; at mu = 0 this is Ki_1(x), summed as
+    bickley_ki1 sums it; x an mpf, a libmp value, a number or a string.
+
+    In t = x cosh u the integral is int_0^inf (cosh u)^(-mu-1)
+    Gamma(mu+1, x cosh u) du, so the sum over r gains the factor
+    H_mu(x + r^2), H_mu(z) = z^-mu e^z Gamma(mu+1, z), analytic in the same
+    strip: _legendre_seed(z, mu+1) for mu < 0, mu _legendre_seed(z, mu)/z + 1
+    for mu > 0 (one upward step), and exactly 1 at mu = 0."""
     wp = dps_to_prec(dps + 10) + 20
     x = _libmp(x, wp - 20)
     if mpf_lt(x, fone):
@@ -265,16 +297,26 @@ def _ki1(x, dps: int):
     h = from_float(step)
     one = 1 << wp
     hf, X = to_fixed(h, wp), to_fixed(x, wp)
+    # H_mu at 2^-wp, for z = Z at 2^-wp; none at mu = 0
+    U, H = to_fixed(mu, wp), None
+    if mu[0]:
+        H = lambda Z: _legendre_seed(Z, U + one, wp)
+    elif U:
+        H = lambda Z: U * _legendre_seed(Z, U, wp) // Z + one
     # g = e^(-(k h)^2) by g_k = g_(k-1) q_k, q_k = e^(-h^2 (2k - 1))
     h2 = mpf_neg(mpf_mul(h, h))
     q, q_step = (to_fixed(mpf_exp(mpf_shift(h2, c), wp), wp) for c in (0, 1))
     g = one
     total = (one << wp) // math.isqrt(2 << 2 * wp)
+    if H:
+        total = total * H(X) >> wp
     for k in range(1, int(math.sqrt(B) / step) + 2):
         g = g * q >> wp
         q = q * q_step >> wp
-        y = (k * hf) ** 2 // X
+        r2 = (k * hf) ** 2
+        y = r2 // X
         root = math.isqrt(one + one + y << wp)
-        total += (g << 2 * wp + 1) // ((one + y) * root)
+        f = g * H(X + (r2 >> wp)) >> wp if H else g
+        total += (f << 2 * wp + 1) // ((one + y) * root)
     pre = mpf_div(mpf_mul(mpf_exp(mpf_neg(x), wp), h), mpf_sqrt(x, wp), wp)
     return mpf_mul(pre, from_man_exp(total, -wp))

@@ -3,13 +3,13 @@ evaluations of their defining formulas.
 
 Degree 4, at a = (2 pi)^2 n and X = 2 sqrt(a): c = 2 / a^11,
 g0 = c K_0(X) / X^2, w_j = a^-(j+1) (X/2)^-(10-j) K_(10-j)(X) and
-tau_m = c X^-(m+1) R_m with R_m = int_X^inf x^m K_0(x) dx.  The reference
-takes K_0 and K_1 from mpmath's besselk, K_2..K_10 from the textbook
-recurrence, R_0 = Ki_1(X) from mpmath's quad of
-int_0^inf e^(-X cosh t) / cosh t dt, R_1 = X K_1(X), and the higher R_m
-by parts: R_m = X^m K_1 + (m-1) X^(m-1) K_0 + (m-1)^2 R_(m-2).  Degree 2:
-G_a = x^-a Gamma(a, x) at x = 2 pi n from mpmath's gammainc, at integer
-a and at a = f + j for fractional f.
+tau_m = c X^-(m+1) R_m with R_m = int_X^inf x^m K_0(x) dx, m = 0..17.  The
+reference takes K_0 and K_1 from mpmath's besselk, K_2..K_10 from the
+textbook recurrence, R_0 = Ki_1(X), the seed of the class mu = 0, from
+mpmath's quad of int_0^inf e^(-X cosh t) / cosh t dt, R_1 = X K_1(X), and
+the higher R_m by parts: R_m = X^m K_1 + (m-1) X^(m-1) K_0 + (m-1)^2 R_(m-2).
+Degree 2: G_a = x^-a Gamma(a, x) at x = 2 pi n from mpmath's gammainc, at
+integer a and at a = f + j for fractional f.
 
 All at 92 digits, D + 20 for the largest D, to 10^-(D-4) relative (the
 fractional-order table to 10^-(D-1)).  The degree-4 node's fields, integers
@@ -19,9 +19,9 @@ run at D + 30.
 
 import mpmath
 import pytest
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_sub
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, mpf_sub
 
-from spinl.numeric_lfun.evaluators import _G_TOP, _deg2_table, _deg4_node, _even_chain
+from spinl.numeric_lfun.evaluators import _G_TOP, _deg2_table, _deg4_node, _seeded_chain
 
 REF_DPS = 92
 # both sides of the K_0/K_1 series/asymptotic switch (n = 61/62 at 72 digits)
@@ -47,7 +47,7 @@ def ref():
             lambda t: mp.exp(-X * (mp.cosh(t) - 1)) / mp.cosh(t), mp.linspace(0, cut, 5)
         )
         R = [ki1, X * K[1]]
-        for m in range(2, 16):
+        for m in range(2, 18):
             R.append(X**m * K[1] + (m - 1) * X ** (m - 1) * K[0] + (m - 1) ** 2 * R[m - 2])
         c = 2 / a**11
         x2 = 2 * mp.pi * n
@@ -55,7 +55,7 @@ def ref():
             "c": c,
             "g0": c * K[0] / X**2,
             "w": [K[10 - j] / a ** (j + 1) / (X / 2) ** (10 - j) for j in range(11)],
-            "tau": [c * X ** -(m + 1) * R[m] for m in range(16)],
+            "tau": [c * X ** -(m + 1) * R[m] for m in range(18)],
             "G": [x2**-j * mp.gammainc(j, x2) for j in range(1, _G_TOP + 2)],
         }
     return mp, out
@@ -72,8 +72,9 @@ def _entries(mp, table):
 
 
 def _fields(node, n, dps):
-    """c, g0, w_0..w_10, the odd and the even chain of a node, as libmp values."""
-    ints = (node.c, node.g0, *node.w, *node.tau, *_even_chain(n, dps, node))
+    """c, g0, w_0..w_10, the chains of mu = 1 and mu = 0 of a node, as libmp
+    values."""
+    ints = (node.c, node.g0, *node.w, *node.tau, *_seeded_chain(n, dps, node, fzero))
     return [from_man_exp(v, node.exp) for v in ints]
 
 
@@ -83,16 +84,16 @@ def test_deg4_node_against_defining_formulas(ref, n, dps):
     mp, want = ref[0], ref[1][n]
     node = _deg4_node(n, dps)
     assert len(node.w) == 11
-    assert len(node.tau) == 8
-    assert len(_even_chain(n, dps, node)) == 8
+    assert len(node.tau) == 9
+    assert len(_seeded_chain(n, dps, node, fzero)) == 9
     c, g0, *rest = (mp.make_mpf(v) for v in _fields(node, n, dps))
     _close(mp, dps, c, want["c"], "c")
     _close(mp, dps, g0, want["g0"], "g0")
     for j, w in enumerate(rest[:11]):
         _close(mp, dps, w, want["w"][j], f"w_{j}")
-    for i, tau in enumerate(rest[11:19]):
+    for i, tau in enumerate(rest[11:20]):
         _close(mp, dps, tau, want["tau"][2 * i + 1], f"tau_{2 * i + 1}")
-    for i, tau in enumerate(rest[19:]):
+    for i, tau in enumerate(rest[20:]):
         _close(mp, dps, tau, want["tau"][2 * i], f"tau_{2 * i}")
 
 

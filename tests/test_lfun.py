@@ -2,9 +2,12 @@
 oracles and reference numerics, Rankin norms, and the functional-equation
 residual certificates."""
 
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_shift, mpf_sub, round_nearest
 
 from spinl import delta_qexp, g20_qexp
 from spinl.numeric_lfun import (
@@ -34,6 +37,43 @@ from reference_values import (
 def _gamma_table(ctx, n, dps, f=1):
     """The degree-2 table's entries, (mantissa, exponent) pairs, as mpf in ctx."""
     return [ctx.make_mpf(from_man_exp(m, e)) for m, e in evaluators._deg2_table(n, dps, f)]
+
+
+def _deg4_term(ctx, s, n):
+    """F(s, (2 pi)^2 n) at ctx's precision, read through _deg4_sum with the
+    unit coefficient vector at n."""
+    return evaluators._deg4_sum(ctx, (0,) * (n - 1) + (1,), s)
+
+
+def _deg4_quad(ctx, s, n):
+    """F(s, a) = 4 a^(-11/2) int_1^V v^(2s-12) K_11(2 sqrt(a) v) dv at
+    a = (2 pi)^2 n by tanh-sinh, the oracle of the closed form.  The cut V
+    is where v^(2s-12) e^(-2 sqrt(a) (v-1)), the integrand relative to its
+    value at v = 1, falls below 10^-(dps+8).  The integrand is scaled by
+    e^(2 sqrt(a)), as tanh-sinh's stopping test is absolute."""
+    from spinl.numeric_lfun import bessel_k, tanh_sinh
+
+    a = (2 * ctx.pi) ** 2 * n
+    root = 2 * ctx.sqrt(a)
+    s = ctx.convert(s)
+    scale = ctx.exp(root)
+
+    def f(v):
+        return v ** (2 * s - 12) * ctx.convert(bessel_k(11, root * v, ctx.dps)) * scale
+
+    # V = 1 + (B + (2s-12) log V) / root by fixed-point iteration: it
+    # climbs monotonically for s > 6
+    B, c, r = (ctx.dps + 8) * math.log(10), 2 * float(s) - 12, float(root)
+    V, prev = 1 + B / r, 0.0
+    while abs(V - prev) > 1e-9 * V:
+        V, prev = 1 + (B + c * math.log(V)) / r, V
+    val = tanh_sinh(ctx, f, ctx.one, V, max_level=8)
+    return 4 * a ** ctx.mpf("-5.5") * val / scale
+
+
+@functools.lru_cache(maxsize=None)
+def _deg4_quad_at(s: str, n: int, dps: int):
+    return _deg4_quad(context(dps), s, n)
 
 
 class TestLDegree2:
@@ -141,6 +181,25 @@ class TestLDegree2Precision:
         form = delta_qexp(40) if k == 12 else g20_qexp(40)
         with pytest.raises(ValueError):
             l_degree2(form, k, s, 30, 40)
+
+
+class TestDeg4Precision:
+    """Degree-4 Lambda at D digits against itself at D + 15, at any real t
+    in (11, 20)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        t=st.floats(11, 20, exclude_min=True, exclude_max=True),
+        dps=st.integers(15, 45),
+    )
+    def test_agrees_with_fifteen_more_digits(self, t, dps):
+        from spinl import rankin_coeffs
+        from spinl.numeric_lfun.evaluators import _lambda
+
+        A = rankin_coeffs(20)
+        A = tuple(A[n] for n in range(1, 21))
+        lo, hi = (_lambda(context(d), 4, 31, 1, A, t) for d in (dps, dps + 15))
+        assert abs(hi.context.convert(lo) - hi) <= abs(hi) * hi.context.mpf(10) ** (1 - dps)
 
 
 class TestDeg2M:
@@ -362,6 +421,16 @@ class TestFunctionalEquation:
         with pytest.raises(ValueError):
             functional_eq_residual(spec, None, 12.5, 30, 20)
 
+    @pytest.mark.parametrize("t", [11, 20, 5.3, 25.7])
+    def test_rankin_outside_11_20_raises(self, t):
+        # the degree-4 closed form is all-positive only for 11 < t < 20
+        with pytest.raises(ValueError):
+            functional_eq_residual(rankin_lfunction(20), None, t, 20, 20)
+
+    def test_rankin_just_inside_11_is_accepted(self):
+        # the domain is checked exactly: m = 2t - 23 = -1 + 2^-39
+        assert functional_eq_residual(rankin_lfunction(20), None, 11 + 2.0**-40, 20, 20) == 0
+
     def test_spec_shapes(self):
         d = delta_lfunction(15)
         g = g20_lfunction(15)
@@ -399,67 +468,106 @@ class TestMellinTailRoutes:
     @pytest.mark.parametrize(
         "s_str,n",
         [("14.0", 1), ("15.5", 1), ("12.5", 4), ("18.5", 2),
-         ("12.0", 1), ("19.0", 3), ("12.0", 149), ("19.0", 150), ("22.0", 2), ("20.5", 1)],
+         ("12.0", 1), ("19.0", 3), ("12.0", 149), ("19.0", 150), ("19.5", 1), ("19.9", 2)],
     )
     def test_closed_form_matches_quadrature(self, s_str, n):
         # integer s terminates the parts-reduction in K_0/K_1, half-integer
         # s in the Bickley function; both must agree with direct tanh-sinh,
-        # from the first critical point to the last, and past the cached
-        # chains (s > 19)
-        from spinl.numeric_lfun.evaluators import (
-            _incomplete_mellin_deg4,
-            _incomplete_mellin_deg4_quad,
-        )
-
+        # from the first critical point to the last, and to the end of
+        # the chains (m = 2s - 23 = 16 and 16.8)
         ctx = context(40)
         s = ctx.mpf(s_str)
-        closed = _incomplete_mellin_deg4(ctx, s, n)
-        quad = _incomplete_mellin_deg4_quad(ctx, s, n)
+        closed = _deg4_term(ctx, s, n)
+        quad = _deg4_quad(ctx, s, n)
         assert abs(closed - quad) / abs(quad) < ctx.mpf("1e-35")
 
+    @pytest.mark.parametrize("D", [30, 60])
+    @pytest.mark.parametrize("n", [1, 2, 61, 150])
+    @pytest.mark.parametrize("s_str", ["12.01", "13.3", "15.25", "17.7"])
+    def test_real_s_matches_quadrature(self, s_str, n, D):
+        # a generic real s: the class mu = 2s - 23 - 2i of m is seeded by
+        # the generalised Bickley sum; at D + 10, the working precision of
+        # D, against the oracle at 80 digits
+        ctx = context(D + 10)
+        closed = _deg4_term(ctx, ctx.mpf(s_str), n)
+        quad = _deg4_quad_at(s_str, n, 80)
+        assert abs(quad.context.convert(closed) - quad) < abs(quad) * ctx.mpf(10) ** -(D + 5)
+
     def test_quadrature_cut_follows_the_power_of_v(self):
-        # at s = 25.5 the factor v^(2s-12) = v^39 delays the integrand's
-        # decay; a cut set by e^(-2 sqrt(a) v) alone lost ~9 digits here
-        from spinl.numeric_lfun.evaluators import (
-            _incomplete_mellin_deg4,
-            _incomplete_mellin_deg4_quad,
-        )
+        # the oracle's cut: at s = 25.5 the factor v^(2s-12) = v^39 delays
+        # the integrand's decay; a cut set by e^(-2 sqrt(a) v) alone lost
+        # ~9 digits here.  Against the closed form at m = 28 in mpmath
+        # alone: besselk at one point, Ki_1 by mpmath's quad, R_m by parts
+        import mpmath
 
         ctx = context(40)
-        s = ctx.mpf("25.5")
-        closed = _incomplete_mellin_deg4(ctx, s, 1)
-        quad = _incomplete_mellin_deg4_quad(ctx, s, 1)
-        assert abs(closed - quad) / abs(closed) < ctx.mpf("1e-38")
+        quad = _deg4_quad(ctx, ctx.mpf("25.5"), 1)
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        a = (2 * mp.pi) ** 2
+        X = 2 * mp.sqrt(a)
+        K = [mp.besselk(0, X), mp.besselk(1, X)]
+        for j in range(1, 10):
+            K.append(K[j - 1] + 2 * j / X * K[j])
+        ki1 = mp.quad(lambda t: mp.exp(-X * (mp.cosh(t) - 1)) / mp.cosh(t), [0, 1, 2, 4])
+        R = [mp.exp(-X) * ki1, X * K[1]]
+        for m in range(2, 29):
+            R.append(X**m * K[1] + (m - 1) * X ** (m - 1) * K[0] + (m - 1) ** 2 * R[m - 2])
+        p = [mp.one]
+        for j in range(1, 12):
+            p.append(p[-1] * (mp.mpf("25.5") - j))
+        w = [K[10 - j] / a ** (j + 1) / (X / 2) ** (10 - j) for j in range(11)]
+        ref = 2 * (mp.fsum(pj * wj for pj, wj in zip(p, w)) + p[11] * 2 / a**11 * R[28] / X**29)
+        assert abs(mp.convert(quad) - ref) / ref < mp.mpf("1e-38")
 
 
 class TestDeg4SumRoutes:
-    def test_near_half_integer_s_takes_the_quadrature(self):
-        # 2s = 25 + 2e-14 is not an integer: the half-integer closed form
-        # would be off by ~2e-18 here
-        from spinl.numeric_lfun.evaluators import _deg4_sum, _incomplete_mellin_deg4_quad
-
+    def test_near_half_integer_s_seeds_its_own_class(self):
+        # 2s = 25 + 2e-14 is not an integer: its class mu ~ 2e-14 is seeded
+        # on its own; the half-integer chain (mu = 0) would be off by
+        # ~2e-18 here
         ctx = context(40)
         s = ctx.mpf("12.5") + ctx.mpf("1e-14")
-        got = _deg4_sum(ctx, (1,), s)
-        quad = _incomplete_mellin_deg4_quad(ctx, s, 1)
+        got = _deg4_term(ctx, s, 1)
+        quad = _deg4_quad(ctx, s, 1)
         assert abs(got - quad) / abs(quad) < ctx.mpf("1e-35")
+        mu = mpf_sub(mpf_shift(s._mpf_, 1), from_int(25))  # 2s - 25, exactly
+        assert any(key[0] == ("deg4", mu) for key in evaluators._MOMENT_CACHE._data)
 
     def test_s_11_5_sums_the_even_chain(self, monkeypatch):
-        # m = 2s - 23 = 0 is tau_0, the seed of the even chain: no per-n
+        # m = 2s - 23 = 0 is tau_0, the seed of the class mu = 0: no per-n
         # quadrature runs
-        from spinl.numeric_lfun.evaluators import _deg4_sum, _incomplete_mellin_deg4_quad
+        from spinl.numeric_lfun import quadrature
 
         ctx = context(40)
         s = ctx.mpf("11.5")
         coeffs = (1, -10944)
-        quad = sum(c * _incomplete_mellin_deg4_quad(ctx, s, n) for n, c in enumerate(coeffs, 1))
+        quad = sum(c * _deg4_quad(ctx, s, n) for n, c in enumerate(coeffs, 1))
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("per-n quadrature at s = 11.5")
 
-        monkeypatch.setattr(evaluators, "_incomplete_mellin_deg4_quad", refuse)
-        got = _deg4_sum(ctx, coeffs, s)
+        monkeypatch.setattr(quadrature, "tanh_sinh", refuse)
+        got = evaluators._deg4_sum(ctx, coeffs, s)
         assert abs(got - quad) / abs(quad) < ctx.mpf("1e-35")
+
+    @settings(max_examples=12, deadline=None)
+    @given(t=st.floats(11, 20, exclude_min=True, exclude_max=True))
+    def test_no_quadrature_at_any_real_t(self, t):
+        # every real t in (11, 20) is one dot per side with seeded moments:
+        # the evaluators hold no reference to tanh-sinh, and a refusing
+        # one in its module is never reached
+        import spinl.numeric_lfun as nl
+        from spinl.numeric_lfun import quadrature
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"quadrature at t = {t}")
+
+        assert not hasattr(evaluators, "tanh_sinh")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "tanh_sinh", refuse)
+            mp.setattr(nl, "tanh_sinh", refuse)
+            assert functional_eq_residual(rankin_lfunction(20), None, t, 20, 20) == 0
 
 
 class TestMoments:
@@ -518,7 +626,7 @@ class TestMoments:
         # coefficients
         coeffs = tuple(coeffs)
         lo, hi = (evaluators._deg4_moments(coeffs, parity, d) for d in (dps, dps + 20))
-        assert len(lo) == len(hi) == 19
+        assert len(lo) == len(hi) == 20
         for j, (a, b) in enumerate(zip(lo, hi)):
             if not any(coeffs):
                 assert a == b == 0
@@ -531,7 +639,7 @@ class TestMoments:
     @pytest.mark.parametrize("M", [12, 40, 150])
     def test_deg4_against_per_n_sums(self, D, M):
         from spinl import rankin_coeffs
-        from spinl.numeric_lfun.evaluators import _incomplete_mellin_deg4, _lambda
+        from spinl.numeric_lfun.evaluators import _lambda
 
         A = rankin_coeffs(M)
         ctx, ref_ctx = context(D + 12), context(D + 20)
@@ -539,8 +647,7 @@ class TestMoments:
             s = ctx.mpf(s2) / 2
             got = ctx.convert(_lambda(ctx, 4, 31, 1, tuple(A[n] for n in range(1, M + 1)), s))
             ref = ref_ctx.fsum(
-                A[n] * (_incomplete_mellin_deg4(ref_ctx, s, n)
-                        + _incomplete_mellin_deg4(ref_ctx, 31 - s, n))
+                A[n] * (_deg4_term(ref_ctx, s, n) + _deg4_term(ref_ctx, 31 - s, n))
                 for n in range(1, M + 1)
             )
             assert abs(got - ref) / abs(ref) < ctx.mpf(10) ** -(D + 5), s
@@ -605,7 +712,7 @@ class TestMoments:
     def test_no_stale_hit_for_other_coefficients(self, rankin150):
         # the moments are keyed on the coefficient values: a crooked a(2)
         # at the same (M, dps) must move Lambda by exactly its own term
-        from spinl.numeric_lfun.evaluators import _incomplete_mellin_deg4, _lambda
+        from spinl.numeric_lfun.evaluators import _lambda
 
         D, M, s = 30, 150, 14
         l_rankin4(rankin150, s, D, M)
@@ -613,7 +720,7 @@ class TestMoments:
         A = tuple(rankin150[n] for n in range(1, M + 1))
         good = _lambda(ctx, 4, 31, 1, A, s)
         bad = _lambda(ctx, 4, 31, 1, tuple(c + 7 * (n == 2) for n, c in enumerate(A, 1)), s)
-        term = 7 * (_incomplete_mellin_deg4(ctx, s, 2) + _incomplete_mellin_deg4(ctx, 31 - s, 2))
+        term = 7 * (_deg4_term(ctx, s, 2) + _deg4_term(ctx, 31 - s, 2))
         assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 8)
 
         tau = delta_qexp(40).integer_coeffs()
@@ -628,7 +735,7 @@ class TestMoments:
 def _full_moments(coeffs, parity, dps):
     """The degree-4 moments with every node at dps: the exact sums over n
     of the node data against coeffs, each rounded once to dps digits."""
-    rows = [evaluators._deg4_vector(n, dps, parity) for n in range(1, len(coeffs) + 1)]
+    rows = [evaluators._deg4_vector(n, dps, from_int(parity)) for n in range(1, len(coeffs) + 1)]
     out = []
     for col in zip(*rows):
         low = min(e for _, e in col)
@@ -642,7 +749,8 @@ class TestLevels:
     of the sum needs (evaluators._moments): the sums must still carry the
     digits they did with every term at full precision."""
 
-    @pytest.mark.parametrize("D, M", [(45, 200), (60, 300)])
+    # _LEVEL_MARGIN = 0 was set at D <= 72; D = 200 holds it there too
+    @pytest.mark.parametrize("D, M", [(45, 200), (60, 300), (200, 60)])
     def test_deg4_within_a_unit_of_thirty_two_more_digits(self, D, M):
         from spinl import rankin_coeffs
         from spinl.numeric_lfun.evaluators import _lambda
@@ -654,6 +762,20 @@ class TestLevels:
             got = _lambda(ctx, 4, 31, 1, A, s)
             want = _lambda(ref, 4, 31, 1, A, s)
             assert abs(ref.convert(got) - want) < abs(want) * ref.mpf(10) ** -(D + 12), s
+
+    def test_deg4_fractional_class_within_a_unit_of_thirty_two_more_digits(self):
+        # s = 13.3 (a float, the same binary value in both contexts) and
+        # 31 - s sum the seeded chains of mu = 2s - 27 and 27 - 2s
+        from spinl import rankin_coeffs
+        from spinl.numeric_lfun.evaluators import _lambda
+
+        D, M = 45, 200
+        A = rankin_coeffs(M)
+        A = tuple(A[n] for n in range(1, M + 1))
+        ctx, ref = context(D + 12), context(D + 44)
+        got = _lambda(ctx, 4, 31, 1, A, 13.3)
+        want = _lambda(ref, 4, 31, 1, A, 13.3)
+        assert abs(ref.convert(got) - want) < abs(want) * ref.mpf(10) ** -(D + 12)
 
     @pytest.mark.parametrize("D", [30, 60])
     @pytest.mark.parametrize("k", [12, 20])

@@ -6,7 +6,7 @@ caller did to a context it was handed."""
 import threading
 
 import pytest
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero, round_nearest
 
 from spinl import delta_qexp, rankin_coeffs
 from spinl.numeric_lfun import (
@@ -150,13 +150,14 @@ class TestThreads:
 
     def test_moments_concurrent_equal_serial(self):
         # the integer per-n data and the moments summed from them, built by
-        # two threads at once after clear(), equal the serial build
+        # two threads at once after clear(), equal the serial build; -0.4
+        # is a seeded fractional class
         A = rankin_coeffs(60)
         tau = delta_qexp(40).integer_coeffs()
         deg4, deg2 = tuple(A[n] for n in range(1, 61)), tuple(tau[1:])
 
         def build():
-            out = [repr(evaluators._deg4_moments(deg4, p, 32)) for p in (0, 1)]
+            out = [repr(evaluators._deg4_moments(deg4, mu, 32)) for mu in (0, 1, -0.4)]
             return out + [repr(evaluators._deg2_moments(deg2, 1, 32))]
 
         _clear_caches()
@@ -289,6 +290,16 @@ class TestLevelsMakeNoContexts:
         assert work <= self.CERTIFY_30[0]
         assert value <= self.CERTIFY_30[1]
 
+    def test_real_t_residual(self, monkeypatch):
+        # a generic real t seeds one chain per node and side on integers:
+        # the run works at D + GUARD and keeps its values at D and D + GUARD
+        from spinl.numeric_lfun.bigfloat import GUARD
+
+        def job():
+            functional_eq_residual(rankin_lfunction(150), None, 13.3, 30, 150)
+
+        assert self._requested(monkeypatch, job) == ({30 + GUARD}, {30, 30 + GUARD})
+
     @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
     def test_verify_works_at_one_precision(self, monkeypatch, D, M):
         # the norms and L(j, Delta) work in context(D + GUARD) on one set of
@@ -313,7 +324,9 @@ class TestLevelsMakeNoContexts:
         def job():
             for d in range(15, 41, 5):
                 for n in (1, 7, 150):
-                    evaluators._even_chain(n, d, evaluators._deg4_node(n, d))
+                    node = evaluators._deg4_node(n, d)
+                    for mu in (fzero, from_float(0.3), from_float(-0.6)):
+                        evaluators._seeded_chain(n, d, node, mu)
                     for f in (1, 0.25):
                         evaluators._deg2_table(n, d, f)
 

@@ -1,5 +1,6 @@
 """Special-function layer: incomplete gamma, Bessel K with its quadrature
-oracle, the Bickley function, and the tanh-sinh rule itself."""
+oracle, the Bickley function and its fractional moments, and the tanh-sinh
+rule itself."""
 
 import mpmath
 import pytest
@@ -14,7 +15,9 @@ from spinl.numeric_lfun import (
     incomplete_gamma_int,
     tanh_sinh,
 )
-from spinl.numeric_lfun.special import BESSEL_X_MAX, BESSEL_X_MIN
+from mpmath.libmp import from_float
+
+from spinl.numeric_lfun.special import BESSEL_X_MAX, BESSEL_X_MIN, _ki1
 
 
 class TestTanhSinh:
@@ -242,6 +245,33 @@ class TestBickley:
     def test_rejects_small_x(self):
         with pytest.raises(ValueError):
             bickley_ki1(0.5, 20)
+
+    @pytest.mark.parametrize("mu", [-0.999, -0.4, 2.0**-46, 0.6, 0.999])
+    def test_fractional_moment_matches_direct_k0_integral(self, mu):
+        # x^-mu int_x^inf t^mu K_0(t) dt, the seed of the degree-4 class
+        # mu: one Legendre seed per node for mu < 0, one more upward step
+        # for mu > 0
+        ctx = context(40)
+        x = 4 * ctx.pi
+        got = ctx.make_mpf(_ki1(x, 32, from_float(mu)))
+        direct = tanh_sinh(
+            ctx, lambda t: (t / x) ** mu * ctx.convert(bessel_k(0, t, 36)), x, x + 95
+        )
+        assert abs(got - direct) / direct < ctx.mpf("1e-30")
+
+    @pytest.mark.parametrize("mu", [-0.4, 0.6])
+    def test_fractional_moment_at_large_x(self, mu):
+        # x = 4 pi sqrt(300): relative accuracy of a value near 1e-95
+        ctx = context(50)
+        x = ctx.mpf("217.6")
+        ex = ctx.exp(x)
+        cuts = (x, x + ctx.mpf("0.25"), x + 1, x + 4, x + 16, x + 100)
+        direct = sum(
+            tanh_sinh(ctx, lambda t: ex * (t / x) ** mu * ctx.convert(bessel_k(0, t, 48)), lo, hi)
+            for lo, hi in zip(cuts, cuts[1:])
+        ) / ex
+        got = ctx.make_mpf(_ki1(x, 40, from_float(mu)))
+        assert abs(got - direct) / direct < ctx.mpf("1e-38")
 
 
 class TestPrecisionProperties:
