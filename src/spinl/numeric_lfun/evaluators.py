@@ -42,9 +42,11 @@ tau_1 = (2/a^11) K_1/X and g_0 = (2/a^11) K_0/X^2, for real m, so each
 class mu in (-1, 1] of m mod 2 is one chain tau_mu, tau_(mu+2), ...,
 tau_(mu+16), which reaches every m < 17.  The chain of mu = 1 (integer s)
 starts at tau_1; any other starts at tau_mu = (2/a^11) X^-(mu+1) R_mu
-with R_mu = int_0^inf (cosh u)^(-mu-1) Gamma(mu+1, X cosh u) du summed by
-the Bickley function's trapezoid rule (special._ki1; Ki_1(X) at mu = 0,
-the half-integer s).  The degree-4 domain is 11 < s < 20: there both
+with X^-mu R_mu from special._ki1 (Ki_1(X) at mu = 0, the half-integer
+s): K_0's large-x expansion integrated term by term once X + mu ln X
+passes (D + 10) ln 10, below that the Bickley function's trapezoid rule
+on R_mu = int_0^inf (cosh u)^(-mu-1) Gamma(mu+1, X cosh u) du.  The
+degree-4 domain is 11 < s < 20: there both
 sides have m in (-1, 17) and every p_j(s) >= 0, so F is a sum of positive
 terms; below s = 11 the p_j alternate and the closed form cancels, and
 _lambda refuses such an s.
@@ -99,7 +101,7 @@ from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import GUARD, MIN_DPS, _value_context, context, fraction_to_mpf, pi_sum, round_to
 from .quadrature import QuadratureError
-from .special import _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp
+from .special import _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp
 
 __all__ = [
     "LFunctionSpec",
@@ -202,8 +204,6 @@ _MOMENT_CAP = 64
 _MOMENT_CACHE = _BoundedCache(_MOMENT_CAP)
 
 
-_LN10 = math.log(10)
-
 # digits by which each term of a moment is built above its share of the
 # sum, set by measurement (tests/test_lfun.py::TestLevels): at 0 a single
 # coefficient's moments stay within 0.499 ulp of the exact sum, as at full
@@ -301,7 +301,8 @@ def _deg2_table(n: int, dps: int, f) -> tuple:
     # a = f + j = (man + j 2^q) / 2^q exactly
     q = -exp
     one = 1 << wp
-    H = [one if fm == fone else _legendre_seed(to_fixed(x, wp), to_fixed(fm, wp), wp)]
+    # the seed to the full working precision, e^-B = 2^-wp
+    H = [one if fm == fone else _legendre_seed(to_fixed(x, wp), to_fixed(fm, wp), wp, wp * _LN2)]
     for j in range(_G_TOP):
         H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
     # e H 2^(e_exp - wp), cut to e's exponent
@@ -532,9 +533,13 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     return round_to(dps, lam * (2 * ctx.pi) ** (2 * s) / (ctx.gamma(s) * ctx.gamma(s - 11)))
 
 
-# the kernel check's trapezoid error falls like C e^(-c/h) in its step h:
-# c = 8, C ~ 1e11 at s0 = 19, the slowest point; the gate asks 10^-(D+18)
-_KERNEL_RATE, _KERNEL_GATE = 8.0, 18
+# the kernel check's trapezoid error falls like C e^(-c/h) in its step
+# h = _KERNEL_RATE / B: fitted at s0 = 19, the slowest point, over
+# 1/h = 13..34 at D = 100, c = 8.7 and C = 3e18 to within a digit.  The
+# gate's e^(-B/2) assumes c = _KERNEL_RATE; a rate below c makes it an
+# overestimate, and 7.5 leaves the gate of 10^-(D+18) 3.5 digits or more
+# at D = 15..150 (8.0 leaves 0.98 at D = 60)
+_KERNEL_RATE, _KERNEL_GATE = 7.5, 18
 _KERNEL_CACHE = _BoundedCache(_MOMENT_CAP)  # the errors at s0 = 13..19, per dps
 
 
@@ -555,7 +560,7 @@ def _kernel_errors(dps: int) -> tuple:
         t = mpf_mul(from_int(k), step)
         em = mpf_exp(mpf_neg(t), wp)
         E = mpf_exp(mpf_sub(t, em, wp), wp)
-        v = mpf_mul(v0._mpf_, mpf_add(fone, E, wp), wp)
+        v = mpf_add(v0._mpf_, E, wp)
         if to_float(v) > v_hi:
             break
         xm, k0, k1, exp = _k0_k1(mpf_shift(v, 1), dps + 12)
@@ -566,7 +571,7 @@ def _kernel_errors(dps: int) -> tuple:
             parts[k % 2][i] += G
             G = G * V2 >> wp
         k += 1
-    scale = mpf_mul(mpf_shift(v0._mpf_, 2), step)  # 4 v0 h
+    scale = mpf_shift(step, 2)  # 4 h
     errors = []
     for s0, even, odd in zip(range(13, 20), *parts):
         # step 2h is off by ~|odd - even| h; step h, by e^(-c/2h) = e^(-B/2) times that
@@ -594,16 +599,18 @@ def kernel_mellin_check(s0: int, dps: int):
     In v = sqrt(t) the integrand is 4 v^(2 s0 - 12) K_11(2v).  Below
     v0 = 2e-6 the finite part of K_11's small-argument series integrates to
     2 sum_(k=0..10) (-1)^k (10-k)!/k! v0^e / e, e = 2 s0 - 22 + 2k, with a
-    remainder O(v0^(2 s0 - 1) log v0).  Above it, v = v0 (1 + exp(t - e^-t))
-    makes the integrand fall double exponentially as t -> -inf, and its
-    trapezoid sum at t = k h, h = c / B, B = (D + 33) ln 10, runs from
-    t = -log B to the cut v^27 e^(-2v) < 10^-(D+8) of s0 = 19.  K_11(2v) is
-    taken once per node from the fixed-point core, and the seven sums of
-    v^14 (v^2)^(s0 - 13) K_11 run on integers at one scale, each rounded
-    once.  The even nodes give the sum at step 2h; by the error model
-    C e^(-c/h) their difference from the full sum, times e^(-c/2h),
-    predicts the error at h, and a prediction above 10^-(D+18) at any s0
-    raises QuadratureError.  The seven errors are cached per D."""
+    remainder O(v0^(2 s0 - 1) log v0).  Above it, v = v0 + E with
+    E = exp(t - e^-t) makes the integrand fall double exponentially as
+    t -> -inf, with dv/dt = E (1 + e^-t); its trapezoid sum at t = k h,
+    h = _KERNEL_RATE / B, B = (D + 33) ln 10, runs from t = -log B, where
+    v - v0 is ~e^-B / B, to the cut v^27 e^(-2v) < 10^-(D+8) of s0 = 19:
+    188 nodes at D = 30, 297 at D = 60.  K_11(2v) is taken once per node
+    from the fixed-point core, and the seven sums of v^14 (v^2)^(s0 - 13)
+    K_11 run on integers at one scale, each rounded once.  The even nodes give the sum at step 2h; by the error model
+    C e^(-c/h) their difference from the full sum, times e^(-c/2h), here
+    e^(-B/2) (c taken as _KERNEL_RATE, below the fitted c), predicts the
+    error at h, and a prediction above 10^-(D+18) at any s0 raises
+    QuadratureError.  The seven errors are cached per D."""
     if s0 not in range(13, 20):
         raise ValueError("check points are the integers s0 = 13..19")
     return _kernel_errors(dps)[int(s0) - 13]

@@ -31,15 +31,22 @@ core against the integral representation int_0^inf e^(-x cosh t)
 cosh(nu t) dt, against mpmath's besselk, and against itself at 15 more
 digits.
 
-Ki_1 is a trapezoid sum over the real line whose step follows from the
-integrand's strip of analyticity, so its error is set by the precision
-alone.  The step is a float, exact as a libmp value; the sum runs on
-integers at 2^-wp too, with math.isqrt for the square root in each term,
-and the prefactor e^-x h / sqrt(x) comes from libmp at wp, so Ki_1 makes
-no mpmath context either.  One rounding follows.  The fractional moment
-of order mu in (-1, 1) is the same sum with one more factor per node,
+Ki_1 and its fractional moments of order mu in (-1, 1) have two
+branches, both on integers at 2^-wp, with no mpmath context, and one
+rounding after.  At large x, x + mu ln x > (D + 10) ln 10, K_0's
+asymptotic expansion integrates term by term into
+sqrt(pi/2x) e^-x sum_k u_k, with the prefactor code of K itself and one
+integer step per term; the smallest u_k is ~x^-mu e^-x, below the
+result's last digit past that cut.  Below it, Ki_1 is a trapezoid sum
+over the real line whose step follows from the integrand's strip of
+analyticity, so its error is set by the precision alone.  The step is a
+float, exact as a libmp value, math.isqrt takes the square root in each
+term, and the prefactor e^-x h / sqrt(x) comes from libmp at wp.  The
+moment of order mu is the same sum with one more factor per node,
 z^-mu e^z Gamma(mu+1, z) at z = x + r^2, from the continued fraction on
-the same integers.  The tests check both against int_x^inf (t/x)^mu K_0.
+the same integers, run only as deep as the node's weight e^-r^2 needs.
+The tests check both branches against int_x^inf (t/x)^mu K_0 and against
+each other above the cut.
 """
 
 from __future__ import annotations
@@ -170,10 +177,17 @@ def _k0_k1_asymptotic(x, wp: int, dps: int):
         acc0 += t0
         acc1 += t1
         k += 1
+    man, exp = _asymptotic_prefactor(x, wp)
+    return man * acc0 >> wp, man * acc1 >> wp, exp
+
+
+def _asymptotic_prefactor(x, wp: int):
+    """sqrt(pi/2x) e^-x at wp bits as (mantissa, exponent), from libmp: the
+    prefactor of the large-x expansions of K_nu and of _ki1."""
     _, man, exp, _ = mpf_mul(
         mpf_sqrt(mpf_div(mpf_pi(wp), mpf_shift(x, 1), wp), wp), mpf_exp(mpf_neg(x), wp), wp
     )
-    return man * acc0 >> wp, man * acc1 >> wp, exp
+    return man, exp
 
 
 def _libmp(x, prec: int):
@@ -193,6 +207,7 @@ def _libmp(x, prec: int):
 
 # Euler's gamma is taken at a multiple of this many bits and shifted down
 _EULER_STEP = 256
+_LN2, _LN10 = math.log(2), math.log(10)
 
 
 def _series_wp(x: float, dps: int) -> int:
@@ -253,23 +268,29 @@ def bickley_ki1(x, dps: int):
     h = 2 pi sqrt(x) / (x + B), cut where e^(-r^2) < e^-B, is off by about
     e^-B, and B is set from the working digits: the error is below the
     result's last digit by construction, at any x.  The sum runs on
-    integers at 2^-wp, the working precision plus 20 bits.  With one more
-    factor per node the same sum gives x^-mu int_x^inf t^mu K_0(t) dt, the
-    seeds of the degree-4 chains (_ki1)."""
+    integers at 2^-wp, the working precision plus 20 bits.  Above
+    x = (dps + 10) ln 10 the large-x expansion
+
+        Ki_1(x) = sqrt(pi/2x) e^-x (1 - 5/(8x) + 129/(128 x^2) - ...)
+
+    takes over: its smallest term, ~e^-x, is below the last digit there.
+    With one more factor per node, or per term, the same two branches give
+    x^-mu int_x^inf t^mu K_0(t) dt, the seeds of the degree-4 chains
+    (_ki1)."""
     return _rounded(dps, _ki1(x, dps))
 
 
-def _legendre_seed(X: int, F: int, wp: int) -> int:
-    """x^(1-f) e^x Gamma(f, x) at 2^-wp, for X = x > 0 and F = f at 2^-wp
-    with 0 < f < 1, from Legendre's continued fraction
+def _legendre_seed(X: int, F: int, wp: int, B: float) -> int:
+    """x^(1-f) e^x Gamma(f, x) at 2^-wp to within e^-B of itself, for X = x
+    > 0 and F = f at 2^-wp with 0 < f < 1, from Legendre's continued
+    fraction
 
         x^-f e^x Gamma(f, x) = 1/(x+1-f - 1(1-f)/(x+3-f - 2(2-f)/(x+5-f - ...))),
 
     run backward on integers from depth N.  Its truncation error after N
-    terms falls like e^(-4 sqrt(N x)), so N = (B/4)^2 / x + B/4 + 10 with
-    B = wp ln 2 puts it below 2^-wp."""
+    terms falls like e^(-4 sqrt(N x)), so N = (B/4)^2 / x + B/4 + 10 puts
+    it below e^-B; B = wp ln 2 gives the full working precision."""
     one = 1 << wp
-    B = wp * math.log(2)
     N = int((B / 4) ** 2 / (X / one) + B / 4) + 10
     T = X + (2 * N + 1) * one - F
     for i in range(N, 0, -1):
@@ -281,42 +302,82 @@ def _ki1(x, dps: int, mu=fzero):
     """x^-mu int_x^inf t^mu K_0(t) dt for a libmp mu in (-1, 1), an exact
     libmp product not yet rounded; at mu = 0 this is Ki_1(x), summed as
     bickley_ki1 sums it; x an mpf, a libmp value, a number or a string.
+    Past the cut x + mu ln x = (dps + 10) ln 10 it comes from the large-x
+    expansion (_ki1_asymptotic), below it from the trapezoid sum
+    (_ki1_trapezoid), both on integers at 2^-wp, dps + 10 digits plus 20
+    bits."""
+    wp = dps_to_prec(dps + 10) + 20
+    x = _libmp(x, wp - 20)
+    if mpf_lt(x, fone):
+        raise ValueError("Ki_1 implemented for x >= 1 only")
+    # the expansion's smallest term is ~ x^-mu e^-x
+    xf = to_float(x)
+    if xf + to_float(mu) * math.log(xf) > (dps + 10) * _LN10:
+        return _ki1_asymptotic(x, wp, dps, mu)
+    return _ki1_trapezoid(x, wp, dps, mu)
+
+
+def _ki1_asymptotic(x, wp: int, dps: int, mu):
+    """x^-mu int_x^inf t^mu K_0(t) dt = sqrt(pi/2x) e^-x sum_k u_k for a
+    libmp x and mu: with t_k the terms of K_0's expansion (those of
+    _k0_k1_asymptotic), differentiating gives u_0 = 1 and
+    u_k = t_k - (k - 1/2 - mu) u_(k-1) / x.  The u_k fall until k nears x,
+    where the smallest is ~x^-mu e^-x: the loop stops once they fall below
+    10^-(dps+8), and raises ArithmeticError if the factor (k - 1/2 - mu)/x
+    reaches 1 first."""
+    eps = (1 << wp) // 10 ** (dps + 8)
+    xf = to_fixed(x, wp)
+    half_mu = (1 << wp - 1) + to_fixed(mu, wp)  # 1/2 + mu
+    t = u = acc = 1 << wp
+    k = 1
+    while abs(u) >= eps:
+        if (k << wp) - half_mu >= xf:
+            raise ArithmeticError("asymptotic series bottomed out early")
+        t = (-((2 * k - 1) ** 2) * t << wp) // (8 * k * xf)
+        u = t - ((k << wp) - half_mu) * u // xf
+        acc += u
+        k += 1
+    man, exp = _asymptotic_prefactor(x, wp)
+    return from_man_exp(man * acc, exp - wp)
+
+
+def _ki1_trapezoid(x, wp: int, dps: int, mu):
+    """x^-mu int_x^inf t^mu K_0(t) dt as bickley_ki1's trapezoid sum, for a
+    libmp x >= 1 and mu, on integers at 2^-wp.
 
     In t = x cosh u the integral is int_0^inf (cosh u)^(-mu-1)
     Gamma(mu+1, x cosh u) du, so the sum over r gains the factor
     H_mu(x + r^2), H_mu(z) = z^-mu e^z Gamma(mu+1, z), analytic in the same
     strip: _legendre_seed(z, mu+1) for mu < 0, mu _legendre_seed(z, mu)/z + 1
-    for mu > 0 (one upward step), and exactly 1 at mu = 0."""
-    wp = dps_to_prec(dps + 10) + 20
-    x = _libmp(x, wp - 20)
-    if mpf_lt(x, fone):
-        raise ValueError("Ki_1 implemented for x >= 1 only")
-    xf, B = to_float(x), (dps + 16) * math.log(10)
+    for mu > 0 (one upward step), and exactly 1 at mu = 0.  Node k weighs
+    e^-(k h)^2, so its continued fraction needs only to come within
+    e^((k h)^2) 2^-wp of H_mu."""
+    xf, B = to_float(x), (dps + 16) * _LN10
     # any step up to the strip's bound will do, so a float one, exact in libmp
     step = 2 * math.pi * math.sqrt(xf) / (xf + B)
     h = from_float(step)
     one = 1 << wp
     hf, X = to_fixed(h, wp), to_fixed(x, wp)
-    # H_mu at 2^-wp, for z = Z at 2^-wp; none at mu = 0
-    U, H = to_fixed(mu, wp), None
+    # H_mu at 2^-wp, for z = Z at 2^-wp, to within e^-b; none at mu = 0
+    U, H, full = to_fixed(mu, wp), None, wp * _LN2
     if mu[0]:
-        H = lambda Z: _legendre_seed(Z, U + one, wp)
+        H = lambda Z, b: _legendre_seed(Z, U + one, wp, b)
     elif U:
-        H = lambda Z: U * _legendre_seed(Z, U, wp) // Z + one
+        H = lambda Z, b: U * _legendre_seed(Z, U, wp, b) // Z + one
     # g = e^(-(k h)^2) by g_k = g_(k-1) q_k, q_k = e^(-h^2 (2k - 1))
     h2 = mpf_neg(mpf_mul(h, h))
     q, q_step = (to_fixed(mpf_exp(mpf_shift(h2, c), wp), wp) for c in (0, 1))
     g = one
     total = (one << wp) // math.isqrt(2 << 2 * wp)
     if H:
-        total = total * H(X) >> wp
+        total = total * H(X, full) >> wp
     for k in range(1, int(math.sqrt(B) / step) + 2):
         g = g * q >> wp
         q = q * q_step >> wp
         r2 = (k * hf) ** 2
         y = r2 // X
         root = math.isqrt(one + one + y << wp)
-        f = g * H(X + (r2 >> wp)) >> wp if H else g
+        f = g * H(X + (r2 >> wp), max(full - (k * step) ** 2, 0)) >> wp if H else g
         total += (f << 2 * wp + 1) // ((one + y) * root)
     pre = mpf_div(mpf_mul(mpf_exp(mpf_neg(x), wp), h), mpf_sqrt(x, wp), wp)
     return mpf_mul(pre, from_man_exp(total, -wp))

@@ -328,6 +328,16 @@ class TestKernel:
         with pytest.raises(QuadratureError):
             kernel_mellin_check(13, 30)
 
+    def test_node_budget(self, monkeypatch):
+        # nodes at v0 + e^(t - e^-t): 188 K-core calls at D = 30; nodes
+        # spread evenly in log v down to v0 would take ~400
+        calls = []
+        core = evaluators._k0_k1
+        monkeypatch.setattr(evaluators, "_k0_k1", lambda *a: calls.append(a) or core(*a))
+        monkeypatch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
+        kernel_mellin_check(13, 30)
+        assert 0 < len(calls) <= 200
+
     @pytest.mark.parametrize("dps", [22, 28, 30, 60])
     def test_half_step_gate_has_margin(self, monkeypatch, dps):
         # the a-priori step passes the gate with ten times to spare

@@ -2,6 +2,8 @@
 oracle, the Bickley function and its fractional moments, and the tanh-sinh
 rule itself."""
 
+import math
+
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,9 +17,27 @@ from spinl.numeric_lfun import (
     incomplete_gamma_int,
     tanh_sinh,
 )
-from mpmath.libmp import from_float
+from mpmath.libmp import dps_to_prec, from_float, fzero
 
-from spinl.numeric_lfun.special import BESSEL_X_MAX, BESSEL_X_MIN, _ki1
+from spinl.numeric_lfun.special import (
+    BESSEL_X_MAX,
+    BESSEL_X_MIN,
+    _ki1,
+    _ki1_asymptotic,
+    _ki1_trapezoid,
+    _libmp,
+)
+
+KI1_MUS = [-0.999, -0.4, 0.0, 0.6, 0.999]
+
+
+def _ki1_cut(dps, mu):
+    """The x at which _ki1 turns to its expansion: x + mu ln x = (dps + 10) ln 10."""
+    L = (dps + 10) * math.log(10)
+    x = L
+    for _ in range(40):
+        x = L - mu * math.log(x)
+    return x
 
 
 class TestTanhSinh:
@@ -274,6 +294,37 @@ class TestBickley:
         assert abs(got - direct) / direct < ctx.mpf("1e-38")
 
 
+class TestKi1Branches:
+    """_ki1's large-x expansion against its trapezoid sum, both on one grid
+    of integers, where the expansion takes over."""
+
+    @pytest.mark.parametrize("dps", [15, 30, 60, 120])
+    @pytest.mark.parametrize("mu", KI1_MUS)
+    def test_branches_agree_above_the_cut(self, mu, dps):
+        wp = dps_to_prec(dps + 10) + 20
+        m = from_float(mu) if mu else fzero
+        ctx = context(dps + 20)
+        cut = _ki1_cut(dps, mu)
+        for x in (cut * (1 + 1e-12), cut + 1, 1.5 * cut):
+            xm = _libmp(x, wp - 20)
+            got, trap = _ki1_asymptotic(xm, wp, dps, m), _ki1_trapezoid(xm, wp, dps, m)
+            assert _rel(ctx, ctx.make_mpf(got), ctx.make_mpf(trap)) < ctx.mpf(10) ** -(dps + 5)
+
+    @pytest.mark.parametrize("mu", KI1_MUS)
+    def test_expansion_reaches_its_target_just_above_the_cut(self, mu):
+        # its smallest term there is ~10^-(D+9.5), below the stop at
+        # 10^-(D+8), so the loop never bottoms out
+        m = from_float(mu) if mu else fzero
+        for dps in range(15, 301):
+            wp = dps_to_prec(dps + 10) + 20
+            xm = _libmp(_ki1_cut(dps, mu) * (1 + 1e-12), wp - 20)
+            assert _ki1(xm, dps, m) == _ki1_asymptotic(xm, wp, dps, m)
+
+    def test_expansion_refuses_below_its_range(self):
+        with pytest.raises(ArithmeticError):
+            _ki1_asymptotic(_libmp(5, 200), 200, 40, fzero)
+
+
 class TestPrecisionProperties:
     """A value at D digits agrees with the same value at D + 15 to D - 1
     digits, across each function's domain; outside it, a call raises."""
@@ -284,6 +335,20 @@ class TestPrecisionProperties:
         x = 10**log10_x
         ctx = context(dps + 20)
         lo, hi = bickley_ki1(x, dps), bickley_ki1(x, dps + 15)
+        assert _rel(ctx, lo, hi) < ctx.mpf(10) ** (1 - dps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log10_x=st.floats(0, 4),
+        mu=st.floats(-0.999, 0.999).filter(lambda m: m != 0),
+        dps=st.integers(15, 60),
+    )
+    def test_fractional_moment_agrees_with_fifteen_more_digits(self, log10_x, mu, dps):
+        # x up to 1e4 reaches both branches, and the D + 15 sum may take the
+        # trapezoid where the D one takes the expansion
+        x, m = 10**log10_x, from_float(mu)
+        ctx = context(dps + 20)
+        lo, hi = (ctx.make_mpf(_ki1(x, d, m)) for d in (dps, dps + 15))
         assert _rel(ctx, lo, hi) < ctx.mpf(10) ** (1 - dps)
 
     @settings(max_examples=60, deadline=None)
