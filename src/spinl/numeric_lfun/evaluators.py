@@ -606,11 +606,12 @@ def kernel_mellin_check(s0: int, dps: int):
     v - v0 is ~e^-B / B, to the cut v^27 e^(-2v) < 10^-(D+8) of s0 = 19:
     188 nodes at D = 30, 297 at D = 60.  K_11(2v) is taken once per node
     from the fixed-point core, and the seven sums of v^14 (v^2)^(s0 - 13)
-    K_11 run on integers at one scale, each rounded once.  The even nodes give the sum at step 2h; by the error model
-    C e^(-c/h) their difference from the full sum, times e^(-c/2h), here
-    e^(-B/2) (c taken as _KERNEL_RATE, below the fitted c), predicts the
-    error at h, and a prediction above 10^-(D+18) at any s0 raises
-    QuadratureError.  The seven errors are cached per D."""
+    K_11 run on integers at one scale, each rounded once.  The even nodes
+    give the sum at step 2h; by the error model C e^(-c/h) their
+    difference from the full sum, times e^(-c/2h), here e^(-B/2) (c taken
+    as _KERNEL_RATE, below the fitted c), predicts the error at h, and a
+    prediction above 10^-(D+18) at any s0 raises QuadratureError.  The
+    seven errors are cached per D."""
     if s0 not in range(13, 20):
         raise ValueError("check points are the integers s0 = 13..19")
     return _kernel_errors(dps)[int(s0) - 13]

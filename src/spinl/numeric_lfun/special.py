@@ -322,15 +322,17 @@ def _ki1_asymptotic(x, wp: int, dps: int, mu):
     libmp x and mu: with t_k the terms of K_0's expansion (those of
     _k0_k1_asymptotic), differentiating gives u_0 = 1 and
     u_k = t_k - (k - 1/2 - mu) u_(k-1) / x.  The u_k fall until k nears x,
-    where the smallest is ~x^-mu e^-x: the loop stops once they fall below
-    10^-(dps+8), and raises ArithmeticError if the factor (k - 1/2 - mu)/x
-    reaches 1 first."""
+    where the smallest is ~x^-mu e^-x.  Each u_k is a polynomial in mu and
+    can vanish early (u_1 = (mu - 5/8)/x), so the loop stops only once t_k
+    and u_k are both below 10^-(dps+8): the t_k fall faster, so the later
+    u_k stay small.  It raises ArithmeticError if the factor
+    (k - 1/2 - mu)/x reaches 1 first."""
     eps = (1 << wp) // 10 ** (dps + 8)
     xf = to_fixed(x, wp)
     half_mu = (1 << wp - 1) + to_fixed(mu, wp)  # 1/2 + mu
     t = u = acc = 1 << wp
     k = 1
-    while abs(u) >= eps:
+    while abs(t) >= eps or abs(u) >= eps:
         if (k << wp) - half_mu >= xf:
             raise ArithmeticError("asymptotic series bottomed out early")
         t = (-((2 * k - 1) ** 2) * t << wp) // (8 * k * xf)

@@ -493,11 +493,13 @@ class TestMellinTailRoutes:
 
     @pytest.mark.parametrize("D", [30, 60])
     @pytest.mark.parametrize("n", [1, 2, 61, 150])
-    @pytest.mark.parametrize("s_str", ["12.01", "13.3", "15.25", "17.7"])
+    @pytest.mark.parametrize("s_str", ["12.01", "12.1875", "12.8125", "13.3", "15.25", "17.7"])
     def test_real_s_matches_quadrature(self, s_str, n, D):
         # a generic real s: the class mu = 2s - 23 - 2i of m is seeded by
         # the generalised Bickley sum; at D + 10, the working precision of
-        # D, against the oracle at 80 digits
+        # D, against the oracle at 80 digits.  s = 12.8125 seeds the class
+        # mu = 5/8, where the seed's expansion has a zero term, and 12.1875,
+        # its image under s -> 25 - s, the class -5/8
         ctx = context(D + 10)
         closed = _deg4_term(ctx, ctx.mpf(s_str), n)
         quad = _deg4_quad_at(s_str, n, 80)

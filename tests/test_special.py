@@ -28,7 +28,7 @@ from spinl.numeric_lfun.special import (
     _libmp,
 )
 
-KI1_MUS = [-0.999, -0.4, 0.0, 0.6, 0.999]
+KI1_MUS = [-0.999, -0.4, 0.0, 0.6, 0.625, 0.999]
 
 
 def _ki1_cut(dps, mu):
@@ -319,6 +319,21 @@ class TestKi1Branches:
             wp = dps_to_prec(dps + 10) + 20
             xm = _libmp(_ki1_cut(dps, mu) * (1 + 1e-12), wp - 20)
             assert _ki1(xm, dps, m) == _ki1_asymptotic(xm, wp, dps, m)
+
+    @pytest.mark.parametrize("dps", [15, 30, 60])
+    def test_expansion_runs_past_a_vanishing_term(self, dps):
+        # u_1 = (mu - 5/8) / x is exactly 0 at mu = 5/8 (every s = 3/16 or
+        # 13/16 mod 1 seeds that class), and u_2 vanishes at the root of
+        # (3/2 - mu)(mu - 5/8) = 9/128; a zero term ends nothing
+        wp = dps_to_prec(dps + 10) + 20
+        mp = mpmath.mp.clone()
+        mp.prec = wp
+        root = (mp.mpf("2.125") - mp.sqrt(mp.mpf("0.484375"))) / 2
+        ctx = context(dps + 20)
+        for m in (from_float(0.625), root._mpf_):
+            xm = _libmp(_ki1_cut(dps, 0.7) + 1, wp - 20)
+            got, trap = _ki1_asymptotic(xm, wp, dps, m), _ki1_trapezoid(xm, wp, dps, m)
+            assert _rel(ctx, ctx.make_mpf(got), ctx.make_mpf(trap)) < ctx.mpf(10) ** -(dps + 5)
 
     def test_expansion_refuses_below_its_range(self):
         with pytest.raises(ArithmeticError):
