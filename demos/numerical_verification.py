@@ -29,7 +29,7 @@ print(f"  [{time.time() - t0:.2f}s]")
 print()
 print("exact * norms vs direct numeric products (30 digits, 150 coefficients,")
 print("freshly computed norms):")
-report = verify_tables(30, 150, use_fresh_norms=True)
+report = verify_tables(30, 150)
 for row in report.rows:
     if row.branch == "spin":
         print(f"  s={row.s}: exact {mp.nstr(mp.convert(row.exact_value), 17)}"

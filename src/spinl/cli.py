@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -29,10 +28,12 @@ from .critical_values import (
     rankin_g20_value,
     two_delta_product,
 )
-from .numeric_lfun import context, fresh_norms, render_exact, verify_tables
+from .numeric_lfun import context, render_exact, round_to, verify_tables
+from .numeric_lfun.bigfloat import GUARD, MIN_DPS
+from .numeric_lfun.evaluators import _norm
 from .qexp import delta_qexp, g20_qexp, rankin_coeffs
 
-__all__ = ["main", "OutputRecord", "factor_integer", "factored_form"]
+__all__ = ["main", "factor_integer", "factored_form"]
 
 
 def factor_integer(n: int) -> List[tuple]:
@@ -75,63 +76,38 @@ def factored_form(q: Fraction) -> str:
     return f"{sign}{num}/{den}"
 
 
-@dataclass
-class OutputRecord:
-    s: int
-    numerator: str
-    denominator: str
-    factored: str
-    pi_exponent: int
-    numeric: str
-    part: Optional[str] = None  # table 1 carries two values per s
-
-    def as_dict(self) -> dict:
-        d = {
-            "s": self.s,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "factored": self.factored,
-            "pi_exponent": self.pi_exponent,
-            "numeric": self.numeric,
-        }
-        if self.part is not None:
-            d["part"] = self.part
-        return d
-
-
-def _record(s, q: Fraction, pi_exp: int, numeric, part=None) -> OutputRecord:
-    return OutputRecord(
-        s=s,
-        numerator=str(q.numerator),
-        denominator=str(q.denominator),
-        factored=factored_form(q),
-        pi_exponent=pi_exp,
-        numeric=numeric,
-        part=part,
-    )
-
-
 def _table_rows(which: int, prec: int):
-    ctx = context(prec + 5)
-    rows: List[OutputRecord] = []
-    dn, gn = map(ctx.convert, fresh_norms(prec))
+    """The rows of a table as dicts, with <Delta, Delta> and <g20, g20> at
+    prec digits; every value is rendered in the run's one context."""
+    ctx = context(prec + GUARD)
+    rows: List[dict] = []
+    dn, gn = (_norm(ctx, k, 4, prec) for k in (12, 20))
 
-    def add(s, q: Fraction, e: int, norm=None, part=None) -> None:
-        value = render_exact(ctx, q, e, norm)
-        rows.append(_record(s, q, e, ctx.nstr(value, prec, strip_zeros=False), part))
+    def add(s, q: Fraction, e: int, norm=1, part=None) -> None:
+        row = {
+            "s": s,
+            "numerator": str(q.numerator),
+            "denominator": str(q.denominator),
+            "factored": factored_form(q),
+            "pi_exponent": e,
+            "numeric": ctx.nstr(render_exact(ctx, q, e) * norm, prec, strip_zeros=False),
+        }
+        if part:  # table 1 carries two values per s
+            row["part"] = part
+        rows.append(row)
 
     if which == 1:
         for s in range(3, 11):
             pc = projection_coeffs(s)
             for part, pv in (("A1", pc.a1), ("A2", pc.a2)):
                 add(s, *pv.as_monomial(), part=part)
-        return rows, dn, gn
-    producer = {2: two_delta_product, 3: rankin_g20_value, 4: main_identity}[which]
-    norm = {2: dn, 3: gn, 4: dn * gn}[which]
-    for s in range(12, 20):
-        res = producer(s)
-        add(s, res.rational, res.pi_exponent, norm)
-    return rows, dn, gn
+    else:
+        producer = {2: two_delta_product, 3: rankin_g20_value, 4: main_identity}[which]
+        norm = {2: dn, 3: gn, 4: dn * gn}[which]
+        for s in range(12, 20):
+            res = producer(s)
+            add(s, res.rational, res.pi_exponent, norm)
+    return rows, round_to(prec, dn), round_to(prec, gn)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -146,7 +122,7 @@ def _render_table(which, rows, dn, gn, args) -> str:
     if args.format == "json":
         payload = {
             "table": which,
-            "rows": [r.as_dict() for r in rows],
+            "rows": rows,
             "petersson": {"delta_delta": str(dn), "g20_g20": str(gn)},
             "precision_digits": args.prec,
             "coefficients_used": args.coeffs,
@@ -159,15 +135,14 @@ def _render_table(which, rows, dn, gn, args) -> str:
             fields.remove("part")
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for r in rows:
-            writer.writerow({k: v for k, v in r.as_dict().items() if k in fields})
+        writer.writerows(rows)
         return buf.getvalue()
     lines = [f"table {which}"]
     for r in rows:
-        tag = f" {r.part}" if r.part else ""
+        tag = f" {r['part']}" if "part" in r else ""
         lines.append(
-            f"s={r.s}{tag}  {r.numerator}/{r.denominator} = {r.factored}"
-            f"  * pi^{r.pi_exponent}   numeric: {r.numeric}"
+            f"s={r['s']}{tag}  {r['numerator']}/{r['denominator']} = {r['factored']}"
+            f"  * pi^{r['pi_exponent']}   numeric: {r['numeric']}"
         )
     return "\n".join(lines) + "\n"
 
@@ -212,8 +187,7 @@ def _cmd_verify(args) -> int:
         print("--tol must be a finite number >= 0", file=sys.stderr)
         return 2
     report = verify_tables(args.prec, args.coeffs)
-    tol = context(args.prec).mpf(args.tol)
-    bad = report.failures(tol)
+    bad = report.failures(args.tol)  # an mpf compares with a float exactly
     if args.format == "json":
         payload = report.as_dict()
         payload["tolerance"] = str(args.tol)
@@ -287,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.prec < 15:
-        print("--prec must be >= 15 digits", file=sys.stderr)
+    if args.prec < MIN_DPS:
+        print(f"--prec must be >= {MIN_DPS} digits", file=sys.stderr)
         return 2
     try:
         if args.command == "table":

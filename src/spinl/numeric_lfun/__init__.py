@@ -7,13 +7,14 @@ Every entry point takes an explicit decimal precision D and never touches
 mpmath's global context.  Each works at D + GUARD digits and rounds once
 to D.  Work runs in contexts pooled per thread and per precision, and
 results come back in per-D value contexts (see `bigfloat`); the
-per-coefficient data of both smoothed sums, its sums over n and the
-kernel check's errors are kept in five bounded, thread-safe caches whose
-values are the same in every thread: the degree-4 nodes and the seeded
-chains of their classes mu (one per fractional part of 2s), as unrounded
-integers at one exponent per node, the degree-2 tables, and every sum
-over n, per coefficient set and class, and every kernel error rounded
-once into a value context.
+degree-4 per-coefficient data, the sums over n of both smoothed sums and
+the kernel check's errors are kept in four bounded, thread-safe caches
+whose values are the same in every thread: the degree-4 nodes and the
+seeded chains of their classes mu (one per fractional part of 2s), as
+unrounded integers at one exponent per node, every sum over n, per
+coefficient set and class, and every kernel error rounded once into a
+value context.  The tables and the verification render their exact
+values in the run's one context and round once to D.
 """
 
 from .bigfloat import context, pi_value_numeric, render_exact, round_to
@@ -31,7 +32,7 @@ from .evaluators import (
 )
 from .quadrature import QuadratureError, tanh_sinh
 from .special import bessel_k, bickley_ki1, gamma_upper, incomplete_gamma_int
-from .verify import VerificationReport, VerificationRow, fresh_norms, verify_tables
+from .verify import VerificationReport, VerificationRow, verify_tables
 
 __all__ = [
     "context",
@@ -56,6 +57,5 @@ __all__ = [
     "incomplete_gamma_int",
     "VerificationReport",
     "VerificationRow",
-    "fresh_norms",
     "verify_tables",
 ]

@@ -78,15 +78,10 @@ def _rounded(dps: int, v):
     return home.make_mpf(mpf_pos(v, home.prec, round_nearest))
 
 
-def fraction_to_mpf(ctx, q: Fraction):
-    return ctx.mpf(q.numerator) / q.denominator
-
-
-def render_exact(ctx, q: Fraction, pi_exponent: int, norm=None):
-    """q pi^e, times norm if one is given, in ctx: the one rendering of an
-    exact value for the tables, the verification and pi_value_numeric."""
-    value = fraction_to_mpf(ctx, q) * ctx.pi**pi_exponent
-    return value if norm is None else value * norm
+def render_exact(ctx, q: Fraction, pi_exponent: int):
+    """q pi^e in ctx: the one rendering of an exact value, for the tables,
+    the verification, the norms' zeta(l) and pi_value_numeric."""
+    return ctx.mpf(q.numerator) / q.denominator * ctx.pi**pi_exponent
 
 
 def pi_sum(ctx, pv: PiValue):

@@ -99,7 +99,7 @@ from mpmath.libmp import (
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import GUARD, MIN_DPS, _value_context, context, fraction_to_mpf, pi_sum, round_to
+from .bigfloat import GUARD, MIN_DPS, _value_context, context, pi_sum, round_to
 from .quadrature import QuadratureError
 from .special import _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp
 
@@ -187,14 +187,12 @@ class _BoundedCache:
             self._data.clear()
 
 
-# per-n data of both smoothed sums, keyed by (n, dps), the seeded degree-4
-# chains by (n, mu, dps) and the degree-2 tables by (n, f, dps): a verify
-# run at D = 60, M = 300 holds 300 nodes; entries live in the value
-# contexts, so a hit is the same number in every thread
+# the degree-4 nodes, keyed by (n, dps), and their seeded chains by
+# (n, mu, dps): a verify run at D = 60, M = 300 holds 300 nodes; entries
+# live in the value contexts, so a hit is the same number in every thread
 _CACHE_CAP = 2048
 _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
-_GAMMA_CACHE = _BoundedCache(_CACHE_CAP)
 
 # sums over n of the per-n data against the coefficients, keyed by the
 # coefficient values themselves (never by the accessor that produced them),
@@ -284,17 +282,12 @@ def _deg2_table(n: int, dps: int, f) -> tuple:
     or from H_f = x e^x x^-f Gamma(f, x) (_legendre_seed).  x, pi and e
     come from libmp and the H_a are summed on integers, all at dps digits
     plus 20 bits, as the degree-4 node is built; each G_a is an unrounded
-    (mantissa, exponent) pair at e's exponent, cached per n, f's exact
-    value and dps."""
+    (mantissa, exponent) pair at e's exponent."""
     wp = dps_to_prec(dps) + 20
     fm = _libmp(f, wp)
     sign, man, exp, _ = fm
     if sign or not man or mpf_lt(fone, fm):
         raise ValueError(f"f = {f} outside (0, 1]")
-    key = (n, fm, dps)  # dps last, as in every cache
-    hit = _GAMMA_CACHE.get(key)
-    if hit is not None:
-        return hit
     x = mpf_mul(mpf_pi(wp), from_int(2 * n), wp)
     _, e, e_exp, _ = mpf_div(mpf_exp(mpf_neg(x), wp), x, wp)
     shift, d = _divisor(x)
@@ -306,8 +299,7 @@ def _deg2_table(n: int, dps: int, f) -> tuple:
     for j in range(_G_TOP):
         H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
     # e H 2^(e_exp - wp), cut to e's exponent
-    table = _GAMMA_CACHE[key] = tuple((e * h >> wp, e_exp) for h in H)
-    return table
+    return tuple((e * h >> wp, e_exp) for h in H)
 
 
 def _deg2_scale(n: int) -> float:
@@ -671,9 +663,10 @@ def functional_eq_residual(
 _VALID_NORM_ARGS = {(12, 4), (20, 4), (20, 6), (20, 8)}
 
 
-def _norm(ctx, k: int, r: int, M: int):
-    """<f_k, f_k> by Rankin's formula in ctx from M coefficients of f_k,
-    unrounded beyond ctx."""
+def _norm(ctx, k: int, r: int, dps: int):
+    """<f_k, f_k> by Rankin's formula in ctx from the _deg2_m(k, dps)
+    coefficients of f_k, unrounded beyond ctx."""
+    M = _deg2_m(k, dps)
     l = k - r
     alpha = {j: -Fraction(2 * j) / bernoulli(j) for j in (r, l, k)}
     ratio = alpha[r] / (alpha[l] + alpha[r] - alpha[k])
@@ -681,7 +674,7 @@ def _norm(ctx, k: int, r: int, M: int):
     coeffs = tuple(form.integer_coeffs()[1 : M + 1])
     L1, L2 = _l_value2(ctx, coeffs, k, k - 1), _l_value2(ctx, coeffs, k, l)
     value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / pi_sum(ctx, zeta_exact(l))
-    return value * fraction_to_mpf(ctx, ratio) * L1 * L2
+    return value * (ctx.mpf(ratio.numerator) / ratio.denominator) * L1 * L2
 
 
 def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
@@ -695,5 +688,5 @@ def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
     coefficients, all at dps + GUARD digits and rounded once."""
     if (k, r) not in _VALID_NORM_ARGS:
         raise ValueError(f"unsupported (k, r) = ({k}, {r})")
-    value = _norm(context(dps + GUARD), k, r, _deg2_m(k, dps))
+    value = _norm(context(dps + GUARD), k, r, dps)
     return PeterssonNorm(k, round_to(dps, value), k - r)

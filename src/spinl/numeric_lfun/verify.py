@@ -7,37 +7,24 @@ Three comparisons per s:
   (ii)  rankin_g20_value(s)   * pi^P * <g,g>    vs  L(s, D x g20)
   (iii) main_identity(s)      * pi^P * both     vs  the triple product
 
-where the norms come from Rankin's formula at D + GUARD, rounded to the
-D + 5 digits the rows are rendered at; L(j, Delta) shares their context and
-coefficients, so one set of Delta moments serves both.  The exact value of
-(iii) is the product of those of (i) and (ii), built as main_identity
-builds it.
+where the norms come from Rankin's formula in the run's one context,
+D + GUARD digits, in which every row is rendered and then rounded once to
+D; L(j, Delta) shares that context and the norm's coefficients, so one set
+of Delta moments serves both.  The exact value of (iii) is the product of
+those of (i) and (ii), built as main_identity builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..critical_values import _product, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
 from .bigfloat import GUARD, context, render_exact, round_to
 from .evaluators import _deg2_m, _norm, l_degree2, l_rankin4
 
-__all__ = [
-    "fresh_norms",
-    "VerificationRow",
-    "VerificationReport",
-    "verify_tables",
-]
-
-
-def fresh_norms(dps: int) -> Tuple[object, object]:
-    """<Delta, Delta> and <g20, g20> for a run at dps digits: Rankin's
-    formula at dps + GUARD over the _deg2_m(k, dps + 5) coefficients,
-    rounded to dps + 5 digits, the precision the run renders at."""
-    ctx = context(dps + GUARD)
-    return tuple(round_to(dps + 5, _norm(ctx, k, 4, _deg2_m(k, dps + 5))) for k in (12, 20))
+__all__ = ["VerificationRow", "VerificationReport", "verify_tables"]
 
 
 @dataclass(frozen=True)
@@ -54,7 +41,6 @@ class VerificationRow:
 class VerificationReport:
     precision_digits: int
     coefficients_used: int
-    fresh_norms: bool  # always True: the norms are computed in every run
     rows: List[VerificationRow] = field(default_factory=list)
 
     @property
@@ -68,7 +54,7 @@ class VerificationReport:
         return {
             "precision_digits": self.precision_digits,
             "coefficients_used": self.coefficients_used,
-            "fresh_norms": self.fresh_norms,
+            "fresh_norms": True,  # the norms are computed in every run
             "rows": [
                 {
                     "s": r.s,
@@ -83,14 +69,13 @@ class VerificationReport:
         }
 
 
-def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = True) -> VerificationReport:
+def verify_tables(dps: int = 30, M: int = 150) -> VerificationReport:
     """Compare all 24 exact renderings against direct numeric products, the
-    degree-4 ones over M coefficients.  use_fresh_norms is accepted and
-    ignored: the norms are always computed (fresh_norms)."""
-    report = VerificationReport(dps, M, True)
-    ctx = context(dps + 5)
-    dn, gn = map(ctx.convert, fresh_norms(dps))
-    m_deg2 = _deg2_m(12, dps + 5)  # the Delta norm's coefficients
+    degree-4 ones over M coefficients."""
+    report = VerificationReport(dps, M)
+    ctx = context(dps + GUARD)
+    dn, gn = (_norm(ctx, k, 4, dps) for k in (12, 20))
+    m_deg2 = _deg2_m(12, dps)  # the Delta norm's coefficients
     delta = delta_qexp(m_deg2)
     A = rankin_coeffs(M)
     ldelta = {j: ctx.convert(l_degree2(delta, 12, j, dps, m_deg2)) for j in range(2, 11)}
@@ -104,7 +89,7 @@ def verify_tables(dps: int = 30, M: int = 150, use_fresh_norms: bool = True) -> 
             ("spin", _product(pair, rank), dn * gn, pair_direct * rank_direct),
         )
         for branch, exact, norm, direct in rows:
-            rendered = render_exact(ctx, exact.rational, exact.pi_exponent, norm)
+            rendered = render_exact(ctx, exact.rational, exact.pi_exponent) * norm
             diff = abs(rendered - direct)
             report.rows.append(
                 VerificationRow(

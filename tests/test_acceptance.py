@@ -192,7 +192,7 @@ def test_criterion_7_end_to_end_verification(rankin150):
         t0 = time.monotonic()
         ctx = context(34)
         tol_ref = ctx.mpf("1e-9")
-        report = verify_tables(30, 150, use_fresh_norms=False)
+        report = verify_tables(30, 150)
         refs = {"delta_pair": DIRECT_DELTA_PAIR, "rankin": DIRECT_RANKIN, "spin": DIRECT_SPIN}
         for row in report.rows:
             ref = ctx.mpf(refs[row.branch][row.s])
@@ -212,8 +212,7 @@ def test_criterion_7_end_to_end_verification(rankin150):
             assert abs(ctx.convert(row.exact_value) - ref) / ref < tol_ref, (
                 f"s={row.s} {row.branch} vs printed table column"
             )
-        fresh = verify_tables(30, 150, use_fresh_norms=True)
-        assert ctx.convert(fresh.max_rel_diff) < ctx.mpf("1e-12")
+        assert ctx.convert(report.max_rel_diff) < ctx.mpf("1e-12")
         assert time.monotonic() - t0 < 120.0
 
 

@@ -247,24 +247,53 @@ class TestHonestDigits:
         flagged = run(capsys, "--fresh-norms", *argv)
         assert plain == flagged and plain[0] == 0
 
+    @pytest.mark.parametrize("D", [17, 30, 60])
+    def test_table_norms_are_petersson_norm(self, capsys, D):
+        # the norms a table renders with are the public ones at its precision
+        from spinl.numeric_lfun import petersson_norm
+
+        want = {"delta_delta": str(petersson_norm(12, 4, D).value),
+                "g20_g20": str(petersson_norm(20, 4, D).value)}
+        for table in ("1", "2", "3", "4"):
+            code, out, _ = run(capsys, "--prec", str(D), "--format", "json", "table", table)
+            assert code == 0
+            assert json.loads(out)["petersson"] == want
+
 
 class TestDeterminism:
     # sha256 of `spinl --prec 30 --coeffs 150 --fresh-norms --format json
     # verify`; a change of rounding in the numeric layer can move it, and
     # must then re-baseline it knowingly
-    VERIFY_30_150_SHA256 = "7788c51e830811acbc71ff9042bf2ac3d8365a046e4fb8a1aa3236ba81eec20f"
+    VERIFY_30_150_SHA256 = "3df26ecbd449c4960f44a83ec462d02db1c838a39ce8d46b7a466bb50db74d35"
     # the same at `--prec 60 --coeffs 300`
-    VERIFY_60_300_SHA256 = "2a2f4b05a3811fb78c76d8c684dca324baf8af45058849688389d27bdf378164"
+    VERIFY_60_300_SHA256 = "d00c21585d835b437d9a29145f5811f967cb8978de1ee84c1539c155b63dc86b"
     # sha256 of `spinl --prec D --format json table T`: the norms' path
     TABLE_JSON_SHA256 = {
-        (1, 30): "ebef76cb07eb5b04f91686826a95bb497df9d5de45b14a05fc76a9cbc99ad22d",
-        (1, 60): "ca2b204f1056b5b10152abfb8db3eee94aacd55107d3189ed5b9728d585451de",
-        (2, 30): "0202e5ca2576af169fc8e6056809d1700498f8827c5e86f44baf59cad2369f87",
-        (2, 60): "74df42e39b30288a834b035ab3b6ecf61997abe2f7e6a7516095f3fcb4bfd65b",
-        (3, 30): "f3840361f8a32376b261c302f79923392315e9e3e62d84f16309f49a26455c63",
-        (3, 60): "af720636d6cbb557d29952c12d711e2829b7059edf5682df123e546f0e787ef7",
-        (4, 30): "adee77df62908e25ec16f8e75e4f50428f5b151a474ca1941c5b7c7b7d6bfc57",
-        (4, 60): "df253c52a5b114b95e8b0c2ef2d87c0cf79afd4d2b2697915ac35bb50e4f146e",
+        (1, 30): "cf2fdaa46d4041720e5f3e8832b9aa0a34217b8a453cbbf26d537e1f4e9255a3",
+        (1, 60): "ccc1d0586c14c48edee40bf5dae4d9d0042debad20497cdcf85427dae70b6a52",
+        (2, 30): "286a3ec5c352218c282abd9d093f68b5fa989a573d2a6e1c89e60e79226a3671",
+        (2, 60): "53d06861359332efc9dc42dee6891641b25d7b6409b87eabe047fa1ef8cdfc80",
+        (3, 30): "8bf6d1e197f04010d8af800f7808c4576992852f3c2f2d4f2432b9228e1dfa6b",
+        (3, 60): "eb1c108803590f5d81012e7c353f157f153b4e11d71d6c730e0c63e456d55a5c",
+        (4, 30): "0a72dea24338b9a5367c0079ca903e41e11d7acd604cbb40f5710dd48d325a50",
+        (4, 60): "873c6a8d69ae9cc5399c3b2c63a56d5c786872cd10d7fbc55f37a08c2da15d7a",
+    }
+    # sha256 of `spinl --prec D --format F table T` for T = 1..4, joined:
+    # the exact columns and the numeric one at D digits
+    TABLES_SHA256 = {
+        ("csv", 17): "850695ff1aa617c6dbfa68488803d0209d3a3688574d6a767c628d601d8ae19b",
+        ("csv", 30): "1635e24f3440b259b2cd8bbb3e79b216f29ee838682661c25fb8919850444428",
+        ("csv", 60): "dfef7974a4e3c40474b05726ce6502fec34bca78e5c9c9c362feaff76e3b61f9",
+        ("text", 17): "1d5eb204272737b4c08580ff0b39f2ce38f89dce443ed766804aaf5a2d62c778",
+        ("text", 30): "bc4f68671fd0ab39785bd998862fcb76581b99b9b7bc240548019887d6fad6cd",
+        ("text", 60): "237706cfd12c64e921623becff310af9640855b516d5a75e71fd2cf4abef26ec",
+    }
+    # sha256 of the exact_value and direct_value columns of the pinned
+    # verify runs, one "exact direct" line per row: the values themselves,
+    # apart from how their difference is rendered
+    VERIFY_VALUES_SHA256 = {
+        (30, 150): "6fbb325abcf680dc424388fdca6dd6a241e1492a756b9324f71d6d2df83c20b3",
+        (60, 300): "e6feaa78d02ff3b27769ea3cd354c8fd7edb902337a3bee9cc2601b185bac558",
     }
 
     def test_verify_json_pinned(self, capsys):
@@ -286,6 +315,28 @@ class TestDeterminism:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_60_300_SHA256
+
+    @pytest.mark.parametrize("fmt,D", sorted(TABLES_SHA256))
+    def test_tables_pinned(self, capsys, fmt, D):
+        import hashlib
+
+        outs = []
+        for table in ("1", "2", "3", "4"):
+            code, out, _ = run(capsys, "--prec", str(D), "--format", fmt, "table", table)
+            assert code == 0
+            outs.append(out)
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == self.TABLES_SHA256[fmt, D]
+
+    @pytest.mark.parametrize("D,M", sorted(VERIFY_VALUES_SHA256))
+    def test_verify_values_pinned(self, capsys, D, M):
+        import hashlib
+
+        code, out, _ = run(
+            capsys, "--prec", str(D), "--coeffs", str(M), "--format", "json", "verify"
+        )
+        assert code == 0
+        cols = "".join(f"{r['exact_value']} {r['direct_value']}\n" for r in json.loads(out)["rows"])
+        assert hashlib.sha256(cols.encode()).hexdigest() == self.VERIFY_VALUES_SHA256[D, M]
 
     @pytest.mark.parametrize("table,D", sorted(TABLE_JSON_SHA256))
     def test_table_json_pinned(self, capsys, table, D):

@@ -25,7 +25,7 @@ from spinl.numeric_lfun import evaluators
 from spinl.numeric_lfun.special import _k0_k1
 
 
-PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE, evaluators._GAMMA_CACHE)
+PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE)
 CACHES = PER_N_CACHES + (evaluators._MOMENT_CACHE, evaluators._KERNEL_CACHE)
 
 
@@ -302,8 +302,8 @@ class TestLevelsMakeNoContexts:
 
     @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
     def test_verify_works_at_one_precision(self, monkeypatch, D, M):
-        # the norms and L(j, Delta) work in context(D + GUARD) on one set of
-        # Delta moments, the rows render at D + 5 and round to D
+        # the norms, L(j, Delta) and the rows work in context(D + GUARD) on
+        # one set of Delta moments and round once to D
         from spinl.numeric_lfun.bigfloat import GUARD
 
         built = []
@@ -315,10 +315,21 @@ class TestLevelsMakeNoContexts:
 
         monkeypatch.setattr(evaluators, "_MOMENT_CACHE", Recording(evaluators._MOMENT_CAP))
         work, value = self._requested(monkeypatch, lambda: verify_tables(D, M))
-        assert work == {D + 5, D + GUARD}
-        assert value == {D, D + 5, D + GUARD}
+        assert work == {D + GUARD}
+        assert value == {D, D + GUARD}
         delta = [key for key in built if key[0][0] == "deg2" and key[1][:2] == (1, -24)]
         assert len(delta) == 1
+
+    @pytest.mark.parametrize("argv", [("verify",), ("--format", "json", "table", "4")])
+    def test_cli_adds_no_precision(self, monkeypatch, tmp_path, argv):
+        # a CLI run renders in the context its numeric layer works in
+        from spinl.cli import main
+        from spinl.numeric_lfun.bigfloat import GUARD
+
+        def job():
+            assert main(["--prec", "30", "--out", str(tmp_path / "out"), *argv]) == 0
+
+        assert self._requested(monkeypatch, job) == ({30 + GUARD}, {30, 30 + GUARD})
 
     def test_per_n_data_at_any_level(self, monkeypatch):
         def job():
