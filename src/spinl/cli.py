@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .critical_values import (
     main_identity,
@@ -28,32 +28,13 @@ from .critical_values import (
     rankin_g20_value,
     two_delta_product,
 )
+from .exact_arith import factor_integer
 from .numeric_lfun import context, render_exact, round_to, verify_tables
 from .numeric_lfun.bigfloat import GUARD, MIN_DPS
 from .numeric_lfun.evaluators import _norm
 from .qexp import delta_qexp, g20_qexp, rankin_coeffs
 
 __all__ = ["main", "factor_integer", "factored_form"]
-
-
-def factor_integer(n: int) -> List[tuple]:
-    """Prime factorization by trial division as (prime, exponent) pairs.
-    Table denominators are smooth, so this never works hard."""
-    if n < 1:
-        raise ValueError("need a positive integer")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _factor_str(n: int) -> str:
@@ -76,9 +57,13 @@ def factored_form(q: Fraction) -> str:
     return f"{sign}{num}/{den}"
 
 
+_TABLE_FIELDS = ["s", "part", "numerator", "denominator", "factored", "pi_exponent", "numeric"]
+
+
 def _table_rows(which: int, prec: int):
-    """The rows of a table as dicts, with <Delta, Delta> and <g20, g20> at
-    prec digits; every value is rendered in the run's one context."""
+    """The rows of a table as dicts, and <Delta, Delta> and <g20, g20> at
+    prec digits in positional notation; every value is rendered in the
+    run's one context."""
     ctx = context(prec + GUARD)
     rows: List[dict] = []
     dn, gn = (_norm(ctx, k, 4, prec) for k in (12, 20))
@@ -107,36 +92,43 @@ def _table_rows(which: int, prec: int):
         for s in range(12, 20):
             res = producer(s)
             add(s, res.rational, res.pi_exponent, norm)
-    return rows, round_to(prec, dn), round_to(prec, gn)
+    petersson = {
+        name: ctx.nstr(round_to(prec, v), prec, min_fixed=-math.inf, max_fixed=math.inf)
+        for name, v in (("delta_delta", dn), ("g20_g20", gn))
+    }
+    return rows, petersson
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
+def _write(args, payload: dict, fields: List[str], rows: List[dict], lines: List[str]) -> None:
+    """The one output step: payload as JSON, rows under fields as CSV, or
+    the text lines, as --format asks, to --out or stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _render_table(which, rows, dn, gn, args) -> str:
-    if args.format == "json":
-        payload = {
-            "table": which,
-            "rows": rows,
-            "petersson": {"delta_delta": str(dn), "g20_g20": str(gn)},
-            "precision_digits": args.prec,
-            "coefficients_used": args.coeffs,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.format == "csv":
-        buf = io.StringIO()
-        fields = ["s", "part", "numerator", "denominator", "factored", "pi_exponent", "numeric"]
-        if which != 1:
-            fields.remove("part")
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
+def _cmd_table(args) -> int:
+    which = args.table
+    rows, petersson = _table_rows(which, args.prec)
+    payload = {
+        "table": which,
+        "rows": rows,
+        "petersson": petersson,
+        "precision_digits": args.prec,
+        "coefficients_used": args.coeffs,
+    }
     lines = [f"table {which}"]
     for r in rows:
         tag = f" {r['part']}" if "part" in r else ""
@@ -144,41 +136,21 @@ def _render_table(which, rows, dn, gn, args) -> str:
             f"s={r['s']}{tag}  {r['numerator']}/{r['denominator']} = {r['factored']}"
             f"  * pi^{r['pi_exponent']}   numeric: {r['numeric']}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_table(args) -> int:
-    rows, dn, gn = _table_rows(args.table, args.prec)
-    _emit(_render_table(args.table, rows, dn, gn, args), args.out)
+    fields = [f for f in _TABLE_FIELDS if f != "part" or which == 1]
+    _write(args, payload, fields, rows, lines)
     return 0
 
 
 def _cmd_coeffs(args) -> int:
-    n = args.nmax
-    if args.form == "delta":
-        values = delta_qexp(n).integer_coeffs()[1:]
-    elif args.form == "g20":
-        values = g20_qexp(n).integer_coeffs()[1:]
+    n, form = args.nmax, args.form
+    if form == "rankin":
+        values = rankin_coeffs(n).values[1:]
     else:
-        A = rankin_coeffs(n)
-        values = [A[i] for i in range(1, n + 1)]
-    if args.format == "json":
-        payload = {
-            "form": args.form,
-            "n_max": n,
-            "values": [str(v) for v in values],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", args.form])
-        for i, v in enumerate(values, start=1):
-            writer.writerow([i, v])
-        text = buf.getvalue()
-    else:
-        text = "\n".join(f"{i:4d}  {v}" for i, v in enumerate(values, start=1)) + "\n"
-    _emit(text, args.out)
+        values = {"delta": delta_qexp, "g20": g20_qexp}[form](n).integer_coeffs()[1:]
+    values = [str(v) for v in values]
+    rows = [{"n": i, form: v} for i, v in enumerate(values, start=1)]
+    lines = [f"{i:4d}  {v}" for i, v in enumerate(values, start=1)]
+    _write(args, {"form": form, "n_max": n, "values": values}, ["n", form], rows, lines)
     return 0
 
 
@@ -188,23 +160,18 @@ def _cmd_verify(args) -> int:
         return 2
     report = verify_tables(args.prec, args.coeffs)
     bad = report.failures(args.tol)  # an mpf compares with a float exactly
-    if args.format == "json":
-        payload = report.as_dict()
-        payload["tolerance"] = str(args.tol)
-        payload["failures"] = len(bad)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [
-            f"verification at {args.prec} digits, {args.coeffs} coefficients, fresh norms"
-        ]
-        for r in report.rows:
-            lines.append(
-                f"s={r.s} {r.branch:10s} exact*norms={r.exact_value}"
-                f"  direct={r.direct_value}  rel_diff={r.rel_diff}"
-            )
-        lines.append(f"max relative difference: {report.max_rel_diff}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    payload = report.as_dict()
+    payload["tolerance"] = str(args.tol)
+    payload["failures"] = len(bad)
+    rows = payload["rows"]
+    lines = [f"verification at {args.prec} digits, {args.coeffs} coefficients, fresh norms"]
+    for r in rows:
+        lines.append(
+            f"s={r['s']} {r['branch']:10s} exact*norms={r['exact_value']}"
+            f"  direct={r['direct_value']}  rel_diff={r['rel_diff']}"
+        )
+    lines.append(f"max relative difference: {report.max_rel_diff}")
+    _write(args, payload, list(rows[0]), rows, lines)
     if bad:
         for r in bad:
             print(

@@ -100,29 +100,28 @@ def _check_s_range(s: int, lo: int, hi: int) -> None:
         raise ValueError(f"s must be in {lo}..{hi}, got {s}")
 
 
+def _eisenstein_limit(a: int, b: int) -> Fraction:
+    """lim_{eps->0} Gamma(a + 2 eps) zeta(a + 2 eps) / Gamma(b + eps) for odd
+    a and b <= 0, the limit along s in C0' and D0': pole over pole for
+    a < 0, zeta's pole against the 1/Gamma zero at a = 1, and 0 for a >= 3."""
+    if a < 0:
+        return zeta_exact(a).as_monomial()[0] * gamma_pole_ratio(a, b, 2)
+    if a == 1:
+        return zeta_pole_over_gamma(b, 2)
+    return Fraction(0)
+
+
 def c_constants(s: int) -> Tuple[PiValue, PiValue, PiValue, PiValue]:
     """Constant-term data (C0', C0'', C1, C2) of the weight-10 level-2
     Eisenstein expansion entering the <Delta,Delta> side, for s in 3..10.
 
     C0' = -2 pi^(2s-12) Gamma(2s-13) zeta(2s-13) / (Gamma(s-11) Gamma(s-1)),
-    evaluated as a limit along s.  For s in 3..6 both Gammas sit at poles;
-    at s = 7 the zeta factor is at its pole and cancels the 1/Gamma(s-11)
-    zero; for s in 8..10 the value is 0.
+    evaluated as a limit along s (_eisenstein_limit): nonzero for s in 3..7,
+    0 for s in 8..10.
     """
     _check_s_range(s, 3, 10)
     e = 2 * s - 12
-    if s <= 6:
-        zv, _ = zeta_exact(2 * s - 13).as_monomial()
-        ratio = gamma_pole_ratio(2 * s - 13, s - 11, 2)
-        c0p = PiValue.monomial(
-            Fraction(-2) * zv * ratio / factorial(s - 2), e
-        )
-    elif s == 7:
-        # Gamma(2s-13) = Gamma(1) = 1; zeta(1)-pole against the 1/Gamma zero.
-        lim = zeta_pole_over_gamma(s - 11, 2)
-        c0p = PiValue.monomial(Fraction(-2) * lim / factorial(s - 2), e)
-    else:
-        c0p = PiValue.zero()
+    c0p = PiValue.monomial(-2 * _eisenstein_limit(2 * s - 13, s - 11) / factorial(s - 2), e)
     c0pp = (Fraction(2) - Fraction(2) ** (13 - 2 * s)) * zeta_exact(2 * s - 12)
     c1 = PiValue.monomial(Fraction(2), e)
     c2 = PiValue.monomial(Fraction(2) - Fraction(2) ** (2 * s - 12), e)
@@ -198,26 +197,14 @@ def d_constants(s: int) -> Tuple[PiValue, PiValue]:
     expansion entering the <g20,g20> side, for s in 12..19.
 
     D0' = 2 (2 pi)^(2s-30) Gamma(2s-31) zeta(2s-31) / (Gamma(s-11) Gamma(s-19)),
-    again as a limit along s: pole/pole for s in 12..15, zeta(1)-pole against
-    the 1/Gamma zero at s = 16, and 0 for s in 17..19.  D0'' = 2 zeta(2s-30).
+    again as a limit along s (_eisenstein_limit): nonzero for s in 12..16,
+    0 for s in 17..19.  D0'' = 2 zeta(2s-30).
     """
     _check_s_range(s, 12, 19)
     e = 2 * s - 30
-    d0pp = 2 * zeta_exact(2 * s - 30)
-    if s <= 15:
-        zv, _ = zeta_exact(2 * s - 31).as_monomial()
-        ratio = gamma_pole_ratio(2 * s - 31, s - 19, 2)
-        d0p = PiValue.monomial(
-            2 * Fraction(2) ** e * zv * ratio / factorial(s - 12), e
-        )
-    elif s == 16:
-        lim = zeta_pole_over_gamma(s - 19, 2)
-        d0p = PiValue.monomial(
-            2 * Fraction(2) ** e * lim / factorial(s - 12), e
-        )
-    else:
-        d0p = PiValue.zero()
-    return d0p, d0pp
+    lim = _eisenstein_limit(2 * s - 31, s - 19)
+    d0p = PiValue.monomial(2 * Fraction(2) ** e * lim / factorial(s - 12), e)
+    return d0p, 2 * zeta_exact(2 * s - 30)
 
 
 @_cached
@@ -235,21 +222,16 @@ def rankin_g20_value(s: int) -> CriticalValueResult:
     return CriticalValueResult(s, coeff, expo + 19, PeterssonFactors.G20_G20)
 
 
-def _product(left: CriticalValueResult, right: CriticalValueResult) -> CriticalValueResult:
-    """The spinor coefficient at s from the two factor results at s:
-    rationals multiply, pi-exponents add."""
-    return CriticalValueResult(
-        left.s,
-        left.rational * right.rational,
-        left.pi_exponent + right.pi_exponent,
-        PeterssonFactors.BOTH,
-    )
-
-
 @_cached
 def main_identity(s: int) -> CriticalValueResult:
     """Coefficient of <Delta,Delta><g20,g20> in the spinor critical value at
     s in 12..19: the product of the two factor results (rationals multiply,
     pi-exponents add; the total exponent is 4s-30)."""
     _check_s_range(s, 12, 19)
-    return _product(two_delta_product(s), rankin_g20_value(s))
+    left, right = two_delta_product(s), rankin_g20_value(s)
+    return CriticalValueResult(
+        s,
+        left.rational * right.rational,
+        left.pi_exponent + right.pi_exponent,
+        PeterssonFactors.BOTH,
+    )

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, Bernoulli numbers, zeta special
-values, and the Gamma-ratio limits needed by the Eisenstein constant terms.
+values, the Gamma-ratio limits needed by the Eisenstein constant terms,
+and the one trial division (table denominators, Hecke primes).
 
 Everything in this module is exact.  Rationals are `fractions.Fraction`
 (aliased as `Rational`); values of the form "rational times a power of pi"
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 Rational = Fraction
 
@@ -23,6 +24,7 @@ __all__ = [
     "falling_ratio",
     "gamma_pole_ratio",
     "zeta_pole_over_gamma",
+    "factor_integer",
 ]
 
 
@@ -227,3 +229,23 @@ def zeta_pole_over_gamma(y: int, c: int) -> Fraction:
     if c < 1:
         raise ValueError("zeta_pole_over_gamma needs c >= 1")
     return Fraction((-1) ** (-y) * factorial(-y), c)
+
+
+def factor_integer(n: int) -> List[Tuple[int, int]]:
+    """Prime factorization by trial division as (prime, exponent) pairs.
+    Table denominators are smooth, so this never works hard."""
+    if n < 1:
+        raise ValueError("need a positive integer")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out

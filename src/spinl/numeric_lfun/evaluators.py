@@ -278,11 +278,11 @@ _G_TOP = 19  # a = f + j for j = 0..19 covers k - 1 at weight 20
 def _deg2_table(n: int, dps: int, f) -> tuple:
     """(G_a) for a = f + j, j = 0..19, at x = 2 pi n, G_a = x^-a Gamma(a, x),
     for a real f in (0, 1].  G_a = e H_a with e = e^-x / x and the
-    all-positive recurrence H_(a+1) = a H_a / x + 1, from H_1 = 1 at f = 1
-    or from H_f = x e^x x^-f Gamma(f, x) (_legendre_seed).  x, pi and e
-    come from libmp and the H_a are summed on integers, all at dps digits
-    plus 20 bits, as the degree-4 node is built; each G_a is an unrounded
-    (mantissa, exponent) pair at e's exponent."""
+    all-positive recurrence H_(a+1) = a H_a / x + 1, from
+    H_f = x e^x x^-f Gamma(f, x) (_legendre_seed, exactly 1 at f = 1).  x,
+    pi and e come from libmp and the H_a are summed on integers, all at dps
+    digits plus 20 bits, as the degree-4 node is built; each G_a is an
+    unrounded (mantissa, exponent) pair at e's exponent."""
     wp = dps_to_prec(dps) + 20
     fm = _libmp(f, wp)
     sign, man, exp, _ = fm
@@ -295,7 +295,7 @@ def _deg2_table(n: int, dps: int, f) -> tuple:
     q = -exp
     one = 1 << wp
     # the seed to the full working precision, e^-B = 2^-wp
-    H = [one if fm == fone else _legendre_seed(to_fixed(x, wp), to_fixed(fm, wp), wp, wp * _LN2)]
+    H = [_legendre_seed(to_fixed(x, wp), to_fixed(fm, wp), wp, wp * _LN2)]
     for j in range(_G_TOP):
         H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
     # e H 2^(e_exp - wp), cut to e's exponent

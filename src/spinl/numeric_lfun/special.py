@@ -1,10 +1,11 @@
 """Special functions for the L-evaluators: incomplete gamma at integer (and
 real) first argument, the modified Bessel function K_nu at integer order,
 the Bickley function Ki_1 and its fractional moments
-x^-mu int_x^inf t^mu K_0(t) dt, and Legendre's continued fraction for
-Gamma(f, x).  The evaluators take K_nu, the moments and the continued
-fraction from here; incomplete gamma is public and serves the tests as
-the oracle of the evaluators' own degree-2 table.
+x^-mu int_x^inf t^mu K_0(t) dt, and the seed x^(1-a) e^x Gamma(a, x) for
+0 < a < 2 (Legendre's continued fraction, one upward step above a = 1).
+The evaluators take K_nu, the moments and the seed from here; incomplete
+gamma is public and serves the tests as the oracle of the evaluators' own
+degree-2 table.
 
 K_nu is summed in fixed point: Python integers scaled by a power of two,
 with the working precision plus 20 guard bits (wp), so each term of a
@@ -43,8 +44,9 @@ analyticity, so its error is set by the precision alone.  The step is a
 float, exact as a libmp value, math.isqrt takes the square root in each
 term, and the prefactor e^-x h / sqrt(x) comes from libmp at wp.  The
 moment of order mu is the same sum with one more factor per node,
-z^-mu e^z Gamma(mu+1, z) at z = x + r^2, from the continued fraction on
-the same integers, run only as deep as the node's weight e^-r^2 needs.
+z^-mu e^z Gamma(mu+1, z) at z = x + r^2, from the seed on the same
+integers, its continued fraction run only as deep as the node's weight
+e^-r^2 needs.
 The tests check both branches against int_x^inf (t/x)^mu K_0 and against
 each other above the cut.
 """
@@ -281,16 +283,19 @@ def bickley_ki1(x, dps: int):
 
 
 def _legendre_seed(X: int, F: int, wp: int, B: float) -> int:
-    """x^(1-f) e^x Gamma(f, x) at 2^-wp to within e^-B of itself, for X = x
-    > 0 and F = f at 2^-wp with 0 < f < 1, from Legendre's continued
-    fraction
+    """H_a = x^(1-a) e^x Gamma(a, x) at 2^-wp to within e^-B of itself, for
+    X = x > 0 and F = a at 2^-wp with 0 < a < 2: exactly 1 at a = 1, one
+    upward step H_a = (a-1) H_(a-1) / x + 1 above it, and below it
+    Legendre's continued fraction
 
-        x^-f e^x Gamma(f, x) = 1/(x+1-f - 1(1-f)/(x+3-f - 2(2-f)/(x+5-f - ...))),
+        x^-a e^x Gamma(a, x) = 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ...))),
 
     run backward on integers from depth N.  Its truncation error after N
     terms falls like e^(-4 sqrt(N x)), so N = (B/4)^2 / x + B/4 + 10 puts
     it below e^-B; B = wp ln 2 gives the full working precision."""
     one = 1 << wp
+    if F >= one:
+        return one if F == one else (F - one) * _legendre_seed(X, F - one, wp, B) // X + one
     N = int((B / 4) ** 2 / (X / one) + B / 4) + 10
     T = X + (2 * N + 1) * one - F
     for i in range(N, 0, -1):
@@ -349,37 +354,28 @@ def _ki1_trapezoid(x, wp: int, dps: int, mu):
 
     In t = x cosh u the integral is int_0^inf (cosh u)^(-mu-1)
     Gamma(mu+1, x cosh u) du, so the sum over r gains the factor
-    H_mu(x + r^2), H_mu(z) = z^-mu e^z Gamma(mu+1, z), analytic in the same
-    strip: _legendre_seed(z, mu+1) for mu < 0, mu _legendre_seed(z, mu)/z + 1
-    for mu > 0 (one upward step), and exactly 1 at mu = 0.  Node k weighs
-    e^-(k h)^2, so its continued fraction needs only to come within
-    e^((k h)^2) 2^-wp of H_mu."""
+    z^-mu e^z Gamma(mu+1, z) = _legendre_seed(z, mu+1) at z = x + r^2,
+    analytic in the same strip.  Node k weighs e^-(k h)^2, so its continued
+    fraction needs only to come within e^((k h)^2) 2^-wp of the factor."""
     xf, B = to_float(x), (dps + 16) * _LN10
     # any step up to the strip's bound will do, so a float one, exact in libmp
     step = 2 * math.pi * math.sqrt(xf) / (xf + B)
     h = from_float(step)
     one = 1 << wp
     hf, X = to_fixed(h, wp), to_fixed(x, wp)
-    # H_mu at 2^-wp, for z = Z at 2^-wp, to within e^-b; none at mu = 0
-    U, H, full = to_fixed(mu, wp), None, wp * _LN2
-    if mu[0]:
-        H = lambda Z, b: _legendre_seed(Z, U + one, wp, b)
-    elif U:
-        H = lambda Z, b: U * _legendre_seed(Z, U, wp, b) // Z + one
+    F, full = to_fixed(mu, wp) + one, wp * _LN2
     # g = e^(-(k h)^2) by g_k = g_(k-1) q_k, q_k = e^(-h^2 (2k - 1))
     h2 = mpf_neg(mpf_mul(h, h))
     q, q_step = (to_fixed(mpf_exp(mpf_shift(h2, c), wp), wp) for c in (0, 1))
     g = one
-    total = (one << wp) // math.isqrt(2 << 2 * wp)
-    if H:
-        total = total * H(X, full) >> wp
+    total = ((one << wp) // math.isqrt(2 << 2 * wp)) * _legendre_seed(X, F, wp, full) >> wp
     for k in range(1, int(math.sqrt(B) / step) + 2):
         g = g * q >> wp
         q = q * q_step >> wp
         r2 = (k * hf) ** 2
         y = r2 // X
         root = math.isqrt(one + one + y << wp)
-        f = g * H(X + (r2 >> wp), max(full - (k * step) ** 2, 0)) >> wp if H else g
+        f = g * _legendre_seed(X + (r2 >> wp), F, wp, max(full - (k * step) ** 2, 0)) >> wp
         total += (f << 2 * wp + 1) // ((one + y) * root)
     pre = mpf_div(mpf_mul(mpf_exp(mpf_neg(x), wp), h), mpf_sqrt(x, wp), wp)
     return mpf_mul(pre, from_man_exp(total, -wp))

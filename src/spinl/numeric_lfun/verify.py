@@ -11,7 +11,7 @@ where the norms come from Rankin's formula in the run's one context,
 D + GUARD digits, in which every row is rendered and then rounded once to
 D; L(j, Delta) shares that context and the norm's coefficients, so one set
 of Delta moments serves both.  The exact value of (iii) is the product of
-those of (i) and (ii), built as main_identity builds it.
+those of (i) and (ii): main_identity's own result.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..critical_values import _product, rankin_g20_value, two_delta_product
+from ..critical_values import main_identity, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
 from .bigfloat import GUARD, context, render_exact, round_to
 from .evaluators import _deg2_m, _norm, l_degree2, l_rankin4
@@ -82,11 +82,10 @@ def verify_tables(dps: int = 30, M: int = 150) -> VerificationReport:
     for s in range(12, 20):
         pair_direct = ldelta[s - 9] * ldelta[s - 10]
         rank_direct = ctx.convert(l_rankin4(A, s, dps, M))
-        pair, rank = two_delta_product(s), rankin_g20_value(s)
         rows = (
-            ("delta_pair", pair, dn, pair_direct),
-            ("rankin", rank, gn, rank_direct),
-            ("spin", _product(pair, rank), dn * gn, pair_direct * rank_direct),
+            ("delta_pair", two_delta_product(s), dn, pair_direct),
+            ("rankin", rankin_g20_value(s), gn, rank_direct),
+            ("spin", main_identity(s), dn * gn, pair_direct * rank_direct),
         )
         for branch, exact, norm, direct in rows:
             rendered = render_exact(ctx, exact.rational, exact.pi_exponent) * norm

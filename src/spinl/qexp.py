@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Sequence, Tuple
 
-from .exact_arith import bernoulli
+from .exact_arith import bernoulli, factor_integer
 
 __all__ = [
     "QSeries",
@@ -41,16 +41,7 @@ __all__ = [
 ]
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factor_integer(n) == [(n, 1)]
 
 
 def _schoolbook(a: Sequence, b: Sequence, n_out: int) -> list:

@@ -1,7 +1,9 @@
 """CLI contract: table/coeffs/verify subcommands, formats, round-tripping,
 factored forms, and exit codes."""
 
+import csv
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -247,17 +249,57 @@ class TestHonestDigits:
         flagged = run(capsys, "--fresh-norms", *argv)
         assert plain == flagged and plain[0] == 0
 
-    @pytest.mark.parametrize("D", [17, 30, 60])
+    @pytest.mark.parametrize("D", [15, 17, 20, 30, 60])
     def test_table_norms_are_petersson_norm(self, capsys, D):
-        # the norms a table renders with are the public ones at its precision
+        # the norms a table renders with are the public ones at its
+        # precision, written positionally at every D (str() of an mpf
+        # switches to exponent form at D <= 20)
         from spinl.numeric_lfun import petersson_norm
 
-        want = {"delta_delta": str(petersson_norm(12, 4, D).value),
-                "g20_g20": str(petersson_norm(20, 4, D).value)}
+        want = {"delta_delta": Decimal(str(petersson_norm(12, 4, D).value)),
+                "g20_g20": Decimal(str(petersson_norm(20, 4, D).value))}
         for table in ("1", "2", "3", "4"):
             code, out, _ = run(capsys, "--prec", str(D), "--format", "json", "table", table)
             assert code == 0
-            assert json.loads(out)["petersson"] == want
+            got = json.loads(out)["petersson"]
+            assert {name: Decimal(v) for name, v in got.items()} == want
+            assert not any("e" in v.lower() for v in got.values()), got
+
+
+_TABLE_FIELDS = ["s", "numerator", "denominator", "factored", "pi_exponent", "numeric"]
+_VERIFY_FIELDS = ["s", "branch", "exact_value", "direct_value", "abs_diff", "rel_diff"]
+# (argv, csv header, row count) for every subcommand
+_COMMANDS = (
+    [(("table", "1"), _TABLE_FIELDS[:1] + ["part"] + _TABLE_FIELDS[1:], 16)]
+    + [(("table", t), _TABLE_FIELDS, 8) for t in "234"]
+    + [(("coeffs", f, "--nmax", "20"), ["n", f], 20) for f in ("delta", "g20", "rankin")]
+    + [(("--prec", "20", "--coeffs", "30", "verify"), _VERIFY_FIELDS, 24)]
+)
+
+
+class TestFormatMatrix:
+    """Every subcommand writes every format, and --out gets the bytes
+    stdout would."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize(
+        "argv,fields,n_rows", _COMMANDS,
+        ids=["-".join(a.lstrip("-") for a in argv) for argv, _, _ in _COMMANDS],
+    )
+    def test_every_command_in_every_format(self, capsys, tmp_path, argv, fields, n_rows, fmt):
+        code, out, _ = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        target = tmp_path / "out"
+        assert main(["--format", fmt, "--out", str(target), *argv]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == out
+        if fmt == "json":
+            doc = json.loads(out)
+            assert len(doc["values"] if argv[0] == "coeffs" else doc["rows"]) == n_rows
+        elif fmt == "csv":
+            reader = csv.DictReader(out.splitlines())
+            assert reader.fieldnames == fields
+            assert len(list(reader)) == n_rows
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Exact critical-value engine: Whittaker polynomials, constant terms,
 projection coefficients, and the three assembled value tables."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -179,3 +180,43 @@ class TestEulerFactorConsistency:
             sp = s - 9
             rhs = 1 - tau2 * Fraction(2) ** (1 - sp) + 2**11 * Fraction(2) ** (2 - 2 * sp)
             assert lhs == rhs
+
+
+class TestConstantsPinned:
+    """Every monomial of the Eisenstein constant terms, as recorded before
+    C0' and D0' were built from one limit helper: sha256 of one
+    "coefficient*pi^exponent" line per monomial, over the tuple at s."""
+
+    C_SHA256 = {
+        3: "c63200aa5ee186050e8b1d8ca44ea0e05ce52b28a55252b5321002964494e85f",
+        4: "832ed22d6aee6508d382c0e9527497e63b8370d9bd1c5b4a08b7b12c70b05790",
+        5: "41cef1ec7769314339f237e6819f6d0189420da5c872ae2513a77e9ecd117e98",
+        6: "4810678b6b5b4f5a90682b5415a5103d83962aa3ebaa2f86c44b891c73cd3e97",
+        7: "3fd022b91b73144e9d6099c272704bbde5476519999bae6a1a26a85663436430",
+        8: "2cc91474c3ab75778680060a765effbd2c83ea5df85eabf8ed9b3766b4066d49",
+        9: "4aaf3c8e7a4f1399280b334b3247541d4b0cfcbe6003fb1e99327e84e01a271c",
+        10: "173231c1c5495efd0489ae000c4b72522f9a9055d3c6194c5e3b7f290d1fb7f0",
+    }
+    D_SHA256 = {
+        12: "3750b7f376ef0c816c0a86c15b48399d50b083d7568f87c905914d3793a23f5c",
+        13: "1e6951c54aab05db29190e5cc3e1bf4074b1ae7afdb4f46bc5c1e0493cbe779e",
+        14: "a4dd3370757c23c9ce3f67b504d8a7883a8527fa364c97d4e331154afbbed670",
+        15: "5ead7597efb228b5cdf8ec2ff18c28abad338b100736dd144870256f28a5d222",
+        16: "bd50edffec453cbc62255b9c3cf01aa6852e876cb6bbc3858f5925caea864df3",
+        17: "cf4f68b5a44da708363b437a34b4e913afd46b86d5e61a92d3039a64aec94f00",
+        18: "aeb53c0ba8399fcb558242a4f6862e5e4e4ff306a9bca5333aec166d18f2d430",
+        19: "eb9500d6b65b1e1f5166529f61b6e4b86c81753add00e187f9760451bf983ecf",
+    }
+
+    @staticmethod
+    def _sha256(values):
+        lines = "".join(f"{c}*pi^{e}\n" for v in values for c, e in v.monomials)
+        return hashlib.sha256(lines.encode()).hexdigest()
+
+    @pytest.mark.parametrize("s", sorted(C_SHA256))
+    def test_c_constants(self, s):
+        assert self._sha256(c_constants(s)) == self.C_SHA256[s]
+
+    @pytest.mark.parametrize("s", sorted(D_SHA256))
+    def test_d_constants(self, s):
+        assert self._sha256(d_constants(s)) == self.D_SHA256[s]

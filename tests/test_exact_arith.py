@@ -15,6 +15,7 @@ from spinl import (
     zeta_exact,
     zeta_pole_over_gamma,
 )
+from spinl.exact_arith import factor_integer
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -229,3 +230,15 @@ class TestPiValueNumeric:
         got = ctx.convert(pi_value_numeric(v, 28))
         want = ctx.pi**2 / 6 - ctx.mpf(1) / 2
         assert abs(got - want) < ctx.mpf("1e-26")
+
+
+class TestFactorInteger:
+    def test_the_cli_name_is_this_function(self):
+        import spinl.cli
+
+        assert spinl.cli.factor_integer is factor_integer
+
+    def test_rejects_nonpositive(self):
+        for n in (0, -4):
+            with pytest.raises(ValueError):
+                factor_integer(n)

@@ -21,7 +21,7 @@ from spinl import (
     lemma1_local_check,
     rankin_coeffs,
 )
-from spinl.qexp import _kronecker, _schoolbook
+from spinl.qexp import _kronecker, _schoolbook, is_prime
 
 # first coefficients of the discriminant form: q - 24q^2 + 252q^3 - ...
 DELTA_HEAD = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048}
@@ -406,6 +406,13 @@ class TestG20:
             while p ** (k + 1) <= 200:
                 assert g[p ** (k + 1)] == g[p] * g[p**k] - p**19 * g[p ** (k - 1)]
                 k += 1
+
+
+class TestIsPrime:
+    def test_small_values(self):
+        ns = (-7, 0, 1, 2, 3, 4, 9, 97, 7919, 7921)  # 7921 = 89^2
+        want = [False, False, False, True, True, False, False, True, True, False]
+        assert [is_prime(n) for n in ns] == want
 
 
 class TestHecke:

@@ -20,11 +20,13 @@ from spinl.numeric_lfun import (
 from mpmath.libmp import dps_to_prec, from_float, fzero
 
 from spinl.numeric_lfun.special import (
+    _LN2,
     BESSEL_X_MAX,
     BESSEL_X_MIN,
     _ki1,
     _ki1_asymptotic,
     _ki1_trapezoid,
+    _legendre_seed,
     _libmp,
 )
 
@@ -292,6 +294,32 @@ class TestBickley:
         ) / ex
         got = ctx.make_mpf(_ki1(x, 40, from_float(mu)))
         assert abs(got - direct) / direct < ctx.mpf("1e-38")
+
+
+class TestLegendreSeed:
+    """H_a = x^(1-a) e^x Gamma(a, x) for 0 < a < 2, at 2^-wp."""
+
+    @pytest.mark.parametrize("dps", [15, 30, 60])
+    def test_exactly_one_at_one(self, dps):
+        wp = dps_to_prec(dps) + 20
+        for x in (13, 60):
+            assert _legendre_seed(x << wp, 1 << wp, wp, wp * _LN2) == 1 << wp
+
+    @pytest.mark.parametrize("dps", [15, 30, 60])
+    @pytest.mark.parametrize("a", [1.25, 1.5, 1.75])
+    def test_above_one(self, a, dps):
+        # one upward step from a - 1, and within a few ulps of mpmath
+        wp = dps_to_prec(dps) + 20
+        one, B = 1 << wp, wp * _LN2
+        F = int(a * 4) * one // 4
+        mp = mpmath.mp.clone()
+        mp.prec = wp + 64
+        for x in (13, 60):
+            X = x << wp
+            got = _legendre_seed(X, F, wp, B)
+            assert got == (F - one) * _legendre_seed(X, F - one, wp, B) // X + one
+            want = mp.mpf(x) ** (1 - mp.mpf(a)) * mp.exp(x) * mp.gammainc(a, x)
+            assert abs(got - int(mp.nint(want * 2**wp))) <= 4
 
 
 class TestKi1Branches:
