@@ -75,7 +75,8 @@ def _table_rows(which: int, prec: int):
             "denominator": str(q.denominator),
             "factored": factored_form(q),
             "pi_exponent": e,
-            "numeric": ctx.nstr(render_exact(ctx, q, e) * norm, prec, strip_zeros=False),
+            "numeric": ctx.nstr(render_exact(ctx, q, e) * norm, prec, strip_zeros=False,
+                                min_fixed=-math.inf, max_fixed=math.inf),
         }
         if part:  # table 1 carries two values per s
             row["part"] = part

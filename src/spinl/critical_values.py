@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .exact_arith import (
     PiValue,
@@ -53,8 +52,7 @@ class PeterssonFactors(enum.Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class ProjectionCoeffs:
+class ProjectionCoeffs(NamedTuple):
     """First two Fourier coefficients of the holomorphic projection, each a
     single monomial with pi-exponent 2s-12, defined for s in 3..10."""
 
@@ -63,8 +61,7 @@ class ProjectionCoeffs:
     a2: PiValue
 
 
-@dataclass(frozen=True)
-class CriticalValueResult:
+class CriticalValueResult(NamedTuple):
     s: int
     rational: Fraction
     pi_exponent: int

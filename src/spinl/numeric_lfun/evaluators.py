@@ -86,7 +86,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -117,8 +116,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LFunctionSpec:
+class LFunctionSpec(NamedTuple):
     """Self-dual L-function descriptor: Gamma_R shifts, conductor, the weight
     w in Lambda(s) = eps Lambda(w - s), the sign, and a coefficient accessor."""
 
@@ -133,8 +131,7 @@ class LFunctionSpec:
         return len(self.gamma_shifts)
 
 
-@dataclass(frozen=True)
-class PeterssonNorm:
+class PeterssonNorm(NamedTuple):
     k: int
     value: object  # mpf at the requested precision
     l_used: int

@@ -16,8 +16,7 @@ those of (i) and (ii): main_identity's own result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from ..critical_values import main_identity, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
@@ -27,8 +26,7 @@ from .evaluators import _deg2_m, _norm, l_degree2, l_rankin4
 __all__ = ["VerificationRow", "VerificationReport", "verify_tables"]
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     s: int
     branch: str  # "delta_pair", "rankin", "spin"
     exact_value: object  # exact coefficient rendered numerically, with norms
@@ -37,11 +35,10 @@ class VerificationRow:
     rel_diff: object
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     precision_digits: int
     coefficients_used: int
-    rows: List[VerificationRow] = field(default_factory=list)
+    rows: List[VerificationRow]
 
     @property
     def max_rel_diff(self):
@@ -72,7 +69,7 @@ class VerificationReport:
 def verify_tables(dps: int = 30, M: int = 150) -> VerificationReport:
     """Compare all 24 exact renderings against direct numeric products, the
     degree-4 ones over M coefficients."""
-    report = VerificationReport(dps, M)
+    report = VerificationReport(dps, M, [])
     ctx = context(dps + GUARD)
     dn, gn = (_norm(ctx, k, 4, dps) for k in (12, 20))
     m_deg2 = _deg2_m(12, dps)  # the Delta norm's coefficients

@@ -10,16 +10,19 @@ Kronecker substitution: each operand becomes one decimal number of biased
 w-digit slots, and one multiply in the standard ``decimal`` module
 (libmpdec, a number-theoretic transform for large operands, O(n log n))
 gives every product coefficient. That multiply runs in a private context
-that traps any rounding, so it is exact or raises. Delta is q times
-Jacobi's eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) squared three times.
-Series are immutable after construction.
+that traps any rounding, so it is exact or raises. Only the product
+coefficients that are read, q^0..q^N, must fit a slot, so Delta and
+g20 size their slots by Deligne's bound |a(n)| <= d(n) n^((k-1)/2) on the
+coefficients they keep. Delta is q times Jacobi's
+eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) squared three times: the first
+squaring, of a series with ~sqrt(2N) nonzero terms, is a sparse loop,
+the other two are transforms. Series are immutable after construction.
 """
 
 from __future__ import annotations
 
 import decimal
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -45,14 +48,16 @@ def is_prime(n: int) -> bool:
 
 
 def _schoolbook(a: Sequence, b: Sequence, n_out: int) -> list:
+    """Coefficients 0..n_out of a * b, summed over b's nonzero terms only, so
+    a sparse operand (eta^3 has ~sqrt(2 n_out) of them) costs that many."""
+    nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
     out = [0] * (n_out + 1)
     for i, ai in enumerate(a):
-        if ai and i <= n_out:
-            hi = min(len(b), n_out + 1 - i)
-            for j in range(hi):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        if ai:
+            for j, bj in nonzero:
+                if i + j > n_out:
+                    break
+                out[i + j] += ai * bj
     return out
 
 
@@ -65,7 +70,7 @@ _DEC = decimal.Context(
 )
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
+def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int, bound: int | None = None) -> list:
     """Coefficients 0..n_out of the product of two integer polynomials.
 
     Kronecker substitution in base 10^w: each operand is one decimal number
@@ -73,9 +78,16 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
     ``decimal`` multiply, which libmpdec makes with a number-theoretic
     transform in O(n log n) for large operands. A slot holds x + h with
     h = 5 10^(w-1), so it is written as nonnegative digits; subtracting the
-    packed h's (a constant "50...0" string) leaves sum x_i 10^(wi). Every
-    product coefficient c has |c| < h, so adding h back to each slot of the
-    product makes the slots c + h, which read off without carries. The
+    packed h's (a constant "50...0" string) leaves sum x_i 10^(wi).
+
+    Only the low n_out + 1 slots of the product C = sum c_k 10^(wk) are
+    read, so only their coefficients must fit: |c_k| < h for k <= n_out.
+    The last K = w (n_out + 1) digits of C + H + 10^T, with H the packed
+    h's of those slots and 10^T above |C|, are then exactly
+    sum_{k <= n_out} (c_k + h) 10^(wk), which reads off without carries;
+    the unread high slots may overflow. ``bound`` is the caller's bound on
+    those |c_k| (Deligne's, for Delta and g20); without it, the bound is
+    max|a| max|b| min(len(a), len(b)), which holds for every slot. The
     arithmetic runs in the private context ``_DEC``, never the thread's
     current one, and that context traps Inexact and Rounded: a result too
     long for it raises instead of losing digits.
@@ -88,11 +100,13 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
     max_b = max(map(abs, b))
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
-    # Every coefficient x of a, b and the product has |x| <= bound, and w is
-    # the smallest width with 4 bound < 10^w: then x + h lies strictly
-    # between 2.5 10^(w-1) and 7.5 10^(w-1), so it is exactly w digits.
-    bound = max_a * max_b * min(len(a), len(b))
-    w = len(str(4 * bound))
+    if bound is None:
+        bound = max_a * max_b * min(len(a), len(b))
+    # Every operand coefficient and every product coefficient that is read
+    # has |x| <= B, and w is the smallest width with 4 B < 10^w: then x + h
+    # lies strictly between 2.5 10^(w-1) and 7.5 10^(w-1), so it is exactly
+    # w digits.
+    w = len(str(4 * max(bound, max_a, max_b)))
     h = 5 * 10 ** (w - 1)
     slot = str(h)
 
@@ -102,11 +116,14 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list:
 
     A = pack(a)
     C = _DEC.multiply(A, A if a is b else pack(b))
-    n_slots = max(n_out + 1, len(a) + len(b) - 1)
-    C = _DEC.add(C, _DEC.create_decimal(slot * n_slots))
+    K = w * (n_out + 1)
+    # 10^T, T past |C|'s digits and K, makes the sum positive and leaves its
+    # last K digits alone
+    top = decimal.Decimal((0, (1,), max(C.adjusted() + 1, K) + 1))
+    C = _DEC.add(_DEC.add(C, _DEC.create_decimal(slot * (n_out + 1))), top)
     s = _DEC.to_sci_string(C)
-    # slot i is the i-th w-digit group from the right
-    return [int(s[j - w : j]) - h for j in range(len(s), len(s) - w * (n_out + 1), -w)]
+    # slot k is the k-th w-digit group from the right
+    return [int(s[j - w : j]) - h for j in range(len(s), len(s) - K, -w)]
 
 
 def _exact(c):
@@ -264,20 +281,35 @@ def delta_qexp(N: int) -> QSeries:
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    eta = _eta_cubed(N - 1)
-    for _ in range(3):  # eta^3 -> eta^6 -> eta^12 -> eta^24
-        eta = _kronecker(eta, eta, N - 1)
-    series = _DELTA_BUILT[N] = QSeries._of([0] + eta, N)
+    eta3 = _eta_cubed(N - 1)
+    eta6 = _schoolbook(eta3, eta3, N - 1)  # eta^3 is sparse: no transform
+    eta12 = _kronecker(eta6, eta6, N - 1)
+    # eta24[i] = tau(i + 1), and Deligne's |tau(n)| <= d(n) n^(11/2) with
+    # d(n) <= 2 sqrt(n) bounds it by 2 N^6
+    eta24 = _kronecker(eta12, eta12, N - 1, 2 * N**6)
+    series = _DELTA_BUILT[N] = QSeries._of([0] + eta24, N)
     return series
 
 
 def _divisor_power_sums(N: int, e: int) -> list:
-    """sigma_e(n) for n = 0..N (index 0 unused, set to 0)."""
+    """sigma_e(n) for n = 0..N (index 0 unused, set to 0), multiplicatively:
+    with p the smallest prime factor of n = p^a m, sigma_e(n) is
+    sigma_e(p^a) sigma_e(m), and sigma_e(p^a) = sigma_e(p^(a-1)) + p^(ae)."""
+    spf = list(range(N + 1))  # smallest prime factors, by a sieve
+    for p in range(2, isqrt(N) + 1):
+        if spf[p] == p:
+            for m in range(p * p, N + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
     out = [0] * (N + 1)
-    for d in range(1, N + 1):
-        de = d**e
-        for m in range(d, N + 1, d):
-            out[m] += de
+    if N >= 1:
+        out[1] = 1
+    for n in range(2, N + 1):
+        p = spf[n]
+        m = n // p
+        while m % p == 0:
+            m //= p
+        out[n] = out[m] * out[n // m] if m > 1 else out[n // p] + n**e
     return out
 
 
@@ -289,7 +321,7 @@ def eisenstein_qexp(k: int, N: int) -> QSeries:
         raise ValueError("need N >= 0")
     alpha = _exact(-Fraction(2 * k) / bernoulli(k))
     sig = _divisor_power_sums(N, k - 1)
-    return QSeries([1] + [alpha * sig[n] for n in range(1, N + 1)], N)
+    return _exact_series([1] + [alpha * c for c in sig[1:]], N)
 
 
 def g2p_qexp(p: int, N: int) -> QSeries:
@@ -316,7 +348,9 @@ def g20_qexp(N: int) -> QSeries:
     """The normalized weight-20 cusp eigenform E_8 * Delta to precision N."""
     if N < 1:
         raise ValueError("need N >= 1")
-    series = _G20_BUILT[N] = eisenstein_qexp(8, N) * delta_qexp(N)
+    # Deligne: |b(n)| <= d(n) n^(19/2) <= 2 N^10 for n <= N
+    e8, delta = eisenstein_qexp(8, N).coeffs, delta_qexp(N).coeffs
+    series = _G20_BUILT[N] = QSeries._of(_kronecker(e8, delta, N, 2 * N**10), N)
     return series
 
 
@@ -341,14 +375,16 @@ def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
     return _exact_series(out, n_out)
 
 
-@dataclass(frozen=True)
 class RankinCoeffs:
     """Dirichlet coefficients A(1)..A(N) of the degree-4 convolution of the
     weight-12 and weight-20 eigenforms: A(n) = sum_{d^2|n} d^30 tau(n/d^2) b(n/d^2).
     """
 
-    precision: int
-    values: Tuple[int, ...]  # index 0 unused
+    __slots__ = ("precision", "values")
+
+    def __init__(self, precision: int, values: Tuple[int, ...]):
+        self.precision = precision
+        self.values = values  # index 0 unused
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.precision:

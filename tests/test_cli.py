@@ -265,6 +265,16 @@ class TestHonestDigits:
             assert {name: Decimal(v) for name, v in got.items()} == want
             assert not any("e" in v.lower() for v in got.values()), got
 
+    @pytest.mark.parametrize("D", [15, 17, 18])
+    def test_numeric_column_positional(self, capsys, D):
+        # table 1's smallest values (~2e-5) took exponent form at D <= 17
+        for table in ("1", "2", "3", "4"):
+            code, out, _ = run(capsys, "--prec", str(D), "table", table)
+            assert code == 0
+            for v in _numeric_column(out):
+                assert "e" not in v.lower(), (table, v)
+                assert len(v.lstrip("-").replace(".", "").lstrip("0")) == D, (table, v)
+
 
 _TABLE_FIELDS = ["s", "numerator", "denominator", "factored", "pi_exponent", "numeric"]
 _VERIFY_FIELDS = ["s", "branch", "exact_value", "direct_value", "abs_diff", "rel_diff"]
@@ -323,10 +333,10 @@ class TestDeterminism:
     # sha256 of `spinl --prec D --format F table T` for T = 1..4, joined:
     # the exact columns and the numeric one at D digits
     TABLES_SHA256 = {
-        ("csv", 17): "850695ff1aa617c6dbfa68488803d0209d3a3688574d6a767c628d601d8ae19b",
+        ("csv", 17): "bd84e28789c9e364e3c9be91e9c8029877d64f0e8792dd45ee245f22c2389c83",
         ("csv", 30): "1635e24f3440b259b2cd8bbb3e79b216f29ee838682661c25fb8919850444428",
         ("csv", 60): "dfef7974a4e3c40474b05726ce6502fec34bca78e5c9c9c362feaff76e3b61f9",
-        ("text", 17): "1d5eb204272737b4c08580ff0b39f2ce38f89dce443ed766804aaf5a2d62c778",
+        ("text", 17): "6804b6fa7df2d72f517f801cb541404caca09816ffa544d546bcdecb31232676",
         ("text", 30): "bc4f68671fd0ab39785bd998862fcb76581b99b9b7bc240548019887d6fad6cd",
         ("text", 60): "237706cfd12c64e921623becff310af9640855b516d5a75e71fd2cf4abef26ec",
     }
@@ -424,3 +434,23 @@ class TestDeterminism:
         code, _, err = run(capsys, "--prec", "10", "table", "2")
         assert code == 2
         assert "prec" in err
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the package's records are NamedTuples and __slots__ classes, so an
+    # import pays for neither module (they pull in ast, dis and tokenize)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, spinl, spinl.cli, spinl.numeric_lfun; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from spinl import (
     lemma1_local_check,
     rankin_coeffs,
 )
-from spinl.qexp import _kronecker, _schoolbook, is_prime
+from spinl.qexp import _divisor_power_sums, _kronecker, _schoolbook, is_prime
 
 # first coefficients of the discriminant form: q - 24q^2 + 252q^3 - ...
 DELTA_HEAD = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048}
@@ -299,6 +299,108 @@ class TestLargeN:
             assert gcd(m, n) == 1 and m * n <= self.N
             for f in (tau, b, A):
                 assert f[m * n] == f[m] * f[n], (f, m, n)
+
+
+def _dense_schoolbook(a, b, n_out):
+    """The product over every pair of terms, kept as the reference for the
+    sparse loop."""
+    out = [0] * (n_out + 1)
+    for i, ai in enumerate(a):
+        if ai and i <= n_out:
+            for j in range(min(len(b), n_out + 1 - i)):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+    return out
+
+
+def _divisor_power_sums_by_divisors(N, e):
+    """sigma_e(n) for n = 0..N summed over every divisor: the reference for
+    the sieve."""
+    out = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for m in range(d, N + 1, d):
+            out[m] += d**e
+    return out
+
+
+class TestSlotBounds:
+    """Delta and g20 take their slot widths from Deligne's bound; their
+    coefficients must come out as those of the generic-width build."""
+
+    # sha256 of repr(tuple(coeffs)) of delta_qexp(N) and g20_qexp(N), taken
+    # from the build whose slots held every product coefficient
+    PINNED = {
+        1: ("a5cabe61309cbdb1d6a67e597b1659243a076817ce37626014228bde43e86d2d",
+            "a5cabe61309cbdb1d6a67e597b1659243a076817ce37626014228bde43e86d2d"),
+        2: ("818c63a6b3fb5b5631f53ed31b449c85cf51176f1764013a22e7997ca1fd8f3e",
+            "3075b98f5db764c60ecbab103b287e11da334913c148bb7c54f349623d2120af"),
+        3: ("c45035399a5cdedb2a0b9a775f1f530ab52de294892baa073a3fa99e611fd971",
+            "efd8ac6befea8330ccc19d11ce17bbe9769beacbb03b828581ec66635956606e"),
+        15: ("aad35e0b32759aa63df6cba98453ea2511b63454347b1e14607913e1af91b159",
+             "073a18b9ca7ad317a6343366c49e49fa0eef6db90a561b5586ef55a60d0bb49f"),
+        150: ("c2a88e6e8a054c1796553bc2dbcf2e55439f477e1268e42e77288e3e6c2547e9",
+              "b95bddde5220fb0b8a5cebb6657a15781222b1ddf93a6333a04e5161a136fdff"),
+        300: ("672672f82988235f70962f50a5f888420b4fa0577dc5dd51661faa3f5a86933a",
+              "f9b6d9c07b745e5292a9a2e721c4798af6ea9fac5138d74bbafb131c7d7f024b"),
+        1024: ("bc2e19904dee4245b8ccff4c62863bebd807361906f924b7e25a53800d28e9bd",
+               "cb3795c78a5482375c02a49d867598970cf9987769858486bd47f97fae7c5c00"),
+        5000: (TestLargeN.DELTA_SHA256, TestLargeN.G20_SHA256),
+    }
+
+    @pytest.mark.parametrize("N", sorted(PINNED))
+    def test_pinned_at_every_size(self, N):
+        assert (_sha256(delta_qexp(N).coeffs), _sha256(g20_qexp(N).coeffs)) == self.PINNED[N]
+
+    def test_deligne_bound_holds(self):
+        # |a(n)| <= d(n) n^((k-1)/2), squared to stay in integers, and
+        # d(n) <= 2 sqrt(n): the bounds 2 N^6 and 2 N^10 the slots rest on
+        N = 5000
+        tau, b = delta_qexp(N).coeffs, g20_qexp(N).coeffs
+        d = _divisor_power_sums_by_divisors(N, 0)
+        for n in range(1, N + 1):
+            assert d[n] ** 2 <= 4 * n
+            assert tau[n] ** 2 <= d[n] ** 2 * n**11, n
+            assert b[n] ** 2 <= d[n] ** 2 * n**19, n
+
+    def test_caller_bound_lets_unread_slots_overflow(self):
+        # small low halves and large high halves: the read coefficients fit
+        # the caller's bound, the unread ones overflow their slots
+        rng = random.Random(11)
+        for trial in range(40):
+            m = rng.randint(1, 60)
+
+            def operand(high_len):
+                return [rng.randint(-9, 9) for _ in range(m)] + [
+                    rng.choice((-1, 1)) * rng.randint(10**5, 10**6) for _ in range(high_len)
+                ]
+
+            a = operand(m)
+            b = a if trial % 4 == 0 else operand(rng.randint(1, m))
+            n = rng.randint(0, m - 1)
+            full = _schoolbook(a, b, len(a) + len(b) - 2)
+            bound = max(map(abs, full[: n + 1]))
+            w = len(str(4 * max(bound, *map(abs, a), *map(abs, b))))
+            assert max(map(abs, full)) >= 5 * 10 ** (w - 1)  # an unread slot overflows
+            assert _kronecker(a, b, n, bound) == full[: n + 1]
+
+    @pytest.mark.parametrize("e", [1, 3, 7, 11, 13])
+    @pytest.mark.parametrize("N", [0, 1, 2, 97, 1000])
+    def test_divisor_power_sums_sieve(self, e, N):
+        assert _divisor_power_sums(N, e) == _divisor_power_sums_by_divisors(N, e)
+
+    def test_sparse_schoolbook_matches_dense(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            def operand():
+                return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4 else 0
+                        for _ in range(rng.randint(1, 30))]
+
+            a, b = operand(), operand()
+            for n in (0, len(a) // 2, len(a) + len(b) - 2, len(a) + len(b) + 3):
+                assert _schoolbook(a, b, n) == _dense_schoolbook(a, b, n)
+        eta3 = [(-1) ** k * (2 * k + 1) if t == k * (k + 1) // 2 else 0
+                for t in range(400) for k in [(isqrt(8 * t + 1) - 1) // 2]]
+        assert _schoolbook(eta3, eta3, 399) == _dense_schoolbook(eta3, eta3, 399)
 
 
 class TestDelta:
