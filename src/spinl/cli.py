@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import List
 
 from .critical_values import (
+    PeterssonFactors,
     main_identity,
     projection_coeffs,
     rankin_g20_value,
@@ -31,7 +32,7 @@ from .critical_values import (
 from .exact_arith import factor_integer
 from .numeric_lfun import context, render_exact, round_to, verify_tables
 from .numeric_lfun.bigfloat import GUARD, MIN_DPS
-from .numeric_lfun.evaluators import _norm
+from .numeric_lfun.verify import _norms
 from .qexp import delta_qexp, g20_qexp, rankin_coeffs
 
 __all__ = ["main", "factor_integer", "factored_form"]
@@ -66,7 +67,7 @@ def _table_rows(which: int, prec: int):
     run's one context."""
     ctx = context(prec + GUARD)
     rows: List[dict] = []
-    dn, gn = (_norm(ctx, k, 4, prec) for k in (12, 20))
+    norms = _norms(ctx, prec)
 
     def add(s, q: Fraction, e: int, norm=1, part=None) -> None:
         row = {
@@ -89,13 +90,12 @@ def _table_rows(which: int, prec: int):
                 add(s, *pv.as_monomial(), part=part)
     else:
         producer = {2: two_delta_product, 3: rankin_g20_value, 4: main_identity}[which]
-        norm = {2: dn, 3: gn, 4: dn * gn}[which]
         for s in range(12, 20):
             res = producer(s)
-            add(s, res.rational, res.pi_exponent, norm)
+            add(s, res.rational, res.pi_exponent, norms[res.petersson_factors])
     petersson = {
-        name: ctx.nstr(round_to(prec, v), prec, min_fixed=-math.inf, max_fixed=math.inf)
-        for name, v in (("delta_delta", dn), ("g20_g20", gn))
+        f.value: ctx.nstr(round_to(prec, norms[f]), prec, min_fixed=-math.inf, max_fixed=math.inf)
+        for f in (PeterssonFactors.DELTA_DELTA, PeterssonFactors.G20_G20)
     }
     return rows, petersson
 

@@ -9,6 +9,8 @@ A_1(s), A_2(s), and the assembled critical values of
 * their product, the spinor critical value  (coefficient of both norms),
 
 each as an exact rational times a single power of pi, for s = 12..19.
+A_1 and A_2 read their Whittaker moments off one expansion of the
+degenerate Whittaker polynomial, weighted by falling products.
 No table is ever an input here; printed tables are regression fixtures in
 the test suite only.  The per-s results are immutable and LRU-cached; an
 s out of range raises on every call.
@@ -67,10 +69,6 @@ class CriticalValueResult(NamedTuple):
     pi_exponent: int
     petersson_factors: PeterssonFactors
 
-    @property
-    def pi_value(self) -> PiValue:
-        return PiValue.monomial(self.rational, self.pi_exponent)
-
 
 def whittaker_closed_form(alpha: int, r: int) -> List[Fraction]:
     """Coefficients (ascending in y) of the degenerate Whittaker polynomial
@@ -126,17 +124,14 @@ def c_constants(s: int) -> Tuple[PiValue, PiValue, PiValue, PiValue]:
 
 
 def _whittaker_moment_sum(s: int, two_power: bool) -> Fraction:
-    """sum_{i=0..11-s} (2^i) (-1)^i C(11-s, i) Gamma(11-i)/Gamma(s-1-i), the
-    2^i factor only when two_power is set.  The Gamma ratio is the falling
-    product Gamma(11-i)/Gamma(s-1-i) = falling_ratio(11-i, 12-s), which
-    vanishes exactly when the denominator argument is a pole."""
-    acc = Fraction(0)
-    for i in range(0, 11 - s + 1):
-        term = Fraction((-1) ** i * comb(11 - s, i)) * falling_ratio(11 - i, 12 - s)
-        if two_power:
-            term *= 2**i
-        acc += term
-    return acc
+    """sum_{i=0..r} (2^i) (-1)^i C(r, i) Gamma(11-i)/Gamma(s-1-i), r = 11-s,
+    the 2^i only when two_power is set: with w = whittaker_closed_form(s-1, r)
+    and j = r - i, sum_j w_j falling_ratio(s+j, j+1) 2^(r-j), the falling
+    products 0 exactly where a denominator's argument is a pole."""
+    r = 11 - s
+    w = whittaker_closed_form(s - 1, r)
+    two = 2 if two_power else 1
+    return sum(c * falling_ratio(s + j, j + 1) * two ** (r - j) for j, c in enumerate(w))
 
 
 @_cached

@@ -91,14 +91,14 @@ from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from mpmath.libmp import (
-    dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_ceil, mpf_div,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div,
     mpf_exp, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub,
     mpf_sum, round_nearest, to_fixed, to_float, to_int,
 )
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import GUARD, MIN_DPS, _value_context, context, pi_sum, round_to
+from .bigfloat import GUARD, MIN_DPS, _value_context, context, pi_sum, render_exact, round_to
 from .quadrature import QuadratureError
 from .special import _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp
 
@@ -199,14 +199,6 @@ _MOMENT_CAP = 64
 _MOMENT_CACHE = _BoundedCache(_MOMENT_CAP)
 
 
-# digits by which each term of a moment is built above its share of the
-# sum, set by measurement (tests/test_lfun.py::TestLevels): at 0 a single
-# coefficient's moments stay within 0.499 ulp of the exact sum, as at full
-# precision; at -3 they reach 0.82 ulp and at -4 5 ulps, the per-n data
-# carrying ~4 guard digits of their own
-_LEVEL_MARGIN = 0
-
-
 def _moments(
     kind, coeffs: tuple, dps: int, vector: Callable[[int, int], list],
     scale: Callable[[int], float],
@@ -221,12 +213,11 @@ def _moments(
     v_j(n) / v_j(m) <= 10^(scale(n) - scale(m)) for m < n.  With
     mag_n = log10 |c_n| + scale(n), term n is then at most
     10^-(top_n - mag_n) of term m in every sum, top_n = mag_m the largest
-    mag up to n, so it is built at the level
-    d_n = dps - floor(top_n - mag_n) + _LEVEL_MARGIN, clamped to
-    [MIN_DPS, dps], and errs by at most 10^-(dps + _LEVEL_MARGIN) of the
-    largest term of every sum, before its guard digits.  The first term
-    is built at dps, so a constant taken for it (Euler's gamma in the
-    K_0/K_1 series) serves every later one.  A zero c_n builds nothing."""
+    mag up to n, so it is built at the level d_n = dps - floor(top_n -
+    mag_n), clamped to [MIN_DPS, dps], and errs by at most 10^-dps of the
+    largest term of every sum, before its guard digits.  The first term is
+    built at dps, so a constant taken for it (Euler's gamma in the K_0/K_1
+    series) serves every later one.  A zero c_n builds nothing."""
     key = (kind, coeffs, dps)
     hit = _MOMENT_CACHE.get(key)
     if hit is not None:
@@ -235,7 +226,10 @@ def _moments(
     mags = [math.log10(abs(coeffs[n - 1])) + scale(n) for n in ns]
     terms = []
     for n, mag, top in zip(ns, mags, accumulate(mags, max)):
-        d = dps - math.floor(top - mag) + _LEVEL_MARGIN
+        # no margin above the share (tests/test_lfun.py::TestLevels): one
+        # coefficient's moments stay within 0.499 ulp of the exact sum; 3
+        # and 4 digits below it they reach 0.82 and 5 ulps
+        d = dps - math.floor(top - mag)
         terms.append((coeffs[n - 1], vector(n, min(dps, max(MIN_DPS, d)))))
     if not terms:  # zeros, in the vector's shape
         terms = [(0, vector(1, MIN_DPS))]
@@ -256,7 +250,7 @@ def _moments(
 def _deg2_tail_ok(k: int, M: int, dps: int) -> bool:
     # first omitted term ~ |a(M+1)| e^(-2 pi (M+1)) / (2 pi (M+1)); Deligne
     # bound |a(n)| <= d(n) n^((k-1)/2), folded constants generous
-    log10_tail = 3 + ((k - 1) / 2 + 1) * math.log10(M + 2) - 2 * math.pi * (M + 1) / _LN10
+    log10_tail = 3 + ((k - 1) / 2 + 1) * math.log10(M + 2) + _deg2_scale(M + 1)
     return log10_tail < -(dps + 2)
 
 
@@ -313,14 +307,14 @@ def _deg2_moments(coeffs: tuple, f, dps: int) -> tuple:
     return _moments(("deg2", f), coeffs, dps, lambda n, d: _deg2_table(n, d, f), _deg2_scale)
 
 
-def _deg2_side(coeffs: tuple, a, dps: int):
-    """S_a for a libmp a > 0: a = f + j with 0 < f <= 1, read from the
-    moments of the f table."""
+def _split(a) -> tuple:
+    """(f, j) with a = f + j, 0 < f <= 1 and j an integer, for a libmp a > 0:
+    the class of a in both smoothed sums, f exact."""
     j = to_int(a)  # the floor, as a > 0
     f = mpf_sub(a, from_int(j))  # exact
     if f == fzero:
         j, f = j - 1, fone
-    return _deg2_moments(coeffs, f, dps)[j]
+    return f, j
 
 
 def _l_value2(ctx, coeffs: tuple, k: int, s):
@@ -496,15 +490,13 @@ def _deg4_moments(coeffs: tuple, mu, dps: int) -> tuple:
 
 def _deg4_sum(ctx, coeffs: tuple, s):
     """sum_n A(n) F(s, (2 pi)^2 n) over coeffs = (A(1), ..., A(M)) at ctx's
-    precision, for 11 < s < 20: m = 2s - 23 = mu + 2i with i = ceil(s - 12)
-    and the class mu = 1 - 2 (i - (s - 12)) in (-1, 1], both exact, so the
-    sum is one dot with the cached moments of mu's chain."""
+    precision, for 11 < s < 20: with s = f + j (_split), m = 2s - 23 =
+    mu + 2 (j - 11) for the class mu = 2f - 1 in (-1, 1], both exact, so the
+    sum is one dot with the cached moments of mu's chain, T_m at entry j."""
     s = ctx.convert(s)
-    u = mpf_sub(s._mpf_, from_int(12))
-    i = to_int(mpf_ceil(u))
-    mu = mpf_sub(fone, mpf_shift(mpf_sub(from_int(i), u), 1))
-    v = _deg4_moments(coeffs, mu, ctx.dps)
-    return 2 * _dot(ctx, _falling(ctx, s), [x._mpf_ for x in (*v[:11], v[11 + i])])
+    f, j = _split(s._mpf_)
+    v = _deg4_moments(coeffs, mpf_sub(mpf_shift(f, 1), fone), ctx.dps)
+    return 2 * _dot(ctx, _falling(ctx, s), [x._mpf_ for x in (*v[:11], v[j])])
 
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
@@ -620,7 +612,8 @@ def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
     if degree == 2:
         if not 0 < s < w <= _G_TOP + 1:
             raise ValueError(f"need 0 < s < k <= {_G_TOP + 1}, got s = {s}, k = {w}")
-        left, right = (ctx.convert(_deg2_side(coeffs, a, ctx.dps)) for a in (s._mpf_, r))
+        splits = map(_split, (s._mpf_, r))
+        left, right = (ctx.convert(_deg2_moments(coeffs, f, ctx.dps)[j]) for f, j in splits)
     elif degree == 4:
         if w != 31 or not 11 < s < 20:
             raise ValueError(f"need 11 < s < 20 at weight 31, got s = {s}, w = {w}")
@@ -639,13 +632,16 @@ def functional_eq_residual(
 ):
     """|Lambda(t) - eps Lambda(w - t)| with both sides evaluated by the
     smoothed sum, for t in the evaluator's domain (_lambda: 0 < t < k at
-    degree 2, 11 < t < 20 at degree 4); any other t raises ValueError.
+    degree 2, 11 < t < 20 at degree 4); any other t, or M < 1, raises
+    ValueError.
 
     This is not an accuracy certificate.  Both sides split the sum at the
     symmetric point and w - t is taken exactly, so Lambda(w - t) adds the
     same two sides as Lambda(t) in swapped order: the result is exactly 0
     at every t.  A certificate would move the split point, the free
     parameter of the smoothed functional equation, and compare."""
+    if M < 1:
+        raise ValueError(f"M={M}: the sums need at least one coefficient")
     a = coeffs if coeffs is not None else spec.coefficients
     w = spec.weight
     ctx = context(dps + GUARD)
@@ -671,7 +667,7 @@ def _norm(ctx, k: int, r: int, dps: int):
     coeffs = tuple(form.integer_coeffs()[1 : M + 1])
     L1, L2 = _l_value2(ctx, coeffs, k, k - 1), _l_value2(ctx, coeffs, k, l)
     value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / pi_sum(ctx, zeta_exact(l))
-    return value * (ctx.mpf(ratio.numerator) / ratio.denominator) * L1 * L2
+    return value * render_exact(ctx, ratio, 0) * L1 * L2
 
 
 def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:

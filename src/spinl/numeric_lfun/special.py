@@ -253,8 +253,9 @@ def _k_up(x, K: list, nu: int) -> list:
 def bessel_k(nu: int, x, dps: int):
     """Modified Bessel function K_nu(x) to dps digits, integer 0 <= nu <= 20,
     x inside (1e-6, 1e4)."""
-    if not 0 <= nu <= BESSEL_NU_MAX:
+    if not 0 <= nu <= BESSEL_NU_MAX or nu != int(nu):
         raise ValueError(f"order must be an integer in 0..{BESSEL_NU_MAX}")
+    nu = int(nu)
     xm, k0, k1, exp = _k0_k1(x, dps)
     return _rounded(dps, from_man_exp(_k_up(xm, [k0, k1], nu)[nu], exp))
 

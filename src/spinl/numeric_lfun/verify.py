@@ -7,18 +7,19 @@ Three comparisons per s:
   (ii)  rankin_g20_value(s)   * pi^P * <g,g>    vs  L(s, D x g20)
   (iii) main_identity(s)      * pi^P * both     vs  the triple product
 
-where the norms come from Rankin's formula in the run's one context,
-D + GUARD digits, in which every row is rendered and then rounded once to
-D; L(j, Delta) shares that context and the norm's coefficients, so one set
-of Delta moments serves both.  The exact value of (iii) is the product of
-those of (i) and (ii): main_identity's own result.
+where each result's petersson_factors picks its norm (_norms), from
+Rankin's formula in the run's one context, D + GUARD digits, in which
+every row is rendered and then rounded once to D; L(j, Delta) shares that
+context and the norm's coefficients, so one Delta moment set serves both.
+The exact value of (iii) is the product of those of (i) and (ii):
+main_identity's own result.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple
 
-from ..critical_values import main_identity, rankin_g20_value, two_delta_product
+from ..critical_values import PeterssonFactors, main_identity, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
 from .bigfloat import GUARD, context, render_exact, round_to
 from .evaluators import _deg2_m, _norm, l_degree2, l_rankin4
@@ -66,12 +67,19 @@ class VerificationReport(NamedTuple):
         }
 
 
+def _norms(ctx, dps: int) -> dict:
+    """The norm each PeterssonFactors names, in ctx from _norm at dps digits."""
+    dn, gn = (_norm(ctx, k, 4, dps) for k in (12, 20))
+    F = PeterssonFactors
+    return {F.DELTA_DELTA: dn, F.G20_G20: gn, F.BOTH: dn * gn}
+
+
 def verify_tables(dps: int = 30, M: int = 150) -> VerificationReport:
     """Compare all 24 exact renderings against direct numeric products, the
     degree-4 ones over M coefficients."""
     report = VerificationReport(dps, M, [])
     ctx = context(dps + GUARD)
-    dn, gn = (_norm(ctx, k, 4, dps) for k in (12, 20))
+    norms = _norms(ctx, dps)
     m_deg2 = _deg2_m(12, dps)  # the Delta norm's coefficients
     delta = delta_qexp(m_deg2)
     A = rankin_coeffs(M)
@@ -80,12 +88,13 @@ def verify_tables(dps: int = 30, M: int = 150) -> VerificationReport:
         pair_direct = ldelta[s - 9] * ldelta[s - 10]
         rank_direct = ctx.convert(l_rankin4(A, s, dps, M))
         rows = (
-            ("delta_pair", two_delta_product(s), dn, pair_direct),
-            ("rankin", rankin_g20_value(s), gn, rank_direct),
-            ("spin", main_identity(s), dn * gn, pair_direct * rank_direct),
+            ("delta_pair", two_delta_product(s), pair_direct),
+            ("rankin", rankin_g20_value(s), rank_direct),
+            ("spin", main_identity(s), pair_direct * rank_direct),
         )
-        for branch, exact, norm, direct in rows:
-            rendered = render_exact(ctx, exact.rational, exact.pi_exponent) * norm
+        for branch, exact, direct in rows:
+            rendered = render_exact(ctx, exact.rational, exact.pi_exponent)
+            rendered *= norms[exact.petersson_factors]
             diff = abs(rendered - direct)
             report.rows.append(
                 VerificationRow(

@@ -16,7 +16,8 @@ g20 size their slots by Deligne's bound |a(n)| <= d(n) n^((k-1)/2) on the
 coefficients they keep. Delta is q times Jacobi's
 eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) squared three times: the first
 squaring, of a series with ~sqrt(2N) nonzero terms, is a sparse loop,
-the other two are transforms. Series are immutable after construction.
+the other two are transforms. E_k and G_{2,p} read their divisor sums
+from one sieve. Series are immutable after construction.
 """
 
 from __future__ import annotations
@@ -327,20 +328,17 @@ def eisenstein_qexp(k: int, N: int) -> QSeries:
 def g2p_qexp(p: int, N: int) -> QSeries:
     """The weight-2 level-p Eisenstein combination G_2(z) - p G_2(pz).
 
-    Constant term (p-1)/24; coefficient of q^n is sum of divisors d of n
-    with p not dividing d.
+    Constant term (p-1)/24; coefficient of q^n is the sum of the divisors d
+    of n with p not dividing d, sigma_1(n) - p sigma_1(n/p), the second term
+    only when p divides n, from the one divisor-sum sieve.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     if N < 1:
         raise ValueError("need N >= 1")
-    out = [0] * (N + 1)
-    for d in range(1, N + 1):
-        if d % p == 0:
-            continue
-        for m in range(d, N + 1, d):
-            out[m] += d
-    return QSeries([Fraction(p - 1, 24)] + out[1:], N)
+    sig = _divisor_power_sums(N, 1)
+    out = [sig[n] - (p * sig[n // p] if n % p == 0 else 0) for n in range(1, N + 1)]
+    return QSeries([Fraction(p - 1, 24)] + out, N)
 
 
 @lru_cache(maxsize=16)

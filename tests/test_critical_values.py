@@ -3,6 +3,7 @@ projection coefficients, and the three assembled value tables."""
 
 import hashlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +19,9 @@ from spinl import (
     whittaker_closed_form,
     zeta_exact,
 )
+
+from spinl.critical_values import _whittaker_moment_sum
+from spinl.exact_arith import falling_ratio
 
 from reference_values import TABLE1, TABLE2, TABLE3, TABLE4
 
@@ -86,6 +90,18 @@ class TestProjectionCoeffs:
     def test_range_checked(self):
         with pytest.raises(ValueError):
             projection_coeffs(11)
+
+    @pytest.mark.parametrize("two_power", [False, True])
+    def test_whittaker_moments_match_their_expansion(self, two_power):
+        # the sums once re-expanded (-1)^i C(11-s, i) Gamma(11-i)/Gamma(s-1-i)
+        # themselves instead of reading whittaker_closed_form
+        for s in range(3, 11):
+            want = sum(
+                Fraction((-1) ** i * comb(11 - s, i)) * falling_ratio(11 - i, 12 - s)
+                * (2**i if two_power else 1)
+                for i in range(12 - s)
+            )
+            assert _whittaker_moment_sum(s, two_power) == want
 
 
 class TestDConstants:

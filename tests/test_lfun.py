@@ -4,10 +4,14 @@ residual certificates."""
 
 import functools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_shift, mpf_sub, round_nearest
+from mpmath.libmp import (
+    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_ceil, mpf_shift, mpf_sub,
+    round_nearest, to_float, to_int,
+)
 
 from spinl import delta_qexp, g20_qexp
 from spinl.numeric_lfun import (
@@ -215,6 +219,22 @@ class TestDeg2M:
         with pytest.raises(ValueError):
             l_degree2(form, k, k - 1, D, M - 1)
 
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_tail_rule_reads_the_table_decay(self, k):
+        # _deg2_tail_ok once spelled out -2 pi (M + 1) / ln 10 itself
+        # instead of _deg2_scale(M + 1): the same M at every D
+        def old_m(D):
+            M = 1
+            while not (
+                3 + ((k - 1) / 2 + 1) * math.log10(M + 2) - 2 * math.pi * (M + 1) / math.log(10)
+                < -(D + 2)
+            ):
+                M += 1
+            return M
+
+        for D in range(15, 401):
+            assert evaluators._deg2_m(k, D) == old_m(D)
+
     @pytest.mark.parametrize("D", [30, 80])
     def test_delta_rows_do_not_follow_the_degree4_m(self, D):
         # once tied to M, verify_tables(80, 20) took 20 coefficients and raised
@@ -390,6 +410,18 @@ class TestPeterssonNorm:
             with pytest.raises(ValueError):
                 petersson_norm(k, r, 30)
 
+    def test_norm_map_follows_petersson_factors(self):
+        # the tables and verify both read a result's norm from this map
+        from spinl import PeterssonFactors
+        from spinl.numeric_lfun.verify import _norms
+
+        norms = _norms(context(40), 30)
+        dn, gn = petersson_norm(12, 4, 30).value, petersson_norm(20, 4, 30).value
+        assert round_to(30, norms[PeterssonFactors.DELTA_DELTA]) == dn
+        assert round_to(30, norms[PeterssonFactors.G20_G20]) == gn
+        both = norms[PeterssonFactors.DELTA_DELTA] * norms[PeterssonFactors.G20_G20]
+        assert norms[PeterssonFactors.BOTH] == both
+
 
 class TestFunctionalEquation:
     def test_delta_residuals(self):
@@ -430,6 +462,11 @@ class TestFunctionalEquation:
         spec = delta_lfunction(30)
         with pytest.raises(ValueError):
             functional_eq_residual(spec, None, 12.5, 30, 20)
+        # M = 0 once summed nothing and returned 0.0
+        for spec, t in ((spec, 5), (rankin_lfunction(20), 13.5)):
+            for M in (0, -1):
+                with pytest.raises(ValueError):
+                    functional_eq_residual(spec, None, t, 30, M)
 
     @pytest.mark.parametrize("t", [11, 20, 5.3, 25.7])
     def test_rankin_outside_11_20_raises(self, t):
@@ -580,6 +617,54 @@ class TestDeg4SumRoutes:
             mp.setattr(quadrature, "tanh_sinh", refuse)
             mp.setattr(nl, "tanh_sinh", refuse)
             assert functional_eq_residual(rankin_lfunction(20), None, t, 20, 20) == 0
+
+
+def _split_grid():
+    """libmp s in (11, 20): every 1/64, ~2,000 random floats and their
+    neighbours one ulp away, each with 31 - s, exactly."""
+    rng = random.Random(20)
+    xs = [11 + k / 64 for k in range(1, 576)]
+    for _ in range(2000):
+        x = rng.uniform(11, 20)
+        xs += [x, math.nextafter(x, 11), math.nextafter(x, 20)]
+    xs += [float(j) + e for j in range(12, 20) for e in (-2.0**-40, 2.0**-40)]
+    grid = [from_float(x) for x in xs if 11 < x < 20]
+    return grid + [mpf_sub(from_int(31), s) for s in grid]
+
+
+class TestSplit:
+    """One class split, s = f + j with 0 < f <= 1, serves both smoothed
+    sums.  _deg4_sum once reached its class another way: i = ceil(s - 12),
+    mu = 1 - 2 (i - (s - 12)) and the T index 11 + i."""
+
+    @staticmethod
+    def _old(s):
+        u = mpf_sub(s, from_int(12))
+        i = to_int(mpf_ceil(u))
+        return mpf_sub(fone, mpf_shift(mpf_sub(from_int(i), u), 1)), 11 + i
+
+    def test_split_gives_the_ceiling_route(self):
+        for s in _split_grid():
+            f, j = evaluators._split(s)
+            assert (mpf_sub(mpf_shift(f, 1), fone), j) == self._old(s)
+            assert mpf_sub(s, from_int(j)) == f and 0 < to_float(f) <= 1
+
+    def test_deg4_sum_reads_the_ceiling_route(self, monkeypatch):
+        # the class _deg4_sum asks the moments for, and the entry it reads:
+        # the fake moments are 1 at the old route's entry and 0 elsewhere
+        ctx = context(30)
+        asked = []
+
+        def moments(coeffs, mu, dps):
+            asked.append(mu)
+            return tuple(ctx.mpf(n == want) for n in range(20))
+
+        monkeypatch.setattr(evaluators, "_deg4_moments", moments)
+        for s in _split_grid()[::7]:
+            mu, want = self._old(s)
+            got = evaluators._deg4_sum(ctx, (1,), ctx.make_mpf(s))
+            assert asked.pop() == mu
+            assert got == 2 * evaluators._falling(ctx, ctx.make_mpf(s))[11]
 
 
 class TestMoments:
@@ -761,7 +846,7 @@ class TestLevels:
     of the sum needs (evaluators._moments): the sums must still carry the
     digits they did with every term at full precision."""
 
-    # _LEVEL_MARGIN = 0 was set at D <= 72; D = 200 holds it there too
+    # the level with no margin was set at D <= 72; D = 200 holds it too
     @pytest.mark.parametrize("D, M", [(45, 200), (60, 300), (200, 60)])
     def test_deg4_within_a_unit_of_thirty_two_more_digits(self, D, M):
         from spinl import rankin_coeffs

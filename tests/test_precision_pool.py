@@ -398,3 +398,7 @@ class TestBesselPair:
             _k0_k1(1e5, 20)
         with pytest.raises(ValueError):
             bessel_k(21, 2.0, 20)
+        # a non-integral order once reached range() and raised TypeError
+        with pytest.raises(ValueError):
+            bessel_k(2.5, 1, 30)
+        assert bessel_k(2.0, 1, 30) == bessel_k(2, 1, 30)

@@ -485,6 +485,17 @@ class TestG2p:
         with pytest.raises(ValueError):
             g2p_qexp(4, 5)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("N", [1, 2, 97, 500])
+    def test_sieve_matches_the_divisor_loop(self, p, N):
+        # the coefficients once came from this double loop over d prime to p
+        out = [0] * (N + 1)
+        for d in range(1, N + 1):
+            if d % p:
+                for m in range(d, N + 1, d):
+                    out[m] += d
+        assert g2p_qexp(p, N).coeffs == (Fraction(p - 1, 24), *out[1:])
+
 
 class TestG20:
     def test_column(self, g20_200):
