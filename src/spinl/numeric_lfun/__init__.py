@@ -8,10 +8,11 @@ mpmath's global context.  Each works at D + GUARD digits and rounds once
 to D.  Work runs in contexts pooled per thread and per precision, and
 results come back in per-D value contexts (see `bigfloat`); the
 degree-4 per-coefficient data, the sums over n of both smoothed sums and
-the kernel check's errors are kept in four bounded, thread-safe caches
+the kernel check's errors are kept in five bounded, thread-safe caches
 whose values are the same in every thread: the degree-4 nodes and the
 seeded chains of their classes mu (one per fractional part of 2s), as
-unrounded integers at one exponent per node, every sum over n, per
+unrounded integers at one exponent per node, the K_0/K_1 pairs those
+below the Bessel series cut descend from, every sum over n, per
 coefficient set and class, and every kernel error rounded once into a
 value context.  The tables and the verification render their exact
 values in the run's one context and round once to D.

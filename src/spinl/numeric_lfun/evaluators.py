@@ -53,11 +53,13 @@ _lambda refuses such an s.
 
 Since a = (X/2)^2, every factor above is a power of r = 2/X:
 w_j = K_(10-j) r^(12+j), 2/a^11 = 2 r^22, tau_1 = K_1 r^23 and
-g_0 = K_0 r^24 / 2.  A node is built from one fixed-point K_0/K_1
-evaluation, the K_2..K_10 recurrence on the same integers, and one
-fixed-point power chain of r; the fields and the tau chains stay
-unrounded, integers at one exponent per node.  Since p does not depend
-on n, the n-sum commutes with the dot product:
+g_0 = K_0 r^24 / 2.  A node is built from a fixed-point K_0/K_1 pair,
+the K_2..K_10 recurrence on the same integers, and one fixed-point power
+chain of r; the fields and the tau chains stay unrounded, integers at one
+exponent per node.  The pair is _k0_k1's asymptotic one past its series
+cut; below it, one descent per D down the grid X_n = 4 pi sqrt(n) by the
+multiplication theorem (_band_pair).  Since p does not depend on n, the
+n-sum commutes with the dot product:
 
     sum_n A(n) F(s, a_n) = 2 [ sum_j p_j(s) W_j + p_11(s) T_m ],
     W_j = sum_n A(n) w_j(n),   T_m = sum_n A(n) tau_m(n),
@@ -73,8 +75,9 @@ n = 300 is ~10^-50 of the one at n = 1.  On a cache miss _moments builds
 each node or table at its own level, the digits its share of the sum
 needs: dps at the largest term, one digit fewer per digit below it,
 never fewer than MIN_DPS, from a float estimate of |c_n| times the
-slowest decay among the per-n entries.  The per-n caches key on that
-level; no per-n step makes an mpmath context.
+slowest decay among the per-n entries; the degree-4 nodes below the band
+stay at dps, from one descent.  The per-n caches key on that level; no
+per-n step makes an mpmath context.
 
 Every public entry point at D digits works in context(D + GUARD), sums its
 moments at D + GUARD and rounds once to D; the helpers it composes
@@ -85,6 +88,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import accumulate
@@ -100,7 +104,9 @@ from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import GUARD, MIN_DPS, _value_context, context, pi_sum, render_exact, round_to
 from .quadrature import QuadratureError
-from .special import _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp
+from .special import (
+    _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp, _series_cut,
+)
 
 __all__ = [
     "LFunctionSpec",
@@ -215,9 +221,8 @@ def _moments(
     10^-(top_n - mag_n) of term m in every sum, top_n = mag_m the largest
     mag up to n, so it is built at the level d_n = dps - floor(top_n -
     mag_n), clamped to [MIN_DPS, dps], and errs by at most 10^-dps of the
-    largest term of every sum, before its guard digits.  The first term is
-    built at dps, so a constant taken for it (Euler's gamma in the K_0/K_1
-    series) serves every later one.  A zero c_n builds nothing."""
+    largest term of every sum, before its guard digits.  A zero c_n builds
+    nothing."""
     key = (kind, coeffs, dps)
     hit = _MOMENT_CACHE.get(key)
     if hit is not None:
@@ -378,10 +383,78 @@ def _chain(node: _Node, first: int, mu) -> tuple:
     return tuple(chain)
 
 
+def _deg4_band(dps: int) -> int:
+    """The first n whose X = 4 pi sqrt(n) lies past _k0_k1's series cut at
+    dps digits: the nodes below it take K_0, K_1 from _band_pair."""
+    return math.floor((_series_cut(dps) / (4 * math.pi)) ** 2) + 1
+
+
+def _k_step(pair: tuple, a: int, n: int, wp: int, four_pi2: int) -> tuple:
+    """(K_0, K_1, exp) at X_n from pair = (K_0, K_1, exp) at X_a, a > n, on
+    the grid X_n = 4 pi sqrt(n), four_pi2 = 4 pi^2 at 2^-wp.  With d = a - n
+    and lambda^2 = n/a the multiplication theorem (DLMF 10.44.2) is a sum
+    of positive terms, K_nu(X_n) = lambda^nu sum_k c^k K_(nu+k)(X_a) / k!,
+    c = 2 pi d / sqrt(a).  kappa_k = c^k K_k(X_a) / k! is the dominant
+    solution of kappa_(k+1) = (k kappa_k d / a + c^2 kappa_(k-1) / k) / (k+1),
+    K's upward recurrence, so it runs forward on integers at 2^-wp until
+    kappa_k is 0 (fixed-point c^k / k! times K_k instead left the pairs
+    6e-19 off at dps = 40): K_0(X_n) = sum kappa_k, K_1(X_n) =
+    sqrt(n) / (2 pi d) sum k kappa_k, cut back to wp bits of K_0."""
+    k0, k1, exp = pair
+    d = a - n
+    c2 = four_pi2 * d * d // a
+    x, y = k0, k1 * math.isqrt(c2 << wp) >> wp  # kappa_0, kappa_1
+    s0, s1, k = x, 0, 1
+    while y:
+        s0 += y
+        s1 += k * y
+        x, y = y, (k * y * d // a + (c2 * x >> wp) // k) // (k + 1)
+        k += 1
+    k1 = (s1 << wp) // math.isqrt(four_pi2 * d * d // n << wp)
+    shift = max(s0.bit_length() - wp, 0)
+    return s0 >> shift, k1 >> shift, exp + shift
+
+
+# per dps, the anchors and the segments between them: 15 anchors at dps = 70
+_DESCENT_CACHE = _BoundedCache(64)
+
+
+def _band_pair(n: int, dps: int) -> tuple:
+    """(K_0, K_1, exp) at X_n, 1 <= n < _deg4_band(dps), a function of (n,
+    dps) alone: from _k0_k1's asymptotic pair at the band, at its working
+    precision wp, one _k_step per anchor a -> a - isqrt(a) down to 1, then
+    unit steps from the anchor above n, each chain cached, so one n costs
+    ~2 sqrt(band) steps and the whole band one step per n."""
+    wp = dps_to_prec(dps + 15) + 20
+    pi = mpf_pi(wp)
+    four_pi2 = to_fixed(mpf_mul(pi, pi), wp) << 2
+    anchors = _DESCENT_CACHE.get(("anchors", dps))
+    if anchors is None:
+        a = _deg4_band(dps)
+        pair = _k0_k1(mpf_shift(mpf_mul(pi, mpf_sqrt(from_int(a), wp), wp), 2), dps)[1:]
+        anchors = [(a, pair)]
+        while a > 1:
+            m = a - math.isqrt(a)
+            a, pair = m, _k_step(pair, a, m, wp, four_pi2)
+            anchors.append((a, pair))
+        anchors = _DESCENT_CACHE[("anchors", dps)] = tuple(anchors[::-1])
+    i = bisect_left(anchors, (n,))
+    a, pair = anchors[i]
+    if a == n:
+        return pair
+    segment = _DESCENT_CACHE.get(("segment", a, dps))
+    if segment is None:
+        segment = [pair]
+        for m in range(a - 1, anchors[i - 1][0], -1):
+            segment.append(_k_step(segment[-1], m + 1, m, wp, four_pi2))
+        segment = _DESCENT_CACHE[("segment", a, dps)] = tuple(segment)
+    return segment[a - n]
+
+
 def _deg4_node(n: int, dps: int) -> _Node:
     """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
-    chain of mu = 1, from one K_0/K_1 evaluation and the integer recurrence
-    for K_2..K_10.  With r = 2/X, so that a = r^-2,
+    chain of mu = 1, from one K_0/K_1 pair (_band_pair below the band) and
+    the integer recurrence for K_2..K_10.  With r = 2/X, so that a = r^-2,
 
         w_j = K_(10-j) r^(12+j),  c = 2 r^22,
         g0 = c K_0 / X^2 = K_0 r^24 / 2,  tau_1 = c K_1 / X = K_1 r^23,
@@ -397,11 +470,11 @@ def _deg4_node(n: int, dps: int) -> _Node:
     wp = dps_to_prec(dps) + 20
     root_n = mpf_sqrt(from_int(n), wp, round_nearest)
     X = mpf_shift(mpf_mul(mpf_pi(wp, round_nearest), root_n, wp, round_nearest), 2)
-    xm, k0, k1, exp = _k0_k1(X, dps)
-    K = _k_up(xm, [k0, k1], 10)
+    k0, k1, exp = _band_pair(n, dps) if n < _deg4_band(dps) else _k0_k1(X, dps)[1:]
+    K = _k_up(X, [k0, k1], 10)
     # r at 2^-L: log2(X/2) < bc + e - 1 for X = m 2^e, m < 2^bc
-    L = wp + 10 + 24 * (xm[3] + xm[2] - 1)
-    shift, d = _divisor(xm)
+    L = wp + 10 + 24 * (X[3] + X[2] - 1)
+    shift, d = _divisor(X)
     r = (2 << L + shift) // d
     P = [1 << L]
     for _ in range(24):
@@ -482,9 +555,11 @@ def _deg4_scale(n: int) -> float:
 def _deg4_moments(coeffs: tuple, mu, dps: int) -> tuple:
     """(W_0, ..., W_10, T_mu, T_(mu+2), ..., T_(mu+16)): the sums over n of
     _deg4_vector(n, ., mu) against coeffs, for mu in (-1, 1], keyed by
-    mu's exact value."""
+    mu's exact value; the nodes below the band are built at dps, from one
+    descent."""
     mu = _libmp(mu, dps_to_prec(dps))
-    vector = lambda n, d: _deg4_vector(n, d, mu)
+    band = _deg4_band(dps)
+    vector = lambda n, d: _deg4_vector(n, dps if n < band else d, mu)
     return _moments(("deg4", mu), coeffs, dps, vector, _deg4_scale)
 
 
@@ -632,8 +707,9 @@ def functional_eq_residual(
 ):
     """|Lambda(t) - eps Lambda(w - t)| with both sides evaluated by the
     smoothed sum, for t in the evaluator's domain (_lambda: 0 < t < k at
-    degree 2, 11 < t < 20 at degree 4); any other t, or M < 1, raises
-    ValueError.
+    degree 2, 11 < t < 20 at degree 4); any other t raises ValueError, and
+    so does an M below 1, beyond the coefficients the accessor holds or, at
+    degree 2, below _deg2_m(w, dps), as in l_degree2.
 
     This is not an accuracy certificate.  Both sides split the sum at the
     symmetric point and w - t is taken exactly, so Lambda(w - t) adds the
@@ -644,8 +720,14 @@ def functional_eq_residual(
         raise ValueError(f"M={M}: the sums need at least one coefficient")
     a = coeffs if coeffs is not None else spec.coefficients
     w = spec.weight
+    if spec.degree == 2 and not _deg2_tail_ok(w, M, dps):
+        raise ValueError(f"M={M} too small for {dps}-digit accuracy at weight {w}")
+    try:
+        c = tuple(a(n) for n in range(1, M + 1))
+    except IndexError as err:
+        raise ValueError(f"M={M} beyond the coefficients: {err}") from None
     ctx = context(dps + GUARD)
-    c, t = tuple(a(n) for n in range(1, M + 1)), ctx.convert(t)
+    t = ctx.convert(t)
     left, right = (
         _lambda(ctx, spec.degree, w, spec.sign, c, x)
         for x in (t, ctx.make_mpf(mpf_sub(from_int(w), t._mpf_)))

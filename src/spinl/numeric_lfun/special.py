@@ -11,13 +11,15 @@ K_nu is summed in fixed point: Python integers scaled by a power of two,
 with the working precision plus 20 guard bits (wp), so each term of a
 series costs a few integer multiplies, shifts and floor divisions instead
 of several normalised mpf operations, and each result is rounded once,
-into the value context.  Below the threshold x = 1.2 (D + 10) K_0 and K_1
-come from their power series at 2^-wp, with 0.87 x + 15 guard digits in
-the working precision (and so in wp) absorbing the e^(2x) cancellation;
-log(x/2) and Euler's gamma enter once each as fixed-point numbers, the
-latter taken at a multiple of 256 bits above every working precision of
-the series branch at D and shifted down, so that mpmath computes it once
-for a run of nodes at D digits or fewer.  Above
+into the value context.  Below the cut x = 1.2 (D + 10) (_series_cut) K_0
+and K_1 come from their power series at 2^-wp, with 0.87 x + 15 guard
+digits in the working precision (and so in wp) absorbing the e^(2x)
+cancellation; log(x/2) and Euler's gamma enter once each as fixed-point
+numbers, the latter taken at a multiple of 256 bits above every working
+precision of the series branch at D and shifted down, so that mpmath
+computes it once for a run of nodes at D digits or fewer.  The series
+serves bessel_k and the kernel check; the degree-4 nodes below the cut
+descend from past it (evaluators._band_pair).  Above
 it both come from one loop over the asymptotic expansion
 sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k, stopped once its terms fall below
 10^-(D+8), with the prefactor taken once from mpmath's libmp; there the
@@ -212,6 +214,11 @@ _EULER_STEP = 256
 _LN2, _LN10 = math.log(2), math.log(10)
 
 
+def _series_cut(dps: int) -> float:
+    """The x up to which _k0_k1 sums the power series at dps digits."""
+    return 1.2 * (dps + 10)
+
+
 def _series_wp(x: float, dps: int) -> int:
     # the series' guard digits absorb its e^(2x) cancellation
     return dps_to_prec(dps + int(0.87 * x) + 15) + 20
@@ -230,7 +237,7 @@ def _k0_k1(x, dps: int):
         raise OverflowError(
             f"argument {xf} outside the supported domain ({BESSEL_X_MIN}, {BESSEL_X_MAX})"
         )
-    cut = 1.2 * (dps + 10)
+    cut = _series_cut(dps)
     if xf > cut:
         wp = dps_to_prec(dps + 15) + 20
         xm = _libmp(x, wp - 20)

@@ -17,14 +17,23 @@ F standing for F 2^exp, are further held to a few ulps of the same kernels
 run at D + 30.
 """
 
+import sys
+import threading
+
 import mpmath
 import pytest
 from mpmath.libmp import dps_to_prec, from_man_exp, fzero, mpf_sub
 
-from spinl.numeric_lfun.evaluators import _G_TOP, _deg2_table, _deg4_node, _seeded_chain
+from spinl import rankin_coeffs
+from spinl.numeric_lfun import context, evaluators, special, verify_tables
+from spinl.numeric_lfun.bigfloat import GUARD
+from spinl.numeric_lfun.evaluators import (
+    _DESCENT_CACHE, _G_TOP, _MOMENT_CACHE, _NODE_CACHE, _band_pair, _deg2_table, _deg4_band,
+    _deg4_moments, _deg4_node, _seeded_chain,
+)
 
 REF_DPS = 92
-# both sides of the K_0/K_1 series/asymptotic switch (n = 61/62 at 72 digits)
+# both sides of the K_0/K_1 descent/asymptotic switch (n = 61/62 at 72 digits)
 NS = (1, 2, 7, 61, 62, 150, 300)
 DPS = (30, 42, 72)
 
@@ -155,3 +164,108 @@ def test_deg4_node_fields_within_a_few_ulps(dps):
         fields = zip(_fields(lo, n, dps), _fields(hi, n, dps + 30))
         for i, (a, b) in enumerate(fields):
             assert _ulps(a, b, dps) <= 4, (n, i)
+
+
+# ---------------------------------------------------------------------------
+# the K_0/K_1 pairs of the nodes below the band, by descent down the grid
+
+
+def _pair_errors(mp, D, ns, reference):
+    """The largest relative error of the descent's pairs at D over ns
+    against reference(n) = (K_0, K_1) at X_n = 4 pi sqrt(n), in mp."""
+    worst = mp.zero
+    for n in ns:
+        k0, k1, exp = _band_pair(n, D)
+        for man, want in zip((k0, k1), reference(n)):
+            worst = max(worst, abs(mp.make_mpf(from_man_exp(man, exp)) / want - 1))
+    return worst
+
+
+# mpmath's besselk sums its own series below the band, at 0.1-3 s a value
+# at D + 20: every band n at the two lower D, three nodes at the others
+@pytest.mark.parametrize("D", (15, 30, 40, 72))
+def test_descent_against_mpmath(D):
+    mp = mpmath.mp.clone()
+    mp.dps = D + 20
+    band = _deg4_band(D)
+    ns = range(1, band) if D <= 30 else (1, band // 2, band - 1)
+
+    def reference(n):
+        X = 4 * mp.pi * mp.sqrt(n)
+        return mp.besselk(0, X), mp.besselk(1, X)
+
+    assert _pair_errors(mp, D, ns, reference) < mp.mpf(10) ** -(D + 3)
+
+
+@pytest.mark.parametrize("D", (15, 30, 40, 72, 150))
+def test_descent_against_the_series(D):
+    # every band n against _k0_k1's power series 20 digits up, at X_n taken
+    # to D + 40 digits: at D + 20 the series branch covers the whole band
+    mp = mpmath.mp.clone()
+    mp.dps = D + 20
+    ctx = context(D + 40)
+
+    def reference(n):
+        _, k0, k1, exp = special._k0_k1(4 * ctx.pi * ctx.sqrt(n), D + 20)
+        return [mp.make_mpf(from_man_exp(man, exp)) for man in (k0, k1)]
+
+    assert _pair_errors(mp, D, range(1, _deg4_band(D)), reference) < mp.mpf(10) ** -(D + 3)
+
+
+def _clear_degree4():
+    for cache in (_DESCENT_CACHE, _NODE_CACHE, _MOMENT_CACHE):
+        cache.clear()
+
+
+@pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
+def test_moments_call_no_series(monkeypatch, D, M):
+    # the band nodes come from one descent, seeded past the series cut:
+    # each n below the band is reached by exactly one step, an anchor's
+    # jump or a unit step in its segment
+    series, step = special._k0_k1_series, evaluators._k_step
+    calls, steps = [], []
+    monkeypatch.setattr(special, "_k0_k1_series", lambda *a: calls.append(a) or series(*a))
+    monkeypatch.setattr(evaluators, "_k_step", lambda *a: steps.append(a[2]) or step(*a))
+    A = rankin_coeffs(M)
+    _clear_degree4()
+    _deg4_moments(tuple(A[n] for n in range(1, M + 1)), 1, D + GUARD)
+    assert calls == []
+    assert sorted(steps) == list(range(1, _deg4_band(D + GUARD)))
+    _clear_degree4()
+
+
+def test_node_is_a_function_of_n_and_dps():
+    # the same bits cold, from inside a moments call (which builds the band
+    # at dps), and from four threads at once on empty caches
+    dps = 40
+    ns = range(1, _deg4_band(dps))
+    _clear_degree4()
+    cold = [_deg4_node(n, dps) for n in ns]
+    _clear_degree4()
+    A = rankin_coeffs(len(ns))
+    _deg4_moments(tuple(A[n] for n in ns), 1, dps)
+    assert [_NODE_CACHE.get((n, dps)) for n in ns] == cold
+    _clear_degree4()
+    results = [[] for _ in range(4)]
+    workers = [
+        threading.Thread(target=lambda out=out: out.extend(_deg4_node(n, dps) for n in ns))
+        for out in results
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [cold] * 4
+    _clear_degree4()
+
+
+def test_verify_at_300_digits():
+    # the (300, 4000) run, whose 933 nodes below the band the descent builds
+    ctx = context(300)
+    assert ctx.convert(verify_tables(300, 4000).max_rel_diff) < ctx.mpf("1e-298")

@@ -467,6 +467,16 @@ class TestFunctionalEquation:
             for M in (0, -1):
                 with pytest.raises(ValueError):
                     functional_eq_residual(spec, None, t, 30, M)
+        # an M beyond the accessor's coefficients once raised IndexError
+        for spec, t in ((delta_lfunction(10), 5), (rankin_lfunction(10), 13.5)):
+            with pytest.raises(ValueError, match="beyond"):
+                functional_eq_residual(spec, None, t, 30, 20)
+        # at degree 2 an M below _deg2_m is refused, as by l_degree2
+        for spec, k in ((delta_lfunction(30), 12), (g20_lfunction(30), 20)):
+            M = evaluators._deg2_m(k, 30)
+            functional_eq_residual(spec, None, 5, 30, M)
+            with pytest.raises(ValueError, match="too small"):
+                functional_eq_residual(spec, None, 5, 30, M - 1)
 
     @pytest.mark.parametrize("t", [11, 20, 5.3, 25.7])
     def test_rankin_outside_11_20_raises(self, t):

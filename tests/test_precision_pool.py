@@ -26,7 +26,9 @@ from spinl.numeric_lfun.special import _k0_k1
 
 
 PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE)
-CACHES = PER_N_CACHES + (evaluators._MOMENT_CACHE, evaluators._KERNEL_CACHE)
+CACHES = PER_N_CACHES + (
+    evaluators._DESCENT_CACHE, evaluators._MOMENT_CACHE, evaluators._KERNEL_CACHE,
+)
 
 
 def _clear_caches():
@@ -346,9 +348,9 @@ class TestLevelsMakeNoContexts:
 
 def test_euler_gamma_computed_once(monkeypatch):
     # the K_0/K_1 series takes Euler's gamma at one rung above its largest
-    # working precision, and the first node of a sum has the highest level:
-    # mpmath's memo computes the constant once in a cold verify, not each
-    # time a node asks for 5% more bits
+    # working precision at D: mpmath's memo computes the constant once for
+    # the kernel check's series nodes, not each time a node asks for 5%
+    # more bits (the degree-4 nodes below the cut come from the descent)
     from spinl.numeric_lfun import special
 
     memoized = special.euler_fixed
@@ -364,7 +366,7 @@ def test_euler_gamma_computed_once(monkeypatch):
 
     monkeypatch.setattr(special, "euler_fixed", recorded)
     _clear_caches()
-    verify_tables(60, 300)
+    kernel_mellin_check(13, 60)
     assert len(set(sizes)) == 1
 
 
