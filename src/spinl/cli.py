@@ -7,8 +7,8 @@ Subcommands:
   coeffs FORM         exact integer coefficient listings (delta, g20, rankin)
   verify              exact-vs-numeric verification report with exit status
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Data goes to
-stdout (or --out), diagnostics to stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
+--out included).  Data goes to stdout (or --out), diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
                 return 2
             return _cmd_coeffs(args)
         return _cmd_verify(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -334,14 +334,10 @@ def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
     """L(s, f) for a weight-k level-1 eigenform given by its q-expansion,
     via the incomplete-gamma smoothed sum over M coefficients, for real s
     in the critical strip 0 < s < k; any other s raises ValueError, and so
-    does an M below _deg2_m(k, dps)."""
+    does an M that _coefficients refuses."""
     if k not in (12, 20):
         raise ValueError("supported weights are 12 and 20")
-    if form.precision < M:
-        raise ValueError(f"form has {form.precision} coefficients, need {M}")
-    if not _deg2_tail_ok(k, M, dps):
-        raise ValueError(f"M={M} too small for {dps}-digit accuracy at weight {k}")
-    coeffs = tuple(form.integer_coeffs()[1 : M + 1])
+    coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
     return round_to(dps, _l_value2(context(dps + GUARD), coeffs, k, s))
 
 
@@ -576,16 +572,13 @@ def _deg4_sum(ctx, coeffs: tuple, s):
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     """L(s, Delta x g20) for s in 12..19 via the smoothed Bessel-kernel sum
-    over M coefficients; the truncation error at s = 12 reaches the
-    30-digit floor near M = 80 and the 60-digit one near M = 230."""
+    over the M coefficients _coefficients accepts, else ValueError; at s =
+    12 the error reaches 10^-30 near M = 80 and 10^-60 near M = 230."""
     if not 12 <= s <= 19 or s != int(s):
         raise ValueError("s must be an integer in 12..19")
-    if M > coeffs.precision:
-        raise ValueError(f"only {coeffs.precision} coefficients available")
-    if not _deg4_tail_ok(M):
-        raise ValueError(f"M={M} gives a meaningless truncation")
+    c = _coefficients(coeffs.__getitem__, M, 4, 31, dps)
     ctx = context(dps + GUARD)
-    lam = _lambda(ctx, 4, 31, +1, tuple(coeffs[n] for n in range(1, M + 1)), int(s))
+    lam = _lambda(ctx, 4, 31, +1, c, int(s))
     return round_to(dps, lam * (2 * ctx.pi) ** (2 * s) / (ctx.gamma(s) * ctx.gamma(s - 11)))
 
 
@@ -674,7 +667,23 @@ def kernel_mellin_check(s0: int, dps: int):
 
 
 # ---------------------------------------------------------------------------
-# Lambda, the functional equation residual and Petersson norms
+# the coefficient gate, Lambda, the functional equation residual, norms
+
+
+def _coefficients(a: Callable[[int], int], M: int, degree: int, w: int, dps: int) -> tuple:
+    """(a(1), ..., a(M)) through the accessor a, the one reader and rule of
+    every entry point: M >= 1, _deg2_tail_ok(w, M, dps) at degree 2 and
+    _deg4_tail_ok(M) at degree 4, else ValueError, as for an a(n) beyond
+    the accessor (IndexError) or one that is not an int."""
+    if M < 1 or degree == 2 and not _deg2_tail_ok(w, M, dps) or degree == 4 and not _deg4_tail_ok(M):
+        raise ValueError(f"M={M} too small at {dps} digits for degree {degree}, weight {w}")
+    try:
+        c = tuple(map(a, range(1, M + 1)))
+    except IndexError as err:
+        raise ValueError(f"M={M} beyond the coefficients: {err}") from None
+    if set(map(type, c)) != {int}:
+        raise ValueError(f"coefficients must be int, got {sorted({type(x).__name__ for x in c})}")
+    return c
 
 
 def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
@@ -708,24 +717,17 @@ def functional_eq_residual(
     """|Lambda(t) - eps Lambda(w - t)| with both sides evaluated by the
     smoothed sum, for t in the evaluator's domain (_lambda: 0 < t < k at
     degree 2, 11 < t < 20 at degree 4); any other t raises ValueError, and
-    so does an M below 1, beyond the coefficients the accessor holds or, at
-    degree 2, below _deg2_m(w, dps), as in l_degree2.
+    so does an M that _coefficients refuses, as in l_degree2 and l_rankin4:
+    M must be at least 1, _deg2_m(w, dps) at degree 2 and 12 at degree 4,
+    and a(1..M), from coeffs or else the spec's accessor, must all be ints.
 
     This is not an accuracy certificate.  Both sides split the sum at the
     symmetric point and w - t is taken exactly, so Lambda(w - t) adds the
     same two sides as Lambda(t) in swapped order: the result is exactly 0
     at every t.  A certificate would move the split point, the free
     parameter of the smoothed functional equation, and compare."""
-    if M < 1:
-        raise ValueError(f"M={M}: the sums need at least one coefficient")
-    a = coeffs if coeffs is not None else spec.coefficients
     w = spec.weight
-    if spec.degree == 2 and not _deg2_tail_ok(w, M, dps):
-        raise ValueError(f"M={M} too small for {dps}-digit accuracy at weight {w}")
-    try:
-        c = tuple(a(n) for n in range(1, M + 1))
-    except IndexError as err:
-        raise ValueError(f"M={M} beyond the coefficients: {err}") from None
+    c = _coefficients(spec.coefficients if coeffs is None else coeffs, M, spec.degree, w, dps)
     ctx = context(dps + GUARD)
     t = ctx.convert(t)
     left, right = (
@@ -746,7 +748,7 @@ def _norm(ctx, k: int, r: int, dps: int):
     alpha = {j: -Fraction(2 * j) / bernoulli(j) for j in (r, l, k)}
     ratio = alpha[r] / (alpha[l] + alpha[r] - alpha[k])
     form = delta_qexp(M) if k == 12 else g20_qexp(M)
-    coeffs = tuple(form.integer_coeffs()[1 : M + 1])
+    coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
     L1, L2 = _l_value2(ctx, coeffs, k, k - 1), _l_value2(ctx, coeffs, k, l)
     value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / pi_sum(ctx, zeta_exact(l))
     return value * render_exact(ctx, ratio, 0) * L1 * L2

@@ -23,6 +23,7 @@ from one sieve. Series are immutable after construction.
 from __future__ import annotations
 
 import decimal
+import threading
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -261,17 +262,22 @@ def _eta_cubed(n: int) -> list:
 
 
 # the series delta_qexp and g20_qexp have built, by precision, while their
-# caches (or anything else) hold them, so that a shorter series can be cut
-# from a longer cached one; a series dropped since is forgotten, not rebuilt
+# caches (or anything else) hold them, so that a live series is never built
+# twice and a shorter one can be cut from it; a series dropped since is
+# forgotten.  Both are read and written under _BUILT_LOCK
 _DELTA_BUILT = weakref.WeakValueDictionary()
 _G20_BUILT = weakref.WeakValueDictionary()
+_BUILT_LOCK = threading.Lock()
 
 
 def _cut(builder, built, n: int) -> QSeries:
-    """builder(n), truncated from the shortest live series of precision
-    >= n the builder has made, so that no second series is built."""
-    longer = [N for N in sorted(built) if N >= n]
-    return builder(longer[0]).truncate(n) if longer else builder(n)
+    """builder(n), truncated from builder(N) for the shortest live series
+    of precision N >= n the builder has made: builder(N) returns that
+    series from `built`, so that no second series is built."""
+    with _BUILT_LOCK:
+        longer = [(N, series) for N, series in built.items() if N >= n]
+    # longer keeps each series alive through the call
+    return builder(min(longer)[0]).truncate(n) if longer else builder(n)
 
 
 @lru_cache(maxsize=16)
@@ -282,13 +288,18 @@ def delta_qexp(N: int) -> QSeries:
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    with _BUILT_LOCK:
+        live = _DELTA_BUILT.get(N)
+    if live is not None:  # dropped by the cache, held elsewhere
+        return live
     eta3 = _eta_cubed(N - 1)
     eta6 = _schoolbook(eta3, eta3, N - 1)  # eta^3 is sparse: no transform
     eta12 = _kronecker(eta6, eta6, N - 1)
     # eta24[i] = tau(i + 1), and Deligne's |tau(n)| <= d(n) n^(11/2) with
     # d(n) <= 2 sqrt(n) bounds it by 2 N^6
     eta24 = _kronecker(eta12, eta12, N - 1, 2 * N**6)
-    series = _DELTA_BUILT[N] = QSeries._of([0] + eta24, N)
+    with _BUILT_LOCK:
+        series = _DELTA_BUILT[N] = QSeries._of([0] + eta24, N)
     return series
 
 
@@ -346,9 +357,15 @@ def g20_qexp(N: int) -> QSeries:
     """The normalized weight-20 cusp eigenform E_8 * Delta to precision N."""
     if N < 1:
         raise ValueError("need N >= 1")
+    with _BUILT_LOCK:
+        live = _G20_BUILT.get(N)
+    if live is not None:
+        return live
     # Deligne: |b(n)| <= d(n) n^(19/2) <= 2 N^10 for n <= N
     e8, delta = eisenstein_qexp(8, N).coeffs, delta_qexp(N).coeffs
-    series = _G20_BUILT[N] = QSeries._of(_kronecker(e8, delta, N, 2 * N**10), N)
+    slots = _kronecker(e8, delta, N, 2 * N**10)
+    with _BUILT_LOCK:
+        series = _G20_BUILT[N] = QSeries._of(slots, N)
     return series
 
 

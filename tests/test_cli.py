@@ -121,6 +121,14 @@ class TestTableCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["precision_digits"] == 21
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # a usage error, not a traceback and not exit 1, which README keeps
+        # for a verification above tolerance
+        code, out, err = run(capsys, "--out", str(tmp_path / "missing" / "x.json"), "table", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_table_number_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "7"])

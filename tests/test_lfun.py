@@ -5,6 +5,7 @@ residual certificates."""
 import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from mpmath.libmp import (
     round_nearest, to_float, to_int,
 )
 
-from spinl import delta_qexp, g20_qexp
+from spinl import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from spinl.numeric_lfun import (
     context,
     delta_lfunction,
@@ -498,6 +499,85 @@ class TestFunctionalEquation:
         assert d.conductor == g.conductor == r.conductor == 1
         assert d.coefficients(2) == -24 and g.coefficients(2) == 456
         assert r.coefficients(2) == -10944
+
+
+_GATE_D = 30
+_GATE_ENTRIES = ("l_degree2", "l_rankin4", "residual_deg2", "residual_deg4")
+
+
+def _gate_call(entry, M, N, bad=None):
+    """entry at D = 30 over M coefficients from a source that holds N of
+    them, a(2) replaced by bad when it is given."""
+    if entry == "l_degree2":
+        cs = list(delta_qexp(N).coeffs)
+        cs[2] = cs[2] if bad is None else bad
+        return l_degree2(QSeries(cs, N), 12, 6, _GATE_D, M)
+    if entry == "l_rankin4":
+        vals = list(rankin_coeffs(N).values)
+        vals[2] = vals[2] if bad is None else bad
+        return l_rankin4(RankinCoeffs(N, tuple(vals)), 15, _GATE_D, M)
+    spec = delta_lfunction(N) if entry == "residual_deg2" else rankin_lfunction(N)
+    a = spec.coefficients
+    crooked = None if bad is None else (lambda n: bad if n == 2 else a(n))
+    t = 5 if entry == "residual_deg2" else 13.5
+    return functional_eq_residual(spec, crooked, t, _GATE_D, M)
+
+
+def _gate_m(entry):
+    """The fewest coefficients the one rule accepts for entry at D = 30."""
+    return 12 if entry.endswith("4") else evaluators._deg2_m(12, _GATE_D)
+
+
+class TestCoefficientGate:
+    """Every smoothed sum reads a(1..M) and decides that M is enough in
+    evaluators._coefficients, so every entry point refuses the same inputs."""
+
+    @pytest.mark.parametrize("entry", _GATE_ENTRIES)
+    def test_accepts_the_rule_m(self, entry):
+        M = _gate_m(entry)
+        _gate_call(entry, M, M)
+
+    @pytest.mark.parametrize("entry", _GATE_ENTRIES)
+    @pytest.mark.parametrize(
+        "case", ["M = 0", "M one below the rule", "M beyond the coefficients",
+                 "float coefficient", "Fraction coefficient"],
+    )
+    def test_refusals(self, entry, case):
+        M = _gate_m(entry)
+        args = {
+            "M = 0": (0, M),
+            "M one below the rule": (M - 1, M),
+            "M beyond the coefficients": (M, M - 1),
+            "float coefficient": (M, M, 0.5),
+            "Fraction coefficient": (M, M, Fraction(1, 2)),
+        }[case]
+        with pytest.raises(ValueError):
+            _gate_call(entry, *args)
+
+    def test_integral_float_from_an_accessor(self):
+        # an accessor's -24.0 for tau(2) once reached the integer sums and
+        # raised TypeError there
+        spec = delta_lfunction(30)
+        with pytest.raises(ValueError, match="int"):
+            functional_eq_residual(spec, lambda n: float(spec.coefficients(n)), 5, 30, 20)
+
+    def test_the_entry_points_have_no_reader_of_their_own(self, monkeypatch):
+        # each entry point reads its coefficients through the one gate
+        seen = []
+        real = evaluators._coefficients
+
+        def spy(a, M, degree, w, dps):
+            seen.append((M, degree, w))
+            return real(a, M, degree, w, dps)
+
+        monkeypatch.setattr(evaluators, "_coefficients", spy)
+        for entry in _GATE_ENTRIES:
+            M = _gate_m(entry)
+            _gate_call(entry, M, M)
+        petersson_norm(12, 4, 20)
+        m12 = evaluators._deg2_m(12, _GATE_D)
+        assert seen == [(m12, 2, 12), (12, 4, 31), (m12, 2, 12), (12, 4, 31),
+                        (evaluators._deg2_m(12, 20), 2, 12)]
 
 
 class TestResidualCustomCoefficients:

@@ -116,7 +116,7 @@ class TestValuesIgnoreContextMutation:
         # the degree-4 per-n data are plain integers at a node exponent
         _clear_caches()
         l_rankin4(rankin_coeffs(14), 14, 20, 14)
-        functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 8)
+        functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 12)
         l_degree2(delta_qexp(30), 12, 6, 20, 30)
         kernel_mellin_check(13, 20)
         for cache in CACHES:
@@ -234,7 +234,7 @@ class TestBoundedCaches:
         form = delta_qexp(30)
         _clear_caches()
         full_l = repr(l_rankin4(A, 14, 20, 14))
-        full_r = repr(functional_eq_residual(spec, None, 13.5, 20, 8))
+        full_r = repr(functional_eq_residual(spec, None, 13.5, 20, 12))
         full_2 = repr(l_degree2(form, 12, 6, 20, 30))
         assert all(len(cache) > 5 for cache in PER_N_CACHES)
         assert len(evaluators._MOMENT_CACHE) > 1
@@ -244,7 +244,7 @@ class TestBoundedCaches:
         monkeypatch.setattr(evaluators._MOMENT_CACHE, "cap", 1)
         for _ in range(2):
             assert repr(l_rankin4(A, 14, 20, 14)) == full_l
-            assert repr(functional_eq_residual(spec, None, 13.5, 20, 8)) == full_r
+            assert repr(functional_eq_residual(spec, None, 13.5, 20, 12)) == full_r
             assert repr(l_degree2(form, 12, 6, 20, 30)) == full_2
             assert all(len(cache) <= cache.cap for cache in CACHES)
         _clear_caches()

@@ -623,6 +623,54 @@ class TestLemma1:
         assert all(lemma1_local_check(p, 10) for p in (2, 3, 5, 7))
         assert (delta_qexp.cache_info().misses, g20_qexp.cache_info().misses) == misses
 
+    def test_cuts_a_live_series_the_cache_dropped(self, monkeypatch):
+        # sixteen other sizes evict N = 5000 from both caches while the two
+        # series are still held here: the checks must cut them, not build
+        # Delta again
+        import spinl.qexp as q
+
+        held = (delta_qexp(5000), g20_qexp(5000))
+        for n in range(1, 17):
+            g20_qexp(n)  # and delta_qexp(n)
+        built, real = [], q._eta_cubed
+        monkeypatch.setattr(q, "_eta_cubed", lambda n: built.append(n) or real(n))
+        assert all(lemma1_local_check(p, 10) for p in (2, 3, 5, 7))
+        assert built == []
+        assert delta_qexp(5000) is held[0] and g20_qexp(5000) is held[1]
+
+    def test_cut_while_another_thread_builds(self):
+        # _cut reads the registry of built series while delta_qexp inserts
+        # into it; unguarded, the reader's iteration raised RuntimeError
+        # within the first few builds
+        import sys
+
+        import spinl.qexp as q
+
+        errors, held, stop = [], [], threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    q._cut(delta_qexp, q._DELTA_BUILT, 1)
+                except RuntimeError as exc:
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for N in range(100, 400):
+                held.append(delta_qexp(N))
+                if errors:
+                    break
+        finally:
+            stop.set()
+            thread.join()
+            sys.setswitchinterval(interval)
+        assert errors == []
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             lemma1_local_check(11, 3)
