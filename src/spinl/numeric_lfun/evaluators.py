@@ -53,11 +53,13 @@ _lambda refuses such an s.
 
 Since a = (X/2)^2, every factor above is a power of r = 2/X:
 w_j = K_(10-j) r^(12+j), 2/a^11 = 2 r^22, tau_1 = K_1 r^23 and
-g_0 = K_0 r^24 / 2.  A node is built from a fixed-point K_0/K_1 pair,
-the K_2..K_10 recurrence on the same integers, and one fixed-point power
-chain of r; the fields and the tau chains stay unrounded, integers at one
-exponent per node.  The pair is _k0_k1's asymptotic one past its series
-cut; below it, one descent per D down the grid X_n = 4 pi sqrt(n) by the
+g_0 = K_0 r^24 / 2.  A node is built in one integer pass from a
+fixed-point K_0/K_1 pair: with y_nu = K_nu r^(22-nu), K's recurrence is
+the division-free y_(nu+1) = nu y_nu + a y_(nu-1) from y_0 = K_0 r^22 and
+y_1 = K_1 r^21, and w_j = y_(10-j); the fields and the tau chains stay
+unrounded, integers at one exponent per node.  Past _k0_k1's series cut
+the pair is its asymptotic loop at the grid's X_n = 4 pi sqrt(n) itself
+(_grid_pair); below it, one descent per D down the grid by the
 multiplication theorem (_band_pair).  Since p does not depend on n, the
 n-sum commutes with the dot product:
 
@@ -97,7 +99,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from mpmath.libmp import (
     dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div,
     mpf_exp, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub,
-    mpf_sum, round_nearest, to_fixed, to_float, to_int,
+    mpf_sum, pi_fixed, round_nearest, to_fixed, to_float, to_int,
 )
 
 from ..exact_arith import bernoulli, zeta_exact
@@ -105,7 +107,8 @@ from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import GUARD, MIN_DPS, _value_context, context, pi_sum, render_exact, round_to
 from .quadrature import QuadratureError
 from .special import (
-    _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp, _series_cut,
+    _LN2, _LN10, _check_domain, _divisor, _k0_k1, _k0_k1_asymptotic, _k_up, _ki1,
+    _legendre_seed, _libmp, _series_cut,
 )
 
 __all__ = [
@@ -192,7 +195,8 @@ class _BoundedCache:
 
 # the degree-4 nodes, keyed by (n, dps), and their seeded chains by
 # (n, mu, dps): a verify run at D = 60, M = 300 holds 300 nodes; entries
-# live in the value contexts, so a hit is the same number in every thread
+# are integers and libmp values, so a hit is the same number in every
+# thread
 _CACHE_CAP = 2048
 _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
@@ -351,9 +355,11 @@ _CHAIN_LEN = 9
 
 class _Node(NamedTuple):
     """Per-n data of the degree-4 sum at a = (2 pi)^2 n, X = 2 sqrt(a):
-    every field but X is an integer F standing for F 2^exp, unrounded."""
+    every field but X and ix2 is an integer F standing for F 2^exp,
+    unrounded."""
 
-    X: tuple  # libmp, at dps digits plus 20 bits
+    X: tuple  # libmp: the grid's X_n at 2^-wq, wq = dps + 15 digits plus 20 bits
+    ix2: tuple  # 1 / X^2 = (r/2)^2, libmp, at 2^-wq
     exp: int
     c: int  # 2 / a^11
     g0: int  # c K_0(X) / X^2
@@ -363,19 +369,19 @@ class _Node(NamedTuple):
 
 def _chain(node: _Node, first: int, mu) -> tuple:
     """(tau_mu, tau_(mu+2), ..., tau_(mu+16)) from tau_mu = first by
-    tau_m = tau_1 + (m-1) g0 + ((m-1)/X)^2 tau_(m-2), on the node's
-    integers, for a libmp mu, m - 1 = b / 2^q exact: past the first, every
-    tau is positive and at least tau_1."""
+    tau_m = tau_1 + (m-1) g0 + (m-1)^2 (r/2)^2 tau_(m-2), on the node's
+    integers, for a libmp mu, m - 1 = b / 2^q exact, and (r/2)^2 = 1/X^2 =
+    v 2^e the node's ix2: products and shifts, no division.  Past the
+    first, every tau is positive and at least tau_1."""
     sign, man, exp, _ = mu
     q = max(-exp, 0)
     b = ((-man if sign else man) << max(exp, 0)) - (1 << q)  # mu - 1
-    shift, d = _divisor(mpf_mul(node.X, node.X))
-    d <<= 2 * q
+    _, v, e, _ = node.ix2  # e < 0, as 1/X^2 < 1
     g0, g1 = node.g0, node.tau[0]
     chain = [first]
     for _ in range(_CHAIN_LEN - 1):
         b += 2 << q
-        chain.append(g1 + (b * g0 >> q) + (b * b * chain[-1] << shift) // d)
+        chain.append(g1 + (b * g0 >> q) + (b * b * v * chain[-1] >> 2 * q - e))
     return tuple(chain)
 
 
@@ -447,46 +453,69 @@ def _band_pair(n: int, dps: int) -> tuple:
     return segment[a - n]
 
 
+def _grid_pair(X: int, root: int, wq: int, dps: int) -> tuple:
+    """(K_0, K_1, exp) at X_n = X 2^-wq past the band, root = sqrt(n) 2^wq:
+    _k0_k1's asymptotic loop at X_n itself, with its prefactor
+    sqrt(pi/2X_n) e^-X_n = (8 sqrt(n))^(-1/2) e^-X_n from one isqrt and
+    libmp's exp, both at wq bits, the precision of _k0_k1's asymptotic
+    branch; OverflowError past BESSEL_X_MAX, as there."""
+    _check_domain(X / (1 << wq))
+    _, e, exp, _ = mpf_exp(from_man_exp(-X, -wq), wq)
+    pre = math.isqrt((1 << 3 * wq) // (root << 3))
+    return _k0_k1_asymptotic(X, wq, dps, (e * pre >> wq, exp))
+
+
 def _deg4_node(n: int, dps: int) -> _Node:
     """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
-    chain of mu = 1, from one K_0/K_1 pair (_band_pair below the band) and
-    the integer recurrence for K_2..K_10.  With r = 2/X, so that a = r^-2,
+    chain of mu = 1, in one integer pass from one K_0/K_1 pair at
+    X = 4 pi sqrt(n) (_band_pair below the band, _grid_pair past it), X
+    taken as isqrt(n) times pi at wq bits, the pair's precision.  With
+    r = 2/X, so that r^2 = 1/a, and y_nu = K_nu r^(22-nu), K's upward
+    recurrence is the division-free
 
-        w_j = K_(10-j) r^(12+j),  c = 2 r^22,
-        g0 = c K_0 / X^2 = K_0 r^24 / 2,  tau_1 = c K_1 / X = K_1 r^23,
+        y_(nu+1) = nu y_nu + a y_(nu-1),
 
-    each an exact product of integers from one fixed-point chain of r,
+    from y_0 = K_0 r^22 and y_1 = K_1 r^21, with r^22 = a^-11 from 1/a by
+    squaring and r^21 = r^22 X/2; then
+
+        w_j = y_(10-j) = K_(10-j) r^(12+j),  c = 2 r^22,
+        g0 = c K_0 / X^2 = y_0 r^2 / 2,  tau_1 = c K_1 / X = y_1 r^2,
+
     cut to the node's exponent, where g0, the smallest, keeps dps digits
-    plus 30 bits; nothing is rounded; cached per (n, dps).  X = 4 pi sqrt(n)
-    is taken at dps digits plus 20 bits and kept unrounded for the chains."""
+    plus 30 bits; nothing is rounded; cached per (n, dps)."""
     key = (n, dps)
     hit = _NODE_CACHE.get(key)
     if hit is not None:
         return hit
-    wp = dps_to_prec(dps) + 20
-    root_n = mpf_sqrt(from_int(n), wp, round_nearest)
-    X = mpf_shift(mpf_mul(mpf_pi(wp, round_nearest), root_n, wp, round_nearest), 2)
-    k0, k1, exp = _band_pair(n, dps) if n < _deg4_band(dps) else _k0_k1(X, dps)[1:]
-    K = _k_up(X, [k0, k1], 10)
-    # r at 2^-L: log2(X/2) < bc + e - 1 for X = m 2^e, m < 2^bc
-    L = wp + 10 + 24 * (X[3] + X[2] - 1)
-    shift, d = _divisor(X)
-    r = (2 << L + shift) // d
-    P = [1 << L]
-    for _ in range(24):
-        P.append(P[-1] * r >> L)
-    # K P stands for K P 2^(exp - L); the node keeps it at 2^(exp - L + t)
-    t = (K[0] * P[24]).bit_length() - wp - 11
-    tau1 = K[1] * P[23] >> t
+    wp, wq = dps_to_prec(dps) + 20, dps_to_prec(dps + 15) + 20
+    root = math.isqrt(n << 2 * wq)
+    X = root * pi_fixed(wq) >> wq - 2
+    k0, k1, exp = _band_pair(n, dps) if n < _deg4_band(dps) else _grid_pair(X, root, wq, dps)
+    a = X * X >> wq + 2
+    la = a.bit_length() - wq  # a < 2^la
+    # powers of r^2 = 1/a at 2^-L, r^22 with wq bits or more
+    L = wq + 11 * la
+    r2 = (1 << L + wq) // a
+    r4 = r2 * r2 >> L
+    r16 = (r4 * r4 >> L) ** 2 >> L
+    r22 = (r16 * r4 >> L) * r2 >> L
+    # y stands for y 2^(exp - L + t), y_0 with wp + la + 11 bits
+    y0 = k0 * r22
+    t = y0.bit_length() - wp - la - 11
+    y = [y0 >> t, k1 * r22 * X >> t + wq + 1]
+    for nu in range(1, 10):
+        y.append(nu * y[nu] + (a * y[nu - 1] >> wq))
+    shift = 1 - exp - t  # c = 2 r^22 at the node's exponent, up or down
     node = _Node(
-        X,
+        from_man_exp(X, -wq),
+        from_man_exp(r2 >> 11 * la + 2, -wq),
         exp - L + t,
-        P[22] << 1 - exp - t,
-        K[0] * P[24] >> t + 1,
-        tuple(K[10 - j] * P[12 + j] >> t for j in range(11)),
-        (tau1,),
+        r22 << shift if shift >= 0 else r22 >> -shift,
+        y[0] * r2 >> L + 1,
+        tuple(y[::-1]),
+        (y[1] * r2 >> L,),
     )
-    node = node._replace(tau=_chain(node, tau1, fone))
+    node = node._replace(tau=_chain(node, node.tau[0], fone))
     _NODE_CACHE[key] = node
     return node
 

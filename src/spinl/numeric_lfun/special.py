@@ -23,16 +23,16 @@ descend from past it (evaluators._band_pair).  Above
 it both come from one loop over the asymptotic expansion
 sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k, stopped once its terms fall below
 10^-(D+8), with the prefactor taken once from mpmath's libmp; there the
-pair shares the prefactor's exponent.  Either way K_0 and K_1 are two
-integer mantissas at one exponent, and the upward recurrence
-K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for K, runs on them: x is
-taken losslessly as a libmp value m 2^e, so each division by x is exact
-but for its floor.  The degree-4 node of the evaluators reuses that
-recurrence for K_2..K_10.  No mpmath context is made per series
-precision, and x may be passed as a libmp value.  The tests check the
-core against the integral representation int_0^inf e^(-x cosh t)
-cosh(nu t) dt, against mpmath's besselk, and against itself at 15 more
-digits.
+pair shares the prefactor's exponent.  The degree-4 nodes past the cut
+run the same loop with a prefactor of their own (evaluators._grid_pair).
+Either way K_0 and K_1 are two integer mantissas at one exponent, and
+the upward recurrence K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for
+K, runs on them: x is taken losslessly as a libmp value m 2^e, so each
+division by x is exact but for its floor.  No mpmath context is made
+per series precision, and x may be passed as a libmp value.  The tests
+check the core against the integral representation
+int_0^inf e^(-x cosh t) cosh(nu t) dt, against mpmath's besselk, and
+against itself at 15 more digits.
 
 Ki_1 and its fractional moments of order mu in (-1, 1) have two
 branches, both on integers at 2^-wp, with no mpmath context, and one
@@ -160,15 +160,15 @@ def _k0_k1_series(x, wp: int, gamma: int):
     return s0, (one << wp) // xf + (xf * s1 >> (wp + 1)), -wp
 
 
-def _k0_k1_asymptotic(x, wp: int, dps: int):
-    """K_0, K_1 from the large-x expansion sqrt(pi/2x) e^(-x) sum a_k(nu)/x^k,
-    both summed in one loop at fixed point 2^-wp, as two mantissas at the
-    prefactor's exponent.  |a_k(1)| > |a_k(0)| for k >= 1, so the loop
+def _k0_k1_asymptotic(xf: int, wp: int, dps: int, prefactor: tuple) -> tuple:
+    """K_0, K_1 from the large-x expansion sqrt(pi/2x) e^(-x) sum a_k(nu)/x^k
+    at x = xf 2^-wp: both sums in one loop at fixed point 2^-wp, times the
+    caller's prefactor sqrt(pi/2x) e^-x = man 2^exp, given as (man, exp),
+    as two mantissas at exp.  |a_k(1)| > |a_k(0)| for k >= 1, so the loop
     stops once the K_1 terms fall below 10^-(dps+8); if either series stops
     decreasing first, the expansion cannot deliver and ArithmeticError is
     raised."""
     eps = (1 << wp) // 10 ** (dps + 8)
-    xf = to_fixed(x, wp)
     t0 = t1 = acc0 = acc1 = 1 << wp
     k = 1
     while abs(t1) >= eps:
@@ -181,7 +181,7 @@ def _k0_k1_asymptotic(x, wp: int, dps: int):
         acc0 += t0
         acc1 += t1
         k += 1
-    man, exp = _asymptotic_prefactor(x, wp)
+    man, exp = prefactor
     return man * acc0 >> wp, man * acc1 >> wp, exp
 
 
@@ -224,6 +224,14 @@ def _series_wp(x: float, dps: int) -> int:
     return dps_to_prec(dps + int(0.87 * x) + 15) + 20
 
 
+def _check_domain(xf: float) -> None:
+    """OverflowError unless BESSEL_X_MIN < xf < BESSEL_X_MAX."""
+    if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
+        raise OverflowError(
+            f"argument {xf} outside the supported domain ({BESSEL_X_MIN}, {BESSEL_X_MAX})"
+        )
+
+
 def _k0_k1(x, dps: int):
     """(x, K_0, K_1, exp): x (an mpf, a libmp value, a number or a string)
     as a libmp value and K_0(x), K_1(x) unrounded, as integer mantissas of
@@ -233,15 +241,13 @@ def _k0_k1(x, dps: int):
     largest working precision at D: mpmath's memo would compute it anew
     each time a larger x asked for 5% more bits."""
     xf = to_float(x) if isinstance(x, tuple) else float(x)
-    if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
-        raise OverflowError(
-            f"argument {xf} outside the supported domain ({BESSEL_X_MIN}, {BESSEL_X_MAX})"
-        )
+    _check_domain(xf)
     cut = _series_cut(dps)
     if xf > cut:
         wp = dps_to_prec(dps + 15) + 20
         xm = _libmp(x, wp - 20)
-        return (xm, *_k0_k1_asymptotic(xm, wp, dps))
+        pair = _k0_k1_asymptotic(to_fixed(xm, wp), wp, dps, _asymptotic_prefactor(xm, wp))
+        return (xm, *pair)
     wp = _series_wp(xf, dps)
     xm = _libmp(x, wp - 20)
     rung = -(-_series_wp(cut, dps) // _EULER_STEP) * _EULER_STEP

@@ -147,6 +147,63 @@ def test_deg2_table_at_fractional_order_against_gammainc(ref_frac, f, n, dps):
         assert abs(got - want[j]) / want[j] < mp.mpf(10) ** (1 - dps), f"G_{f}+{j}"
 
 
+# past the band at every D above (n = 62 at 72 digits): X_n and the K_0/K_1
+# pair at the pair's own precision, dps + 15 digits plus 20 bits
+NS_PAST_BAND = (100, 150, 300, 1000)
+
+
+@pytest.fixture(scope="module")
+def ref_past_band():
+    # c, g0, w_0..w_10 and the chain of mu = 1, tau_1..tau_17, in that
+    # order; R_1 = X K_1 and R_m by parts, no quadrature
+    mp = mpmath.mp.clone()
+    mp.dps = REF_DPS
+    out = {}
+    for n in NS_PAST_BAND:
+        a = (2 * mp.pi) ** 2 * n
+        X = 2 * mp.sqrt(a)
+        K = [mp.besselk(0, X), mp.besselk(1, X)]
+        for j in range(1, 10):
+            K.append(K[j - 1] + 2 * j / X * K[j])
+        R = {1: X * K[1]}
+        for m in range(3, 18, 2):
+            R[m] = X**m * K[1] + (m - 1) * X ** (m - 1) * K[0] + (m - 1) ** 2 * R[m - 2]
+        c = 2 / a**11
+        out[n] = [
+            c,
+            c * K[0] / X**2,
+            *(K[10 - j] / a ** (j + 1) / (X / 2) ** (10 - j) for j in range(11)),
+            *(c * X ** -(m + 1) * R[m] for m in range(1, 18, 2)),
+        ]
+    return mp, out
+
+
+@pytest.mark.parametrize("dps", DPS)
+@pytest.mark.parametrize("n", NS_PAST_BAND)
+def test_deg4_node_past_the_band_to_seven_more_digits(ref_past_band, n, dps):
+    # every field of the node to 10^-(dps+7): X_n is taken at the K pair's
+    # precision, as X_n rounded to dps digits plus 20 bits would leave only
+    # 4.5-6 digits beyond dps here
+    mp, want = ref_past_band[0], ref_past_band[1][n]
+    assert n >= _deg4_band(dps)
+    node = _deg4_node(n, dps)
+    ints = (node.c, node.g0, *node.w, *node.tau)
+    assert len(ints) == len(want) == 22
+    for i, (v, w) in enumerate(zip(ints, want)):
+        got = mp.make_mpf(from_man_exp(v, node.exp))
+        assert abs(got - w) / w < mp.mpf(10) ** -(dps + 7), i
+
+
+def test_deg4_node_past_the_largest_argument_raises():
+    # X_n = 4 pi sqrt(n) reaches BESSEL_X_MAX = 1e4 at n ~ 633,257: the
+    # grid's pair refuses it as _k0_k1 does
+    n = 633_300
+    with pytest.raises(OverflowError, match="outside the supported domain"):
+        special._k0_k1(4 * mpmath.pi * mpmath.sqrt(n), 30)
+    with pytest.raises(OverflowError, match="outside the supported domain"):
+        _deg4_node(n, 30)
+
+
 def _ulps(got, ref, dps: int) -> float:
     """|got - ref| in units of got's last place at dps digits, for libmp
     values."""
@@ -221,34 +278,43 @@ def _clear_degree4():
 def test_moments_call_no_series(monkeypatch, D, M):
     # the band nodes come from one descent, seeded past the series cut:
     # each n below the band is reached by exactly one step, an anchor's
-    # jump or a unit step in its segment
-    series, step = special._k0_k1_series, evaluators._k_step
-    calls, steps = [], []
+    # jump or a unit step in its segment; the nodes past the band take
+    # their pairs from _grid_pair, so _k0_k1 runs once, for the seed
+    series, step, pair = special._k0_k1_series, evaluators._k_step, evaluators._k0_k1
+    calls, steps, pairs = [], [], []
     monkeypatch.setattr(special, "_k0_k1_series", lambda *a: calls.append(a) or series(*a))
     monkeypatch.setattr(evaluators, "_k_step", lambda *a: steps.append(a[2]) or step(*a))
+    monkeypatch.setattr(evaluators, "_k0_k1", lambda *a: pairs.append(a) or pair(*a))
     A = rankin_coeffs(M)
     _clear_degree4()
     _deg4_moments(tuple(A[n] for n in range(1, M + 1)), 1, D + GUARD)
     assert calls == []
     assert sorted(steps) == list(range(1, _deg4_band(D + GUARD)))
+    assert len(pairs) == 1
     _clear_degree4()
 
 
 def test_node_is_a_function_of_n_and_dps():
     # the same bits cold, from inside a moments call (which builds the band
-    # at dps), and from four threads at once on empty caches
+    # at dps and the nodes past it at the levels it picks), and from four
+    # threads at once on empty caches
     dps = 40
-    ns = range(1, _deg4_band(dps))
-    _clear_degree4()
-    cold = [_deg4_node(n, dps) for n in ns]
+    band = _deg4_band(dps)
+    ns = range(1, 3 * band)
     _clear_degree4()
     A = rankin_coeffs(len(ns))
     _deg4_moments(tuple(A[n] for n in ns), 1, dps)
-    assert [_NODE_CACHE.get((n, dps)) for n in ns] == cold
+    inside = dict(_NODE_CACHE._data)
+    keys = sorted(inside)
+    assert {n for n, d in keys if d == dps} >= set(range(1, band))
+    assert any(n >= band for n, _ in keys) and min(d for _, d in keys) < dps
+    _clear_degree4()
+    cold = [_deg4_node(n, d) for n, d in keys]
+    assert cold == [inside[key] for key in keys]
     _clear_degree4()
     results = [[] for _ in range(4)]
     workers = [
-        threading.Thread(target=lambda out=out: out.extend(_deg4_node(n, dps) for n in ns))
+        threading.Thread(target=lambda out=out: out.extend(_deg4_node(*key) for key in keys))
         for out in results
     ]
     interval = sys.getswitchinterval()

@@ -2,6 +2,7 @@
 oracle, the Bickley function and its fractional moments, and the tanh-sinh
 rule itself."""
 
+import hashlib
 import math
 
 import mpmath
@@ -17,7 +18,7 @@ from spinl.numeric_lfun import (
     incomplete_gamma_int,
     tanh_sinh,
 )
-from mpmath.libmp import dps_to_prec, from_float, fzero
+from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero
 
 from spinl.numeric_lfun.special import (
     _LN2,
@@ -25,6 +26,7 @@ from spinl.numeric_lfun.special import (
     BESSEL_X_MIN,
     _ki1,
     _ki1_asymptotic,
+    _k0_k1,
     _ki1_trapezoid,
     _legendre_seed,
     _libmp,
@@ -227,6 +229,51 @@ class TestBesselPrecision:
             for nu, got in enumerate((bessel_k(0, x, 72), bessel_k(1, x, 72))):
                 ref = mp.besselk(nu, mp.convert(x))
                 assert abs(mp.convert(got) - ref) / ref < mp.mpf("1e-70"), (n, nu)
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+class TestBitPins:
+    """The K_0/K_1 core bit for bit, since the degree-4 nodes share its
+    asymptotic loop: its integers on both branches, bessel_k, and the
+    seven kernel-check errors, all exactly 0.0 at D = 30 and 60 (what
+    certify-d30 reads as its cap of 99 digits; one moved bit in the core
+    can leave them near 1e-50 instead)."""
+
+    # floats, strings and libmp values on both sides of every series cut
+    XS = (
+        1e-5, 0.5, 1.0, 2.5, 7.0, "13.3", 29.0, 31.0, "47.5", 50.0, 83.0, 85.0, 98.0,
+        100.0, "150.25", 333.3, 1000.0, 4000.0, 9999.0,
+        from_man_exp(12345678901234567891, -62), from_man_exp(0x1234567890ABCDEF1234567, -80),
+    )
+    K0_K1_SHA256 = {
+        15: "0b0da0fd575e8270df067dd70ef3c27c8dc3d39458b38d76d9efcde5a260df83",
+        30: "27d615d6eabe7dc2fabfcdb15f65a6c00f91c8a23cfee49f05da3383afa8499a",
+        42: "28718323cc60bba4cd46991ce89a8e78b7d6d1671a5fe03f505ee3dffe33a7df",
+        60: "3a0e96f075cb86d1869d63ddb118c6146c03e0c6288759289bb70798e931a50a",
+        72: "81ead924476e1074844aeb7aaa240bcf3cbbf3324c10f45a47924d486923011d",
+    }
+    BESSEL_SHA256 = "0189199df00d46708642cf1465a6a54218e52bec00ac10a11c4b7815daecc17a"
+    KERNEL_SHA256 = "39765741d4468d57be75508e4c305fecb3fbcd5771bc7cba893c4cab4ef1efb1"
+
+    @pytest.mark.parametrize("dps", sorted(K0_K1_SHA256))
+    def test_k0_k1_integers(self, dps):
+        assert _sha256([_k0_k1(x, dps) for x in self.XS]) == self.K0_K1_SHA256[dps]
+
+    def test_bessel_k(self):
+        orders, precisions = (0, 1, 2, 5, 11, 20), (15, 30, 60)
+        got = [bessel_k(nu, x, d)._mpf_ for nu in orders for x in self.XS for d in precisions]
+        assert _sha256(got) == self.BESSEL_SHA256
+
+    @pytest.mark.parametrize("dps", (30, 60))
+    def test_kernel_errors(self, dps):
+        from spinl.numeric_lfun.evaluators import _kernel_errors
+
+        errors = _kernel_errors(dps)
+        assert all(e == 0 for e in errors)
+        assert _sha256([e._mpf_ for e in errors]) == self.KERNEL_SHA256
 
 
 class TestBickley:
