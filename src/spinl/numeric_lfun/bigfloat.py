@@ -37,10 +37,17 @@ _threads = threading.local()
 _VALUE_CONTEXTS: dict = {}
 
 
-def _fresh(dps: int):
-    # every pooled context is made here first, so this enforces the floor
+def _check_dps(dps: int) -> None:
+    """ValueError below MIN_DPS: the floor of every context, and the first
+    step of every public numeric entry point, so a refused call does no
+    work and fills no cache."""
     if dps < MIN_DPS:
         raise ValueError(f"working precision must be >= {MIN_DPS} digits")
+
+
+def _fresh(dps: int):
+    # every pooled context is made here first, so this enforces the floor
+    _check_dps(dps)
     ctx = mp.clone()
     ctx.dps = dps
     return ctx
@@ -91,4 +98,5 @@ def pi_sum(ctx, pv: PiValue):
 
 def pi_value_numeric(pv: PiValue, dps: int):
     """Evaluate an exact rational-times-pi-power sum to dps digits."""
+    _check_dps(dps)
     return round_to(dps, pi_sum(context(dps + GUARD), pv))

@@ -60,7 +60,8 @@ y_1 = K_1 r^21, and w_j = y_(10-j); the fields and the tau chains stay
 unrounded, integers at one exponent per node.  Past _k0_k1's series cut
 the pair is its asymptotic loop at the grid's X_n = 4 pi sqrt(n) itself
 (_grid_pair); below it, one descent per D down the grid by the
-multiplication theorem (_band_pair).  Since p does not depend on n, the
+multiplication theorem (_band_pair), the step the kernel check also
+takes down its own node set (_k_step).  Since p does not depend on n, the
 n-sum commutes with the dot product:
 
     sum_n A(n) F(s, a_n) = 2 [ sum_j p_j(s) W_j + p_11(s) T_m ],
@@ -90,7 +91,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import accumulate
@@ -98,13 +99,15 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from mpmath.libmp import (
     dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div,
-    mpf_exp, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub,
+    mpf_exp, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sub,
     mpf_sum, pi_fixed, round_nearest, to_fixed, to_float, to_int,
 )
 
 from ..exact_arith import bernoulli, zeta_exact
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import GUARD, MIN_DPS, _value_context, context, pi_sum, render_exact, round_to
+from .bigfloat import (
+    GUARD, MIN_DPS, _check_dps, _value_context, context, pi_sum, render_exact, round_to,
+)
 from .quadrature import QuadratureError
 from .special import (
     _LN2, _LN10, _check_domain, _divisor, _k0_k1, _k0_k1_asymptotic, _k_up, _ki1,
@@ -339,6 +342,7 @@ def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
     via the incomplete-gamma smoothed sum over M coefficients, for real s
     in the critical strip 0 < s < k; any other s raises ValueError, and so
     does an M that _coefficients refuses."""
+    _check_dps(dps)
     if k not in (12, 20):
         raise ValueError("supported weights are 12 and 20")
     coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
@@ -391,30 +395,45 @@ def _deg4_band(dps: int) -> int:
     return math.floor((_series_cut(dps) / (4 * math.pi)) ** 2) + 1
 
 
-def _k_step(pair: tuple, a: int, n: int, wp: int, four_pi2: int) -> tuple:
-    """(K_0, K_1, exp) at X_n from pair = (K_0, K_1, exp) at X_a, a > n, on
-    the grid X_n = 4 pi sqrt(n), four_pi2 = 4 pi^2 at 2^-wp.  With d = a - n
-    and lambda^2 = n/a the multiplication theorem (DLMF 10.44.2) is a sum
-    of positive terms, K_nu(X_n) = lambda^nu sum_k c^k K_(nu+k)(X_a) / k!,
-    c = 2 pi d / sqrt(a).  kappa_k = c^k K_k(X_a) / k! is the dominant
-    solution of kappa_(k+1) = (k kappa_k d / a + c^2 kappa_(k-1) / k) / (k+1),
+def _k_step(pair: tuple, wp: int, shrink: tuple, c2: int, c_lam: int) -> tuple:
+    """(K_0, K_1, exp) at X_n = lambda X_a from pair = (K_0, K_1, exp) at
+    X_a, for any ratio 0 < lambda < 1: shrink = (p, q) gives 1 - lambda^2
+    as the ratio p / q of two integers, c2 = c^2 and c_lam = c / lambda at
+    2^-wp, c = (1 - lambda^2) X_a / 2.  The multiplication theorem (DLMF 10.44.2) is then a
+    sum of positive terms, K_nu(X_n) = lambda^nu sum_k c^k K_(nu+k)(X_a) / k!.
+    kappa_k = c^k K_k(X_a) / k! is the dominant solution of
+    kappa_(k+1) = (k kappa_k (1 - lambda^2) + c^2 kappa_(k-1) / k) / (k+1),
     K's upward recurrence, so it runs forward on integers at 2^-wp until
     kappa_k is 0 (fixed-point c^k / k! times K_k instead left the pairs
     6e-19 off at dps = 40): K_0(X_n) = sum kappa_k, K_1(X_n) =
-    sqrt(n) / (2 pi d) sum k kappa_k, cut back to wp bits of K_0."""
+    (lambda / c) sum k kappa_k, cut back to wp bits of K_0."""
     k0, k1, exp = pair
-    d = a - n
-    c2 = four_pi2 * d * d // a
+    p, q = shrink
     x, y = k0, k1 * math.isqrt(c2 << wp) >> wp  # kappa_0, kappa_1
     s0, s1, k = x, 0, 1
     while y:
         s0 += y
         s1 += k * y
-        x, y = y, (k * y * d // a + (c2 * x >> wp) // k) // (k + 1)
+        x, y = y, (k * y * p // q + (c2 * x >> wp) // k) // (k + 1)
         k += 1
-    k1 = (s1 << wp) // math.isqrt(four_pi2 * d * d // n << wp)
+    k1 = (s1 << wp) // c_lam
     shift = max(s0.bit_length() - wp, 0)
     return s0 >> shift, k1 >> shift, exp + shift
+
+
+def _grid_step(pair: tuple, a: int, n: int, wp: int, four_pi2: int) -> tuple:
+    """_k_step from X_a to X_n, a > n, on the grid X_n = 4 pi sqrt(n),
+    four_pi2 = 4 pi^2 at 2^-wp: with d = a - n, 1 - lambda^2 = d / a
+    exactly, c = 2 pi d / sqrt(a) and c / lambda = 2 pi d / sqrt(n)."""
+    d = a - n
+    return _k_step(pair, wp, (d, a), four_pi2 * d * d // a, math.isqrt(four_pi2 * d * d // n << wp))
+
+
+def _grid_x(n: int, wq: int) -> tuple:
+    """(X_n, root) at 2^-wq, the one construction of the grid X_n = 4 pi
+    sqrt(n): root = sqrt(n) 2^wq by one isqrt, times pi."""
+    root = math.isqrt(n << 2 * wq)
+    return root * pi_fixed(wq) >> wq - 2, root
 
 
 # per dps, the anchors and the segments between them: 15 anchors at dps = 70
@@ -424,20 +443,19 @@ _DESCENT_CACHE = _BoundedCache(64)
 def _band_pair(n: int, dps: int) -> tuple:
     """(K_0, K_1, exp) at X_n, 1 <= n < _deg4_band(dps), a function of (n,
     dps) alone: from _k0_k1's asymptotic pair at the band, at its working
-    precision wp, one _k_step per anchor a -> a - isqrt(a) down to 1, then
+    precision wp, one _grid_step per anchor a -> a - isqrt(a) down to 1, then
     unit steps from the anchor above n, each chain cached, so one n costs
     ~2 sqrt(band) steps and the whole band one step per n."""
     wp = dps_to_prec(dps + 15) + 20
-    pi = mpf_pi(wp)
-    four_pi2 = to_fixed(mpf_mul(pi, pi), wp) << 2
+    four_pi2 = pi_fixed(wp) ** 2 >> wp - 2
     anchors = _DESCENT_CACHE.get(("anchors", dps))
     if anchors is None:
         a = _deg4_band(dps)
-        pair = _k0_k1(mpf_shift(mpf_mul(pi, mpf_sqrt(from_int(a), wp), wp), 2), dps)[1:]
+        pair = _k0_k1(from_man_exp(_grid_x(a, wp)[0], -wp), dps)[1:]
         anchors = [(a, pair)]
         while a > 1:
             m = a - math.isqrt(a)
-            a, pair = m, _k_step(pair, a, m, wp, four_pi2)
+            a, pair = m, _grid_step(pair, a, m, wp, four_pi2)
             anchors.append((a, pair))
         anchors = _DESCENT_CACHE[("anchors", dps)] = tuple(anchors[::-1])
     i = bisect_left(anchors, (n,))
@@ -448,7 +466,7 @@ def _band_pair(n: int, dps: int) -> tuple:
     if segment is None:
         segment = [pair]
         for m in range(a - 1, anchors[i - 1][0], -1):
-            segment.append(_k_step(segment[-1], m + 1, m, wp, four_pi2))
+            segment.append(_grid_step(segment[-1], m + 1, m, wp, four_pi2))
         segment = _DESCENT_CACHE[("segment", a, dps)] = tuple(segment)
     return segment[a - n]
 
@@ -488,8 +506,7 @@ def _deg4_node(n: int, dps: int) -> _Node:
     if hit is not None:
         return hit
     wp, wq = dps_to_prec(dps) + 20, dps_to_prec(dps + 15) + 20
-    root = math.isqrt(n << 2 * wq)
-    X = root * pi_fixed(wq) >> wq - 2
+    X, root = _grid_x(n, wq)
     k0, k1, exp = _band_pair(n, dps) if n < _deg4_band(dps) else _grid_pair(X, root, wq, dps)
     a = X * X >> wq + 2
     la = a.bit_length() - wq  # a < 2^la
@@ -603,6 +620,7 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     """L(s, Delta x g20) for s in 12..19 via the smoothed Bessel-kernel sum
     over the M coefficients _coefficients accepts, else ValueError; at s =
     12 the error reaches 10^-30 near M = 80 and 10^-60 near M = 230."""
+    _check_dps(dps)
     if not 12 <= s <= 19 or s != int(s):
         raise ValueError("s must be an integer in 12..19")
     c = _coefficients(coeffs.__getitem__, M, 4, 31, dps)
@@ -621,6 +639,32 @@ _KERNEL_RATE, _KERNEL_GATE = 7.5, 18
 _KERNEL_CACHE = _BoundedCache(_MOMENT_CAP)  # the errors at s0 = 13..19, per dps
 
 
+def _kernel_pairs(xs: list, dps: int) -> list:
+    """(K_0, K_1, exp) at each X of xs, ascending libmp values that reach
+    past _k0_k1's series cut at dps digits, taken from the top down:
+    _k0_k1's asymptotic pair past the cut, one descent by _k_step down xs
+    from the cut to X = 1, and _k0_k1's series below X = 1, where
+    consecutive lambda^2 fall fast and c underflows.  The descent runs at
+    the asymptotic branch's working precision, seeded at the first X past
+    the cut by _k0_k1 at dps + 5 digits (a seed at dps leaves the kernel
+    errors off 0 at D = 20 and 28); each step takes 1 - lambda^2 =
+    (X_a^2 - X_n^2) / X_a^2, c^2 and c / lambda in fixed point from two
+    consecutive X."""
+    cut = _series_cut(dps)
+    floats = [to_float(x) for x in xs]
+    low, top = bisect_left(floats, 1.0), bisect_right(floats, cut)
+    pairs = [_k0_k1(x, dps)[1:] if i < low or i >= top else None for i, x in enumerate(xs)]
+    wq = dps_to_prec(dps + 15) + 20
+    pair, xa = _k0_k1(xs[top], dps + 5)[1:], to_fixed(xs[top], wq)
+    for i in range(top - 1, low - 1, -1):
+        xn = to_fixed(xs[i], wq)
+        p, q = (xa - xn) * (xa + xn), xa * xa  # 1 - lambda^2 = p / q
+        shrink = (p << wq) // q
+        pair = pairs[i] = _k_step(pair, wq, (shrink, 1 << wq), p * p // (q << wq + 2), p // (2 * xn))
+        xa = xn
+    return pairs
+
+
 def _kernel_errors(dps: int) -> tuple:
     hit = _KERNEL_CACHE.get(("kernel", dps))
     if hit is not None:
@@ -632,23 +676,30 @@ def _kernel_errors(dps: int) -> tuple:
     for _ in range(20):  # the cut: v^27 e^(-2v) = 10^-(dps+8)
         v_hi = (L + 27 * math.log(v_hi)) / 2
     v0, step = ctx.mpf("2e-6"), from_float(h)
-    parts = [[0] * 7, [0] * 7]  # the sums over even and odd k
-    k = math.floor(-math.log(B) / h)
+    k = k0 = math.floor(-math.log(B) / h)
+    # e^-t at 2^-ew, stepped by one multiply per node
+    ew = wp + 20
+    em = to_fixed(mpf_exp(mpf_neg(mpf_mul(from_int(k), step)), ew), ew)
+    decay = to_fixed(mpf_exp(mpf_neg(step), ew), ew)
+    nodes = []  # (E (1 + e^-t), v) per node
     while True:
-        t = mpf_mul(from_int(k), step)
-        em = mpf_exp(mpf_neg(t), wp)
-        E = mpf_exp(mpf_sub(t, em, wp), wp)
+        e = from_man_exp(em, -ew)
+        E = mpf_exp(mpf_sub(mpf_mul(from_int(k), step), e, wp), wp)
         v = mpf_add(v0._mpf_, E, wp)
         if to_float(v) > v_hi:
             break
-        xm, k0, k1, exp = _k0_k1(mpf_shift(v, 1), dps + 12)
-        K = from_man_exp(_k_up(xm, [k0, k1], 11)[11], exp)
-        g = mpf_mul(mpf_mul(E, mpf_add(fone, em, wp), wp), mpf_mul(mpf_pow_int(v, 14, wp), K), wp)
+        nodes.append((mpf_mul(E, mpf_add(fone, e, wp), wp), v))
+        em = em * decay >> ew
+        k += 1
+    xs = [mpf_shift(v, 1) for _, v in nodes]
+    parts = [[0] * 7, [0] * 7]  # the sums over even and odd k
+    for k, (dv, v), x, (K0, K1, exp) in zip(range(k0, k), nodes, xs, _kernel_pairs(xs, dps + 12)):
+        K = from_man_exp(_k_up(x, [K0, K1], 11)[11], exp)
+        g = mpf_mul(dv, mpf_mul(mpf_pow_int(v, 14, wp), K), wp)
         G, V2 = to_fixed(g, wp), to_fixed(mpf_mul(v, v), wp)
         for i in range(7):
             parts[k % 2][i] += G
             G = G * V2 >> wp
-        k += 1
     scale = mpf_shift(step, 2)  # 4 h
     errors = []
     for s0, even, odd in zip(range(13, 20), *parts):
@@ -682,14 +733,18 @@ def kernel_mellin_check(s0: int, dps: int):
     t -> -inf, with dv/dt = E (1 + e^-t); its trapezoid sum at t = k h,
     h = _KERNEL_RATE / B, B = (D + 33) ln 10, runs from t = -log B, where
     v - v0 is ~e^-B / B, to the cut v^27 e^(-2v) < 10^-(D+8) of s0 = 19:
-    188 nodes at D = 30, 297 at D = 60.  K_11(2v) is taken once per node
-    from the fixed-point core, and the seven sums of v^14 (v^2)^(s0 - 13)
-    K_11 run on integers at one scale, each rounded once.  The even nodes
-    give the sum at step 2h; by the error model C e^(-c/h) their
-    difference from the full sum, times e^(-c/2h), here e^(-B/2) (c taken
-    as _KERNEL_RATE, below the fitted c), predicts the error at h, and a
-    prediction above 10^-(D+18) at any s0 raises QuadratureError.  The
-    seven errors are cached per D."""
+    188 nodes at D = 30, 297 at D = 60, with e^-t stepped by one multiply
+    per node.  K_11(2v) comes by K's upward recurrence from a K_0/K_1 pair
+    at D + 12 digits per node, taken from the top down (_kernel_pairs):
+    the asymptotic pair past the series cut, one descent down the node set
+    from the cut to X = 2v = 1, the series below X = 1.  The seven sums of
+    v^14 (v^2)^(s0 - 13) K_11 run on integers at one scale, each rounded
+    once.  The even nodes give the sum at step 2h; by the error model
+    C e^(-c/h) their difference from the full sum, times e^(-c/2h), here
+    e^(-B/2) (c taken as _KERNEL_RATE, below the fitted c), predicts the
+    error at h, and a prediction above 10^-(D+18) at any s0 raises
+    QuadratureError.  The seven errors are cached per D."""
+    _check_dps(dps)
     if s0 not in range(13, 20):
         raise ValueError("check points are the integers s0 = 13..19")
     return _kernel_errors(dps)[int(s0) - 13]
@@ -755,6 +810,7 @@ def functional_eq_residual(
     same two sides as Lambda(t) in swapped order: the result is exactly 0
     at every t.  A certificate would move the split point, the free
     parameter of the smoothed functional equation, and compare."""
+    _check_dps(dps)
     w = spec.weight
     c = _coefficients(spec.coefficients if coeffs is None else coeffs, M, spec.degree, w, dps)
     ctx = context(dps + GUARD)
@@ -792,6 +848,7 @@ def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
     Eisenstein data exact, zeta(l) rendered from its exact pi-power form,
     and both L-values from the degree-2 evaluator over _deg2_m(k, dps)
     coefficients, all at dps + GUARD digits and rounded once."""
+    _check_dps(dps)
     if (k, r) not in _VALID_NORM_ARGS:
         raise ValueError(f"unsupported (k, r) = ({k}, {r})")
     value = _norm(context(dps + GUARD), k, r, dps)

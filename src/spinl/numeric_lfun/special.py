@@ -18,8 +18,9 @@ cancellation; log(x/2) and Euler's gamma enter once each as fixed-point
 numbers, the latter taken at a multiple of 256 bits above every working
 precision of the series branch at D and shifted down, so that mpmath
 computes it once for a run of nodes at D digits or fewer.  The series
-serves bessel_k and the kernel check; the degree-4 nodes below the cut
-descend from past it (evaluators._band_pair).  Above
+serves bessel_k, and the kernel check's nodes below x = 1; the degree-4
+nodes below the cut, and the kernel check's from x = 1 up to it, descend
+from past it by the multiplication theorem (evaluators._k_step).  Above
 it both come from one loop over the asymptotic expansion
 sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k, stopped once its terms fall below
 10^-(D+8), with the prefactor taken once from mpmath's libmp; there the
@@ -80,7 +81,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .bigfloat import GUARD, _rounded, context, round_to
+from .bigfloat import GUARD, _check_dps, _rounded, context, round_to
 
 __all__ = [
     "incomplete_gamma_int",
@@ -97,6 +98,7 @@ BESSEL_NU_MAX = 20
 def incomplete_gamma_int(s: int, x, dps: int):
     """Upper incomplete Gamma(s, x) for integer s >= 1 and x > 0, via the
     finite sum Gamma(s,x) = (s-1)! e^(-x) sum_{k<s} x^k / k!."""
+    _check_dps(dps)
     if s < 1 or s != int(s):
         raise ValueError("s must be a positive integer")
     ctx = context(dps + GUARD)
@@ -119,6 +121,7 @@ def gamma_upper(s, x, dps: int):
     tests' oracle for that table.  Integer s <= 0 raises: there gammainc
     takes an integer path that loses up to ~15 of the asked-for digits
     near x = 100."""
+    _check_dps(dps)
     if s == int(s):
         return incomplete_gamma_int(int(s), x, dps)
     ctx = context(dps + GUARD)
@@ -266,6 +269,7 @@ def _k_up(x, K: list, nu: int) -> list:
 def bessel_k(nu: int, x, dps: int):
     """Modified Bessel function K_nu(x) to dps digits, integer 0 <= nu <= 20,
     x inside (1e-6, 1e4)."""
+    _check_dps(dps)
     if not 0 <= nu <= BESSEL_NU_MAX or nu != int(nu):
         raise ValueError(f"order must be an integer in 0..{BESSEL_NU_MAX}")
     nu = int(nu)
@@ -293,6 +297,7 @@ def bickley_ki1(x, dps: int):
     With one more factor per node, or per term, the same two branches give
     x^-mu int_x^inf t^mu K_0(t) dt, the seeds of the degree-4 chains
     (_ki1)."""
+    _check_dps(dps)
     return _rounded(dps, _ki1(x, dps))
 
 

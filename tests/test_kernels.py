@@ -280,10 +280,10 @@ def test_moments_call_no_series(monkeypatch, D, M):
     # each n below the band is reached by exactly one step, an anchor's
     # jump or a unit step in its segment; the nodes past the band take
     # their pairs from _grid_pair, so _k0_k1 runs once, for the seed
-    series, step, pair = special._k0_k1_series, evaluators._k_step, evaluators._k0_k1
+    series, step, pair = special._k0_k1_series, evaluators._grid_step, evaluators._k0_k1
     calls, steps, pairs = [], [], []
     monkeypatch.setattr(special, "_k0_k1_series", lambda *a: calls.append(a) or series(*a))
-    monkeypatch.setattr(evaluators, "_k_step", lambda *a: steps.append(a[2]) or step(*a))
+    monkeypatch.setattr(evaluators, "_grid_step", lambda *a: steps.append(a[2]) or step(*a))
     monkeypatch.setattr(evaluators, "_k0_k1", lambda *a: pairs.append(a) or pair(*a))
     A = rankin_coeffs(M)
     _clear_degree4()

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import (
@@ -28,7 +29,7 @@ from spinl.numeric_lfun import (
     round_to,
     QuadratureError,
 )
-from spinl.numeric_lfun import evaluators
+from spinl.numeric_lfun import evaluators, special
 
 from reference_values import (
     FROZEN_DELTA_NORM,
@@ -349,15 +350,63 @@ class TestKernel:
         with pytest.raises(QuadratureError):
             kernel_mellin_check(13, 30)
 
-    def test_node_budget(self, monkeypatch):
-        # nodes at v0 + e^(t - e^-t): 188 K-core calls at D = 30; nodes
-        # spread evenly in log v down to v0 would take ~400
-        calls = []
-        core = evaluators._k0_k1
-        monkeypatch.setattr(evaluators, "_k0_k1", lambda *a: calls.append(a) or core(*a))
-        monkeypatch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
-        kernel_mellin_check(13, 30)
-        assert 0 < len(calls) <= 200
+    @staticmethod
+    def _kernel_run(dps):
+        """A cold _kernel_errors(dps) with every _k0_k1 call, _k_step call
+        and node recorded: (calls, steps, xs, pairs), the X = 2v and their
+        K_0/K_1 pairs as _kernel_pairs returns them."""
+        calls, steps, seen = [], [], []
+        core, step, pairs = evaluators._k0_k1, evaluators._k_step, evaluators._kernel_pairs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluators, "_k0_k1", lambda *a: calls.append(a) or core(*a))
+            patch.setattr(evaluators, "_k_step", lambda *a: steps.append(a) or step(*a))
+            patch.setattr(
+                evaluators, "_kernel_pairs", lambda xs, d: seen.append((xs, d, pairs(xs, d))) or seen[-1][2]
+            )
+            patch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
+            evaluators._kernel_errors(dps)
+        ((xs, d, got),) = seen
+        assert d == dps + 12
+        return calls, steps, xs, got
+
+    def test_node_budget(self):
+        # nodes at v0 + e^(t - e^-t): 188 at D = 30, 297 at D = 60 (spread
+        # evenly in log v down to v0 they would take ~400 at D = 30).
+        # _k0_k1 runs at the nodes below X = 2v = 1 (its series), past its
+        # series cut (the asymptotic pair) and once more for the descent's
+        # seed, at D + 17 digits; every X between is one _k_step
+        for dps, nodes, below, past in ((30, 188, 101, 23), (60, 297, 159, 31)):
+            calls, steps, xs, _ = self._kernel_run(dps)
+            cut = special._series_cut(dps + 12)
+            floats = [to_float(x) for x in xs]
+            assert len(xs) == nodes
+            assert (sum(x < 1 for x in floats), sum(x > cut for x in floats)) == (below, past)
+            assert len(calls) == below + past + 1
+            assert len(steps) == nodes - below - past
+            (seed,) = [a for a in calls if a[1] != dps + 12]
+            assert seed[1] == dps + 17 and to_float(seed[0]) == min(x for x in floats if x > cut)
+            assert all(not 1 <= to_float(a[0]) <= cut for a in calls if a is not seed)
+
+    @pytest.mark.parametrize("dps", [20, 30, 60])
+    def test_descended_pairs(self, dps):
+        # each pair the descent gives, 1 <= X <= cut, against _k0_k1's series
+        # 20 digits up and against mpmath's besselk: ~10^-(D' + 16) off at
+        # D' = D + 12; a seed at D' instead of D' + 5 leaves ~10^-(D' + 10)
+        _, _, xs, pairs = self._kernel_run(dps)
+        d = dps + 12
+        cut = special._series_cut(d)
+        mp = mpmath.mp.clone()
+        mp.prec = dps_to_prec(d + 40)
+        tol = mp.mpf(10) ** -(d + 14)
+        descended = [(x, p) for x, p in zip(xs, pairs) if 1 <= to_float(x) <= cut]
+        assert len(descended) > 50
+        for x, (k0, k1, exp) in descended:
+            _, s0, s1, s_exp = special._k0_k1(x, d + 20)
+            got = [mp.mpf(from_man_exp(k, exp)) for k in (k0, k1)]
+            series = [mp.mpf(from_man_exp(k, s_exp)) for k in (s0, s1)]
+            exact = [mp.besselk(nu, mp.mpf(x)) for nu in (0, 1)]
+            for g, s, e in zip(got, series, exact):
+                assert abs(g / s - 1) < tol and abs(g / e - 1) < tol, to_float(x)
 
     @pytest.mark.parametrize("dps", [22, 28, 30, 60])
     def test_half_step_gate_has_margin(self, monkeypatch, dps):

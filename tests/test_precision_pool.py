@@ -8,20 +8,25 @@ import threading
 import pytest
 from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero, round_nearest
 
-from spinl import delta_qexp, rankin_coeffs
+from spinl import delta_qexp, qexp, rankin_coeffs, zeta_exact
 from spinl.numeric_lfun import (
     bessel_k,
+    bickley_ki1,
     context,
     delta_lfunction,
     functional_eq_residual,
+    gamma_upper,
+    incomplete_gamma_int,
     kernel_mellin_check,
     l_degree2,
     l_rankin4,
+    petersson_norm,
+    pi_value_numeric,
     rankin_lfunction,
     round_to,
     verify_tables,
 )
-from spinl.numeric_lfun import evaluators
+from spinl.numeric_lfun import bigfloat, evaluators
 from spinl.numeric_lfun.special import _k0_k1
 
 
@@ -88,6 +93,46 @@ class TestContextPool:
             context(14)
         with pytest.raises(ValueError):
             round_to(14, 1)
+
+
+def _state():
+    """Every cache the numeric layer and the q-series keep, and the
+    contexts made so far, as comparable snapshots."""
+    return (
+        [dict(cache._data) for cache in CACHES],
+        [getattr(qexp, name).cache_info().currsize for name in ("delta_qexp", "g20_qexp", "rankin_coeffs")],
+        sorted(bigfloat._VALUE_CONTEXTS),
+        sorted(getattr(bigfloat._threads, "pool", {})),
+    )
+
+
+class TestFloorBeforeWork:
+    # each public numeric entry refuses D < MIN_DPS before it computes or
+    # caches anything: a refused l_rankin4 that ran first would leave its
+    # moments and 150 nodes behind
+    D = bigfloat.MIN_DPS - 1
+    ENTRIES = {
+        "l_degree2": lambda D: l_degree2(delta_qexp(60), 12, 6, D, 60),
+        "l_rankin4": lambda D: l_rankin4(rankin_coeffs(150), 12, D, 150),
+        "functional_eq_residual": lambda D: functional_eq_residual(rankin_lfunction(150), None, 13.5, D, 150),
+        "kernel_mellin_check": lambda D: kernel_mellin_check(13, D),
+        "petersson_norm": lambda D: petersson_norm(12, 4, D),
+        "verify_tables": lambda D: verify_tables(D, 150),
+        "bessel_k": lambda D: bessel_k(1, 2.5, D),
+        "bickley_ki1": lambda D: bickley_ki1(3, D),
+        "gamma_upper": lambda D: gamma_upper(2.5, 3, D),
+        "incomplete_gamma_int": lambda D: incomplete_gamma_int(3, 2, D),
+        "pi_value_numeric": lambda D: pi_value_numeric(zeta_exact(4), D),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_refused_with_every_cache_unchanged(self, name):
+        # the inputs the callers build (q-series, coefficient sets) first
+        delta_qexp(60), rankin_coeffs(150), rankin_lfunction(150)
+        before = _state()
+        with pytest.raises(ValueError, match=f">= {bigfloat.MIN_DPS} digits"):
+            self.ENTRIES[name](self.D)
+        assert _state() == before
 
 
 class TestValuesIgnoreContextMutation:
