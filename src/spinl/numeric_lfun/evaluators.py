@@ -59,10 +59,12 @@ the division-free y_(nu+1) = nu y_nu + a y_(nu-1) from y_0 = K_0 r^22 and
 y_1 = K_1 r^21, and w_j = y_(10-j); the fields and the tau chains stay
 unrounded, integers at one exponent per node.  Past _k0_k1's series cut
 the pair is its asymptotic loop at the grid's X_n = 4 pi sqrt(n) itself
-(_grid_pair); below it, one descent per D down the grid by the
-multiplication theorem (_band_pair), the step the kernel check also
-takes down its own node set (_k_step).  Since p does not depend on n, the
-n-sum commutes with the dot product:
+(_grid_pair); below it, one descent per D by the multiplication theorem,
+one unit step per node from the first node past the cut (the band) down
+to n = 1 (_band_pair), the step the kernel check also takes down its own
+node set (_k_step).  Every degree-4 entry point takes M >= _deg4_m(D),
+every node below the band at D: a floor, not a truncation bound.  Since
+p does not depend on n, the n-sum commutes with the dot product:
 
     sum_n A(n) F(s, a_n) = 2 [ sum_j p_j(s) W_j + p_11(s) T_m ],
     W_j = sum_n A(n) w_j(n),   T_m = sum_n A(n) tau_m(n),
@@ -395,6 +397,12 @@ def _deg4_band(dps: int) -> int:
     return math.floor((_series_cut(dps) / (4 * math.pi)) ** 2) + 1
 
 
+def _deg4_m(dps: int) -> int:
+    """The fewest coefficients a degree-4 sum takes at dps digits: every node
+    below the band, and at least 12; a floor, not a truncation bound."""
+    return max(12, _deg4_band(dps) - 1)
+
+
 def _k_step(pair: tuple, wp: int, shrink: tuple, c2: int, c_lam: int) -> tuple:
     """(K_0, K_1, exp) at X_n = lambda X_a from pair = (K_0, K_1, exp) at
     X_a, for any ratio 0 < lambda < 1: shrink = (p, q) gives 1 - lambda^2
@@ -421,14 +429,6 @@ def _k_step(pair: tuple, wp: int, shrink: tuple, c2: int, c_lam: int) -> tuple:
     return s0 >> shift, k1 >> shift, exp + shift
 
 
-def _grid_step(pair: tuple, a: int, n: int, wp: int, four_pi2: int) -> tuple:
-    """_k_step from X_a to X_n, a > n, on the grid X_n = 4 pi sqrt(n),
-    four_pi2 = 4 pi^2 at 2^-wp: with d = a - n, 1 - lambda^2 = d / a
-    exactly, c = 2 pi d / sqrt(a) and c / lambda = 2 pi d / sqrt(n)."""
-    d = a - n
-    return _k_step(pair, wp, (d, a), four_pi2 * d * d // a, math.isqrt(four_pi2 * d * d // n << wp))
-
-
 def _grid_x(n: int, wq: int) -> tuple:
     """(X_n, root) at 2^-wq, the one construction of the grid X_n = 4 pi
     sqrt(n): root = sqrt(n) 2^wq by one isqrt, times pi."""
@@ -436,39 +436,27 @@ def _grid_x(n: int, wq: int) -> tuple:
     return root * pi_fixed(wq) >> wq - 2, root
 
 
-# per dps, the anchors and the segments between them: 15 anchors at dps = 70
+# per dps, the chain from the band down to X_1: 179 pairs at dps = 130
 _DESCENT_CACHE = _BoundedCache(64)
 
 
 def _band_pair(n: int, dps: int) -> tuple:
     """(K_0, K_1, exp) at X_n, 1 <= n < _deg4_band(dps), a function of (n,
     dps) alone: from _k0_k1's asymptotic pair at the band, at its working
-    precision wp, one _grid_step per anchor a -> a - isqrt(a) down to 1, then
-    unit steps from the anchor above n, each chain cached, so one n costs
-    ~2 sqrt(band) steps and the whole band one step per n."""
-    wp = dps_to_prec(dps + 15) + 20
-    four_pi2 = pi_fixed(wp) ** 2 >> wp - 2
-    anchors = _DESCENT_CACHE.get(("anchors", dps))
-    if anchors is None:
+    precision wp, one unit _k_step per node down to n = 1, exact on the grid
+    (from X_(m+1) to X_m, 1 - lambda^2 = 1/(m+1), c^2 = 4 pi^2/(m+1) and
+    c/lambda = 2 pi/sqrt(m)), the chain cached per dps."""
+    chain = _DESCENT_CACHE.get(("band", dps))
+    if chain is None:
+        wp = dps_to_prec(dps + 15) + 20
+        four_pi2 = pi_fixed(wp) ** 2 >> wp - 2
         a = _deg4_band(dps)
-        pair = _k0_k1(from_man_exp(_grid_x(a, wp)[0], -wp), dps)[1:]
-        anchors = [(a, pair)]
-        while a > 1:
-            m = a - math.isqrt(a)
-            a, pair = m, _grid_step(pair, a, m, wp, four_pi2)
-            anchors.append((a, pair))
-        anchors = _DESCENT_CACHE[("anchors", dps)] = tuple(anchors[::-1])
-    i = bisect_left(anchors, (n,))
-    a, pair = anchors[i]
-    if a == n:
-        return pair
-    segment = _DESCENT_CACHE.get(("segment", a, dps))
-    if segment is None:
-        segment = [pair]
-        for m in range(a - 1, anchors[i - 1][0], -1):
-            segment.append(_grid_step(segment[-1], m + 1, m, wp, four_pi2))
-        segment = _DESCENT_CACHE[("segment", a, dps)] = tuple(segment)
-    return segment[a - n]
+        chain = [_k0_k1(from_man_exp(_grid_x(a, wp)[0], -wp), dps)[1:]]
+        for m in range(a - 1, 0, -1):
+            c_lam = math.isqrt(four_pi2 // m << wp)
+            chain.append(_k_step(chain[-1], wp, (1, m + 1), four_pi2 // (m + 1), c_lam))
+        chain = _DESCENT_CACHE[("band", dps)] = tuple(chain)
+    return chain[-n]  # the chain runs from the band down to X_1
 
 
 def _grid_pair(X: int, root: int, wq: int, dps: int) -> tuple:
@@ -570,12 +558,6 @@ def _dot(ctx, p, v):
     return ctx.make_mpf(mpf_sum(terms, ctx.prec, round_nearest))
 
 
-def _deg4_tail_ok(M: int) -> bool:
-    # measured truncation: ~1e-8 relative at M = 12, ~6e-13 at M = 20,
-    # below 1e-25 at M >= 60; under 12 the value is meaningless
-    return M >= 12
-
-
 def _deg4_vector(n: int, dps: int, mu) -> list:
     """(w_0, ..., w_10, tau_mu, tau_(mu+2), ..., tau_(mu+16)) at n as
     (mantissa, exponent) pairs, for a libmp mu in (-1, 1]: the per-n data
@@ -618,8 +600,8 @@ def _deg4_sum(ctx, coeffs: tuple, s):
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     """L(s, Delta x g20) for s in 12..19 via the smoothed Bessel-kernel sum
-    over the M coefficients _coefficients accepts, else ValueError; at s =
-    12 the error reaches 10^-30 near M = 80 and 10^-60 near M = 230."""
+    over M coefficients, M >= _deg4_m(dps), else ValueError; at s = 12 the
+    error reaches 10^-30 near M = 80 and 10^-60 near M = 230."""
     _check_dps(dps)
     if not 12 <= s <= 19 or s != int(s):
         raise ValueError("s must be an integer in 12..19")
@@ -754,13 +736,21 @@ def kernel_mellin_check(s0: int, dps: int):
 # the coefficient gate, Lambda, the functional equation residual, norms
 
 
+def _check_m(M: int, degree: int, w: int, dps: int) -> None:
+    """The one M rule, reading no a(n): ValueError naming the floor unless
+    M >= _deg2_m(w, dps) at degree 2, _deg4_m(dps) at degree 4, else 1."""
+    need = _deg2_m(w, dps) if degree == 2 else _deg4_m(dps) if degree == 4 else 1
+    if M < need:
+        raise ValueError(
+            f"M={M} too small at {dps} digits for degree {degree}, weight {w}: need M >= {need}"
+        )
+
+
 def _coefficients(a: Callable[[int], int], M: int, degree: int, w: int, dps: int) -> tuple:
-    """(a(1), ..., a(M)) through the accessor a, the one reader and rule of
-    every entry point: M >= 1, _deg2_tail_ok(w, M, dps) at degree 2 and
-    _deg4_tail_ok(M) at degree 4, else ValueError, as for an a(n) beyond
-    the accessor (IndexError) or one that is not an int."""
-    if M < 1 or degree == 2 and not _deg2_tail_ok(w, M, dps) or degree == 4 and not _deg4_tail_ok(M):
-        raise ValueError(f"M={M} too small at {dps} digits for degree {degree}, weight {w}")
+    """(a(1), ..., a(M)) through the accessor a, the one reader of every
+    entry point, once _check_m accepts M; ValueError also for an a(n)
+    beyond the accessor (IndexError) or one that is not an int."""
+    _check_m(M, degree, w, dps)
     try:
         c = tuple(map(a, range(1, M + 1)))
     except IndexError as err:
@@ -802,8 +792,9 @@ def functional_eq_residual(
     smoothed sum, for t in the evaluator's domain (_lambda: 0 < t < k at
     degree 2, 11 < t < 20 at degree 4); any other t raises ValueError, and
     so does an M that _coefficients refuses, as in l_degree2 and l_rankin4:
-    M must be at least 1, _deg2_m(w, dps) at degree 2 and 12 at degree 4,
-    and a(1..M), from coeffs or else the spec's accessor, must all be ints.
+    M must be at least _deg2_m(w, dps) at degree 2 and _deg4_m(dps) at
+    degree 4, and a(1..M), from coeffs or else the spec's accessor, must all
+    be ints.
 
     This is not an accuracy certificate.  Both sides split the sum at the
     symmetric point and w - t is taken exactly, so Lambda(w - t) adds the

@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple
 from ..critical_values import PeterssonFactors, main_identity, rankin_g20_value, two_delta_product
 from ..qexp import delta_qexp, rankin_coeffs
 from .bigfloat import GUARD, _check_dps, context, render_exact, round_to
-from .evaluators import _deg2_m, _norm, l_degree2, l_rankin4
+from .evaluators import _check_m, _deg2_m, _norm, l_degree2, l_rankin4
 
 __all__ = ["VerificationRow", "VerificationReport", "verify_tables"]
 
@@ -76,8 +76,10 @@ def _norms(ctx, dps: int) -> dict:
 
 def verify_tables(dps: int = 30, M: int = 150) -> VerificationReport:
     """Compare all 24 exact renderings against direct numeric products, the
-    degree-4 ones over M coefficients."""
+    degree-4 ones over M coefficients; an M that l_rankin4 refuses raises
+    ValueError before any work."""
     _check_dps(dps)
+    _check_m(M, 4, 31, dps)
     report = VerificationReport(dps, M, [])
     ctx = context(dps + GUARD)
     norms = _norms(ctx, dps)

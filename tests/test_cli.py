@@ -213,6 +213,18 @@ class TestVerifyCommand:
         assert code == 0, err
         assert "max relative difference" in out
 
+    @pytest.mark.parametrize("prec, coeffs, need", [(120, 150, 154), (1000, 20, 9302)])
+    def test_coefficients_below_the_degree4_floor_exit_2(self, capsys, prec, coeffs, need):
+        # both exited 0, at 46 and ~11 digits: the refusal names the
+        # fewest M it accepts, in one error line, before any work
+        code, out, err = run(capsys, "--prec", str(prec), "--coeffs", str(coeffs), "verify")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: M={coeffs} too small at {prec} digits for degree 4, weight 31:"
+            f" need M >= {need}"
+        ]
+
     def test_fresh_norms_path(self, capsys):
         code, _, _ = run(
             capsys, "--prec", "16", "--coeffs", "20", "--tol", "1e-10",

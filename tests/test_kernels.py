@@ -277,19 +277,22 @@ def _clear_degree4():
 @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
 def test_moments_call_no_series(monkeypatch, D, M):
     # the band nodes come from one descent, seeded past the series cut:
-    # each n below the band is reached by exactly one step, an anchor's
-    # jump or a unit step in its segment; the nodes past the band take
-    # their pairs from _grid_pair, so _k0_k1 runs once, for the seed
-    series, step, pair = special._k0_k1_series, evaluators._grid_step, evaluators._k0_k1
+    # band - 1 unit steps (1 - lambda^2 = 1/(n+1)), each n below the band
+    # reached exactly once; the nodes past the band take their pairs from
+    # _grid_pair, so _k0_k1 runs once, for the seed
+    series, step, pair = special._k0_k1_series, evaluators._k_step, evaluators._k0_k1
     calls, steps, pairs = [], [], []
     monkeypatch.setattr(special, "_k0_k1_series", lambda *a: calls.append(a) or series(*a))
-    monkeypatch.setattr(evaluators, "_grid_step", lambda *a: steps.append(a[2]) or step(*a))
+    monkeypatch.setattr(evaluators, "_k_step", lambda *a: steps.append(a[2]) or step(*a))
     monkeypatch.setattr(evaluators, "_k0_k1", lambda *a: pairs.append(a) or pair(*a))
     A = rankin_coeffs(M)
     _clear_degree4()
     _deg4_moments(tuple(A[n] for n in range(1, M + 1)), 1, D + GUARD)
     assert calls == []
-    assert sorted(steps) == list(range(1, _deg4_band(D + GUARD)))
+    band = _deg4_band(D + GUARD)
+    assert len(steps) == band - 1
+    assert {p for p, _ in steps} == {1}
+    assert sorted(q - 1 for _, q in steps) == list(range(1, band))
     assert len(pairs) == 1
     _clear_degree4()
 

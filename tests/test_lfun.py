@@ -239,12 +239,13 @@ class TestDeg2M:
 
     @pytest.mark.parametrize("D", [30, 80])
     def test_delta_rows_do_not_follow_the_degree4_m(self, D):
-        # once tied to M, verify_tables(80, 20) took 20 coefficients and raised
+        # once tied to M, verify_tables(80, 20) took 20 coefficients and
+        # raised; 20 is now below the degree-4 floor at D = 80
         from spinl.numeric_lfun import verify_tables
 
         rows = [
             [r for r in verify_tables(D, M).as_dict()["rows"] if r["branch"] == "delta_pair"]
-            for M in (20, 150)
+            for M in (evaluators._deg4_m(D), 150)
         ]
         assert len(rows[0]) == 8 and rows[0] == rows[1]
 
@@ -391,12 +392,14 @@ class TestKernel:
     def test_descended_pairs(self, dps):
         # each pair the descent gives, 1 <= X <= cut, against _k0_k1's series
         # 20 digits up and against mpmath's besselk: ~10^-(D' + 16) off at
-        # D' = D + 12; a seed at D' instead of D' + 5 leaves ~10^-(D' + 10)
+        # D' = D + 12; a seed at D' instead of D' + 5 leaves ~10^-(D' + 10).
+        # besselk at D' + 20 agrees with itself at D' + 40 to 10^-(D' + 20)
+        # at every descended X for these D, and costs a third less
         _, _, xs, pairs = self._kernel_run(dps)
         d = dps + 12
         cut = special._series_cut(d)
         mp = mpmath.mp.clone()
-        mp.prec = dps_to_prec(d + 40)
+        mp.prec = dps_to_prec(d + 20)
         tol = mp.mpf(10) ** -(d + 14)
         descended = [(x, p) for x, p in zip(xs, pairs) if 1 <= to_float(x) <= cut]
         assert len(descended) > 50
@@ -574,7 +577,7 @@ def _gate_call(entry, M, N, bad=None):
 
 def _gate_m(entry):
     """The fewest coefficients the one rule accepts for entry at D = 30."""
-    return 12 if entry.endswith("4") else evaluators._deg2_m(12, _GATE_D)
+    return evaluators._deg4_m(_GATE_D) if entry.endswith("4") else evaluators._deg2_m(12, _GATE_D)
 
 
 class TestCoefficientGate:
@@ -624,8 +627,8 @@ class TestCoefficientGate:
             M = _gate_m(entry)
             _gate_call(entry, M, M)
         petersson_norm(12, 4, 20)
-        m12 = evaluators._deg2_m(12, _GATE_D)
-        assert seen == [(m12, 2, 12), (12, 4, 31), (m12, 2, 12), (12, 4, 31),
+        m12, m31 = evaluators._deg2_m(12, _GATE_D), evaluators._deg4_m(_GATE_D)
+        assert seen == [(m12, 2, 12), (m31, 4, 31), (m12, 2, 12), (m31, 4, 31),
                         (evaluators._deg2_m(12, 20), 2, 12)]
 
 

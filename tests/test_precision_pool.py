@@ -134,6 +134,22 @@ class TestFloorBeforeWork:
             self.ENTRIES[name](self.D)
         assert _state() == before
 
+    # an M below the degree-4 floor is refused as early: verify_tables
+    # once computed both norms and the Delta L-values first
+    BELOW_FLOOR = {
+        "verify_tables": (lambda: verify_tables(120, 150), 154),
+        "l_rankin4": (lambda: l_rankin4(rankin_coeffs(150), 12, 60, 43), 44),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BELOW_FLOOR))
+    def test_m_below_the_floor_refused_with_every_cache_unchanged(self, name):
+        call, need = self.BELOW_FLOOR[name]
+        rankin_coeffs(150)
+        before = _state()
+        with pytest.raises(ValueError, match=f"need M >= {need}$"):
+            call()
+        assert _state() == before
+
 
 class TestValuesIgnoreContextMutation:
     def test_l_degree2_and_earlier_values_unchanged(self):
