@@ -1,0 +1,8 @@
+"""``python -m spinl``: the command-line front end, as ``spinl.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,9 @@ gives every product coefficient. That multiply runs in a private context
 that traps any rounding, so it is exact or raises. Only the product
 coefficients that are read, q^0..q^N, must fit a slot, so Delta and
 g20 size their slots by Deligne's bound |a(n)| <= d(n) n^((k-1)/2) on the
-coefficients they keep. Delta is q times Jacobi's
+coefficients they keep, and only their digits are printed. The constant
+"50...0" that biases the slots is made once per slot count in a product,
+for packing and read-back alike. Delta is q times Jacobi's
 eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) squared three times: the first
 squaring, of a series with ~sqrt(2N) nonzero terms, is a sparse loop,
 the other two are transforms. E_k and G_{2,p} read their divisor sums
@@ -80,15 +82,16 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int, bound: int | None
     ``decimal`` multiply, which libmpdec makes with a number-theoretic
     transform in O(n log n) for large operands. A slot holds x + h with
     h = 5 10^(w-1), so it is written as nonnegative digits; subtracting the
-    packed h's (a constant "50...0" string) leaves sum x_i 10^(wi).
+    packed h's (a constant "50...0" decimal, made once per slot count and
+    shared by both operands and the read-back) leaves sum x_i 10^(wi).
 
     Only the low n_out + 1 slots of the product C = sum c_k 10^(wk) are
     read, so only their coefficients must fit: |c_k| < h for k <= n_out.
-    The last K = w (n_out + 1) digits of C + H + 10^T, with H the packed
-    h's of those slots and 10^T above |C|, are then exactly
-    sum_{k <= n_out} (c_k + h) 10^(wk), which reads off without carries;
-    the unread high slots may overflow. ``bound`` is the caller's bound on
-    those |c_k| (Deligne's, for Delta and g20); without it, the bound is
+    Then (C + H) mod 10^K, with K = w (n_out + 1) and H the packed h's of
+    those slots, is exactly sum_{k <= n_out} (c_k + h) 10^(wk), which reads
+    off without carries, and only those K digits are printed; the unread
+    high slots may overflow. ``bound`` is the caller's bound on those |c_k|
+    (Deligne's, for Delta and g20); without it, the bound is
     max|a| max|b| min(len(a), len(b)), which holds for every slot. The
     arithmetic runs in the private context ``_DEC``, never the thread's
     current one, and that context traps Inexact and Rounded: a result too
@@ -99,7 +102,7 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int, bound: int | None
     ValueError; the package's own series need fewer than ~60.
     """
     max_a = max(map(abs, a))
-    max_b = max(map(abs, b))
+    max_b = max_a if a is b else max(map(abs, b))
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
     if bound is None:
@@ -110,22 +113,26 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int, bound: int | None
     # w digits.
     w = len(str(4 * max(bound, max_a, max_b)))
     h = 5 * 10 ** (w - 1)
-    slot = str(h)
+    biases = {}  # the packed h's, by slot count
+
+    def bias(n):
+        if n not in biases:
+            biases[n] = _DEC.create_decimal(str(h) * n)
+        return biases[n]
 
     def pack(xs):
         digits = "".join([str(x + h) for x in reversed(xs)])
-        return _DEC.subtract(_DEC.create_decimal(digits), _DEC.create_decimal(slot * len(xs)))
+        return _DEC.subtract(_DEC.create_decimal(digits), bias(len(xs)))
 
     A = pack(a)
-    C = _DEC.multiply(A, A if a is b else pack(b))
+    C = _DEC.add(_DEC.multiply(A, A if a is b else pack(b)), bias(n_out + 1))
+    # C mod 10^K, floored so that it is nonnegative: the high part is cut by
+    # moving the exponent, which prints nothing
     K = w * (n_out + 1)
-    # 10^T, T past |C|'s digits and K, makes the sum positive and leaves its
-    # last K digits alone
-    top = decimal.Decimal((0, (1,), max(C.adjusted() + 1, K) + 1))
-    C = _DEC.add(_DEC.add(C, _DEC.create_decimal(slot * (n_out + 1))), top)
-    s = _DEC.to_sci_string(C)
+    high = _DEC.scaleb(C, -K).to_integral_value(decimal.ROUND_FLOOR, _DEC)
+    s = _DEC.to_sci_string(_DEC.subtract(C, _DEC.scaleb(high, K)))
     # slot k is the k-th w-digit group from the right
-    return [int(s[j - w : j]) - h for j in range(len(s), len(s) - K, -w)]
+    return [int(s[j - w : j]) - h for j in range(K, 0, -w)]
 
 
 def _exact(c):
@@ -263,21 +270,21 @@ def _eta_cubed(n: int) -> list:
 
 # the series delta_qexp and g20_qexp have built, by precision, while their
 # caches (or anything else) hold them, so that a live series is never built
-# twice and a shorter one can be cut from it; a series dropped since is
+# twice and a shorter read can use a longer one; a series dropped since is
 # forgotten.  Both are read and written under _BUILT_LOCK
 _DELTA_BUILT = weakref.WeakValueDictionary()
 _G20_BUILT = weakref.WeakValueDictionary()
 _BUILT_LOCK = threading.Lock()
 
 
-def _cut(builder, built, n: int) -> QSeries:
-    """builder(n), truncated from builder(N) for the shortest live series
-    of precision N >= n the builder has made: builder(N) returns that
-    series from `built`, so that no second series is built."""
+def _shortest_live(builder, built, n: int) -> QSeries:
+    """builder(N) for the shortest live series of precision N >= n the
+    builder has made, else builder(n): builder(N) returns that series from
+    `built`, so that no second series is built, and it is not truncated."""
     with _BUILT_LOCK:
         longer = [(N, series) for N, series in built.items() if N >= n]
     # longer keeps each series alive through the call
-    return builder(min(longer)[0]).truncate(n) if longer else builder(n)
+    return builder(min(longer)[0]) if longer else builder(n)
 
 
 @lru_cache(maxsize=16)
@@ -411,10 +418,9 @@ class RankinCoeffs:
 def rankin_coeffs(N: int) -> RankinCoeffs:
     if N < 1:
         raise ValueError("need N >= 1")
-    tau = delta_qexp(N).integer_coeffs()
-    b = g20_qexp(N).integer_coeffs()
-    vals = [0] * (N + 1)
-    for d in range(1, isqrt(N) + 1):
+    tau, b = delta_qexp(N).coeffs, g20_qexp(N).coeffs
+    vals = [t * c for t, c in zip(tau, b)]  # d = 1, and A(0) = 0
+    for d in range(2, isqrt(N) + 1):
         dd, d30 = d * d, d**30
         for m in range(1, N // dd + 1):
             vals[m * dd] += d30 * tau[m] * b[m]
@@ -436,23 +442,21 @@ def lemma1_local_check(p: int, order: int) -> bool:
 
     with a + a' = tau(p), a a' = p^11, b + b' = b(p), b b' = p^19.  Both
     sides are expanded with exact integer symmetric-function arithmetic.
-    The coefficients are cut from a longer Delta or g20 series when one is
-    already cached.
+    The coefficients are read in place from a longer Delta or g20 series
+    when one is already cached.
     """
     if p not in (2, 3, 5, 7):
         raise ValueError("p must be one of 2, 3, 5, 7")
     if not 0 <= order <= 10:
         raise ValueError("order must be in 0..10")
-    n_direct = min(p**order, _DIRECT_COEFF_CAP)
-    if n_direct < p and order >= 1:
-        raise ValueError("insufficient q-expansion precision for tau(p), b(p)")
-    tau_series = _cut(delta_qexp, _DELTA_BUILT, max(n_direct, p)).integer_coeffs()
-    b_series = _cut(g20_qexp, _G20_BUILT, max(n_direct, p)).integer_coeffs()
+    n_direct = max(min(p**order, _DIRECT_COEFF_CAP), p)  # tau(p), b(p) even at order 0
+    tau_series = _shortest_live(delta_qexp, _DELTA_BUILT, n_direct)
+    b_series = _shortest_live(g20_qexp, _G20_BUILT, n_direct)
 
-    def prime_powers(series: list, pk_weight: int) -> list:
+    def prime_powers(series: QSeries, pk_weight: int) -> list:
         out = [1]
         for k in range(1, order + 1):
-            if p**k < len(series):
+            if p**k <= n_direct:
                 out.append(series[p**k])
             else:
                 # Hecke recursion a(p^(k+1)) = a(p) a(p^k) - p^(w-1) a(p^(k-1))

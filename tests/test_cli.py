@@ -456,6 +456,28 @@ class TestDeterminism:
         assert "prec" in err
 
 
+def test_python_m_spinl_runs_the_cli():
+    # the package runs as a module, and prints what spinl.cli prints
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run_module(module, *args):
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, env=env)
+
+    r = run_module("spinl", "--help")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith(b"usage: spinl")
+    outs = [run_module(m, "coeffs", "delta", "--nmax", "3") for m in ("spinl", "spinl.cli")]
+    assert [r.returncode for r in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout == b"   1  1\n   2  -24\n   3  252\n"
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # the package's records are NamedTuples and __slots__ classes, so an
     # import pays for neither module (they pull in ast, dis and tokenize)

@@ -5,6 +5,7 @@ import decimal
 import hashlib
 import random
 import threading
+import weakref
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
@@ -124,19 +125,24 @@ class TestConvolutionBackends:
         st.lists(st.just(0), min_size=1, max_size=4),
     )
 
-    @given(a=_poly, b=_poly, shift=st.integers(-60, 8), square=st.booleans())
-    @example(a=[5], b=[-7], shift=0, square=False)
-    @example(a=[0, 0], b=[3, 1], shift=0, square=False)
-    @example(a=[2**300, -(2**300)], b=[1, 2**299], shift=3, square=False)
-    @example(a=[1, -1, 2], b=[3, -1], shift=-1, square=False)
-    @example(a=[8, 8], b=[8, 8], shift=0, square=False)
-    @example(a=[-(2**300)] * 5, b=[0], shift=0, square=True)
-    def test_kronecker_property(self, a, b, shift, square):
-        # n_out below, at and above the full product length len(a)+len(b)-2
+    @given(a=_poly, b=_poly, shift=st.integers(-60, 8), square=st.booleans(), bounded=st.booleans())
+    @example(a=[5], b=[-7], shift=0, square=False, bounded=False)
+    @example(a=[0, 0], b=[3, 1], shift=0, square=False, bounded=False)
+    @example(a=[2**300, -(2**300)], b=[1, 2**299], shift=3, square=False, bounded=False)
+    @example(a=[1, -1, 2], b=[3, -1], shift=-1, square=False, bounded=False)
+    @example(a=[8, 8], b=[8, 8], shift=0, square=False, bounded=False)
+    @example(a=[-(2**300)] * 5, b=[0], shift=0, square=True, bounded=False)
+    @example(a=[9, 9, 9], b=[9, 9, 9], shift=0, square=True, bounded=True)
+    @example(a=[1, 2**300], b=[-1, 2**300, 5], shift=-2, square=False, bounded=True)
+    def test_kronecker_property(self, a, b, shift, square, bounded):
+        # n_out below, at and above the full product length len(a)+len(b)-2;
+        # a bounded call passes the tightest bound a caller may, on the read
+        # coefficients only, so that the unread high slots may overflow
         if square:
             b = a
         n = max(0, len(a) + len(b) - 2 + shift)
-        assert _kronecker(a, b, n) == _schoolbook(a, b, n)
+        full = _schoolbook(a, b, n)
+        assert _kronecker(a, b, n, max(map(abs, full)) if bounded else None) == full
 
     @pytest.mark.parametrize("n", [100, 599, 600])
     def test_delta_truncation_matches_direct(self, n):
@@ -263,6 +269,75 @@ class TestKroneckerTransformSizes:
             t.join()
         assert not errors
         assert got == serial
+
+
+class _CountingContext(decimal.Context):
+    """A decimal context that records the numbers it makes from strings and
+    the strings it prints."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.created, self.printed = [], []
+
+    def create_decimal(self, num="0"):
+        self.created.append(num)
+        return super().create_decimal(num)
+
+    def to_sci_string(self, a):
+        s = super().to_sci_string(a)
+        self.printed.append(s)
+        return s
+
+
+def _slots(s, count):
+    """The count w-digit slots x + h of a printed product, lowest first,
+    read back to x; each must lie strictly between 2.5 and 7.5 10^(w-1)."""
+    w, rest = divmod(len(s), count)
+    assert rest == 0, (len(s), count)
+    h = 5 * 10 ** (w - 1)
+    groups = [int(s[j - w : j]) for j in range(len(s), 0, -w)]
+    assert all(h // 2 < g < 3 * h // 2 for g in groups)
+    return [g - h for g in groups]
+
+
+class TestKroneckerBudget:
+    """The decimal work of a cold build: one "50...0" bias per slot count,
+    made once and shared by the packing and the read-back, and only the K =
+    w (n_out + 1) digits that are read printed."""
+
+    N = 5000
+
+    def test_one_bias_per_product_and_only_the_kept_digits(self, monkeypatch):
+        import spinl.qexp as q
+
+        N = self.N
+        # taken first, so that the lru caches keep nothing built here
+        expected = (delta_qexp(N), g20_qexp(N))
+        dec = q._DEC
+        ctx = _CountingContext(
+            prec=dec.prec, Emax=dec.Emax, Emin=dec.Emin,
+            traps=[t for t, on in dec.traps.items() if on],
+        )
+        monkeypatch.setattr(q, "_DEC", ctx)
+        # empty registries: nothing is found live, so both forms are built
+        monkeypatch.setattr(q, "_DELTA_BUILT", weakref.WeakValueDictionary())
+        monkeypatch.setattr(q, "_G20_BUILT", weakref.WeakValueDictionary())
+
+        delta = q.delta_qexp.__wrapped__(N)
+        # two squarings, each packing one operand: its digits and one bias
+        assert len(ctx.created) == 4
+        assert len(ctx.printed) == 2
+        eta12 = _slots(ctx.printed[0], N)  # eta^24 = (eta^12)^2, both to q^(N-1)
+        assert _slots(ctx.printed[1], N) == _kronecker(eta12, eta12, N - 1) == list(delta.coeffs[1:])
+
+        ctx.created.clear()
+        ctx.printed.clear()
+        # Delta comes from the cache, so only E_8 * Delta is made
+        g20 = q.g20_qexp.__wrapped__(N)
+        assert len(ctx.created) == 3  # the digits of E_8, of Delta, one bias
+        assert len(ctx.printed) == 1
+        assert _slots(ctx.printed[0], N + 1) == list(g20.coeffs)
+        assert (delta, g20) == expected
 
 
 def _sha256(coeffs):
@@ -639,9 +714,9 @@ class TestLemma1:
         assert delta_qexp(5000) is held[0] and g20_qexp(5000) is held[1]
 
     def test_cut_while_another_thread_builds(self):
-        # _cut reads the registry of built series while delta_qexp inserts
-        # into it; unguarded, the reader's iteration raised RuntimeError
-        # within the first few builds
+        # _shortest_live reads the registry of built series while delta_qexp
+        # inserts into it; unguarded, the reader's iteration raised
+        # RuntimeError within the first few builds
         import sys
 
         import spinl.qexp as q
@@ -651,7 +726,7 @@ class TestLemma1:
         def reader():
             while not stop.is_set():
                 try:
-                    q._cut(delta_qexp, q._DELTA_BUILT, 1)
+                    q._shortest_live(delta_qexp, q._DELTA_BUILT, 1)
                 except RuntimeError as exc:
                     errors.append(exc)
                     return
@@ -670,6 +745,36 @@ class TestLemma1:
             thread.join()
             sys.setswitchinterval(interval)
         assert errors == []
+
+    @pytest.mark.parametrize("longer", [False, True])
+    def test_reads_the_prime_powers_in_place(self, monkeypatch, longer):
+        # every p and order, built at exactly the size read or read from a
+        # longer live series: no truncated copy and no integer list
+        import spinl.qexp as q
+
+        def copying(*args):
+            raise AssertionError("the series was copied")
+
+        if longer:
+            held = (delta_qexp(5000), g20_qexp(5000))
+        built, eta_cubed = [], q._eta_cubed
+        monkeypatch.setattr(q, "_eta_cubed", lambda n: built.append(n + 1) or eta_cubed(n))
+        monkeypatch.setattr(q.QSeries, "truncate", copying)
+        monkeypatch.setattr(q.QSeries, "integer_coeffs", copying)
+        if not longer:  # no cache, and a registry emptied before every check
+            monkeypatch.setattr(q, "delta_qexp", q.delta_qexp.__wrapped__)
+            monkeypatch.setattr(q, "g20_qexp", q.g20_qexp.__wrapped__)
+        for p in (2, 3, 5, 7):
+            for order in range(11):
+                if not longer:
+                    monkeypatch.setattr(q, "_DELTA_BUILT", weakref.WeakValueDictionary())
+                    monkeypatch.setattr(q, "_G20_BUILT", weakref.WeakValueDictionary())
+                assert q.lemma1_local_check(p, order) is True, (p, order)
+                if not longer:
+                    assert built.pop() == max(min(p**order, 4096), p) and not built
+        assert built == []
+        if longer:
+            assert (delta_qexp(5000), g20_qexp(5000)) == held
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
