@@ -9,11 +9,13 @@ A_1(s), A_2(s), and the assembled critical values of
 * their product, the spinor critical value  (coefficient of both norms),
 
 each as an exact rational times a single power of pi, for s = 12..19.
-A_1 and A_2 read their Whittaker moments off one expansion of the
-degenerate Whittaker polynomial, weighted by falling products.
-No table is ever an input here; printed tables are regression fixtures in
-the test suite only.  The per-s results are immutable and LRU-cached; an
-s out of range raises on every call.
+Every pi-exponent is fixed by s, so the pass is rational: A_1, A_2, D0'
+and D0'' are Fractions, the Whittaker moment sums run on ints, and only
+c_constants, d_constants and projection_coeffs wrap their results in
+PiValue, at return.  No table is ever an input here; printed tables are
+regression fixtures in the test suite only.  The per-s results are
+immutable and LRU-cached; an s that is not an int in range raises
+ValueError on every call, before any work.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 import enum
 import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import List, NamedTuple, Tuple
 
 from .exact_arith import (
     PiValue,
+    _zeta_rational,
     falling_ratio,
     gamma_pole_ratio,
-    zeta_exact,
     zeta_pole_over_gamma,
 )
 
@@ -91,8 +93,8 @@ _cached = functools.lru_cache(maxsize=32, typed=True)
 
 
 def _check_s_range(s: int, lo: int, hi: int) -> None:
-    if not lo <= s <= hi:
-        raise ValueError(f"s must be in {lo}..{hi}, got {s}")
+    if not isinstance(s, int) or not lo <= s <= hi:
+        raise ValueError(f"s must be an int in {lo}..{hi}, got {s!r}")
 
 
 def _eisenstein_limit(a: int, b: int) -> Fraction:
@@ -100,38 +102,52 @@ def _eisenstein_limit(a: int, b: int) -> Fraction:
     a and b <= 0, the limit along s in C0' and D0': pole over pole for
     a < 0, zeta's pole against the 1/Gamma zero at a = 1, and 0 for a >= 3."""
     if a < 0:
-        return zeta_exact(a).as_monomial()[0] * gamma_pole_ratio(a, b, 2)
+        return _zeta_rational(a) * gamma_pole_ratio(a, b, 2)
     if a == 1:
         return zeta_pole_over_gamma(b, 2)
     return Fraction(0)
 
 
+def _c_rationals(s: int) -> Tuple[Fraction, ...]:
+    """(C0', C0'', C1, C2) / pi^(2s-12), for s in 3..10."""
+    c0p = -2 * _eisenstein_limit(2 * s - 13, s - 11) / factorial(s - 2)
+    c0pp = (2 - Fraction(2) ** (13 - 2 * s)) * _zeta_rational(2 * s - 12)
+    return c0p, c0pp, Fraction(2), 2 - Fraction(2) ** (2 * s - 12)
+
+
 def c_constants(s: int) -> Tuple[PiValue, PiValue, PiValue, PiValue]:
     """Constant-term data (C0', C0'', C1, C2) of the weight-10 level-2
-    Eisenstein expansion entering the <Delta,Delta> side, for s in 3..10.
+    Eisenstein expansion entering the <Delta,Delta> side, for s in 3..10,
+    each a single monomial with pi-exponent 2s-12, or zero.
 
     C0' = -2 pi^(2s-12) Gamma(2s-13) zeta(2s-13) / (Gamma(s-11) Gamma(s-1)),
     evaluated as a limit along s (_eisenstein_limit): nonzero for s in 3..7,
     0 for s in 8..10.
     """
     _check_s_range(s, 3, 10)
-    e = 2 * s - 12
-    c0p = PiValue.monomial(-2 * _eisenstein_limit(2 * s - 13, s - 11) / factorial(s - 2), e)
-    c0pp = (Fraction(2) - Fraction(2) ** (13 - 2 * s)) * zeta_exact(2 * s - 12)
-    c1 = PiValue.monomial(Fraction(2), e)
-    c2 = PiValue.monomial(Fraction(2) - Fraction(2) ** (2 * s - 12), e)
-    return c0p, c0pp, c1, c2
+    return tuple(PiValue.monomial(q, 2 * s - 12) for q in _c_rationals(s))
 
 
-def _whittaker_moment_sum(s: int, two_power: bool) -> Fraction:
+def _whittaker_moment_sum(s: int, two_power: bool) -> int:
     """sum_{i=0..r} (2^i) (-1)^i C(r, i) Gamma(11-i)/Gamma(s-1-i), r = 11-s,
-    the 2^i only when two_power is set: with w = whittaker_closed_form(s-1, r)
-    and j = r - i, sum_j w_j falling_ratio(s+j, j+1) 2^(r-j), the falling
-    products 0 exactly where a denominator's argument is a pole."""
+    the 2^i only when two_power is set, on ints: the Gamma ratio is the
+    falling product perm(10-i, 12-s), 0 exactly where Gamma(s-1-i) has a
+    pole."""
     r = 11 - s
-    w = whittaker_closed_form(s - 1, r)
     two = 2 if two_power else 1
-    return sum(c * falling_ratio(s + j, j + 1) * two ** (r - j) for j, c in enumerate(w))
+    return sum((-two) ** i * comb(r, i) * perm(10 - i, 12 - s) for i in range(r + 1))
+
+
+@_cached
+def _projection(s: int) -> Tuple[Fraction, Fraction]:
+    """(A_1(s), A_2(s)) / pi^(2s-12), for s in 3..10."""
+    c0p, c0pp, c1, c2 = _c_rationals(s)
+    s1 = _whittaker_moment_sum(s, two_power=False)
+    s2 = _whittaker_moment_sum(s, two_power=True)
+    g, h = factorial(12 - s) * c0p, factorial(s - 1) * c0pp
+    a1 = g + h + Fraction(s1, 24) * c1
+    a2 = g * 2 ** (s - 2) + (h + Fraction(s1, 24) * c2) * 2 ** (11 - s) + s2 * c1
+    return a1 / factorial(10), a2 / factorial(10)
 
 
 @_cached
@@ -139,26 +155,8 @@ def projection_coeffs(s: int) -> ProjectionCoeffs:
     """Fourier coefficients A_1(s), A_2(s) of the holomorphic projection of
     G_{2,2}(z) (4 pi y)^(s-11) E_{10,2}(z, s-11), for s in 3..10."""
     _check_s_range(s, 3, 10)
-    c0p, c0pp, c1, c2 = c_constants(s)
-    f10 = factorial(10)
-    s1 = _whittaker_moment_sum(s, two_power=False)
-    s2 = _whittaker_moment_sum(s, two_power=True)
-    a1 = (
-        Fraction(factorial(12 - s), f10) * c0p
-        + Fraction(factorial(s - 1), f10) * c0pp
-        + (s1 / (24 * f10)) * c1
-    )
-    a2 = (
-        (Fraction(factorial(12 - s)) * Fraction(2) ** (s - 2) / f10) * c0p
-        + (Fraction(factorial(s - 1)) * Fraction(2) ** (11 - s) / f10) * c0pp
-        + (s2 / f10) * c1
-        + (Fraction(2) ** (11 - s) * s1 / (24 * f10)) * c2
-    )
-    for name, v in (("A1", a1), ("A2", a2)):
-        coeff, expo = v.as_monomial()  # raises if pi powers mixed
-        if coeff != 0 and expo != 2 * s - 12:
-            raise AssertionError(f"{name}({s}) has pi-exponent {expo}")
-    return ProjectionCoeffs(s, a1, a2)
+    a1, a2 = _projection(s)
+    return ProjectionCoeffs(s, PiValue.monomial(a1, 2 * s - 12), PiValue.monomial(a2, 2 * s - 12))
 
 
 @_cached
@@ -171,32 +169,31 @@ def two_delta_product(s: int) -> CriticalValueResult:
     the trace evaluation <Delta(z), Delta(2z)> = -(1/256) <Delta, Delta>.
     """
     _check_s_range(s, 12, 19)
-    pc = projection_coeffs(s - 9)
-    combo = 232 * pc.a1 - pc.a2  # the /256 trace factor is absorbed: (3/2) 4^11 / 256 = 3*2^13
-    num = Fraction(3 * 2**13) * combo
-    den = (1 + 3 * Fraction(2) ** (13 - s) + Fraction(2) ** (31 - 2 * s)) * factorial(
-        s - 10
-    )
-    value = num / den
-    coeff, expo = value.as_monomial()
+    a1, a2 = _projection(s - 9)
+    # the /256 trace factor is absorbed: (3/2) 4^11 / 256 = 3*2^13
+    den = (1 + 3 * Fraction(2) ** (13 - s) + Fraction(2) ** (31 - 2 * s)) * factorial(s - 10)
     return CriticalValueResult(
-        s, coeff, expo + 11, PeterssonFactors.DELTA_DELTA
+        s, 3 * 2**13 * (232 * a1 - a2) / den, 2 * s - 19, PeterssonFactors.DELTA_DELTA
     )
+
+
+def _d_rationals(s: int) -> Tuple[Fraction, Fraction]:
+    """(D0', D0'') / pi^(2s-30), for s in 12..19."""
+    lim = _eisenstein_limit(2 * s - 31, s - 19)
+    return 2 * Fraction(2) ** (2 * s - 30) * lim / factorial(s - 12), 2 * _zeta_rational(2 * s - 30)
 
 
 def d_constants(s: int) -> Tuple[PiValue, PiValue]:
     """Constant-term data (D0', D0'') of the weight-8 level-1 Eisenstein
-    expansion entering the <g20,g20> side, for s in 12..19.
+    expansion entering the <g20,g20> side, for s in 12..19, each a single
+    monomial with pi-exponent 2s-30, or zero.
 
     D0' = 2 (2 pi)^(2s-30) Gamma(2s-31) zeta(2s-31) / (Gamma(s-11) Gamma(s-19)),
     again as a limit along s (_eisenstein_limit): nonzero for s in 12..16,
     0 for s in 17..19.  D0'' = 2 zeta(2s-30).
     """
     _check_s_range(s, 12, 19)
-    e = 2 * s - 30
-    lim = _eisenstein_limit(2 * s - 31, s - 19)
-    d0p = PiValue.monomial(2 * Fraction(2) ** e * lim / factorial(s - 12), e)
-    return d0p, 2 * zeta_exact(2 * s - 30)
+    return tuple(PiValue.monomial(q, 2 * s - 30) for q in _d_rationals(s))
 
 
 @_cached
@@ -207,11 +204,11 @@ def rankin_g20_value(s: int) -> CriticalValueResult:
         (4 pi)^19 / (2 * 18!) * (D0'' + Gamma(31-s)/Gamma(s) * D0').
     """
     _check_s_range(s, 12, 19)
-    d0p, d0pp = d_constants(s)
+    d0p, d0pp = _d_rationals(s)
     combo = d0pp + Fraction(factorial(30 - s), factorial(s - 1)) * d0p
-    value = (Fraction(4) ** 19 / (2 * factorial(18))) * combo
-    coeff, expo = value.as_monomial()
-    return CriticalValueResult(s, coeff, expo + 19, PeterssonFactors.G20_G20)
+    return CriticalValueResult(
+        s, Fraction(4**19, 2 * factorial(18)) * combo, 2 * s - 11, PeterssonFactors.G20_G20
+    )
 
 
 @_cached

@@ -139,7 +139,8 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n in the convention B_1 = -1/2.
 
     Computed from the defining recurrence sum_{k<=n} C(n+1,k) B_k = 0
-    with memoization, keeping the module closed under rationals.
+    with memoization, keeping the module closed under rationals; the odd
+    B_k past B_1 are 0 and the recurrence skips them.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
@@ -149,10 +150,24 @@ def bernoulli(n: int) -> Fraction:
             _BERNOULLI_CACHE.append(Fraction(0))
             continue
         acc = sum(
-            comb(m + 1, k) * _BERNOULLI_CACHE[k] for k in range(m)
+            comb(m + 1, k) * _BERNOULLI_CACHE[k] for k in range(m) if k < 2 or k % 2 == 0
         )
         _BERNOULLI_CACHE.append(Fraction(-1, m + 1) * acc)
     return _BERNOULLI_CACHE[n]
+
+
+def _zeta_rational(n: int) -> Fraction:
+    """zeta(n) / pi^max(n, 0), a rational wherever zeta_exact has a closed
+    form; odd n >= 1 raises, as there."""
+    if n >= 1 and n % 2 == 1:
+        raise ValueError(f"zeta({n}) has no exact rational/pi closed form")
+    if n >= 2:
+        return (-1) ** (n // 2 + 1) * bernoulli(n) * 2**n / (2 * factorial(n))
+    if n == 0:
+        return Fraction(-1, 2)
+    if n % 2 == 0:
+        return Fraction(0)
+    return -bernoulli(1 - n) / (1 - n)
 
 
 def zeta_exact(n: int) -> PiValue:
@@ -167,21 +182,7 @@ def zeta_exact(n: int) -> PiValue:
     Odd n >= 1 is rejected: n = 1 is the pole and odd n >= 3 has no exact
     closed form (the numerical module's concern).
     """
-    if n >= 1 and n % 2 == 1:
-        raise ValueError(f"zeta({n}) has no exact rational/pi closed form")
-    if n >= 2:
-        coeff = (
-            Fraction((-1) ** (n // 2 + 1))
-            * bernoulli(n)
-            * Fraction(2) ** n
-            / (2 * factorial(n))
-        )
-        return PiValue.monomial(coeff, n)
-    if n == 0:
-        return PiValue.from_rational(Fraction(-1, 2))
-    if n % 2 == 0:
-        return PiValue.zero()
-    return PiValue.from_rational(-bernoulli(1 - n) / (1 - n))
+    return PiValue.monomial(_zeta_rational(n), max(n, 0))
 
 
 def falling_ratio(a: int, i: int) -> Fraction:

@@ -13,11 +13,12 @@ whose values are the same in every thread: the degree-4 nodes and the
 seeded chains of their classes mu (one per fractional part of 2s), as
 unrounded integers at one exponent per node, the K_0/K_1 pairs of the
 nodes below the Bessel series cut, one descent per precision, every sum
-over n, per coefficient set and class, and every kernel error rounded
-once into a value context.  Every smoothed sum refuses, before any work,
-an M below its floor: _deg2_m(k, D) at degree 2 and _deg4_m(D), every
-node below the cut, at degree 4.  The tables and the verification render
-their exact values in the run's one context and round once to D.
+over n, per coefficient set and class, as libmp values, and every kernel
+error rounded once into a value context.  Every smoothed sum refuses,
+before any work, an M below its floor: _deg2_m(k, D) at degree 2 and
+_deg4_m(D), every node below the cut, at degree 4.  The tables and the
+verification render their exact values in the run's one context and
+round once to D.
 """
 
 from .bigfloat import context, pi_value_numeric, render_exact, round_to

@@ -16,6 +16,10 @@ context's current precision.  Two kinds of context follow from that:
   threads.  No computation runs in a value context, so its precision is
   fixed, and a returned value or a cached one behaves the same wherever
   it is used later.
+
+Cached intermediate sums (the evaluators' moments) are libmp values,
+rounded once to their precision, and belong to no context.  A run at D
+thus makes one working context, at D + GUARD, and one value context, at D.
 """
 
 from __future__ import annotations
@@ -91,12 +95,8 @@ def render_exact(ctx, q: Fraction, pi_exponent: int):
     return ctx.mpf(q.numerator) / q.denominator * ctx.pi**pi_exponent
 
 
-def pi_sum(ctx, pv: PiValue):
-    """An exact rational-times-pi-power sum in ctx, unrounded beyond it."""
-    return sum(render_exact(ctx, coeff, expo) for coeff, expo in pv.monomials)
-
-
 def pi_value_numeric(pv: PiValue, dps: int):
     """Evaluate an exact rational-times-pi-power sum to dps digits."""
     _check_dps(dps)
-    return round_to(dps, pi_sum(context(dps + GUARD), pv))
+    ctx = context(dps + GUARD)
+    return round_to(dps, sum(render_exact(ctx, q, e) for q, e in pv.monomials))

@@ -105,11 +105,9 @@ from mpmath.libmp import (
     mpf_sum, pi_fixed, round_nearest, to_fixed, to_float, to_int,
 )
 
-from ..exact_arith import bernoulli, zeta_exact
+from ..exact_arith import _zeta_rational, bernoulli
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import (
-    GUARD, MIN_DPS, _check_dps, _value_context, context, pi_sum, render_exact, round_to,
-)
+from .bigfloat import GUARD, MIN_DPS, _check_dps, context, render_exact, round_to
 from .quadrature import QuadratureError
 from .special import (
     _LN2, _LN10, _check_domain, _divisor, _k0_k1, _k0_k1_asymptotic, _k_up, _ki1,
@@ -220,7 +218,7 @@ def _moments(
 ) -> tuple:
     """(sum_n c_n v_j(n))_j over n = 1..len(coeffs) for coeffs = (c_1, ...,
     c_M): each sum one exact integer dot product, rounded once to dps
-    digits in the value context; cached per (kind, coeffs, dps).
+    digits, a libmp value in no context; cached per (kind, coeffs, dps).
 
     vector(n, d) gives the v_j(n) as signed (mantissa, exponent) pairs,
     each good to 10^-d of itself with a few guard digits, and scale(n) is
@@ -247,12 +245,12 @@ def _moments(
         terms.append((coeffs[n - 1], vector(n, min(dps, max(MIN_DPS, d)))))
     if not terms:  # zeros, in the vector's shape
         terms = [(0, vector(1, MIN_DPS))]
-    home = _value_context(dps)
+    prec = dps_to_prec(dps)
     sums = []
     for col in zip(*(v for _, v in terms)):
         low = min(e for _, e in col)
         total = sum(c * v << e - low for (c, _), (v, e) in zip(terms, col))
-        sums.append(home.make_mpf(from_man_exp(total, low, home.prec, round_nearest)))
+        sums.append(from_man_exp(total, low, prec, round_nearest))
     sums = _MOMENT_CACHE[key] = tuple(sums)
     return sums
 
@@ -417,12 +415,14 @@ def _k_step(pair: tuple, wp: int, shrink: tuple, c2: int, c_lam: int) -> tuple:
     (lambda / c) sum k kappa_k, cut back to wp bits of K_0."""
     k0, k1, exp = pair
     p, q = shrink
+    e = q.bit_length() - 1 if q & (q - 1) == 0 else -1  # q = 2^e: t >> e floors as t // q
     x, y = k0, k1 * math.isqrt(c2 << wp) >> wp  # kappa_0, kappa_1
     s0, s1, k = x, 0, 1
     while y:
         s0 += y
         s1 += k * y
-        x, y = y, (k * y * p // q + (c2 * x >> wp) // k) // (k + 1)
+        t = k * y * p
+        x, y = y, ((t >> e if e >= 0 else t // q) + (c2 * x >> wp) // k) // (k + 1)
         k += 1
     k1 = (s1 << wp) // c_lam
     shift = max(s0.bit_length() - wp, 0)
@@ -595,7 +595,7 @@ def _deg4_sum(ctx, coeffs: tuple, s):
     s = ctx.convert(s)
     f, j = _split(s._mpf_)
     v = _deg4_moments(coeffs, mpf_sub(mpf_shift(f, 1), fone), ctx.dps)
-    return 2 * _dot(ctx, _falling(ctx, s), [x._mpf_ for x in (*v[:11], v[j])])
+    return 2 * _dot(ctx, _falling(ctx, s), (*v[:11], v[j]))
 
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
@@ -771,7 +771,7 @@ def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
         if not 0 < s < w <= _G_TOP + 1:
             raise ValueError(f"need 0 < s < k <= {_G_TOP + 1}, got s = {s}, k = {w}")
         splits = map(_split, (s._mpf_, r))
-        left, right = (ctx.convert(_deg2_moments(coeffs, f, ctx.dps)[j]) for f, j in splits)
+        left, right = (ctx.make_mpf(_deg2_moments(coeffs, f, ctx.dps)[j]) for f, j in splits)
     elif degree == 4:
         if w != 31 or not 11 < s < 20:
             raise ValueError(f"need 11 < s < 20 at weight 31, got s = {s}, w = {w}")
@@ -826,7 +826,7 @@ def _norm(ctx, k: int, r: int, dps: int):
     form = delta_qexp(M) if k == 12 else g20_qexp(M)
     coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
     L1, L2 = _l_value2(ctx, coeffs, k, k - 1), _l_value2(ctx, coeffs, k, l)
-    value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / pi_sum(ctx, zeta_exact(l))
+    value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / render_exact(ctx, _zeta_rational(l), l)
     return value * render_exact(ctx, ratio, 0) * L1 * L2
 
 

@@ -7,6 +7,8 @@ from math import comb
 
 import pytest
 
+import pivalue_oracle as oracle
+from spinl import critical_values
 from spinl import (
     PeterssonFactors,
     PiValue,
@@ -20,7 +22,7 @@ from spinl import (
     zeta_exact,
 )
 
-from spinl.critical_values import _whittaker_moment_sum
+from spinl.critical_values import _d_rationals, _projection, _whittaker_moment_sum
 from spinl.exact_arith import falling_ratio
 
 from reference_values import TABLE1, TABLE2, TABLE3, TABLE4
@@ -93,8 +95,9 @@ class TestProjectionCoeffs:
 
     @pytest.mark.parametrize("two_power", [False, True])
     def test_whittaker_moments_match_their_expansion(self, two_power):
-        # the sums once re-expanded (-1)^i C(11-s, i) Gamma(11-i)/Gamma(s-1-i)
-        # themselves instead of reading whittaker_closed_form
+        # the defining expansion (-1)^i C(11-s, i) Gamma(11-i)/Gamma(s-1-i),
+        # the Gamma ratio as falling_ratio's product; the route through
+        # whittaker_closed_form is pivalue_oracle's
         for s in range(3, 11):
             want = sum(
                 Fraction((-1) ** i * comb(11 - s, i)) * falling_ratio(11 - i, 12 - s)
@@ -236,3 +239,75 @@ class TestConstantsPinned:
     @pytest.mark.parametrize("s", sorted(D_SHA256))
     def test_d_constants(self, s):
         assert self._sha256(d_constants(s)) == self.D_SHA256[s]
+
+
+# each entry point and the first s of its range
+ENTRY_POINTS = {
+    c_constants: 3,
+    projection_coeffs: 3,
+    two_delta_product: 12,
+    d_constants: 12,
+    rankin_g20_value: 12,
+    main_identity: 12,
+}
+
+
+class TestNonIntS:
+    @pytest.mark.parametrize("fn", ENTRY_POINTS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("kind", ["float", "half", "str", "None"])
+    def test_refused_with_value_error(self, fn, kind):
+        # an s that is not an int raises ValueError on every call, even
+        # where its value is in range (12.0 for the value tables)
+        lo = ENTRY_POINTS[fn]
+        s = {"float": float(lo), "half": lo + 0.5, "str": str(lo), "None": None}[kind]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be an int"):
+                fn(s)
+
+
+class TestRationalPass:
+    """The rational pass against the PiValue assembly it replaced
+    (tests/pivalue_oracle.py): every rational, pi-exponent and norm factor
+    exactly equal."""
+
+    @pytest.mark.parametrize("s", range(3, 11))
+    def test_projection_side_matches_the_pivalue_assembly(self, s):
+        a1, a2 = oracle.projection_coeffs(s)
+        assert _projection(s) == (a1.as_monomial()[0], a2.as_monomial()[0])
+        assert projection_coeffs(s) == (s, a1, a2)
+        assert c_constants(s) == oracle.c_constants(s)
+
+    @pytest.mark.parametrize("s", range(12, 20))
+    def test_value_tables_match_the_pivalue_assembly(self, s):
+        d0p, d0pp = oracle.d_constants(s)
+        assert _d_rationals(s) == (d0p.as_monomial()[0], d0pp.as_monomial()[0])
+        assert d_constants(s) == (d0p, d0pp)
+        for fn in (two_delta_product, rankin_g20_value, main_identity):
+            got, want = fn(s), getattr(oracle, fn.__name__)(s)
+            assert got == want
+            assert type(got.rational) is Fraction and type(got.pi_exponent) is int
+
+    def test_value_tables_build_no_pivalue(self, monkeypatch):
+        # a cold main_identity(12..19) stays on rationals, and a cold
+        # projection_coeffs(3..10) builds only the 16 PiValues it returns
+        built = []
+        init = PiValue.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def cold():
+            for fn in vars(critical_values).values():
+                getattr(fn, "cache_clear", lambda: None)()
+
+        monkeypatch.setattr(PiValue, "__init__", counting)
+        cold()
+        for s in range(12, 20):
+            main_identity(s)
+        assert built == []
+        cold()
+        returned = [pv for s in range(3, 11) for pv in projection_coeffs(s)[1:]]
+        assert len(built) == 16
+        assert all(a is b for a, b in zip(built, returned))
+        cold()

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import (
-    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_ceil, mpf_shift, mpf_sub,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_ceil, mpf_shift, mpf_sub,
     round_nearest, to_float, to_int,
 )
 
@@ -43,6 +43,18 @@ from reference_values import (
 def _gamma_table(ctx, n, dps, f=1):
     """The degree-2 table's entries, (mantissa, exponent) pairs, as mpf in ctx."""
     return [ctx.make_mpf(from_man_exp(m, e)) for m, e in evaluators._deg2_table(n, dps, f)]
+
+
+def _exact(v) -> Fraction:
+    """A libmp value, exactly."""
+    sign, man, exp, _ = v
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _ulp(v, dps) -> Fraction:
+    """One unit in the last place of a libmp value rounded to dps digits."""
+    _, _, exp, bc = v
+    return Fraction(2) ** (exp + bc - dps_to_prec(dps))
 
 
 def _deg4_term(ctx, s, n):
@@ -803,7 +815,7 @@ class TestSplit:
 
         def moments(coeffs, mu, dps):
             asked.append(mu)
-            return tuple(ctx.mpf(n == want) for n in range(20))
+            return tuple(fone if n == want else fzero for n in range(20))
 
         monkeypatch.setattr(evaluators, "_deg4_moments", moments)
         for s in _split_grid()[::7]:
@@ -850,9 +862,9 @@ class TestMoments:
             want = mpf_div(
                 from_int(exact.numerator), from_int(exact.denominator), prec, round_nearest
             )
-            assert got[j]._mpf_ == want, j
-        assert got[0]._mpf_ == from_man_exp(1, -400)
-        assert got[1]._mpf_ == fzero
+            assert got[j] == want, j
+        assert got[0] == from_man_exp(1, -400)
+        assert got[1] == fzero
         # mpf_sum drops 2^-400 on meeting 2^300, more than 2 prec bits up
         dropped = [from_man_exp(c * m, e) for c, (m, e) in zip(coeffs, columns[0])]
         assert mpf_sum(dropped, prec, round_nearest) == fzero
@@ -872,11 +884,9 @@ class TestMoments:
         assert len(lo) == len(hi) == 20
         for j, (a, b) in enumerate(zip(lo, hi)):
             if not any(coeffs):
-                assert a == b == 0
+                assert a == b == fzero
                 continue
-            _, _, exp, bc = a._mpf_
-            ulp = b.context.ldexp(1, exp + bc - a.context.prec)
-            assert abs(b.context.convert(a) - b) <= ulp, j
+            assert abs(_exact(a) - _exact(b)) <= _ulp(a, dps), j
 
     @pytest.mark.parametrize("D", [20, 30, 60])
     @pytest.mark.parametrize("M", [12, 40, 150])
@@ -1045,9 +1055,8 @@ class TestLevels:
                     lo = evaluators._deg4_moments(coeffs, parity, dps)
                     hi = evaluators._deg4_moments(coeffs, parity, dps + 20)
                     for j, (a, b) in enumerate(zip(lo, hi)):
-                        _, _, exp, bc = a._mpf_
-                        ulp = b.context.ldexp(1, exp + bc - a.context.prec)
-                        assert abs(b.context.convert(a) - b) <= ulp * 0.51, (dps, n, parity, j)
+                        err = abs(_exact(a) - _exact(b))
+                        assert err <= _ulp(a, dps) * Fraction("0.51"), (dps, n, parity, j)
 
     @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
     @pytest.mark.parametrize("crook", ["A(150) 1e40", "A(150) 1e70", "A(2) 0"])
@@ -1072,8 +1081,8 @@ class TestLevels:
             if crook == "A(2) 0":
                 assert not any(key[0] == 2 for key in evaluators._NODE_CACHE._data)
             for j, (a, b) in enumerate(zip(got, _full_moments(A, parity, dps))):
-                b = a.context.make_mpf(b)
-                assert abs(a - b) <= abs(b) * a.context.mpf(10) ** -dps, (parity, j)
+                a, b = _exact(a), _exact(b)
+                assert abs(a - b) <= abs(b) * Fraction(1, 10**dps), (parity, j)
 
 
 class TestTruncatedNormProvenance:

@@ -6,7 +6,7 @@ caller did to a context it was handed."""
 import threading
 
 import pytest
-from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero, round_nearest
+from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero, mpf_pos, round_nearest
 
 from spinl import delta_qexp, qexp, rankin_coeffs, zeta_exact
 from spinl.numeric_lfun import (
@@ -174,7 +174,8 @@ class TestValuesIgnoreContextMutation:
     def test_cached_values_live_in_value_contexts(self):
         # a cached number typed to a working context would round at that
         # context's precision of the moment, in whichever thread reads it;
-        # the degree-4 per-n data are plain integers at a node exponent
+        # the degree-4 per-n data are plain integers at a node exponent and
+        # the moments libmp values, each rounded once at its key's dps
         _clear_caches()
         l_rankin4(rankin_coeffs(14), 14, 20, 14)
         functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 12)
@@ -186,6 +187,10 @@ class TestValuesIgnoreContextMutation:
                 home = round_to(key[-1], 1).context
                 for v in _numbers(entry):
                     assert type(v) is int or v.context is home
+        for key, entry in evaluators._MOMENT_CACHE._data.items():
+            for v in entry:
+                assert type(v) is tuple and len(v) == 4
+                assert mpf_pos(v, dps_to_prec(key[-1]), round_nearest) == v
 
 
 class TestThreads:
@@ -317,7 +322,7 @@ class TestLevelsMakeNoContexts:
     not; the sets below were recorded from that build."""
 
     VERIFY_60_300 = ({65, 70, 72, 73, 78, 81, 83, 91}, {60, 65, 70, 72, 73, 83})
-    CERTIFY_30 = ({40, 48, 50}, {30, 40})
+    CERTIFY_30 = ({40, 48, 50}, {30})
 
     @staticmethod
     def _requested(monkeypatch, job):
@@ -355,13 +360,14 @@ class TestLevelsMakeNoContexts:
 
     def test_real_t_residual(self, monkeypatch):
         # a generic real t seeds one chain per node and side on integers:
-        # the run works at D + GUARD and keeps its values at D and D + GUARD
+        # the run works at D + GUARD and keeps its values at D, its moments
+        # as libmp values
         from spinl.numeric_lfun.bigfloat import GUARD
 
         def job():
             functional_eq_residual(rankin_lfunction(150), None, 13.3, 30, 150)
 
-        assert self._requested(monkeypatch, job) == ({30 + GUARD}, {30, 30 + GUARD})
+        assert self._requested(monkeypatch, job) == ({30 + GUARD}, {30})
 
     @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
     def test_verify_works_at_one_precision(self, monkeypatch, D, M):
@@ -379,7 +385,7 @@ class TestLevelsMakeNoContexts:
         monkeypatch.setattr(evaluators, "_MOMENT_CACHE", Recording(evaluators._MOMENT_CAP))
         work, value = self._requested(monkeypatch, lambda: verify_tables(D, M))
         assert work == {D + GUARD}
-        assert value == {D, D + GUARD}
+        assert value == {D}
         delta = [key for key in built if key[0][0] == "deg2" and key[1][:2] == (1, -24)]
         assert len(delta) == 1
 
@@ -392,7 +398,7 @@ class TestLevelsMakeNoContexts:
         def job():
             assert main(["--prec", "30", "--out", str(tmp_path / "out"), *argv]) == 0
 
-        assert self._requested(monkeypatch, job) == ({30 + GUARD}, {30, 30 + GUARD})
+        assert self._requested(monkeypatch, job) == ({30 + GUARD}, {30})
 
     def test_per_n_data_at_any_level(self, monkeypatch):
         def job():
