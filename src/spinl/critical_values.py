@@ -14,7 +14,8 @@ and D0'' are Fractions, the Whittaker moment sums run on ints, and only
 c_constants, d_constants and projection_coeffs wrap their results in
 PiValue, at return.  No table is ever an input here; printed tables are
 regression fixtures in the test suite only.  The per-s results are
-immutable and LRU-cached; an s that is not an int in range raises
+immutable and LRU-cached; an s that is not of an integral type in range
+(one operator.index accepts, such as int or a numpy integer) raises
 ValueError on every call, before any work.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from fractions import Fraction
 from math import comb, factorial, perm
 from typing import List, NamedTuple, Tuple
@@ -92,9 +94,15 @@ def whittaker_closed_form(alpha: int, r: int) -> List[Fraction]:
 _cached = functools.lru_cache(maxsize=32, typed=True)
 
 
-def _check_s_range(s: int, lo: int, hi: int) -> None:
-    if not isinstance(s, int) or not lo <= s <= hi:
-        raise ValueError(f"s must be an int in {lo}..{hi}, got {s!r}")
+def _check_s_range(s: int, lo: int, hi: int) -> int:
+    """s as an int if it is of an integral type (operator.index) in lo..hi."""
+    try:
+        n = operator.index(s)
+        if lo <= n <= hi:
+            return n
+    except TypeError:
+        pass
+    raise ValueError(f"s must be an int in {lo}..{hi}, got {s!r}")
 
 
 def _eisenstein_limit(a: int, b: int) -> Fraction:
@@ -124,7 +132,7 @@ def c_constants(s: int) -> Tuple[PiValue, PiValue, PiValue, PiValue]:
     evaluated as a limit along s (_eisenstein_limit): nonzero for s in 3..7,
     0 for s in 8..10.
     """
-    _check_s_range(s, 3, 10)
+    s = _check_s_range(s, 3, 10)
     return tuple(PiValue.monomial(q, 2 * s - 12) for q in _c_rationals(s))
 
 
@@ -150,11 +158,13 @@ def _projection(s: int) -> Tuple[Fraction, Fraction]:
     return a1 / factorial(10), a2 / factorial(10)
 
 
+# its own cache, so a repeated call returns the same object; two_delta_product
+# reads _projection's rationals and builds no PiValue
 @_cached
 def projection_coeffs(s: int) -> ProjectionCoeffs:
     """Fourier coefficients A_1(s), A_2(s) of the holomorphic projection of
     G_{2,2}(z) (4 pi y)^(s-11) E_{10,2}(z, s-11), for s in 3..10."""
-    _check_s_range(s, 3, 10)
+    s = _check_s_range(s, 3, 10)
     a1, a2 = _projection(s)
     return ProjectionCoeffs(s, PiValue.monomial(a1, 2 * s - 12), PiValue.monomial(a2, 2 * s - 12))
 
@@ -168,7 +178,7 @@ def two_delta_product(s: int) -> CriticalValueResult:
     (1 + 3*2^(13-s) + 2^(31-2s)) Gamma(s-9); the 232/256 combination carries
     the trace evaluation <Delta(z), Delta(2z)> = -(1/256) <Delta, Delta>.
     """
-    _check_s_range(s, 12, 19)
+    s = _check_s_range(s, 12, 19)
     a1, a2 = _projection(s - 9)
     # the /256 trace factor is absorbed: (3/2) 4^11 / 256 = 3*2^13
     den = (1 + 3 * Fraction(2) ** (13 - s) + Fraction(2) ** (31 - 2 * s)) * factorial(s - 10)
@@ -192,7 +202,7 @@ def d_constants(s: int) -> Tuple[PiValue, PiValue]:
     again as a limit along s (_eisenstein_limit): nonzero for s in 12..16,
     0 for s in 17..19.  D0'' = 2 zeta(2s-30).
     """
-    _check_s_range(s, 12, 19)
+    s = _check_s_range(s, 12, 19)
     return tuple(PiValue.monomial(q, 2 * s - 30) for q in _d_rationals(s))
 
 
@@ -203,7 +213,7 @@ def rankin_g20_value(s: int) -> CriticalValueResult:
 
         (4 pi)^19 / (2 * 18!) * (D0'' + Gamma(31-s)/Gamma(s) * D0').
     """
-    _check_s_range(s, 12, 19)
+    s = _check_s_range(s, 12, 19)
     d0p, d0pp = _d_rationals(s)
     combo = d0pp + Fraction(factorial(30 - s), factorial(s - 1)) * d0p
     return CriticalValueResult(
@@ -216,7 +226,7 @@ def main_identity(s: int) -> CriticalValueResult:
     """Coefficient of <Delta,Delta><g20,g20> in the spinor critical value at
     s in 12..19: the product of the two factor results (rationals multiply,
     pi-exponents add; the total exponent is 4s-30)."""
-    _check_s_range(s, 12, 19)
+    s = _check_s_range(s, 12, 19)
     left, right = two_delta_product(s), rankin_g20_value(s)
     return CriticalValueResult(
         s,

@@ -35,7 +35,9 @@ class PiValue:
     coefficients are dropped; the empty sum represents exact zero.
     Distinct exponents are never merged into a float: consumers that
     expect a pure "rational times pi^e" call :meth:`as_monomial`, which
-    raises if the value is not a single monomial.
+    raises if the value is not a single monomial.  It carries no
+    arithmetic: the exact engine computes on rationals and wraps its
+    results in a PiValue at return.
     """
 
     __slots__ = ("_monomials",)
@@ -50,26 +52,12 @@ class PiValue:
         )
 
     @classmethod
-    def zero(cls) -> "PiValue":
-        return cls()
-
-    @classmethod
     def monomial(cls, coeff, exponent: int) -> "PiValue":
         return cls([(Fraction(coeff), exponent)])
-
-    @classmethod
-    def from_rational(cls, q) -> "PiValue":
-        return cls([(Fraction(q), 0)])
 
     @property
     def monomials(self) -> Tuple[Tuple[Fraction, int], ...]:
         return self._monomials
-
-    def is_zero(self) -> bool:
-        return not self._monomials
-
-    def is_monomial(self) -> bool:
-        return len(self._monomials) == 1
 
     def as_monomial(self) -> Tuple[Fraction, int]:
         """Return (coefficient, pi exponent); zero is (0, 0).
@@ -82,37 +70,6 @@ class PiValue:
         if len(self._monomials) != 1:
             raise ValueError(f"not a single pi-monomial: {self!r}")
         return self._monomials[0]
-
-    def __add__(self, other):
-        if isinstance(other, PiValue):
-            return PiValue(self._monomials + other._monomials)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, PiValue):
-            return self + (-other)
-        return NotImplemented
-
-    def __neg__(self):
-        return PiValue((-c, e) for c, e in self._monomials)
-
-    def __mul__(self, other):
-        if isinstance(other, PiValue):
-            return PiValue(
-                (c1 * c2, e1 + e2)
-                for c1, e1 in self._monomials
-                for c2, e2 in other._monomials
-            )
-        if isinstance(other, (int, Fraction)):
-            return PiValue((c * other, e) for c, e in self._monomials)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PiValue((c / other, e) for c, e in self._monomials)
-        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, PiValue):

@@ -18,8 +18,10 @@ context's current precision.  Two kinds of context follow from that:
   it is used later.
 
 Cached intermediate sums (the evaluators' moments) are libmp values,
-rounded once to their precision, and belong to no context.  A run at D
-thus makes one working context, at D + GUARD, and one value context, at D.
+rounded once to their precision, and belong to no context.  An l-value
+or `verify_tables` run at D thus makes one working context, at D + GUARD,
+and one value context, at D; `kernel_mellin_check` adds working contexts
+above D + GUARD.
 """
 
 from __future__ import annotations

@@ -415,14 +415,12 @@ def _k_step(pair: tuple, wp: int, shrink: tuple, c2: int, c_lam: int) -> tuple:
     (lambda / c) sum k kappa_k, cut back to wp bits of K_0."""
     k0, k1, exp = pair
     p, q = shrink
-    e = q.bit_length() - 1 if q & (q - 1) == 0 else -1  # q = 2^e: t >> e floors as t // q
     x, y = k0, k1 * math.isqrt(c2 << wp) >> wp  # kappa_0, kappa_1
     s0, s1, k = x, 0, 1
     while y:
         s0 += y
         s1 += k * y
-        t = k * y * p
-        x, y = y, ((t >> e if e >= 0 else t // q) + (c2 * x >> wp) // k) // (k + 1)
+        x, y = y, (k * y * p // q + (c2 * x >> wp) // k) // (k + 1)
         k += 1
     k1 = (s1 << wp) // c_lam
     shift = max(s0.bit_length() - wp, 0)

@@ -1,7 +1,9 @@
 """The exact engine as it was assembled before its rational pass: every
 constant term, projection coefficient and critical value built as a
-PiValue and read back with as_monomial.  The tests compare the rational
-pass with it exactly, rational, pi-exponent and norm factors alike."""
+PiValue sum and read back with as_monomial.  The tests compare the
+rational pass with it exactly, rational, pi-exponent and norm factors
+alike.  PiSum is the PiValue algebra this assembly needs; the library's
+PiValue carries none."""
 
 from fractions import Fraction
 from math import factorial
@@ -11,9 +13,48 @@ from spinl.exact_arith import (
     PiValue,
     falling_ratio,
     gamma_pole_ratio,
-    zeta_exact,
+    zeta_exact as _zeta_exact,
     zeta_pole_over_gamma,
 )
+
+
+class PiSum(PiValue):
+    """A PiValue with sums, negation, products and division by rationals."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, PiValue):
+            return PiSum(self.monomials + other.monomials)
+        return NotImplemented
+
+    def __sub__(self, other):
+        if isinstance(other, PiValue):
+            return self + (-other)
+        return NotImplemented
+
+    def __neg__(self):
+        return PiSum((-c, e) for c, e in self.monomials)
+
+    def __mul__(self, other):
+        if isinstance(other, PiValue):
+            return PiSum(
+                (c1 * c2, e1 + e2) for c1, e1 in self.monomials for c2, e2 in other.monomials
+            )
+        if isinstance(other, (int, Fraction)):
+            return PiSum((c * other, e) for c, e in self.monomials)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return PiSum((c / other, e) for c, e in self.monomials)
+        return NotImplemented
+
+
+def zeta_exact(n):
+    return PiSum(_zeta_exact(n).monomials)
 
 
 def _eisenstein_limit(a, b):
@@ -26,10 +67,10 @@ def _eisenstein_limit(a, b):
 
 def c_constants(s):
     e = 2 * s - 12
-    c0p = PiValue.monomial(-2 * _eisenstein_limit(2 * s - 13, s - 11) / factorial(s - 2), e)
+    c0p = PiSum.monomial(-2 * _eisenstein_limit(2 * s - 13, s - 11) / factorial(s - 2), e)
     c0pp = (Fraction(2) - Fraction(2) ** (13 - 2 * s)) * zeta_exact(2 * s - 12)
-    c1 = PiValue.monomial(Fraction(2), e)
-    c2 = PiValue.monomial(Fraction(2) - Fraction(2) ** (2 * s - 12), e)
+    c1 = PiSum.monomial(Fraction(2), e)
+    c2 = PiSum.monomial(Fraction(2) - Fraction(2) ** (2 * s - 12), e)
     return c0p, c0pp, c1, c2
 
 
@@ -72,7 +113,7 @@ def two_delta_product(s):
 def d_constants(s):
     e = 2 * s - 30
     lim = _eisenstein_limit(2 * s - 31, s - 19)
-    d0p = PiValue.monomial(2 * Fraction(2) ** e * lim / factorial(s - 12), e)
+    d0p = PiSum.monomial(2 * Fraction(2) ** e * lim / factorial(s - 12), e)
     return d0p, 2 * zeta_exact(2 * s - 30)
 
 
