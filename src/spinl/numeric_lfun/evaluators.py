@@ -59,12 +59,12 @@ the division-free y_(nu+1) = nu y_nu + a y_(nu-1) from y_0 = K_0 r^22 and
 y_1 = K_1 r^21, and w_j = y_(10-j); the fields and the tau chains stay
 unrounded, integers at one exponent per node.  Past _k0_k1's series cut
 the pair is its asymptotic loop at the grid's X_n = 4 pi sqrt(n) itself
-(_grid_pair); below it, one descent per D by the multiplication theorem,
-one unit step per node from the first node past the cut (the band) down
-to n = 1 (_band_pair), the step the kernel check also takes down its own
-node set (_k_step).  Every degree-4 entry point takes M >= _deg4_m(D),
-every node below the band at D: a floor, not a truncation bound.  Since
-p does not depend on n, the n-sum commutes with the dot product:
+(_grid_pair); below it, one descent per D by the multiplication theorem
+from the first node past the cut (the band) down to n = 1 (_band_pair),
+the loop the kernel check runs down its own node set (_descent).  Every
+degree-4 entry point takes M >= _deg4_m(D), every node below the band at
+D: a floor, not a truncation bound.  Since p does not depend on n, the
+n-sum commutes with the dot product:
 
     sum_n A(n) F(s, a_n) = 2 [ sum_j p_j(s) W_j + p_11(s) T_m ],
     W_j = sum_n A(n) w_j(n),   T_m = sum_n A(n) tau_m(n),
@@ -401,12 +401,11 @@ def _deg4_m(dps: int) -> int:
     return max(12, _deg4_band(dps) - 1)
 
 
-def _k_step(pair: tuple, wp: int, shrink: tuple, c2: int, c_lam: int) -> tuple:
-    """(K_0, K_1, exp) at X_n = lambda X_a from pair = (K_0, K_1, exp) at
-    X_a, for any ratio 0 < lambda < 1: shrink = (p, q) gives 1 - lambda^2
-    as the ratio p / q of two integers, c2 = c^2 and c_lam = c / lambda at
-    2^-wp, c = (1 - lambda^2) X_a / 2.  The multiplication theorem (DLMF 10.44.2) is then a
-    sum of positive terms, K_nu(X_n) = lambda^nu sum_k c^k K_(nu+k)(X_a) / k!.
+def _k_step(pair: tuple, wp: int, shrink: int, c2: int, c_lam: int) -> tuple:
+    """(K_0, K_1, exp) at X_n = lambda X_a from pair at X_a, 0 < lambda < 1,
+    given shrink = 1 - lambda^2, c2 = c^2 and c_lam = c / lambda at 2^-wp,
+    c = (1 - lambda^2) X_a / 2, by the multiplication theorem (DLMF 10.44.2),
+    a sum of positive terms K_nu(X_n) = lambda^nu sum_k c^k K_(nu+k)(X_a) / k!.
     kappa_k = c^k K_k(X_a) / k! is the dominant solution of
     kappa_(k+1) = (k kappa_k (1 - lambda^2) + c^2 kappa_(k-1) / k) / (k+1),
     K's upward recurrence, so it runs forward on integers at 2^-wp until
@@ -414,17 +413,30 @@ def _k_step(pair: tuple, wp: int, shrink: tuple, c2: int, c_lam: int) -> tuple:
     6e-19 off at dps = 40): K_0(X_n) = sum kappa_k, K_1(X_n) =
     (lambda / c) sum k kappa_k, cut back to wp bits of K_0."""
     k0, k1, exp = pair
-    p, q = shrink
     x, y = k0, k1 * math.isqrt(c2 << wp) >> wp  # kappa_0, kappa_1
     s0, s1, k = x, 0, 1
     while y:
         s0 += y
         s1 += k * y
-        x, y = y, (k * y * p // q + (c2 * x >> wp) // k) // (k + 1)
+        x, y = y, ((k * y * shrink >> wp) + (c2 * x >> wp) // k) // (k + 1)
         k += 1
     k1 = (s1 << wp) // c_lam
     shift = max(s0.bit_length() - wp, 0)
     return s0 >> shift, k1 >> shift, exp + shift
+
+
+def _descent(xs: list, wp: int, dps: int) -> list:
+    """(K_0, K_1, exp) at each X of xs, descending integers X 2^wp, the
+    first past _k0_k1's series cut: the seed _k0_k1(X, dps) there, then one
+    _k_step per X, 1 - lambda^2 = (X_a^2 - X_n^2) / X_a^2, c^2 and c / lambda
+    from two consecutive X; the one descent of the band and the kernel check."""
+    xa = xs[0]
+    pairs = [_k0_k1(from_man_exp(xa, -wp), dps)[1:]]
+    for xn in xs[1:]:
+        p, q = (xa - xn) * (xa + xn), xa * xa  # 1 - lambda^2 = p / q
+        pairs.append(_k_step(pairs[-1], wp, (p << wp) // q, p * p // (q << wp + 2), p // (2 * xn)))
+        xa = xn
+    return pairs
 
 
 def _grid_x(n: int, wq: int) -> tuple:
@@ -440,20 +452,14 @@ _DESCENT_CACHE = _BoundedCache(64)
 
 def _band_pair(n: int, dps: int) -> tuple:
     """(K_0, K_1, exp) at X_n, 1 <= n < _deg4_band(dps), a function of (n,
-    dps) alone: from _k0_k1's asymptotic pair at the band, at its working
-    precision wp, one unit _k_step per node down to n = 1, exact on the grid
-    (from X_(m+1) to X_m, 1 - lambda^2 = 1/(m+1), c^2 = 4 pi^2/(m+1) and
-    c/lambda = 2 pi/sqrt(m)), the chain cached per dps."""
+    dps) alone: one _descent down the grid from the band to X_1, at the
+    working precision of _k0_k1's asymptotic branch, seeded at the band at
+    dps; the chain cached per dps."""
     chain = _DESCENT_CACHE.get(("band", dps))
     if chain is None:
         wp = dps_to_prec(dps + 15) + 20
-        four_pi2 = pi_fixed(wp) ** 2 >> wp - 2
-        a = _deg4_band(dps)
-        chain = [_k0_k1(from_man_exp(_grid_x(a, wp)[0], -wp), dps)[1:]]
-        for m in range(a - 1, 0, -1):
-            c_lam = math.isqrt(four_pi2 // m << wp)
-            chain.append(_k_step(chain[-1], wp, (1, m + 1), four_pi2 // (m + 1), c_lam))
-        chain = _DESCENT_CACHE[("band", dps)] = tuple(chain)
+        xs = [_grid_x(m, wp)[0] for m in range(_deg4_band(dps), 0, -1)]
+        chain = _DESCENT_CACHE[("band", dps)] = tuple(_descent(xs, wp, dps))
     return chain[-n]  # the chain runs from the band down to X_1
 
 
@@ -601,7 +607,7 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     over M coefficients, M >= _deg4_m(dps), else ValueError; at s = 12 the
     error reaches 10^-30 near M = 80 and 10^-60 near M = 230."""
     _check_dps(dps)
-    if not 12 <= s <= 19 or s != int(s):
+    if s not in range(12, 20):
         raise ValueError("s must be an integer in 12..19")
     c = _coefficients(coeffs.__getitem__, M, 4, 31, dps)
     ctx = context(dps + GUARD)
@@ -621,27 +627,20 @@ _KERNEL_CACHE = _BoundedCache(_MOMENT_CAP)  # the errors at s0 = 13..19, per dps
 
 def _kernel_pairs(xs: list, dps: int) -> list:
     """(K_0, K_1, exp) at each X of xs, ascending libmp values that reach
-    past _k0_k1's series cut at dps digits, taken from the top down:
-    _k0_k1's asymptotic pair past the cut, one descent by _k_step down xs
-    from the cut to X = 1, and _k0_k1's series below X = 1, where
-    consecutive lambda^2 fall fast and c underflows.  The descent runs at
-    the asymptotic branch's working precision, seeded at the first X past
-    the cut by _k0_k1 at dps + 5 digits (a seed at dps leaves the kernel
-    errors off 0 at D = 20 and 28); each step takes 1 - lambda^2 =
-    (X_a^2 - X_n^2) / X_a^2, c^2 and c / lambda in fixed point from two
-    consecutive X."""
+    past _k0_k1's series cut at dps digits: _k0_k1's asymptotic pair past
+    the cut, one _descent down xs from the cut to X = 1, and _k0_k1's
+    series below X = 1, where consecutive lambda^2 fall fast and c
+    underflows.  The descent runs at the asymptotic branch's working
+    precision, which holds each X exactly, seeded at the first X past the
+    cut at dps + 5 digits (a seed at dps leaves the kernel errors off 0 at
+    D = 20 and 28)."""
     cut = _series_cut(dps)
     floats = [to_float(x) for x in xs]
     low, top = bisect_left(floats, 1.0), bisect_right(floats, cut)
     pairs = [_k0_k1(x, dps)[1:] if i < low or i >= top else None for i, x in enumerate(xs)]
     wq = dps_to_prec(dps + 15) + 20
-    pair, xa = _k0_k1(xs[top], dps + 5)[1:], to_fixed(xs[top], wq)
-    for i in range(top - 1, low - 1, -1):
-        xn = to_fixed(xs[i], wq)
-        p, q = (xa - xn) * (xa + xn), xa * xa  # 1 - lambda^2 = p / q
-        shrink = (p << wq) // q
-        pair = pairs[i] = _k_step(pair, wq, (shrink, 1 << wq), p * p // (q << wq + 2), p // (2 * xn))
-        xa = xn
+    descent = _descent([to_fixed(x, wq) for x in reversed(xs[low:top + 1])], wq, dps + 5)
+    pairs[low:top] = descent[:0:-1]  # all but the seed, ascending
     return pairs
 
 

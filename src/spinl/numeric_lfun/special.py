@@ -20,7 +20,7 @@ precision of the series branch at D and shifted down, so that mpmath
 computes it once for a run of nodes at D digits or fewer.  The series
 serves bessel_k, and the kernel check's nodes below x = 1; the degree-4
 nodes below the cut, and the kernel check's from x = 1 up to it, descend
-from past it by the multiplication theorem (evaluators._k_step).  Above
+from past it by one multiplication-theorem loop (evaluators._descent).  Above
 it both come from one loop over the asymptotic expansion
 sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k, stopped once its terms fall below
 10^-(D+8), with the prefactor taken once from mpmath's libmp; there the

@@ -29,7 +29,7 @@ from spinl.numeric_lfun import context, evaluators, special, verify_tables
 from spinl.numeric_lfun.bigfloat import GUARD
 from spinl.numeric_lfun.evaluators import (
     _DESCENT_CACHE, _G_TOP, _MOMENT_CACHE, _NODE_CACHE, _band_pair, _deg2_table, _deg4_band,
-    _deg4_moments, _deg4_node, _seeded_chain,
+    _deg4_moments, _deg4_node, _grid_x, _seeded_chain,
 )
 
 REF_DPS = 92
@@ -276,23 +276,28 @@ def _clear_degree4():
 
 @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
 def test_moments_call_no_series(monkeypatch, D, M):
-    # the band nodes come from one descent, seeded past the series cut:
-    # band - 1 unit steps (1 - lambda^2 = 1/(n+1)), each n below the band
-    # reached exactly once; the nodes past the band take their pairs from
-    # _grid_pair, so _k0_k1 runs once, for the seed
+    # the band nodes come from one descent over exactly the grid X_band, ...,
+    # X_1, seeded past the series cut: band - 1 steps, each n below the band
+    # reached exactly once (1 - lambda^2 = 1/(n+1) to the step's last bits);
+    # the nodes past the band take their pairs from _grid_pair, so _k0_k1
+    # runs once, for the seed
     series, step, pair = special._k0_k1_series, evaluators._k_step, evaluators._k0_k1
-    calls, steps, pairs = [], [], []
+    descent = evaluators._descent
+    calls, steps, pairs, descents = [], [], [], []
     monkeypatch.setattr(special, "_k0_k1_series", lambda *a: calls.append(a) or series(*a))
     monkeypatch.setattr(evaluators, "_k_step", lambda *a: steps.append(a[2]) or step(*a))
     monkeypatch.setattr(evaluators, "_k0_k1", lambda *a: pairs.append(a) or pair(*a))
+    monkeypatch.setattr(evaluators, "_descent", lambda *a: descents.append(a) or descent(*a))
     A = rankin_coeffs(M)
     _clear_degree4()
     _deg4_moments(tuple(A[n] for n in range(1, M + 1)), 1, D + GUARD)
     assert calls == []
     band = _deg4_band(D + GUARD)
+    ((xs, wp, dps),) = descents
+    assert dps == D + GUARD
+    assert xs == [_grid_x(m, wp)[0] for m in range(band, 0, -1)]
     assert len(steps) == band - 1
-    assert {p for p, _ in steps} == {1}
-    assert sorted(q - 1 for _, q in steps) == list(range(1, band))
+    assert sorted(round((1 << wp) / shrink) - 1 for shrink in steps) == list(range(1, band))
     assert len(pairs) == 1
     _clear_degree4()
 

@@ -3,6 +3,7 @@ oracles and reference numerics, Rankin norms, and the functional-equation
 residual certificates."""
 
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -319,9 +320,12 @@ class TestLRankin4:
             assert abs(a - b) / abs(b) < ctx.mpf("1e-29"), s
 
     def test_rejects_bad_s(self, rankin150):
-        for s in (11, 20):
-            with pytest.raises(ValueError):
+        for s in (11, 20, None, "12", 12.5):
+            with pytest.raises(ValueError, match="s must be an integer in 12..19"):
                 l_rankin4(rankin150, s, 30, 150)
+
+    def test_accepts_a_real_s_equal_to_an_integer(self, rankin150):
+        assert l_rankin4(rankin150, 12.0, 30, 150) == l_rankin4(rankin150, 12, 30, 150)
 
     def test_rejects_meaningless_m(self, rankin150):
         with pytest.raises(ValueError):
@@ -399,6 +403,17 @@ class TestKernel:
             (seed,) = [a for a in calls if a[1] != dps + 12]
             assert seed[1] == dps + 17 and to_float(seed[0]) == min(x for x in floats if x > cut)
             assert all(not 1 <= to_float(a[0]) <= cut for a in calls if a is not seed)
+
+    # the integers of every K_0/K_1 pair the check takes, at D + 12
+    PAIRS_SHA256 = {
+        30: "f1921be98236d9c18492b267f0a04a9114d0eedc88acf20efd3ed87e54fc57d9",
+        60: "94958a036e73fa06dfc68d00f1f470c2ce29c622724903a273fbc1c953fa4136",
+    }
+
+    @pytest.mark.parametrize("dps", sorted(PAIRS_SHA256))
+    def test_pair_integers(self, dps):
+        _, _, _, pairs = self._kernel_run(dps)
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == self.PAIRS_SHA256[dps]
 
     @pytest.mark.parametrize("dps", [20, 30, 60])
     def test_descended_pairs(self, dps):
