@@ -26,6 +26,7 @@ above D + GUARD.
 
 from __future__ import annotations
 
+import operator
 import threading
 from fractions import Fraction
 
@@ -44,11 +45,15 @@ _VALUE_CONTEXTS: dict = {}
 
 
 def _check_dps(dps: int) -> None:
-    """ValueError below MIN_DPS: the floor of every context, and the first
-    step of every public numeric entry point, so a refused call does no
-    work and fills no cache."""
-    if dps < MIN_DPS:
-        raise ValueError(f"working precision must be >= {MIN_DPS} digits")
+    """ValueError unless operator.index(dps) >= MIN_DPS: the floor of every
+    context, and the first step of every public numeric entry point, so a
+    refused call does no work and fills no cache."""
+    try:
+        ok = operator.index(dps) >= MIN_DPS
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"working precision must be an int >= {MIN_DPS} digits, got {dps!r}")
 
 
 def _fresh(dps: int):

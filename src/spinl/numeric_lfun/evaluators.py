@@ -58,10 +58,10 @@ fixed-point K_0/K_1 pair: with y_nu = K_nu r^(22-nu), K's recurrence is
 the division-free y_(nu+1) = nu y_nu + a y_(nu-1) from y_0 = K_0 r^22 and
 y_1 = K_1 r^21, and w_j = y_(10-j); the fields and the tau chains stay
 unrounded, integers at one exponent per node.  Past _k0_k1's series cut
-the pair is its asymptotic loop at the grid's X_n = 4 pi sqrt(n) itself
-(_grid_pair); below it, one descent per D by the multiplication theorem
-from the first node past the cut (the band) down to n = 1 (_band_pair),
-the loop the kernel check runs down its own node set (_descent).  Every
+the pair is _k0_k1's own at the grid's X_n = 4 pi sqrt(n) (_grid_x);
+below it, one descent per D by the multiplication theorem from the first
+node past the cut (the band) down to n = 1 (_band_pair), the loop the
+kernel check runs down its own node set (_descent).  Every
 degree-4 entry point takes M >= _deg4_m(D), every node below the band at
 D: a floor, not a truncation bound.  Since p does not depend on n, the
 n-sum commutes with the dot product:
@@ -92,6 +92,8 @@ moments at D + GUARD and rounds once to D; the helpers it composes
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -110,8 +112,7 @@ from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import GUARD, MIN_DPS, _check_dps, context, render_exact, round_to
 from .quadrature import QuadratureError
 from .special import (
-    _LN2, _LN10, _check_domain, _divisor, _k0_k1, _k0_k1_asymptotic, _k_up, _ki1,
-    _legendre_seed, _libmp, _series_cut,
+    _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp, _series_cut,
 )
 
 __all__ = [
@@ -340,9 +341,10 @@ def _l_value2(ctx, coeffs: tuple, k: int, s):
 def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
     """L(s, f) for a weight-k level-1 eigenform given by its q-expansion,
     via the incomplete-gamma smoothed sum over M coefficients, for real s
-    in the critical strip 0 < s < k; any other s raises ValueError, and so
-    does an M that _coefficients refuses."""
+    in the critical strip 0 < s < k; any other s raises ValueError (None or
+    a string before any work), and so does an M that _coefficients refuses."""
     _check_dps(dps)
+    _check_real(s, "s")
     if k not in (12, 20):
         raise ValueError("supported weights are 12 and 20")
     coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
@@ -439,11 +441,10 @@ def _descent(xs: list, wp: int, dps: int) -> list:
     return pairs
 
 
-def _grid_x(n: int, wq: int) -> tuple:
-    """(X_n, root) at 2^-wq, the one construction of the grid X_n = 4 pi
-    sqrt(n): root = sqrt(n) 2^wq by one isqrt, times pi."""
-    root = math.isqrt(n << 2 * wq)
-    return root * pi_fixed(wq) >> wq - 2, root
+def _grid_x(n: int, wq: int) -> int:
+    """X_n at 2^-wq, the one construction of the grid X_n = 4 pi sqrt(n):
+    sqrt(n) 2^wq by one isqrt, times pi."""
+    return math.isqrt(n << 2 * wq) * pi_fixed(wq) >> wq - 2
 
 
 # per dps, the chain from the band down to X_1: 179 pairs at dps = 130
@@ -458,27 +459,15 @@ def _band_pair(n: int, dps: int) -> tuple:
     chain = _DESCENT_CACHE.get(("band", dps))
     if chain is None:
         wp = dps_to_prec(dps + 15) + 20
-        xs = [_grid_x(m, wp)[0] for m in range(_deg4_band(dps), 0, -1)]
+        xs = [_grid_x(m, wp) for m in range(_deg4_band(dps), 0, -1)]
         chain = _DESCENT_CACHE[("band", dps)] = tuple(_descent(xs, wp, dps))
     return chain[-n]  # the chain runs from the band down to X_1
-
-
-def _grid_pair(X: int, root: int, wq: int, dps: int) -> tuple:
-    """(K_0, K_1, exp) at X_n = X 2^-wq past the band, root = sqrt(n) 2^wq:
-    _k0_k1's asymptotic loop at X_n itself, with its prefactor
-    sqrt(pi/2X_n) e^-X_n = (8 sqrt(n))^(-1/2) e^-X_n from one isqrt and
-    libmp's exp, both at wq bits, the precision of _k0_k1's asymptotic
-    branch; OverflowError past BESSEL_X_MAX, as there."""
-    _check_domain(X / (1 << wq))
-    _, e, exp, _ = mpf_exp(from_man_exp(-X, -wq), wq)
-    pre = math.isqrt((1 << 3 * wq) // (root << 3))
-    return _k0_k1_asymptotic(X, wq, dps, (e * pre >> wq, exp))
 
 
 def _deg4_node(n: int, dps: int) -> _Node:
     """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
     chain of mu = 1, in one integer pass from one K_0/K_1 pair at
-    X = 4 pi sqrt(n) (_band_pair below the band, _grid_pair past it), X
+    X = 4 pi sqrt(n) (_band_pair below the band, _k0_k1 past it), X
     taken as isqrt(n) times pi at wq bits, the pair's precision.  With
     r = 2/X, so that r^2 = 1/a, and y_nu = K_nu r^(22-nu), K's upward
     recurrence is the division-free
@@ -498,8 +487,9 @@ def _deg4_node(n: int, dps: int) -> _Node:
     if hit is not None:
         return hit
     wp, wq = dps_to_prec(dps) + 20, dps_to_prec(dps + 15) + 20
-    X, root = _grid_x(n, wq)
-    k0, k1, exp = _band_pair(n, dps) if n < _deg4_band(dps) else _grid_pair(X, root, wq, dps)
+    X = _grid_x(n, wq)
+    in_band = n < _deg4_band(dps)
+    k0, k1, exp = _band_pair(n, dps) if in_band else _k0_k1(from_man_exp(X, -wq), dps)[1:]
     a = X * X >> wq + 2
     la = a.bit_length() - wq  # a < 2^la
     # powers of r^2 = 1/a at 2^-L, r^22 with wq bits or more
@@ -735,12 +725,21 @@ def kernel_mellin_check(s0: int, dps: int):
 
 def _check_m(M: int, degree: int, w: int, dps: int) -> None:
     """The one M rule, reading no a(n): ValueError naming the floor unless
-    M >= _deg2_m(w, dps) at degree 2, _deg4_m(dps) at degree 4, else 1."""
+    operator.index(M) >= _deg2_m(w, dps) at degree 2, _deg4_m(dps) at 4, else 1."""
     need = _deg2_m(w, dps) if degree == 2 else _deg4_m(dps) if degree == 4 else 1
-    if M < need:
-        raise ValueError(
-            f"M={M} too small at {dps} digits for degree {degree}, weight {w}: need M >= {need}"
-        )
+    try:
+        why = "too small" if operator.index(M) < need else None
+    except TypeError:
+        why = "not an int"
+    if why:
+        raise ValueError(f"M={M!r} {why} at {dps} digits for degree {degree}, weight {w}: "
+                         f"need M >= {need}")
+
+
+def _check_real(x, name: str) -> None:
+    """ValueError unless x is a numbers.Real (int, float, Fraction, mpf)."""
+    if not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
 
 
 def _coefficients(a: Callable[[int], int], M: int, degree: int, w: int, dps: int) -> tuple:
@@ -787,11 +786,11 @@ def functional_eq_residual(
 ):
     """|Lambda(t) - eps Lambda(w - t)| with both sides evaluated by the
     smoothed sum, for t in the evaluator's domain (_lambda: 0 < t < k at
-    degree 2, 11 < t < 20 at degree 4); any other t raises ValueError, and
-    so does an M that _coefficients refuses, as in l_degree2 and l_rankin4:
-    M must be at least _deg2_m(w, dps) at degree 2 and _deg4_m(dps) at
-    degree 4, and a(1..M), from coeffs or else the spec's accessor, must all
-    be ints.
+    degree 2, 11 < t < 20 at degree 4); any other t raises ValueError (None
+    or a string before any work), and so does an M that _coefficients
+    refuses, as in l_degree2 and l_rankin4: M must be at least
+    _deg2_m(w, dps) at degree 2 and _deg4_m(dps) at degree 4, and a(1..M),
+    from coeffs or else the spec's accessor, must all be ints.
 
     This is not an accuracy certificate.  Both sides split the sum at the
     symmetric point and w - t is taken exactly, so Lambda(w - t) adds the
@@ -799,6 +798,7 @@ def functional_eq_residual(
     at every t.  A certificate would move the split point, the free
     parameter of the smoothed functional equation, and compare."""
     _check_dps(dps)
+    _check_real(t, "t")
     w = spec.weight
     c = _coefficients(spec.coefficients if coeffs is None else coeffs, M, spec.degree, w, dps)
     ctx = context(dps + GUARD)

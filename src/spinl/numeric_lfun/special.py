@@ -23,9 +23,9 @@ nodes below the cut, and the kernel check's from x = 1 up to it, descend
 from past it by one multiplication-theorem loop (evaluators._descent).  Above
 it both come from one loop over the asymptotic expansion
 sqrt(pi/2x) e^(-x) sum_k a_k(nu) / x^k, stopped once its terms fall below
-10^-(D+8), with the prefactor taken once from mpmath's libmp; there the
-pair shares the prefactor's exponent.  The degree-4 nodes past the cut
-run the same loop with a prefactor of their own (evaluators._grid_pair).
+10^-(D+8), with one reciprocal 1/(8x) and no division per term, times
+e^-x from libmp and sqrt(pi/2x) from one isqrt; there the pair shares
+e^-x's exponent, and every pair past the cut comes from it.
 Either way K_0 and K_1 are two integer mantissas at one exponent, and
 the upward recurrence K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, stable for
 K, runs on them: x is taken losslessly as a libmp value m 2^e, so each
@@ -73,9 +73,9 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_neg,
-    mpf_pi,
     mpf_shift,
     mpf_sqrt,
+    pi_fixed,
     round_nearest,
     to_fixed,
     to_float,
@@ -163,38 +163,38 @@ def _k0_k1_series(x, wp: int, gamma: int):
     return s0, (one << wp) // xf + (xf * s1 >> (wp + 1)), -wp
 
 
-def _k0_k1_asymptotic(xf: int, wp: int, dps: int, prefactor: tuple) -> tuple:
-    """K_0, K_1 from the large-x expansion sqrt(pi/2x) e^(-x) sum a_k(nu)/x^k
-    at x = xf 2^-wp: both sums in one loop at fixed point 2^-wp, times the
-    caller's prefactor sqrt(pi/2x) e^-x = man 2^exp, given as (man, exp),
-    as two mantissas at exp.  |a_k(1)| > |a_k(0)| for k >= 1, so the loop
+def _k0_k1_asymptotic(x, wp: int, dps: int) -> tuple:
+    """K_0, K_1 at a libmp x from the large-x expansion sqrt(pi/2x) e^(-x)
+    sum t_k(nu), t_k = t_(k-1) (4 nu^2 - (2k-1)^2) / (8kx) (DLMF 10.40.2):
+    both sums in one loop at 2^-wp, each step (c t r >> wp) // k with one
+    reciprocal r = 1/(8x) per call, times _asymptotic_prefactor's man 2^exp
+    as two mantissas at exp.  |t_k(1)| > |t_k(0)| for k >= 1, so the loop
     stops once the K_1 terms fall below 10^-(dps+8); if either series stops
-    decreasing first, the expansion cannot deliver and ArithmeticError is
-    raised."""
+    decreasing first, the expansion cannot deliver: ArithmeticError."""
     eps = (1 << wp) // 10 ** (dps + 8)
+    r = (1 << 2 * wp) // (8 * to_fixed(x, wp))
     t0 = t1 = acc0 = acc1 = 1 << wp
     k = 1
     while abs(t1) >= eps:
-        d = 8 * k * xf
         odd = (2 * k - 1) ** 2
-        n0, n1 = (-odd * t0 << wp) // d, ((4 - odd) * t1 << wp) // d
+        n0, n1 = (-odd * t0 * r >> wp) // k, ((4 - odd) * t1 * r >> wp) // k
         if abs(n0) >= abs(t0) or abs(n1) >= abs(t1):
             raise ArithmeticError("asymptotic series bottomed out early")
         t0, t1 = n0, n1
         acc0 += t0
         acc1 += t1
         k += 1
-    man, exp = prefactor
+    man, exp = _asymptotic_prefactor(x, wp)
     return man * acc0 >> wp, man * acc1 >> wp, exp
 
 
 def _asymptotic_prefactor(x, wp: int):
-    """sqrt(pi/2x) e^-x at wp bits as (mantissa, exponent), from libmp: the
+    """sqrt(pi/2x) e^-x for a libmp x as (mantissa, exponent): e^-x from
+    libmp at wp bits times sqrt(pi/2x) at 2^-wp from one isqrt, the
     prefactor of the large-x expansions of K_nu and of _ki1."""
-    _, man, exp, _ = mpf_mul(
-        mpf_sqrt(mpf_div(mpf_pi(wp), mpf_shift(x, 1), wp), wp), mpf_exp(mpf_neg(x), wp), wp
-    )
-    return man, exp
+    _, e, exp, _ = mpf_exp(mpf_neg(x), wp)
+    root = math.isqrt((pi_fixed(wp) << 2 * wp) // (2 * to_fixed(x, wp)))
+    return e * root >> wp, exp
 
 
 def _libmp(x, prec: int):
@@ -227,30 +227,24 @@ def _series_wp(x: float, dps: int) -> int:
     return dps_to_prec(dps + int(0.87 * x) + 15) + 20
 
 
-def _check_domain(xf: float) -> None:
-    """OverflowError unless BESSEL_X_MIN < xf < BESSEL_X_MAX."""
-    if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
-        raise OverflowError(
-            f"argument {xf} outside the supported domain ({BESSEL_X_MIN}, {BESSEL_X_MAX})"
-        )
-
-
 def _k0_k1(x, dps: int):
     """(x, K_0, K_1, exp): x (an mpf, a libmp value, a number or a string)
     as a libmp value and K_0(x), K_1(x) unrounded, as integer mantissas of
     K 2^exp, summed at the working precision (D + 15 digits, or D + 0.87 x
-    + 15 on the series branch, x < 1.2 (D + 10)) plus 20 bits.  The series
-    takes Euler's gamma at the multiple of _EULER_STEP bits above its
-    largest working precision at D: mpmath's memo would compute it anew
-    each time a larger x asked for 5% more bits."""
+    + 15 on the series branch, x < 1.2 (D + 10)) plus 20 bits, exact at a
+    libmp x of no more fraction bits.  The series takes Euler's gamma at
+    the multiple of _EULER_STEP bits above its largest working precision at
+    D: mpmath's memo would compute it anew each time a larger x asked for
+    5% more bits."""
     xf = to_float(x) if isinstance(x, tuple) else float(x)
-    _check_domain(xf)
+    if not BESSEL_X_MIN < xf < BESSEL_X_MAX:
+        domain = (BESSEL_X_MIN, BESSEL_X_MAX)
+        raise OverflowError(f"argument {xf} outside the supported domain {domain}")
     cut = _series_cut(dps)
     if xf > cut:
         wp = dps_to_prec(dps + 15) + 20
         xm = _libmp(x, wp - 20)
-        pair = _k0_k1_asymptotic(to_fixed(xm, wp), wp, dps, _asymptotic_prefactor(xm, wp))
-        return (xm, *pair)
+        return (xm, *_k0_k1_asymptotic(xm, wp, dps))
     wp = _series_wp(xf, dps)
     xm = _libmp(x, wp - 20)
     rung = -(-_series_wp(cut, dps) // _EULER_STEP) * _EULER_STEP

@@ -196,7 +196,7 @@ def test_deg4_node_past_the_band_to_seven_more_digits(ref_past_band, n, dps):
 
 def test_deg4_node_past_the_largest_argument_raises():
     # X_n = 4 pi sqrt(n) reaches BESSEL_X_MAX = 1e4 at n ~ 633,257: the
-    # grid's pair refuses it as _k0_k1 does
+    # node takes its pair from _k0_k1, which refuses it
     n = 633_300
     with pytest.raises(OverflowError, match="outside the supported domain"):
         special._k0_k1(4 * mpmath.pi * mpmath.sqrt(n), 30)
@@ -279,15 +279,16 @@ def test_moments_call_no_series(monkeypatch, D, M):
     # the band nodes come from one descent over exactly the grid X_band, ...,
     # X_1, seeded past the series cut: band - 1 steps, each n below the band
     # reached exactly once (1 - lambda^2 = 1/(n+1) to the step's last bits);
-    # the nodes past the band take their pairs from _grid_pair, so _k0_k1
-    # runs once, for the seed
+    # _k0_k1 runs once for the seed, then once per node at or past the band,
+    # at that node's level and at X_n to its asymptotic precision
     series, step, pair = special._k0_k1_series, evaluators._k_step, evaluators._k0_k1
-    descent = evaluators._descent
-    calls, steps, pairs, descents = [], [], [], []
+    descent, node = evaluators._descent, evaluators._deg4_node
+    calls, steps, pairs, descents, nodes = [], [], [], [], []
     monkeypatch.setattr(special, "_k0_k1_series", lambda *a: calls.append(a) or series(*a))
     monkeypatch.setattr(evaluators, "_k_step", lambda *a: steps.append(a[2]) or step(*a))
     monkeypatch.setattr(evaluators, "_k0_k1", lambda *a: pairs.append(a) or pair(*a))
     monkeypatch.setattr(evaluators, "_descent", lambda *a: descents.append(a) or descent(*a))
+    monkeypatch.setattr(evaluators, "_deg4_node", lambda *a: nodes.append(a) or node(*a))
     A = rankin_coeffs(M)
     _clear_degree4()
     _deg4_moments(tuple(A[n] for n in range(1, M + 1)), 1, D + GUARD)
@@ -295,10 +296,16 @@ def test_moments_call_no_series(monkeypatch, D, M):
     band = _deg4_band(D + GUARD)
     ((xs, wp, dps),) = descents
     assert dps == D + GUARD
-    assert xs == [_grid_x(m, wp)[0] for m in range(band, 0, -1)]
+    assert xs == [_grid_x(m, wp) for m in range(band, 0, -1)]
     assert len(steps) == band - 1
     assert sorted(round((1 << wp) / shrink) - 1 for shrink in steps) == list(range(1, band))
-    assert len(pairs) == 1
+    assert [n for n, _ in nodes] == list(range(1, M + 1))
+    past = [(n, d) for n, d in nodes if n >= band]
+    assert min(d for _, d in past) < D + GUARD  # the levels fall past the band
+    wq = lambda d: dps_to_prec(d + 15) + 20
+    seed = (from_man_exp(xs[0], -wp), D + GUARD)
+    assert pairs == [seed] + [(from_man_exp(_grid_x(n, wq(d)), -wq(d)), d) for n, d in past]
+    assert len(pairs) == 1 + M - band + 1
     _clear_degree4()
 
 

@@ -406,8 +406,8 @@ class TestKernel:
 
     # the integers of every K_0/K_1 pair the check takes, at D + 12
     PAIRS_SHA256 = {
-        30: "f1921be98236d9c18492b267f0a04a9114d0eedc88acf20efd3ed87e54fc57d9",
-        60: "94958a036e73fa06dfc68d00f1f470c2ce29c622724903a273fbc1c953fa4136",
+        30: "03c81989cf42d9582a943c2048ddd9ffee3d700ccc2cce09e21c7bdce78724c6",
+        60: "af73cb69a92d5bb6bae3f589f97554c1c53515cd0e5c403ade1cf8b1214b6045",
     }
 
     @pytest.mark.parametrize("dps", sorted(PAIRS_SHA256))

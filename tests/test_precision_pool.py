@@ -134,11 +134,46 @@ class TestFloorBeforeWork:
             self.ENTRIES[name](self.D)
         assert _state() == before
 
+    # D of any type operator.index refuses, refused as early: None and '30'
+    # once raised TypeError from a comparison or deep inside, and 30.5
+    # computed at 30.5 digits
+    NOT_INT_D = (None, "30", 30.0, 30.5)
+
+    @pytest.mark.parametrize("D", NOT_INT_D, ids=repr)
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_d_not_an_int_refused_with_every_cache_unchanged(self, name, D):
+        delta_qexp(60), rankin_coeffs(150), rankin_lfunction(150)
+        before = _state()
+        with pytest.raises(ValueError, match=f"must be an int >= {bigfloat.MIN_DPS} digits"):
+            self.ENTRIES[name](D)
+        assert _state() == before
+
+    # an s or t that is not a real number, refused right after D: None once
+    # raised TypeError from the context, and a string computed a value
+    NOT_REAL = {
+        "l_degree2-None": lambda: l_degree2(delta_qexp(60), 12, None, 30, 60),
+        "l_degree2-'6'": lambda: l_degree2(delta_qexp(60), 12, "6", 30, 60),
+        "functional_eq_residual-None": lambda: functional_eq_residual(rankin_lfunction(150), None, None, 30, 150),
+        "functional_eq_residual-'13.5'": lambda: functional_eq_residual(rankin_lfunction(150), None, "13.5", 30, 150),
+        "functional_eq_residual-deg2-'6'": lambda: functional_eq_residual(delta_lfunction(60), None, "6", 30, 60),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NOT_REAL))
+    def test_s_not_real_refused_with_every_cache_unchanged(self, name):
+        delta_qexp(60), rankin_coeffs(150), rankin_lfunction(150), delta_lfunction(60)
+        before = _state()
+        with pytest.raises(ValueError, match="must be a real number"):
+            self.NOT_REAL[name]()
+        assert _state() == before
+
     # an M below the degree-4 floor is refused as early: verify_tables
-    # once computed both norms and the Delta L-values first
+    # once computed both norms and the Delta L-values first; so is an M
+    # of a type operator.index refuses (150.0 once raised TypeError inside)
     BELOW_FLOOR = {
         "verify_tables": (lambda: verify_tables(120, 150), 154),
         "l_rankin4": (lambda: l_rankin4(rankin_coeffs(150), 12, 60, 43), 44),
+        "verify_tables-150.0": (lambda: verify_tables(30, 150.0), 14),
+        "l_rankin4-150.0": (lambda: l_rankin4(rankin_coeffs(150), 12, 30, 150.0), 14),
     }
 
     @pytest.mark.parametrize("name", sorted(BELOW_FLOOR))

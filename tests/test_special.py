@@ -18,7 +18,7 @@ from spinl.numeric_lfun import (
     incomplete_gamma_int,
     tanh_sinh,
 )
-from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero
+from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero, to_float
 
 from spinl.numeric_lfun.special import (
     _LN2,
@@ -28,8 +28,10 @@ from spinl.numeric_lfun.special import (
     _ki1_asymptotic,
     _k0_k1,
     _ki1_trapezoid,
+    _asymptotic_prefactor,
     _legendre_seed,
     _libmp,
+    _series_cut,
 )
 
 KI1_MUS = [-0.999, -0.4, 0.0, 0.6, 0.625, 0.999]
@@ -236,11 +238,14 @@ def _sha256(values) -> str:
 
 
 class TestBitPins:
-    """The K_0/K_1 core bit for bit, since the degree-4 nodes share its
-    asymptotic loop: its integers on both branches, bessel_k, and the
-    seven kernel-check errors, all exactly 0.0 at every D pinned (what
-    certify-d30 reads as its cap of 99 digits; one moved bit in the core
-    can leave them near 1e-50 instead)."""
+    """The K_0/K_1 core bit for bit, since every pair past the series cut,
+    the degree-4 nodes' included, comes from it: its integers on both
+    branches, bessel_k, and the seven kernel-check errors, all exactly 0.0
+    at every D pinned (what certify-d30 reads as its cap of 99 digits; one
+    moved bit in the core can leave them near 1e-50 instead).  The
+    integers are pinned as they are, not as correct: the prefactor's own
+    accuracy is checked against mpmath below
+    (test_asymptotic_prefactor_within_two_units)."""
 
     # floats, strings and libmp values on both sides of every series cut
     XS = (
@@ -249,11 +254,11 @@ class TestBitPins:
         from_man_exp(12345678901234567891, -62), from_man_exp(0x1234567890ABCDEF1234567, -80),
     )
     K0_K1_SHA256 = {
-        15: "0b0da0fd575e8270df067dd70ef3c27c8dc3d39458b38d76d9efcde5a260df83",
-        30: "27d615d6eabe7dc2fabfcdb15f65a6c00f91c8a23cfee49f05da3383afa8499a",
-        42: "28718323cc60bba4cd46991ce89a8e78b7d6d1671a5fe03f505ee3dffe33a7df",
-        60: "3a0e96f075cb86d1869d63ddb118c6146c03e0c6288759289bb70798e931a50a",
-        72: "81ead924476e1074844aeb7aaa240bcf3cbbf3324c10f45a47924d486923011d",
+        15: "bd9f80e7ad1ba9a7cc099d3a5ca0fb8d8ed53d5c91f4c3e952ead368d15bd693",
+        30: "e12f007f4a027df1708f95d88ef19921b582671538a135d6005af57a188f2915",
+        42: "8535db3105de108f28ac0ef1571a1bf6dd78a27fcf63e1eddae221d3e1878e7d",
+        60: "141c77cba923baa0e91ea10804ebbf7877ae82201160d39edec63db0da076a48",
+        72: "af7244c2a63503c2cfbad0f70c575f276401911a86089991044625529c81793c",
     }
     BESSEL_SHA256 = "0189199df00d46708642cf1465a6a54218e52bec00ac10a11c4b7815daecc17a"
     KERNEL_SHA256 = "39765741d4468d57be75508e4c305fecb3fbcd5771bc7cba893c4cab4ef1efb1"
@@ -274,6 +279,23 @@ class TestBitPins:
         errors = _kernel_errors(dps)
         assert all(e == 0 for e in errors)
         assert _sha256([e._mpf_ for e in errors]) == self.KERNEL_SHA256
+
+    @pytest.mark.parametrize("dps", (15, 30, 60))
+    def test_asymptotic_prefactor_within_two_units(self, dps):
+        # sqrt(pi/2x) e^-x = man 2^exp at the asymptotic branch's wp, against
+        # mpmath 40 bits up: within 2 units of its last place 2^exp, the
+        # ulp of e^-x at wp bits (the isqrt and the final shift each floor)
+        wp = dps_to_prec(dps + 15) + 20
+        mp = mpmath.mp.clone()
+        mp.prec = wp + 40
+        xs = [_libmp(x, wp - 20) for x in self.XS]
+        past = [x for x in xs if to_float(x) > _series_cut(dps)]
+        assert len(past) >= 9
+        for x in past:
+            man, exp = _asymptotic_prefactor(x, wp)
+            X = mp.mpf(x)
+            want = mp.sqrt(mp.pi / (2 * X)) * mp.exp(-X)
+            assert abs(mp.mpf(from_man_exp(man, exp)) - want) <= 2 * mp.ldexp(1, exp), to_float(x)
 
 
 class TestBickley:
