@@ -30,10 +30,10 @@ def banner(title):
 
 banner("Eisenstein constant terms feeding the projection (s = 7)")
 c0p, c0pp, c1, c2 = c_constants(7)
-print("C0' :", c0p, "   <- zeta(1)-pole against the 1/Gamma zero")
-print("C0'':", c0pp)
-print("C1  :", c1)
-print("C2  :", c2)
+print(f"C0' : {c0p.rational} * pi^{c0p.pi_exponent}    <- zeta(1)-pole against the 1/Gamma zero")
+print(f"C0'': {c0pp.rational} * pi^{c0pp.pi_exponent}")
+print(f"C1  : {c1.rational} * pi^{c1.pi_exponent}")
+print(f"C2  : {c2.rational} * pi^{c2.pi_exponent}")
 
 banner("Holomorphic-projection Fourier coefficients A1(s), A2(s)")
 for s in range(3, 11):

@@ -69,7 +69,9 @@ def _table_rows(which: int, prec: int):
     rows: List[dict] = []
     norms = _norms(ctx, prec)
 
-    def add(s, q: Fraction, e: int, norm=1, part=None) -> None:
+    def add(s, value, norm=1, part=None) -> None:
+        # value: a PiValue or a CriticalValueResult, read as (rational, pi_exponent)
+        q, e = value.rational, value.pi_exponent
         row = {
             "s": s,
             "numerator": str(q.numerator),
@@ -87,12 +89,12 @@ def _table_rows(which: int, prec: int):
         for s in range(3, 11):
             pc = projection_coeffs(s)
             for part, pv in (("A1", pc.a1), ("A2", pc.a2)):
-                add(s, *pv.as_monomial(), part=part)
+                add(s, pv, part=part)
     else:
         producer = {2: two_delta_product, 3: rankin_g20_value, 4: main_identity}[which]
         for s in range(12, 20):
             res = producer(s)
-            add(s, res.rational, res.pi_exponent, norms[res.petersson_factors])
+            add(s, res, norms[res.petersson_factors])
     petersson = {
         f.value: ctx.nstr(round_to(prec, norms[f]), prec, min_fixed=-math.inf, max_fixed=math.inf)
         for f in (PeterssonFactors.DELTA_DELTA, PeterssonFactors.G20_G20)

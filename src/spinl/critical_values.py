@@ -12,11 +12,14 @@ each as an exact rational times a single power of pi, for s = 12..19.
 Every pi-exponent is fixed by s, so the pass is rational: A_1, A_2, D0'
 and D0'' are Fractions, the Whittaker moment sums run on ints, and only
 c_constants, d_constants and projection_coeffs wrap their results in
-PiValue, at return.  No table is ever an input here; printed tables are
-regression fixtures in the test suite only.  The per-s results are
-immutable and LRU-cached; an s that is not of an integral type in range
-(one operator.index accepts, such as int or a numpy integer) raises
-ValueError on every call, before any work.
+PiValue, at return.  Every value returned reads as (rational,
+pi_exponent): a PiValue is that pair, and a CriticalValueResult carries
+the same two fields next to s and its Petersson factors.  No table is
+ever an input here; printed tables are regression fixtures in the test
+suite only.  The per-s results are immutable and LRU-cached; an s that
+is not of an integral type in range (one operator.index accepts, such as
+int or a numpy integer) raises ValueError on every call, before any
+work.
 """
 
 from __future__ import annotations

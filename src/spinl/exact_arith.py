@@ -3,16 +3,16 @@ values, the Gamma-ratio limits needed by the Eisenstein constant terms,
 and the one trial division (table denominators, Hecke primes).
 
 Everything in this module is exact.  Rationals are `fractions.Fraction`
-(aliased as `Rational`); values of the form "rational times a power of pi"
-are `PiValue` objects.  All functions are pure and all values immutable,
-so concurrent use needs no locking.
+(aliased as `Rational`); a value "rational times one power of pi" is a
+`PiValue`, the named tuple (rational, pi_exponent).  All functions are
+pure and all values immutable, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, List, Tuple
+from typing import List, NamedTuple, Tuple
 
 Rational = Fraction
 
@@ -28,65 +28,28 @@ __all__ = [
 ]
 
 
-class PiValue:
-    """A finite sum of monomials q * pi^e with q rational and e an integer.
+class PiValue(NamedTuple):
+    """q * pi^e with q rational and e an integer, the form of every exact
+    value.  :meth:`monomial` builds it and gives zero as (0, 0), so equal
+    values are equal tuples.  It carries no arithmetic: the exact engine
+    computes on rationals and wraps its results in a PiValue at return."""
 
-    Monomials are kept sorted by strictly increasing exponent and zero
-    coefficients are dropped; the empty sum represents exact zero.
-    Distinct exponents are never merged into a float: consumers that
-    expect a pure "rational times pi^e" call :meth:`as_monomial`, which
-    raises if the value is not a single monomial.  It carries no
-    arithmetic: the exact engine computes on rationals and wraps its
-    results in a PiValue at return.
-    """
-
-    __slots__ = ("_monomials",)
-
-    def __init__(self, monomials: Iterable[Tuple[Rational, int]] = ()):
-        acc: dict[int, Fraction] = {}
-        for coeff, expo in monomials:
-            e = int(expo)
-            acc[e] = acc.get(e, Fraction(0)) + Fraction(coeff)
-        self._monomials = tuple(
-            (acc[e], e) for e in sorted(acc) if acc[e] != 0
-        )
+    rational: Fraction
+    pi_exponent: int
 
     @classmethod
     def monomial(cls, coeff, exponent: int) -> "PiValue":
-        return cls([(Fraction(coeff), exponent)])
+        q = Fraction(coeff)
+        return cls(q, int(exponent) if q else 0)
 
     @property
     def monomials(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return self._monomials
+        """((rational, pi_exponent),), or () for zero."""
+        return ((self.rational, self.pi_exponent),) if self.rational else ()
 
     def as_monomial(self) -> Tuple[Fraction, int]:
-        """Return (coefficient, pi exponent); zero is (0, 0).
-
-        Raises ValueError when the value genuinely mixes pi powers, which
-        downstream table emitters treat as an internal error.
-        """
-        if not self._monomials:
-            return Fraction(0), 0
-        if len(self._monomials) != 1:
-            raise ValueError(f"not a single pi-monomial: {self!r}")
-        return self._monomials[0]
-
-    def __eq__(self, other):
-        if isinstance(other, PiValue):
-            return self._monomials == other._monomials
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._monomials)
-
-    def __bool__(self):
-        return bool(self._monomials)
-
-    def __repr__(self):
-        if not self._monomials:
-            return "PiValue(0)"
-        parts = [f"({c})*pi^{e}" for c, e in self._monomials]
-        return "PiValue(" + " + ".join(parts) + ")"
+        """(rational, pi_exponent); zero is (0, 0)."""
+        return self.rational, self.pi_exponent
 
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]

@@ -26,14 +26,13 @@ above D + GUARD.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import threading
 from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import mpf_pos, round_nearest
-
-from ..exact_arith import PiValue
 
 MIN_DPS = 15
 # digits above D at which every public numeric entry point works: the one
@@ -54,6 +53,14 @@ def _check_dps(dps: int) -> None:
         ok = False
     if not ok:
         raise ValueError(f"working precision must be an int >= {MIN_DPS} digits, got {dps!r}")
+
+
+def _check_real(x, name: str) -> None:
+    """ValueError unless x is a numbers.Real (int, float, Fraction, mpf):
+    the check of every real argument of a public numeric entry point, made
+    right after _check_dps."""
+    if not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
 
 
 def _fresh(dps: int):
@@ -102,8 +109,9 @@ def render_exact(ctx, q: Fraction, pi_exponent: int):
     return ctx.mpf(q.numerator) / q.denominator * ctx.pi**pi_exponent
 
 
-def pi_value_numeric(pv: PiValue, dps: int):
-    """Evaluate an exact rational-times-pi-power sum to dps digits."""
+def pi_value_numeric(pv, dps: int):
+    """Evaluate an exact value to dps digits: the sum of q pi^e over the
+    (q, e) in pv.monomials."""
     _check_dps(dps)
     ctx = context(dps + GUARD)
     return round_to(dps, sum(render_exact(ctx, q, e) for q, e in pv.monomials))

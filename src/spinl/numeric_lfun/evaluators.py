@@ -92,7 +92,6 @@ moments at D + GUARD and rounds once to D; the helpers it composes
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import threading
 from bisect import bisect_left, bisect_right
@@ -109,7 +108,7 @@ from mpmath.libmp import (
 
 from ..exact_arith import _zeta_rational, bernoulli
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import GUARD, MIN_DPS, _check_dps, context, render_exact, round_to
+from .bigfloat import GUARD, MIN_DPS, _check_dps, _check_real, context, render_exact, round_to
 from .quadrature import QuadratureError
 from .special import (
     _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp, _series_cut,
@@ -736,12 +735,6 @@ def _check_m(M: int, degree: int, w: int, dps: int) -> None:
                          f"need M >= {need}")
 
 
-def _check_real(x, name: str) -> None:
-    """ValueError unless x is a numbers.Real (int, float, Fraction, mpf)."""
-    if not isinstance(x, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {x!r}")
-
-
 def _coefficients(a: Callable[[int], int], M: int, degree: int, w: int, dps: int) -> tuple:
     """(a(1), ..., a(M)) through the accessor a, the one reader of every
     entry point, once _check_m accepts M; ValueError also for an a(n)
@@ -837,7 +830,12 @@ def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
     and both L-values from the degree-2 evaluator over _deg2_m(k, dps)
     coefficients, all at dps + GUARD digits and rounded once."""
     _check_dps(dps)
-    if (k, r) not in _VALID_NORM_ARGS:
+    try:
+        k, r = operator.index(k), operator.index(r)
+        ok = (k, r) in _VALID_NORM_ARGS
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError(f"unsupported (k, r) = ({k}, {r})")
     value = _norm(context(dps + GUARD), k, r, dps)
     return PeterssonNorm(k, round_to(dps, value), k - r)

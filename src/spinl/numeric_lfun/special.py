@@ -81,7 +81,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .bigfloat import GUARD, _check_dps, _rounded, context, round_to
+from .bigfloat import GUARD, _check_dps, _check_real, _rounded, context, round_to
 
 __all__ = [
     "incomplete_gamma_int",
@@ -99,6 +99,7 @@ def incomplete_gamma_int(s: int, x, dps: int):
     """Upper incomplete Gamma(s, x) for integer s >= 1 and x > 0, via the
     finite sum Gamma(s,x) = (s-1)! e^(-x) sum_{k<s} x^k / k!."""
     _check_dps(dps)
+    _check_real(x, "x")
     if s < 1 or s != int(s):
         raise ValueError("s must be a positive integer")
     ctx = context(dps + GUARD)
@@ -122,6 +123,8 @@ def gamma_upper(s, x, dps: int):
     takes an integer path that loses up to ~15 of the asked-for digits
     near x = 100."""
     _check_dps(dps)
+    _check_real(s, "s")
+    _check_real(x, "x")
     if s == int(s):
         return incomplete_gamma_int(int(s), x, dps)
     ctx = context(dps + GUARD)
@@ -262,8 +265,12 @@ def _k_up(x, K: list, nu: int) -> list:
 
 def bessel_k(nu: int, x, dps: int):
     """Modified Bessel function K_nu(x) to dps digits, integer 0 <= nu <= 20,
-    x inside (1e-6, 1e4)."""
+    x inside (1e-6, 1e4): a real number, or a decimal string or a libmp
+    value, which _k0_k1 reads exactly at its working precision."""
     _check_dps(dps)
+    _check_real(nu, "nu")
+    if not isinstance(x, (str, tuple)):
+        _check_real(x, "x")
     if not 0 <= nu <= BESSEL_NU_MAX or nu != int(nu):
         raise ValueError(f"order must be an integer in 0..{BESSEL_NU_MAX}")
     nu = int(nu)
@@ -292,6 +299,7 @@ def bickley_ki1(x, dps: int):
     x^-mu int_x^inf t^mu K_0(t) dt, the seeds of the degree-4 chains
     (_ki1)."""
     _check_dps(dps)
+    _check_real(x, "x")
     return _rounded(dps, _ki1(x, dps))
 
 

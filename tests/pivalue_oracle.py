@@ -1,9 +1,9 @@
 """The exact engine as it was assembled before its rational pass: every
 constant term, projection coefficient and critical value built as a
-PiValue sum and read back with as_monomial.  The tests compare the
+PiSum and read back with as_monomial.  The tests compare the
 rational pass with it exactly, rational, pi-exponent and norm factors
-alike.  PiSum is the PiValue algebra this assembly needs; the library's
-PiValue carries none."""
+alike.  PiSum is the sum of pi powers, with the algebra, that this
+assembly needs; the library's PiValue is one monomial and carries none."""
 
 from fractions import Fraction
 from math import factorial
@@ -18,26 +18,58 @@ from spinl.exact_arith import (
 )
 
 
-class PiSum(PiValue):
-    """A PiValue with sums, negation, products and division by rationals."""
+class PiSum:
+    """A finite sum of monomials q * pi^e, with sums, negation, products and
+    division by rationals: the algebra the library's PiValue, one
+    monomial, does without.
 
-    __slots__ = ()
+    Monomials are kept sorted by strictly increasing exponent and zero
+    coefficients are dropped; the empty sum is exact zero.  A PiSum equals
+    a PiSum or a PiValue with the same monomials.
+    """
+
+    __slots__ = ("monomials",)
+
+    def __init__(self, monomials=()):
+        acc = {}
+        for coeff, expo in monomials:
+            e = int(expo)
+            acc[e] = acc.get(e, Fraction(0)) + Fraction(coeff)
+        self.monomials = tuple((acc[e], e) for e in sorted(acc) if acc[e] != 0)
+
+    @classmethod
+    def monomial(cls, coeff, exponent):
+        return cls([(Fraction(coeff), exponent)])
+
+    def as_monomial(self):
+        """(coefficient, pi exponent); zero is (0, 0), and a sum of two or
+        more pi powers raises ValueError."""
+        if not self.monomials:
+            return Fraction(0), 0
+        if len(self.monomials) != 1:
+            raise ValueError(f"not a single pi-monomial: {self.monomials!r}")
+        return self.monomials[0]
+
+    def __eq__(self, other):
+        if isinstance(other, (PiSum, PiValue)):
+            return self.monomials == other.monomials
+        return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, PiValue):
+        if isinstance(other, (PiSum, PiValue)):
             return PiSum(self.monomials + other.monomials)
         return NotImplemented
 
     def __sub__(self, other):
-        if isinstance(other, PiValue):
-            return self + (-other)
+        if isinstance(other, (PiSum, PiValue)):
+            return self + -PiSum(other.monomials)
         return NotImplemented
 
     def __neg__(self):
         return PiSum((-c, e) for c, e in self.monomials)
 
     def __mul__(self, other):
-        if isinstance(other, PiValue):
+        if isinstance(other, (PiSum, PiValue)):
             return PiSum(
                 (c1 * c2, e1 + e2) for c1, e1 in self.monomials for c2, e2 in other.monomials
             )

@@ -303,17 +303,17 @@ class TestRationalPass:
         # a cold main_identity(12..19) stays on rationals, and a cold
         # projection_coeffs(3..10) builds only the 16 PiValues it returns
         built = []
-        init = PiValue.__init__
+        monomial = PiValue.monomial
 
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+        def counting(coeff, exponent):
+            built.append(monomial(coeff, exponent))
+            return built[-1]
 
         def cold():
             for fn in vars(critical_values).values():
                 getattr(fn, "cache_clear", lambda: None)()
 
-        monkeypatch.setattr(PiValue, "__init__", counting)
+        monkeypatch.setattr(PiValue, "monomial", counting)
         cold()
         for s in range(12, 20):
             main_identity(s)

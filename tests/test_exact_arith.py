@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: Bernoulli numbers, zeta closed forms, Gamma-ratio
-limits, and PiValue sums (the algebra on them lives in pivalue_oracle)."""
+limits, PiValue, and the sums of pi powers the oracle builds
+(pivalue_oracle.PiSum)."""
 
 import random
 from fractions import Fraction
@@ -197,17 +198,19 @@ class TestZetaPoleOverGamma:
 
 
 class TestPiValue:
+    # the sum of pi powers is the oracle's PiSum; the library's PiValue is
+    # one monomial
     def test_zero_representation(self):
-        assert PiValue().monomials == ()
-        assert PiValue([(Fraction(1), 2), (Fraction(-1), 2)]).monomials == ()
+        assert PiSum().monomials == ()
+        assert PiSum([(Fraction(1), 2), (Fraction(-1), 2)]).monomials == ()
 
     def test_sorted_strictly_increasing(self):
-        v = PiValue([(Fraction(1), 5), (Fraction(2), -3), (Fraction(1), 0)])
+        v = PiSum([(Fraction(1), 5), (Fraction(2), -3), (Fraction(1), 0)])
         exps = [e for _, e in v.monomials]
         assert exps == sorted(exps) and len(set(exps)) == len(exps)
 
     def test_as_monomial_rejects_mixed(self):
-        v = PiValue([(Fraction(1), 0), (Fraction(1), 2)])
+        v = PiSum([(Fraction(1), 0), (Fraction(1), 2)])
         with pytest.raises(ValueError):
             v.as_monomial()
 
@@ -238,7 +241,8 @@ class TestPiValueNumeric:
         from spinl.numeric_lfun import context, pi_value_numeric
 
         ctx = context(30)
-        v = PiValue([(Fraction(1, 6), 2), (Fraction(-1, 2), 0)])
+        # a sum of two pi powers, which pi_value_numeric renders term by term
+        v = PiSum([(Fraction(1, 6), 2), (Fraction(-1, 2), 0)])
         got = ctx.convert(pi_value_numeric(v, 28))
         want = ctx.pi**2 / 6 - ctx.mpf(1) / 2
         assert abs(got - want) < ctx.mpf("1e-26")

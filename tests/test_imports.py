@@ -1,13 +1,19 @@
 """Every name a module under src/ imports is used in that module or listed
 in its __all__: a deletion that leaves an import behind fails here.  Read
-with the standard library's ast, so nothing is imported or run."""
+with the standard library's ast, so nothing is imported or run.  And every
+name of src/ that the benchmark reads exists: a deletion that would break
+only a benchmark run fails here too."""
 
 import ast
+import importlib
+import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -47,3 +53,31 @@ def test_every_import_is_used_or_exported(path):
         if name not in used and name not in _exported(tree)
     }
     assert not unused, f"imported but unused in {path.name}: {unused}"
+
+
+def _benchmark_runner():
+    """perfbench/run.py as a module, loaded by path; its main() is not run."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_benchmark_reads_exist():
+    # run.py traces these functions (--trace 1 raises KeyError without
+    # one), worker.py reads the two per-n caches, and exact-n5000 reads
+    # PiValue.as_monomial and .monomials
+    for layer, names in _benchmark_runner().TRACED_FUNCTIONS.items():
+        module = importlib.import_module(f"spinl.{layer}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert not name.startswith("_") and callable(fn), (layer, name)
+            assert fn.__module__ == module.__name__, (layer, name, fn.__module__)
+    from spinl import projection_coeffs, zeta_exact
+    from spinl.numeric_lfun import evaluators
+
+    for cache in (evaluators._NODE_CACHE, evaluators._KI1_CACHE):
+        assert len(cache) >= 0
+    q, e = projection_coeffs(3).a1.as_monomial()
+    assert type(q) is Fraction and type(e) is int
+    assert zeta_exact(2).monomials == ((Fraction(1, 6), 2),)

@@ -148,14 +148,23 @@ class TestFloorBeforeWork:
             self.ENTRIES[name](D)
         assert _state() == before
 
-    # an s or t that is not a real number, refused right after D: None once
-    # raised TypeError from the context, and a string computed a value
+    # an argument that is not a real number, refused right after D: None
+    # once raised TypeError from the context or from float(), a string
+    # computed a value, and gamma_upper's '2.5' failed in int().  bessel_k
+    # alone reads a decimal string x exactly (TestBitPins pins that)
     NOT_REAL = {
         "l_degree2-None": lambda: l_degree2(delta_qexp(60), 12, None, 30, 60),
         "l_degree2-'6'": lambda: l_degree2(delta_qexp(60), 12, "6", 30, 60),
         "functional_eq_residual-None": lambda: functional_eq_residual(rankin_lfunction(150), None, None, 30, 150),
         "functional_eq_residual-'13.5'": lambda: functional_eq_residual(rankin_lfunction(150), None, "13.5", 30, 150),
         "functional_eq_residual-deg2-'6'": lambda: functional_eq_residual(delta_lfunction(60), None, "6", 30, 60),
+        "bessel_k-None": lambda: bessel_k(1, None, 30),
+        "bessel_k-nu-None": lambda: bessel_k(None, 2, 30),
+        "bickley_ki1-'2'": lambda: bickley_ki1("2", 30),
+        "gamma_upper-None": lambda: gamma_upper(None, 2, 30),
+        "gamma_upper-'2.5'": lambda: gamma_upper("2.5", 2, 30),
+        "gamma_upper-x-None": lambda: gamma_upper(2.5, None, 30),
+        "incomplete_gamma_int-None": lambda: incomplete_gamma_int(2, None, 30),
     }
 
     @pytest.mark.parametrize("name", sorted(NOT_REAL))
@@ -164,6 +173,24 @@ class TestFloorBeforeWork:
         before = _state()
         with pytest.raises(ValueError, match="must be a real number"):
             self.NOT_REAL[name]()
+        assert _state() == before
+
+    # a k or r of a type operator.index refuses, refused before any context
+    # is made: 12.0 once passed the (k, r) check, as 12.0 == 12, and raised
+    # TypeError from bernoulli after context(D + GUARD)
+    NOT_INTEGRAL_NORM = {"k-12.0": (12.0, 4), "r-4.0": (12, 4.0), "k-None": (None, 4)}
+
+    @pytest.mark.parametrize("name", sorted(NOT_INTEGRAL_NORM))
+    def test_norm_args_not_ints_refused_with_every_context_unchanged(self, name):
+        k, r = self.NOT_INTEGRAL_NORM[name]
+
+        def job():  # in a fresh thread, whose context pool starts empty
+            with pytest.raises(ValueError, match=r"unsupported \(k, r\)"):
+                petersson_norm(k, r, 30)
+            return getattr(bigfloat._threads, "pool", {})
+
+        before = _state()
+        assert _in_threads(job) == [{}]
         assert _state() == before
 
     # an M below the degree-4 floor is refused as early: verify_tables
