@@ -26,6 +26,7 @@ above D + GUARD.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import threading
@@ -56,10 +57,10 @@ def _check_dps(dps: int) -> None:
 
 
 def _check_real(x, name: str) -> None:
-    """ValueError unless x is a numbers.Real (int, float, Fraction, mpf):
-    the check of every real argument of a public numeric entry point, made
-    right after _check_dps."""
-    if not isinstance(x, numbers.Real):
+    """ValueError unless x is a finite numbers.Real (int, float, Fraction,
+    mpf), so not inf or nan: the check of every real argument of a public
+    numeric entry point, made right after _check_dps."""
+    if not (isinstance(x, numbers.Real) and -math.inf < x < math.inf):
         raise ValueError(f"{name} must be a real number, got {x!r}")
 
 

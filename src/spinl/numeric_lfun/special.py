@@ -99,9 +99,10 @@ def incomplete_gamma_int(s: int, x, dps: int):
     """Upper incomplete Gamma(s, x) for integer s >= 1 and x > 0, via the
     finite sum Gamma(s,x) = (s-1)! e^(-x) sum_{k<s} x^k / k!."""
     _check_dps(dps)
-    _check_real(x, "x")
+    _check_real(s, "s")
     if s < 1 or s != int(s):
         raise ValueError("s must be a positive integer")
+    _check_real(x, "x")
     ctx = context(dps + GUARD)
     x = ctx.convert(x)
     if x <= 0:

@@ -2,29 +2,34 @@
 this package consumes: Delta, E_k, G_{2,p}, g_20 = E_8*Delta, the Hecke
 operator T_p, and the Dirichlet coefficients of the degree-4 convolution.
 
-Coefficients are exact: a coefficient is stored as an ``int`` when it is
-integral and as a ``Fraction`` only when it is not (E_k's 2k/B_k factor,
-the constant term of G_{2,p}, and what is derived from those). Integral
-series therefore multiply as plain integers, with no conversion, by
-Kronecker substitution: each operand becomes one decimal number of biased
-w-digit slots, and one multiply in the standard ``decimal`` module
-(libmpdec, a number-theoretic transform for large operands, O(n log n))
-gives every product coefficient. That multiply runs in a private context
-that traps any rounding, so it is exact or raises. Only the product
-coefficients that are read, q^0..q^N, must fit a slot, so Delta and
-g20 size their slots by Deligne's bound |a(n)| <= d(n) n^((k-1)/2) on the
-coefficients they keep, and only their digits are printed. The constant
-"50...0" that biases the slots is made once per slot count in a product,
-for packing and read-back alike. Delta is q times Jacobi's
+A ``QSeries`` is a read-only expansion: its coefficients are read one by
+one or as a tuple, and it carries no series arithmetic. Coefficients are
+exact: a coefficient is stored as an ``int`` when it is integral and as
+a ``Fraction`` only when it is not (E_k's 2k/B_k factor, the constant
+term of G_{2,p}, and what is derived from those). The two products the
+forms need, in Delta and in g20, are integral and run on plain integers
+by Kronecker substitution: each operand becomes one decimal number of
+biased w-digit slots, and one multiply in the standard ``decimal``
+module (libmpdec, a number-theoretic transform for large operands,
+O(n log n)) gives every product coefficient. That multiply runs in a private
+context that traps any rounding, so it is exact or raises. Only the
+product coefficients that are read, q^0..q^N, must fit a slot, so Delta
+and g20 size their slots by Deligne's bound |a(n)| <= d(n) n^((k-1)/2)
+on the coefficients they keep, and only their digits are printed. The
+constant "50...0" that biases the slots is made once per slot count in a
+product, for packing and read-back alike. Delta is q times Jacobi's
 eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) squared three times: the first
 squaring, of a series with ~sqrt(2N) nonzero terms, is a sparse loop,
 the other two are transforms. E_k and G_{2,p} read their divisor sums
-from one sieve. Series are immutable after construction.
+from one sieve. Every builder takes N of an integral type (one
+operator.index accepts) and raises ValueError for any other N before any
+work.
 """
 
 from __future__ import annotations
 
 import decimal
+import operator
 import threading
 import weakref
 from fractions import Fraction
@@ -144,10 +149,8 @@ def _exact(c):
 
 
 class QSeries:
-    """A q-expansion truncated at precision N: coefficients of q^0 .. q^N.
-
-    Arithmetic between two series truncates to the smaller precision.
-    """
+    """A q-expansion truncated at precision N: the coefficients of
+    q^0 .. q^N, read-only."""
 
     __slots__ = ("_coeffs", "precision", "__weakref__")
 
@@ -187,49 +190,6 @@ class QSeries:
             raise ValueError("series has non-integer coefficients")
         return list(self._coeffs)
 
-    def truncate(self, n: int) -> "QSeries":
-        if n > self.precision:
-            raise ValueError("cannot extend precision by truncation")
-        if n < 0:
-            raise ValueError("precision must be nonnegative")
-        return QSeries._of(self._coeffs[: n + 1], n)
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        return _exact_series(
-            [self._coeffs[i] + other._coeffs[i] for i in range(n + 1)], n
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        return _exact_series(
-            [self._coeffs[i] - other._coeffs[i] for i in range(n + 1)], n
-        )
-
-    def __neg__(self):
-        return QSeries._of([-c for c in self._coeffs], self.precision)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            n = min(self.precision, other.precision)
-            a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
-            if self.is_integral() and other.is_integral():
-                # the decimal transform at every size, with no cut-off: below
-                # about 1,000 terms byte packing around CPython's own
-                # (Karatsuba) bigint multiply would be a little faster, by
-                # under a millisecond per series
-                return QSeries._of(_kronecker(a, b, n), n)
-            return QSeries(_schoolbook(a, b, n), n)
-        if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self._coeffs], self.precision)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, QSeries):
             return (
@@ -248,12 +208,29 @@ class QSeries:
 
 
 def _exact_series(cs: list, precision: int) -> QSeries:
-    """The series of cs, built by + and * from exact coefficients: an
-    all-int list (integral operands) is exact as it is; a Fraction may have
-    come out integral, so anything else is normalised."""
+    """The series of cs, computed from exact coefficients: an all-int list
+    is exact as it is; a Fraction may have come out integral, so anything
+    else is normalised."""
     if all(type(c) is int for c in cs):
         return QSeries._of(cs, precision)
     return QSeries(cs, precision)
+
+
+# typed, so that N = 5.0 misses the entry of N = 5 and reaches _check_n
+_cached = lru_cache(maxsize=16, typed=True)
+
+
+def _check_n(N, least: int = 1) -> int:
+    """N as an int if it is of an integral type (operator.index) and at
+    least `least`, else ValueError: the first step of every builder, before
+    any work or any read of its registry of live series."""
+    try:
+        n = operator.index(N)
+        if n >= least:
+            return n
+    except TypeError:
+        pass
+    raise ValueError(f"need an int N >= {least}, got {N!r}")
 
 
 def _eta_cubed(n: int) -> list:
@@ -287,14 +264,13 @@ def _shortest_live(builder, built, n: int) -> QSeries:
     return builder(min(longer)[0]) if longer else builder(n)
 
 
-@lru_cache(maxsize=16)
+@_cached
 def delta_qexp(N: int) -> QSeries:
     """Ramanujan's Delta = q prod (1-q^n)^24 to precision N.
 
     Coefficient of q^n is tau(n); the constant term is exactly 0.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = _check_n(N)
     with _BUILT_LOCK:
         live = _DELTA_BUILT.get(N)
     if live is not None:  # dropped by the cache, held elsewhere
@@ -336,8 +312,7 @@ def eisenstein_qexp(k: int, N: int) -> QSeries:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k < 4 or k % 2 != 0:
         raise ValueError("Eisenstein weight must be even and >= 4")
-    if N < 0:
-        raise ValueError("need N >= 0")
+    N = _check_n(N, 0)
     alpha = _exact(-Fraction(2 * k) / bernoulli(k))
     sig = _divisor_power_sums(N, k - 1)
     return _exact_series([1] + [alpha * c for c in sig[1:]], N)
@@ -352,18 +327,16 @@ def g2p_qexp(p: int, N: int) -> QSeries:
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = _check_n(N)
     sig = _divisor_power_sums(N, 1)
     out = [sig[n] - (p * sig[n // p] if n % p == 0 else 0) for n in range(1, N + 1)]
     return QSeries([Fraction(p - 1, 24)] + out, N)
 
 
-@lru_cache(maxsize=16)
+@_cached
 def g20_qexp(N: int) -> QSeries:
     """The normalized weight-20 cusp eigenform E_8 * Delta to precision N."""
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = _check_n(N)
     with _BUILT_LOCK:
         live = _G20_BUILT.get(N)
     if live is not None:
@@ -414,10 +387,9 @@ class RankinCoeffs:
         return self.values[n]
 
 
-@lru_cache(maxsize=16)
+@_cached
 def rankin_coeffs(N: int) -> RankinCoeffs:
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = _check_n(N)
     tau, b = delta_qexp(N).coeffs, g20_qexp(N).coeffs
     vals = [t * c for t, c in zip(tau, b)]  # d = 1, and A(0) = 0
     for d in range(2, isqrt(N) + 1):

@@ -3,6 +3,7 @@ value contexts for returned and cached numbers, and the bounded caches.
 Results must not depend on the thread, on what ran before, or on what a
 caller did to a context it was handed."""
 
+import math
 import threading
 
 import pytest
@@ -151,7 +152,10 @@ class TestFloorBeforeWork:
     # an argument that is not a real number, refused right after D: None
     # once raised TypeError from the context or from float(), a string
     # computed a value, and gamma_upper's '2.5' failed in int().  bessel_k
-    # alone reads a decimal string x exactly (TestBitPins pins that)
+    # alone reads a decimal string x exactly (TestBitPins pins that).  inf
+    # and nan are refused the same way: an s of either once raised
+    # OverflowError or a NaN conversion error, an x of either returned nan
+    # (or 0.0 at non-integer s), and Ki_1 failed inside
     NOT_REAL = {
         "l_degree2-None": lambda: l_degree2(delta_qexp(60), 12, None, 30, 60),
         "l_degree2-'6'": lambda: l_degree2(delta_qexp(60), 12, "6", 30, 60),
@@ -165,6 +169,20 @@ class TestFloorBeforeWork:
         "gamma_upper-'2.5'": lambda: gamma_upper("2.5", 2, 30),
         "gamma_upper-x-None": lambda: gamma_upper(2.5, None, 30),
         "incomplete_gamma_int-None": lambda: incomplete_gamma_int(2, None, 30),
+        "incomplete_gamma_int-s-None": lambda: incomplete_gamma_int(None, 2, 30),
+        "incomplete_gamma_int-s-'3'": lambda: incomplete_gamma_int("3", 2, 30),
+        "incomplete_gamma_int-s-inf": lambda: incomplete_gamma_int(math.inf, 2, 30),
+        "incomplete_gamma_int-s-nan": lambda: incomplete_gamma_int(math.nan, 2, 30),
+        "gamma_upper-inf": lambda: gamma_upper(math.inf, 2, 30),
+        "gamma_upper-nan": lambda: gamma_upper(math.nan, 2, 30),
+        "incomplete_gamma_int-inf": lambda: incomplete_gamma_int(2, math.inf, 30),
+        "incomplete_gamma_int-nan": lambda: incomplete_gamma_int(2, math.nan, 30),
+        "gamma_upper-x-inf": lambda: gamma_upper(2, math.inf, 30),
+        "gamma_upper-x-inf-2.5": lambda: gamma_upper(2.5, math.inf, 30),
+        "bickley_ki1-nan": lambda: bickley_ki1(math.nan, 30),
+        "bickley_ki1-inf": lambda: bickley_ki1(math.inf, 30),
+        "bessel_k-inf": lambda: bessel_k(1, math.inf, 30),
+        "l_degree2-nan": lambda: l_degree2(delta_qexp(60), 12, math.nan, 30, 60),
     }
 
     @pytest.mark.parametrize("name", sorted(NOT_REAL))
