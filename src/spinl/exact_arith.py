@@ -10,6 +10,7 @@ pure and all values immutable, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb, factorial
 from typing import List, NamedTuple, Tuple
@@ -152,9 +153,20 @@ def zeta_pole_over_gamma(y: int, c: int) -> Fraction:
     return Fraction((-1) ** (-y) * factorial(-y), c)
 
 
+def _as_int(x, name: str) -> int:
+    """x as an int if it is of an integral type (operator.index), else
+    ValueError naming the argument."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {x!r}") from None
+
+
 def factor_integer(n: int) -> List[Tuple[int, int]]:
-    """Prime factorization by trial division as (prime, exponent) pairs.
-    Table denominators are smooth, so this never works hard."""
+    """Prime factorization by trial division as (prime, exponent) pairs,
+    for n of an integral type.  Table denominators are smooth, so this
+    never works hard."""
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("need a positive integer")
     out = []

@@ -213,23 +213,24 @@ _MOMENT_CACHE = _BoundedCache(_MOMENT_CAP)
 
 
 def _moments(
-    kind, coeffs: tuple, dps: int, vector: Callable[[int, int], list],
+    kind, coeffs: tuple, dps: int, vector: Callable[[int, int], tuple],
     scale: Callable[[int], float],
 ) -> tuple:
     """(sum_n c_n v_j(n))_j over n = 1..len(coeffs) for coeffs = (c_1, ...,
     c_M): each sum one exact integer dot product, rounded once to dps
     digits, a libmp value in no context; cached per (kind, coeffs, dps).
 
-    vector(n, d) gives the v_j(n) as signed (mantissa, exponent) pairs,
-    each good to 10^-d of itself with a few guard digits, and scale(n) is
-    the float log10 of a function of n that no v_j falls slower than:
-    v_j(n) / v_j(m) <= 10^(scale(n) - scale(m)) for m < n.  With
-    mag_n = log10 |c_n| + scale(n), term n is then at most
+    vector(n, d) gives (exp, (v_0(n), v_1(n), ...)): the v_j(n) as signed
+    mantissas at one exponent, each good to 10^-d of itself with a few
+    guard digits, and scale(n) is the float log10 of a function of n that
+    no v_j falls slower than: v_j(n) / v_j(m) <= 10^(scale(n) - scale(m))
+    for m < n.  With mag_n = log10 |c_n| + scale(n), term n is then at most
     10^-(top_n - mag_n) of term m in every sum, top_n = mag_m the largest
     mag up to n, so it is built at the level d_n = dps - floor(top_n -
     mag_n), clamped to [MIN_DPS, dps], and errs by at most 10^-dps of the
     largest term of every sum, before its guard digits.  A zero c_n builds
-    nothing."""
+    nothing.  Each c_n is shifted once to the lowest exp over n, and each
+    sum is one C-level dot product of those with its column."""
     key = (kind, coeffs, dps)
     hit = _MOMENT_CACHE.get(key)
     if hit is not None:
@@ -245,13 +246,13 @@ def _moments(
         terms.append((coeffs[n - 1], vector(n, min(dps, max(MIN_DPS, d)))))
     if not terms:  # zeros, in the vector's shape
         terms = [(0, vector(1, MIN_DPS))]
+    low = min(e for _, (e, _) in terms)
+    cs = [c << e - low for c, (e, _) in terms]
     prec = dps_to_prec(dps)
-    sums = []
-    for col in zip(*(v for _, v in terms)):
-        low = min(e for _, e in col)
-        total = sum(c * v << e - low for (c, _), (v, e) in zip(terms, col))
-        sums.append(from_man_exp(total, low, prec, round_nearest))
-    sums = _MOMENT_CACHE[key] = tuple(sums)
+    sums = _MOMENT_CACHE[key] = tuple(
+        from_man_exp(sum(map(operator.mul, cs, col)), low, prec, round_nearest)
+        for col in zip(*(row for _, (_, row) in terms))
+    )
     return sums
 
 
@@ -284,8 +285,9 @@ def _deg2_table(n: int, dps: int, f) -> tuple:
     all-positive recurrence H_(a+1) = a H_a / x + 1, from
     H_f = x e^x x^-f Gamma(f, x) (_legendre_seed, exactly 1 at f = 1).  x,
     pi and e come from libmp and the H_a are summed on integers, all at dps
-    digits plus 20 bits, as the degree-4 node is built; each G_a is an
-    unrounded (mantissa, exponent) pair at e's exponent."""
+    digits plus 20 bits, as the degree-4 node is built; the table is
+    (exp, (G_f, ..., G_(f+19))), each G_a an unrounded mantissa at e's
+    exponent exp."""
     wp = dps_to_prec(dps) + 20
     fm = _libmp(f, wp)
     sign, man, exp, _ = fm
@@ -302,7 +304,7 @@ def _deg2_table(n: int, dps: int, f) -> tuple:
     for j in range(_G_TOP):
         H.append(((man + (j << q)) * H[-1] << shift) // (d << q) + one)
     # e H 2^(e_exp - wp), cut to e's exponent
-    return tuple((e * h >> wp, e_exp) for h in H)
+    return e_exp, tuple([e * h >> wp for h in H])
 
 
 def _deg2_scale(n: int) -> float:
@@ -372,17 +374,18 @@ class _Node(NamedTuple):
     tau: tuple  # the chain of mu = 1, tau_1, tau_3, ..., tau_17; tau_1 = c K_1(X) / X
 
 
-def _chain(node: _Node, first: int, mu) -> tuple:
+def _chain(g0: int, g1: int, ix2: tuple, first: int, mu) -> tuple:
     """(tau_mu, tau_(mu+2), ..., tau_(mu+16)) from tau_mu = first by
-    tau_m = tau_1 + (m-1) g0 + (m-1)^2 (r/2)^2 tau_(m-2), on the node's
-    integers, for a libmp mu, m - 1 = b / 2^q exact, and (r/2)^2 = 1/X^2 =
-    v 2^e the node's ix2: products and shifts, no division.  Past the
-    first, every tau is positive and at least tau_1."""
+    tau_m = tau_1 + (m-1) g0 + (m-1)^2 (r/2)^2 tau_(m-2), on a node's
+    integers g0 and g1 = tau_1 at its exponent, for a libmp mu, m - 1 =
+    b / 2^q exact, and (r/2)^2 = 1/X^2 = v 2^e the node's ix2: products and
+    shifts, no division; the one chain rule of _deg4_node (mu = 1) and
+    _seeded_chain.  Past the first, every tau is positive and at least
+    tau_1."""
     sign, man, exp, _ = mu
     q = max(-exp, 0)
     b = ((-man if sign else man) << max(exp, 0)) - (1 << q)  # mu - 1
-    _, v, e, _ = node.ix2  # e < 0, as 1/X^2 < 1
-    g0, g1 = node.g0, node.tau[0]
+    _, v, e, _ = ix2  # e < 0, as 1/X^2 < 1
     chain = [first]
     for _ in range(_CHAIN_LEN - 1):
         b += 2 << q
@@ -480,7 +483,8 @@ def _deg4_node(n: int, dps: int) -> _Node:
         g0 = c K_0 / X^2 = y_0 r^2 / 2,  tau_1 = c K_1 / X = y_1 r^2,
 
     cut to the node's exponent, where g0, the smallest, keeps dps digits
-    plus 30 bits; nothing is rounded; cached per (n, dps)."""
+    plus 30 bits, and the chain of mu = 1 by _chain from (g0, tau_1, 1/X^2)
+    before the node is made; nothing is rounded; cached per (n, dps)."""
     key = (n, dps)
     hit = _NODE_CACHE.get(key)
     if hit is not None:
@@ -504,17 +508,17 @@ def _deg4_node(n: int, dps: int) -> _Node:
     for nu in range(1, 10):
         y.append(nu * y[nu] + (a * y[nu - 1] >> wq))
     shift = 1 - exp - t  # c = 2 r^22 at the node's exponent, up or down
-    node = _Node(
+    ix2 = from_man_exp(r2 >> 11 * la + 2, -wq)
+    g0, tau1 = y[0] * r2 >> L + 1, y[1] * r2 >> L
+    node = _NODE_CACHE[key] = _Node(
         from_man_exp(X, -wq),
-        from_man_exp(r2 >> 11 * la + 2, -wq),
+        ix2,
         exp - L + t,
         r22 << shift if shift >= 0 else r22 >> -shift,
-        y[0] * r2 >> L + 1,
+        g0,
         tuple(y[::-1]),
-        (y[1] * r2 >> L,),
+        _chain(g0, tau1, ix2, tau1, fone),
     )
-    node = node._replace(tau=_chain(node, node.tau[0], fone))
-    _NODE_CACHE[key] = node
     return node
 
 
@@ -531,7 +535,7 @@ def _seeded_chain(n: int, dps: int, node: _Node, mu) -> tuple:
     _, man, exp, _ = _ki1(node.X, dps, mu)
     shift, d = _divisor(node.X)
     tau0 = (node.c * man >> -exp - shift) // d
-    chain = _KI1_CACHE[key] = _chain(node, tau0, mu)
+    chain = _KI1_CACHE[key] = _chain(node.g0, node.tau[0], node.ix2, tau0, mu)
     return chain
 
 
@@ -551,13 +555,13 @@ def _dot(ctx, p, v):
     return ctx.make_mpf(mpf_sum(terms, ctx.prec, round_nearest))
 
 
-def _deg4_vector(n: int, dps: int, mu) -> list:
-    """(w_0, ..., w_10, tau_mu, tau_(mu+2), ..., tau_(mu+16)) at n as
-    (mantissa, exponent) pairs, for a libmp mu in (-1, 1]: the per-n data
-    the moments of one class sum."""
+def _deg4_vector(n: int, dps: int, mu) -> tuple:
+    """(exp, (w_0, ..., w_10, tau_mu, tau_(mu+2), ..., tau_(mu+16))) at n,
+    mantissas at the node's exponent exp, for a libmp mu in (-1, 1]: the
+    per-n data the moments of one class sum."""
     node = _deg4_node(n, dps)
     chain = node.tau if mu == fone else _seeded_chain(n, dps, node, mu)
-    return [(v, node.exp) for v in (*node.w, *chain)]
+    return node.exp, node.w + chain
 
 
 def _deg4_scale(n: int) -> float:

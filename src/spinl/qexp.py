@@ -23,7 +23,8 @@ squaring, of a series with ~sqrt(2N) nonzero terms, is a sparse loop,
 the other two are transforms. E_k and G_{2,p} read their divisor sums
 from one sieve. Every builder takes N of an integral type (one
 operator.index accepts) and raises ValueError for any other N before any
-work.
+work; so do the weight k, the prime p and Lemma 1's order wherever they
+are taken.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Sequence, Tuple
 
-from .exact_arith import bernoulli, factor_integer
+from .exact_arith import _as_int, bernoulli, factor_integer
 
 __all__ = [
     "QSeries",
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 def is_prime(n: int) -> bool:
+    """Whether n, of an integral type (else ValueError), is prime."""
+    n = _as_int(n, "n")
     return n >= 2 and factor_integer(n) == [(n, 1)]
 
 
@@ -310,6 +313,7 @@ def _divisor_power_sums(N: int, e: int) -> list:
 
 def eisenstein_qexp(k: int, N: int) -> QSeries:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+    k = _as_int(k, "k")
     if k < 4 or k % 2 != 0:
         raise ValueError("Eisenstein weight must be even and >= 4")
     N = _check_n(N, 0)
@@ -325,6 +329,7 @@ def g2p_qexp(p: int, N: int) -> QSeries:
     of n with p not dividing d, sigma_1(n) - p sigma_1(n/p), the second term
     only when p divides n, from the one divisor-sum sieve.
     """
+    p = _as_int(p, "p")
     if not is_prime(p):
         raise ValueError("p must be prime")
     N = _check_n(N)
@@ -355,6 +360,7 @@ def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
     Output coefficient n is a(np) + p^(k-1) a(n/p), the second term only
     when p | n; output precision is floor(N/p).
     """
+    p, k = _as_int(p, "p"), _as_int(k, "k")
     if not is_prime(p):
         raise ValueError("p must be prime")
     n_out = f.precision // p
@@ -417,6 +423,7 @@ def lemma1_local_check(p: int, order: int) -> bool:
     The coefficients are read in place from a longer Delta or g20 series
     when one is already cached.
     """
+    p, order = _as_int(p, "p"), _as_int(order, "order")
     if p not in (2, 3, 5, 7):
         raise ValueError("p must be one of 2, 3, 5, 7")
     if not 0 <= order <= 10:

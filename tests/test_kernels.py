@@ -76,8 +76,9 @@ def _close(mp, dps, got, want, what):
 
 
 def _entries(mp, table):
-    """A degree-2 table's (mantissa, exponent) pairs as mpf in mp."""
-    return [mp.make_mpf(from_man_exp(m, e)) for m, e in table]
+    """A degree-2 table's entries, mantissas at one exponent, as mpf in mp."""
+    exp, mantissas = table
+    return [mp.make_mpf(from_man_exp(m, exp)) for m in mantissas]
 
 
 def _fields(node, n, dps):
@@ -111,7 +112,7 @@ def test_deg4_node_against_defining_formulas(ref, n, dps):
 def test_deg2_table_against_gammainc(ref, n, dps):
     mp, want = ref[0], ref[1][n]
     table = _deg2_table(n, dps, 1)
-    assert len(table) == _G_TOP + 1
+    assert len(table[1]) == _G_TOP + 1
     for j, g in enumerate(_entries(mp, table), 1):
         _close(mp, dps, g, want["G"][j - 1], f"G_{j}")
 
@@ -142,7 +143,7 @@ def test_deg2_table_at_fractional_order_against_gammainc(ref_frac, f, n, dps):
     # in a = f + j, near f = 0 and f = 1 too
     mp, want = ref_frac[0], ref_frac[1][n, f]
     table = _deg2_table(n, dps, f)
-    assert len(table) == _G_TOP + 1
+    assert len(table[1]) == _G_TOP + 1
     for j, got in enumerate(_entries(mp, table)):
         assert abs(got - want[j]) / want[j] < mp.mpf(10) ** (1 - dps), f"G_{f}+{j}"
 

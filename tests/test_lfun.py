@@ -42,8 +42,9 @@ from reference_values import (
 
 
 def _gamma_table(ctx, n, dps, f=1):
-    """The degree-2 table's entries, (mantissa, exponent) pairs, as mpf in ctx."""
-    return [ctx.make_mpf(from_man_exp(m, e)) for m, e in evaluators._deg2_table(n, dps, f)]
+    """The degree-2 table's entries, mantissas at one exponent, as mpf in ctx."""
+    exp, mantissas = evaluators._deg2_table(n, dps, f)
+    return [ctx.make_mpf(from_man_exp(m, exp)) for m in mantissas]
 
 
 def _exact(v) -> Fraction:
@@ -869,9 +870,14 @@ class TestMoments:
         ]
         dps = 30
         prec = dps_to_prec(dps)
-        got = evaluators._moments(
-            "synthetic", coeffs, dps, lambda n, d: [col[n - 1] for col in columns], lambda n: 0.0
-        )
+
+        def vector(n, d):
+            # n's entries at one exponent, by exact mantissa shifts
+            entries = [col[n - 1] for col in columns]
+            low = min(e for _, e in entries)
+            return low, tuple(m << e - low for m, e in entries)
+
+        got = evaluators._moments("synthetic", coeffs, dps, vector, lambda n: 0.0)
         for j, col in enumerate(columns):
             exact = sum(c * Fraction(m) * Fraction(2) ** e for c, (m, e) in zip(coeffs, col))
             want = mpf_div(
@@ -883,6 +889,41 @@ class TestMoments:
         # mpf_sum drops 2^-400 on meeting 2^300, more than 2 prec bits up
         dropped = [from_man_exp(c * m, e) for c, (m, e) in zip(coeffs, columns[0])]
         assert mpf_sum(dropped, prec, round_nearest) == fzero
+
+    @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])
+    def test_moments_equal_the_per_entry_column_sums(self, monkeypatch, D, M):
+        # the benchmark's coefficient sets, degree 4 over A(1..M) and degree
+        # 2 over the coefficients a norm at D takes: each moment, one shift
+        # per n and one dot product per column, equals bit for bit the
+        # column sum over the same vectors, built at the levels the call
+        # chose, with every entry shifted to its own column's lowest exponent
+        from spinl.numeric_lfun.bigfloat import GUARD
+
+        moments, built = evaluators._moments, []
+
+        def recording(kind, coeffs, dps, vector, scale):
+            def kept(n, d):
+                v = vector(n, d)
+                built.append((coeffs[n - 1], v))
+                return v
+
+            return moments(kind, coeffs, dps, kept, scale)
+
+        monkeypatch.setattr(evaluators, "_moments", recording)
+        A = rankin_coeffs(M)
+        A = tuple(A[n] for n in range(1, M + 1))
+        sets = [(evaluators._deg4_moments, A, mu) for mu in (1, 0, -0.4)]
+        for k, form in ((12, delta_qexp), (20, g20_qexp)):
+            m = evaluators._deg2_m(k, D)
+            a = tuple(form(m).integer_coeffs()[1 : m + 1])
+            sets += [(evaluators._deg2_moments, a, f) for f in (1, 0.25)]
+        dps = D + GUARD
+        for moments_of, coeffs, param in sets:
+            evaluators._MOMENT_CACHE.clear()
+            built.clear()
+            got = moments_of(coeffs, param, dps)
+            assert len(got) == 20 and len(built) == sum(map(bool, coeffs))
+            assert list(got) == _column_sums(built, dps), (moments_of.__name__, param)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1000,16 +1041,26 @@ class TestMoments:
         assert abs((bad - good) - term) < abs(good) * ctx.mpf(10) ** -(D + 6)
 
 
-def _full_moments(coeffs, parity, dps):
-    """The degree-4 moments with every node at dps: the exact sums over n
-    of the node data against coeffs, each rounded once to dps digits."""
-    rows = [evaluators._deg4_vector(n, dps, from_int(parity)) for n in range(1, len(coeffs) + 1)]
+def _column_sums(terms, dps):
+    """The exact sums over n of c_n v_j(n), one per column j, for terms =
+    [(c_n, (exp, mantissas))], with every entry shifted to its own
+    column's lowest exponent, each rounded once to dps digits."""
+    rows = [[(c * v, exp) for v in mantissas] for c, (exp, mantissas) in terms]
     out = []
     for col in zip(*rows):
         low = min(e for _, e in col)
-        total = sum(c * v << e - low for c, (v, e) in zip(coeffs, col))
+        total = sum(v << e - low for v, e in col)
         out.append(from_man_exp(total, low, dps_to_prec(dps), round_nearest))
     return out
+
+
+def _full_moments(coeffs, parity, dps):
+    """The degree-4 moments with every node at dps: the exact sums over n
+    of the node data against coeffs, each rounded once to dps digits."""
+    return _column_sums(
+        [(c, evaluators._deg4_vector(n, dps, from_int(parity))) for n, c in enumerate(coeffs, 1)],
+        dps,
+    )
 
 
 class TestLevels:

@@ -22,6 +22,7 @@ from spinl import (
     lemma1_local_check,
     rankin_coeffs,
 )
+from spinl.exact_arith import factor_integer
 from spinl.qexp import _divisor_power_sums, _kronecker, _schoolbook, is_prime
 
 # first coefficients of the discriminant form: q - 24q^2 + 252q^3 - ...
@@ -78,6 +79,28 @@ class TestQSeries:
             eisenstein_qexp(8, 5.0)
         with pytest.raises(ValueError, match="need an int N >= 1, got None$"):
             g2p_qexp(2, None)
+
+    # every other integer argument is read as N is, and refused before any
+    # work: T_2 at k = 20.0 returned 67 wrong coefficients of g20 (2 ** 19.0
+    # is a float), a float k or p raised TypeError from list indexing,
+    # Lemma 1 at p = 2.0 named N = 8.0, and factor_integer(12.0) returned
+    # the float prime 3.0
+    NOT_INT = {
+        "hecke_tp-k-20.0": (lambda: hecke_tp(g20_qexp(400), 2, 20.0), "k", 20.0),
+        "hecke_tp-p-2.0": (lambda: hecke_tp(delta_qexp(20), 2.0, 12), "p", 2.0),
+        "eisenstein_qexp-k-8.0": (lambda: eisenstein_qexp(8.0, 5), "k", 8.0),
+        "g2p_qexp-p-2.0": (lambda: g2p_qexp(2.0, 5), "p", 2.0),
+        "lemma1_local_check-p-2.0": (lambda: lemma1_local_check(2.0, 3), "p", 2.0),
+        "lemma1_local_check-order-3.0": (lambda: lemma1_local_check(2, 3.0), "order", 3.0),
+        "is_prime-7.0": (lambda: is_prime(7.0), "n", 7.0),
+        "factor_integer-12.0": (lambda: factor_integer(12.0), "n", 12.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NOT_INT))
+    def test_other_int_args_refused(self, name):
+        call, arg, value = self.NOT_INT[name]
+        with pytest.raises(ValueError, match=f"^{arg} must be an int, got {value!r}$"):
+            call()
 
     def test_internal_builders_skip_only_needless_normalising(self):
         # T_p and Delta are built from exact ints without the constructor's
