@@ -39,15 +39,15 @@ __all__ = ["main", "factor_integer", "factored_form"]
 
 
 def _factor_str(n: int) -> str:
-    if n == 1:
-        return "1"
+    if n < 2:
+        return str(n)
     return "*".join(
         f"{p}^{e}" if e > 1 else str(p) for p, e in factor_integer(n)
     )
 
 
 def factored_form(q: Fraction) -> str:
-    """Prime-power rendering of a rational, e.g. -2^15/(3^2*5^2)."""
+    """Prime-power rendering of a rational, e.g. -2^15/(3^2*5^2); 0 is "0"."""
     sign = "-" if q < 0 else ""
     num = _factor_str(abs(q.numerator))
     if q.denominator == 1:

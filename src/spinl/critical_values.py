@@ -33,6 +33,7 @@ from typing import List, NamedTuple, Tuple
 
 from .exact_arith import (
     PiValue,
+    _as_int,
     _zeta_rational,
     falling_ratio,
     gamma_pole_ratio,
@@ -85,6 +86,7 @@ def whittaker_closed_form(alpha: int, r: int) -> List[Fraction]:
     with the Gamma ratio continued through integer arguments as a falling
     product.  Entry [j] is the coefficient of y^j.
     """
+    alpha, r = _as_int(alpha, "alpha"), _as_int(r, "r")
     if r < 0:
         raise ValueError("need r >= 0")
     coeffs = [Fraction(0)] * (r + 1)

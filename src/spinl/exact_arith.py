@@ -6,6 +6,7 @@ Everything in this module is exact.  Rationals are `fractions.Fraction`
 (aliased as `Rational`); a value "rational times one power of pi" is a
 `PiValue`, the named tuple (rational, pi_exponent).  All functions are
 pure and all values immutable, so concurrent use needs no locking.
+Integer arguments are read through operator.index: 2.0 raises ValueError.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ class PiValue(NamedTuple):
         return self.rational, self.pi_exponent
 
 
+def _as_int(x, name: str) -> int:
+    """x as an int if it is of an integral type (operator.index), else
+    ValueError naming the argument."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {x!r}") from None
+
+
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
 
 
@@ -63,6 +73,7 @@ def bernoulli(n: int) -> Fraction:
     with memoization, keeping the module closed under rationals; the odd
     B_k past B_1 are 0 and the recurrence skips them.
     """
+    n = _as_int(n, "n")
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
     while len(_BERNOULLI_CACHE) <= n:
@@ -103,6 +114,7 @@ def zeta_exact(n: int) -> PiValue:
     Odd n >= 1 is rejected: n = 1 is the pole and odd n >= 3 has no exact
     closed form (the numerical module's concern).
     """
+    n = _as_int(n, "n")
     return PiValue.monomial(_zeta_rational(n), max(n, 0))
 
 
@@ -114,6 +126,7 @@ def falling_ratio(a: int, i: int) -> Fraction:
     exactly when some factor vanishes; poles of the denominator Gamma never
     need separate treatment.
     """
+    a, i = _as_int(a, "a"), _as_int(i, "i")
     if i < 0:
         raise ValueError("falling_ratio needs i >= 0")
     p = 1
@@ -130,6 +143,7 @@ def gamma_pole_ratio(x: int, y: int, c: int) -> Fraction:
     (1/c) * (-1)^(x-y) * (-y)! / (-x)!.  The scaling c accounts for the
     numerator argument moving c times as fast along the limit direction.
     """
+    x, y, c = _as_int(x, "x"), _as_int(y, "y"), _as_int(c, "c")
     if x > 0 or y > 0:
         raise ValueError("gamma_pole_ratio needs nonpositive integers")
     if c < 1:
@@ -146,20 +160,12 @@ def zeta_pole_over_gamma(y: int, c: int) -> Fraction:
     1/Gamma(y + eps) ~ eps (-1)^(-y) (-y)!; the pole and the zero cancel to
     the finite value (-1)^(-y) (-y)! / c.
     """
+    y, c = _as_int(y, "y"), _as_int(c, "c")
     if y > 0:
         raise ValueError("zeta_pole_over_gamma needs a nonpositive integer")
     if c < 1:
         raise ValueError("zeta_pole_over_gamma needs c >= 1")
     return Fraction((-1) ** (-y) * factorial(-y), c)
-
-
-def _as_int(x, name: str) -> int:
-    """x as an int if it is of an integral type (operator.index), else
-    ValueError naming the argument."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an int, got {x!r}") from None
 
 
 def factor_integer(n: int) -> List[Tuple[int, int]]:

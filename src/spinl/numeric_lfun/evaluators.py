@@ -111,7 +111,7 @@ from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import GUARD, MIN_DPS, _check_dps, _check_real, context, render_exact, round_to
 from .quadrature import QuadratureError
 from .special import (
-    _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp, _series_cut,
+    _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp, _pair_wp, _series_cut,
 )
 
 __all__ = [
@@ -455,12 +455,11 @@ _DESCENT_CACHE = _BoundedCache(64)
 
 def _band_pair(n: int, dps: int) -> tuple:
     """(K_0, K_1, exp) at X_n, 1 <= n < _deg4_band(dps), a function of (n,
-    dps) alone: one _descent down the grid from the band to X_1, at the
-    working precision of _k0_k1's asymptotic branch, seeded at the band at
-    dps; the chain cached per dps."""
+    dps) alone: one _descent down the grid from the band to X_1, at
+    _pair_wp(dps), seeded at the band at dps; the chain cached per dps."""
     chain = _DESCENT_CACHE.get(("band", dps))
     if chain is None:
-        wp = dps_to_prec(dps + 15) + 20
+        wp = _pair_wp(dps)
         xs = [_grid_x(m, wp) for m in range(_deg4_band(dps), 0, -1)]
         chain = _DESCENT_CACHE[("band", dps)] = tuple(_descent(xs, wp, dps))
     return chain[-n]  # the chain runs from the band down to X_1
@@ -470,7 +469,7 @@ def _deg4_node(n: int, dps: int) -> _Node:
     """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
     chain of mu = 1, in one integer pass from one K_0/K_1 pair at
     X = 4 pi sqrt(n) (_band_pair below the band, _k0_k1 past it), X
-    taken as isqrt(n) times pi at wq bits, the pair's precision.  With
+    taken as isqrt(n) times pi at the pair's bits, wq = _pair_wp(dps).  With
     r = 2/X, so that r^2 = 1/a, and y_nu = K_nu r^(22-nu), K's upward
     recurrence is the division-free
 
@@ -489,7 +488,7 @@ def _deg4_node(n: int, dps: int) -> _Node:
     hit = _NODE_CACHE.get(key)
     if hit is not None:
         return hit
-    wp, wq = dps_to_prec(dps) + 20, dps_to_prec(dps + 15) + 20
+    wp, wq = dps_to_prec(dps) + 20, _pair_wp(dps)
     X = _grid_x(n, wq)
     in_band = n < _deg4_band(dps)
     k0, k1, exp = _band_pair(n, dps) if in_band else _k0_k1(from_man_exp(X, -wq), dps)[1:]
@@ -623,15 +622,14 @@ def _kernel_pairs(xs: list, dps: int) -> list:
     past _k0_k1's series cut at dps digits: _k0_k1's asymptotic pair past
     the cut, one _descent down xs from the cut to X = 1, and _k0_k1's
     series below X = 1, where consecutive lambda^2 fall fast and c
-    underflows.  The descent runs at the asymptotic branch's working
-    precision, which holds each X exactly, seeded at the first X past the
-    cut at dps + 5 digits (a seed at dps leaves the kernel errors off 0 at
-    D = 20 and 28)."""
+    underflows.  The descent runs at _pair_wp(dps), which holds each X
+    exactly, seeded at the first X past the cut at dps + 5 digits (a seed
+    at dps leaves the kernel errors off 0 at D = 20 and 28)."""
     cut = _series_cut(dps)
     floats = [to_float(x) for x in xs]
     low, top = bisect_left(floats, 1.0), bisect_right(floats, cut)
     pairs = [_k0_k1(x, dps)[1:] if i < low or i >= top else None for i, x in enumerate(xs)]
-    wq = dps_to_prec(dps + 15) + 20
+    wq = _pair_wp(dps)
     descent = _descent([to_fixed(x, wq) for x in reversed(xs[low:top + 1])], wq, dps + 5)
     pairs[low:top] = descent[:0:-1]  # all but the seed, ascending
     return pairs

@@ -1,11 +1,11 @@
-"""Special functions for the L-evaluators: incomplete gamma at integer (and
-real) first argument, the modified Bessel function K_nu at integer order,
-the Bickley function Ki_1 and its fractional moments
+"""Special functions for the L-evaluators: the upper incomplete gamma
+Gamma(s, x), the modified Bessel function K_nu at integer order, the
+Bickley function Ki_1 and its fractional moments
 x^-mu int_x^inf t^mu K_0(t) dt, and the seed x^(1-a) e^x Gamma(a, x) for
 0 < a < 2 (Legendre's continued fraction, one upward step above a = 1).
-The evaluators take K_nu, the moments and the seed from here; incomplete
-gamma is public and serves the tests as the oracle of the evaluators' own
-degree-2 table.
+The evaluators take K_nu, the moments and the seed from here; Gamma(s, x),
+mpmath's gammainc at D + GUARD digits for every s, is public and serves
+the tests as the oracle of the evaluators' own degree-2 table.
 
 K_nu is summed in fixed point: Python integers scaled by a power of two,
 with the working precision plus 20 guard bits (wp), so each term of a
@@ -96,38 +96,27 @@ BESSEL_NU_MAX = 20
 
 
 def incomplete_gamma_int(s: int, x, dps: int):
-    """Upper incomplete Gamma(s, x) for integer s >= 1 and x > 0, via the
-    finite sum Gamma(s,x) = (s-1)! e^(-x) sum_{k<s} x^k / k!."""
+    """Upper incomplete Gamma(s, x) for integer s >= 1 and x > 0: gamma_upper
+    after its own check that s is a positive integer."""
     _check_dps(dps)
     _check_real(s, "s")
     if s < 1 or s != int(s):
         raise ValueError("s must be a positive integer")
-    _check_real(x, "x")
-    ctx = context(dps + GUARD)
-    x = ctx.convert(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
-    term = ctx.one
-    acc = ctx.one
-    for k in range(1, int(s)):
-        term = term * x / k
-        acc += term
-    return round_to(dps, ctx.factorial(int(s) - 1) * ctx.exp(-x) * acc)
+    return gamma_upper(s, x, dps)
 
 
 def gamma_upper(s, x, dps: int):
     """Upper incomplete Gamma(s, x) for x > 0 and s a positive integer or
-    any non-integer real: the exact finite sum at integer s, mpmath's
-    gammainc otherwise.  The evaluators do not call it (their degree-2
-    table covers every real order); it is the public function and the
-    tests' oracle for that table.  Integer s <= 0 raises: there gammainc
-    takes an integer path that loses up to ~15 of the asked-for digits
-    near x = 100."""
+    any non-integer real: mpmath's gammainc at dps + GUARD digits, the
+    finite sum (s-1)! e^(-x) sum_{k<s} x^k / k! at integer s.  The
+    evaluators do not call it; it is the tests' oracle for their degree-2
+    table.  Integer s <= 0 raises: there gammainc takes an integer path
+    that loses up to ~15 of the asked-for digits near x = 100."""
     _check_dps(dps)
     _check_real(s, "s")
     _check_real(x, "x")
-    if s == int(s):
-        return incomplete_gamma_int(int(s), x, dps)
+    if s < 1 and s == int(s):
+        raise ValueError("s must be a positive integer")
     ctx = context(dps + GUARD)
     x = ctx.convert(x)
     if not x > 0:
@@ -231,6 +220,13 @@ def _series_wp(x: float, dps: int) -> int:
     return dps_to_prec(dps + int(0.87 * x) + 15) + 20
 
 
+def _pair_wp(dps: int) -> int:
+    """The bits of _k0_k1's asymptotic branch at dps digits, D + 15 digits
+    plus 20 bits: a descent that _k0_k1 seeds past the cut builds its X at
+    these bits, so that the seed reads X exactly."""
+    return dps_to_prec(dps + 15) + 20
+
+
 def _k0_k1(x, dps: int):
     """(x, K_0, K_1, exp): x (an mpf, a libmp value, a number or a string)
     as a libmp value and K_0(x), K_1(x) unrounded, as integer mantissas of
@@ -246,7 +242,7 @@ def _k0_k1(x, dps: int):
         raise OverflowError(f"argument {xf} outside the supported domain {domain}")
     cut = _series_cut(dps)
     if xf > cut:
-        wp = dps_to_prec(dps + 15) + 20
+        wp = _pair_wp(dps)
         xm = _libmp(x, wp - 20)
         return (xm, *_k0_k1_asymptotic(xm, wp, dps))
     wp = _series_wp(xf, dps)

@@ -357,8 +357,8 @@ def g20_qexp(N: int) -> QSeries:
 def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
     """Apply the level-1 Hecke operator T_p in weight k.
 
-    Output coefficient n is a(np) + p^(k-1) a(n/p), the second term only
-    when p | n; output precision is floor(N/p).
+    Output coefficient n is a(np) + p^(k-1) a(n/p), p^(k-1) exact (a Fraction
+    at k <= 0) and the second term only when p | n; precision floor(N/p).
     """
     p, k = _as_int(p, "p"), _as_int(k, "k")
     if not is_prime(p):
@@ -368,7 +368,7 @@ def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
         raise ValueError(
             f"insufficient precision {f.precision} for T_{p}"
         )
-    pk = p ** (k - 1)
+    pk = p ** (k - 1) if k >= 1 else Fraction(1, p ** (1 - k))
     a = f.coeffs
     out = list(a[: n_out * p + 1 : p])
     for n in range(0, n_out + 1, p):

@@ -35,6 +35,10 @@ class TestFactoring:
         assert factored_form(Fraction(7)) == "7"
         assert factored_form(Fraction(1, 2)) == "1/2"
 
+    def test_factored_form_of_zero(self):
+        # factor_integer(0) once raised "need a positive integer" here
+        assert factored_form(Fraction(0)) == "0"
+
 
 class TestTableCommand:
     def test_table1_row(self, capsys):

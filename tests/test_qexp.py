@@ -14,13 +14,19 @@ from hypothesis import example, given, strategies as st
 
 from spinl import (
     QSeries,
+    bernoulli,
     delta_qexp,
     eisenstein_qexp,
+    falling_ratio,
     g20_qexp,
     g2p_qexp,
+    gamma_pole_ratio,
     hecke_tp,
     lemma1_local_check,
     rankin_coeffs,
+    whittaker_closed_form,
+    zeta_exact,
+    zeta_pole_over_gamma,
 )
 from spinl.exact_arith import factor_integer
 from spinl.qexp import _divisor_power_sums, _kronecker, _schoolbook, is_prime
@@ -84,7 +90,10 @@ class TestQSeries:
     # work: T_2 at k = 20.0 returned 67 wrong coefficients of g20 (2 ** 19.0
     # is a float), a float k or p raised TypeError from list indexing,
     # Lemma 1 at p = 2.0 named N = 8.0, and factor_integer(12.0) returned
-    # the float prime 3.0
+    # the float prime 3.0.  The exact engine reads its integers the same
+    # way: a float raised TypeError from a list index or from factorial,
+    # falling_ratio(5.5, 2) returned 63/4, and whittaker_closed_form(5.0, 2)
+    # computed through float products
     NOT_INT = {
         "hecke_tp-k-20.0": (lambda: hecke_tp(g20_qexp(400), 2, 20.0), "k", 20.0),
         "hecke_tp-p-2.0": (lambda: hecke_tp(delta_qexp(20), 2.0, 12), "p", 2.0),
@@ -94,6 +103,12 @@ class TestQSeries:
         "lemma1_local_check-order-3.0": (lambda: lemma1_local_check(2, 3.0), "order", 3.0),
         "is_prime-7.0": (lambda: is_prime(7.0), "n", 7.0),
         "factor_integer-12.0": (lambda: factor_integer(12.0), "n", 12.0),
+        "bernoulli-n-2.0": (lambda: bernoulli(2.0), "n", 2.0),
+        "zeta_exact-n-2.0": (lambda: zeta_exact(2.0), "n", 2.0),
+        "falling_ratio-a-5.5": (lambda: falling_ratio(5.5, 2), "a", 5.5),
+        "gamma_pole_ratio-x--1.0": (lambda: gamma_pole_ratio(-1.0, -2, 2), "x", -1.0),
+        "zeta_pole_over_gamma-y--1.0": (lambda: zeta_pole_over_gamma(-1.0, 2), "y", -1.0),
+        "whittaker_closed_form-alpha-5.0": (lambda: whittaker_closed_form(5.0, 2), "alpha", 5.0),
     }
 
     @pytest.mark.parametrize("name", sorted(NOT_INT))
@@ -653,6 +668,16 @@ class TestHecke:
     def test_insufficient_precision(self):
         with pytest.raises(ValueError):
             hecke_tp(delta_qexp(1), 2, 12)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_nonpositive_weight_is_exact(self, k):
+        # p^(k-1) is the Fraction 1/p^(1-k): the float 2 ** (k - 1) once
+        # rounded 81 of the 201 coefficients at k = 0 and 83 at k = -3
+        g = g20_qexp(400)
+        t2 = hecke_tp(g, 2, k)
+        want = [g[2 * n] + (Fraction(g[n // 2], 2 ** (1 - k)) if n % 2 == 0 else 0)
+                for n in range(201)]
+        assert t2.precision == 200 and list(t2.coeffs) == want
 
 
 class TestRankinCoeffs:

@@ -74,6 +74,23 @@ class TestTanhSinh:
         with pytest.raises(QuadratureError):
             tanh_sinh(ctx, lambda x: ctx.one if x < third else ctx.zero, 0, 1, max_level=5)
 
+    @pytest.mark.parametrize("max_level", [0, 1])
+    def test_max_level_below_two_refused_before_any_evaluation(self, max_level):
+        # no two levels m >= 2 can agree: max_level = 0 once returned
+        # 0.30604 for the integral of x^2 over [0, 1], 2.7e-2 off
+        ctx = context(30)
+        seen = []
+        with pytest.raises(ValueError, match="max_level must be >= 2"):
+            tanh_sinh(ctx, lambda x: seen.append(x) or x * x, 0, 1, max_level=max_level)
+        assert seen == []
+
+    def test_unconverged_last_level_raises(self):
+        # x^1.5 at max_level = 4 ends with its last delta 11 times the gate,
+        # and was once returned as converged
+        ctx = context(30)
+        with pytest.raises(QuadratureError):
+            tanh_sinh(ctx, lambda x: x**1.5, 0, 1, max_level=4)
+
 
 class TestIncompleteGammaInt:
     def test_s1_is_exp(self):
@@ -104,6 +121,17 @@ class TestIncompleteGammaInt:
             incomplete_gamma_int(0, 1.0, 20)
         with pytest.raises(ValueError):
             incomplete_gamma_int(3, -1.0, 20)
+
+    @pytest.mark.parametrize("dps", [15, 30, 60])
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2 * math.pi, 31.4, 100, 628.3, 3000])
+    def test_gamma_upper_at_integer_s_against_mpmath(self, x, dps):
+        # gammainc's finite sum at D + GUARD, against D + 40 digits
+        ref = mpmath.mp.clone()
+        ref.dps = dps + 40
+        for s in range(1, 21):
+            want = ref.gammainc(s, ref.mpf(x))
+            got = ref.convert(gamma_upper(s, x, dps))
+            assert abs(got - want) <= ref.mpf(10) ** -dps / 2 * want
 
     def test_gamma_upper_fractional_matches_recurrence(self):
         # Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x
