@@ -8,13 +8,14 @@ mpmath's global context.  Each works at D + GUARD digits and rounds once
 to D.  Work runs in contexts pooled per thread and per precision, and
 results come back in per-D value contexts (see `bigfloat`); the
 degree-4 per-coefficient data, the sums over n of both smoothed sums and
-the kernel check's errors are kept in five bounded, thread-safe caches
-whose values are the same in every thread: the degree-4 nodes and the
-seeded chains of their classes mu (one per fractional part of 2s), as
-unrounded integers at one exponent per node, the K_0/K_1 pairs of the
-nodes below the Bessel series cut, one descent per precision, every sum
-over n, per coefficient set and class, as libmp values, and every kernel
-error rounded once into a value context.  Every smoothed sum refuses,
+the kernel check's errors are kept in bounded, thread-safe caches whose
+values are the same in every thread: two bounded mappings of the
+degree-4 nodes and the seeded chains of their classes mu (one per
+fractional part of 2s), as unrounded integers at one exponent per node,
+and lru caches of the K_0/K_1 pairs of the nodes below the Bessel series
+cut, one descent per precision, of every sum over n, per coefficient set
+and class, as libmp values, and of the kernel errors per precision, each
+rounded once into a value context.  Every smoothed sum refuses,
 before any work, an M below its floor: _deg2_m(k, D) at degree 2 and
 _deg4_m(D), every node below the cut, at degree 4.  The tables and the
 verification render their exact values in the run's one context and

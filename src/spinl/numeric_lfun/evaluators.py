@@ -60,7 +60,7 @@ y_1 = K_1 r^21, and w_j = y_(10-j); the fields and the tau chains stay
 unrounded, integers at one exponent per node.  Past _k0_k1's series cut
 the pair is _k0_k1's own at the grid's X_n = 4 pi sqrt(n) (_grid_x);
 below it, one descent per D by the multiplication theorem from the first
-node past the cut (the band) down to n = 1 (_band_pair), the loop the
+node past the cut (the band) down to n = 1 (_band_chain), the loop the
 kernel check runs down its own node set (_descent).  Every
 degree-4 entry point takes M >= _deg4_m(D), every node below the band at
 D: a floor, not a truncation bound.  Since p does not depend on n, the
@@ -70,7 +70,7 @@ n-sum commutes with the dot product:
     W_j = sum_n A(n) w_j(n),   T_m = sum_n A(n) tau_m(n),
 
 and the moments W, T (like the degree-2 S_a) are summed once per
-coefficient set and class mu, keyed by mu's exact value, each one exact
+coefficient set and class mu (keyed by mu as passed), each one exact
 integer sum rounded once, so Lambda at any real s in the domain is one
 dot per side.
 
@@ -97,6 +97,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -204,21 +205,19 @@ _CACHE_CAP = 2048
 _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
 
-# sums over n of the per-n data against the coefficients, keyed by the
-# coefficient values themselves (never by the accessor that produced them),
-# the kind of sum and dps; a key holds all M coefficients, hence the
-# smaller cap
-_MOMENT_CAP = 64
-_MOMENT_CACHE = _BoundedCache(_MOMENT_CAP)
+# the moments, the band's descent and the kernel errors, by their arguments:
+# the coefficient values themselves (never the accessor that produced
+# them), mu or f as passed, and dps; a moment key holds all M coefficients
+_memo = lru_cache(maxsize=64)
 
 
 def _moments(
-    kind, coeffs: tuple, dps: int, vector: Callable[[int, int], tuple],
+    coeffs: tuple, dps: int, vector: Callable[[int, int], tuple],
     scale: Callable[[int], float],
 ) -> tuple:
     """(sum_n c_n v_j(n))_j over n = 1..len(coeffs) for coeffs = (c_1, ...,
     c_M): each sum one exact integer dot product, rounded once to dps
-    digits, a libmp value in no context; cached per (kind, coeffs, dps).
+    digits, a libmp value in no context; memoized by its two callers.
 
     vector(n, d) gives (exp, (v_0(n), v_1(n), ...)): the v_j(n) as signed
     mantissas at one exponent, each good to 10^-d of itself with a few
@@ -231,10 +230,6 @@ def _moments(
     largest term of every sum, before its guard digits.  A zero c_n builds
     nothing.  Each c_n is shifted once to the lowest exp over n, and each
     sum is one C-level dot product of those with its column."""
-    key = (kind, coeffs, dps)
-    hit = _MOMENT_CACHE.get(key)
-    if hit is not None:
-        return hit
     ns = [n for n, c in enumerate(coeffs, 1) if c]
     mags = [math.log10(abs(coeffs[n - 1])) + scale(n) for n in ns]
     terms = []
@@ -249,11 +244,10 @@ def _moments(
     low = min(e for _, (e, _) in terms)
     cs = [c << e - low for c, (e, _) in terms]
     prec = dps_to_prec(dps)
-    sums = _MOMENT_CACHE[key] = tuple(
+    return tuple(
         from_man_exp(sum(map(operator.mul, cs, col)), low, prec, round_nearest)
         for col in zip(*(row for _, (_, row) in terms))
     )
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +308,12 @@ def _deg2_scale(n: int) -> float:
     return -2 * math.pi * n / _LN10
 
 
+@_memo
 def _deg2_moments(coeffs: tuple, f, dps: int) -> tuple:
     """(S_a)_a over the entries a = f + j of _deg2_table(., dps, f),
-    S_a = sum_n c_n G_a(2 pi n), for f in (0, 1]."""
+    S_a = sum_n c_n G_a(2 pi n), for f in (0, 1], f keyed as passed."""
     f = _libmp(f, dps_to_prec(dps))
-    return _moments(("deg2", f), coeffs, dps, lambda n, d: _deg2_table(n, d, f), _deg2_scale)
+    return _moments(coeffs, dps, lambda n, d: _deg2_table(n, d, f), _deg2_scale)
 
 
 def _split(a) -> tuple:
@@ -395,7 +390,7 @@ def _chain(g0: int, g1: int, ix2: tuple, first: int, mu) -> tuple:
 
 def _deg4_band(dps: int) -> int:
     """The first n whose X = 4 pi sqrt(n) lies past _k0_k1's series cut at
-    dps digits: the nodes below it take K_0, K_1 from _band_pair."""
+    dps digits: the nodes below it take K_0, K_1 from _band_chain."""
     return math.floor((_series_cut(dps) / (4 * math.pi)) ** 2) + 1
 
 
@@ -449,26 +444,20 @@ def _grid_x(n: int, wq: int) -> int:
     return math.isqrt(n << 2 * wq) * pi_fixed(wq) >> wq - 2
 
 
-# per dps, the chain from the band down to X_1: 179 pairs at dps = 130
-_DESCENT_CACHE = _BoundedCache(64)
-
-
-def _band_pair(n: int, dps: int) -> tuple:
-    """(K_0, K_1, exp) at X_n, 1 <= n < _deg4_band(dps), a function of (n,
-    dps) alone: one _descent down the grid from the band to X_1, at
-    _pair_wp(dps), seeded at the band at dps; the chain cached per dps."""
-    chain = _DESCENT_CACHE.get(("band", dps))
-    if chain is None:
-        wp = _pair_wp(dps)
-        xs = [_grid_x(m, wp) for m in range(_deg4_band(dps), 0, -1)]
-        chain = _DESCENT_CACHE[("band", dps)] = tuple(_descent(xs, wp, dps))
-    return chain[-n]  # the chain runs from the band down to X_1
+@_memo
+def _band_chain(dps: int) -> tuple:
+    """(K_0, K_1, exp) at X_n for n = _deg4_band(dps), ..., 1, so that the
+    pair at X_n below the band is entry -n, a function of (n, dps) alone:
+    one _descent down the grid from the band to X_1, at _pair_wp(dps),
+    seeded at the band at dps; 179 pairs at dps = 130, cached per dps."""
+    wp = _pair_wp(dps)
+    return tuple(_descent([_grid_x(m, wp) for m in range(_deg4_band(dps), 0, -1)], wp, dps))
 
 
 def _deg4_node(n: int, dps: int) -> _Node:
     """The s-independent data of F(s, (2 pi)^2 n): the weights w and the
     chain of mu = 1, in one integer pass from one K_0/K_1 pair at
-    X = 4 pi sqrt(n) (_band_pair below the band, _k0_k1 past it), X
+    X = 4 pi sqrt(n) (_band_chain below the band, _k0_k1 past it), X
     taken as isqrt(n) times pi at the pair's bits, wq = _pair_wp(dps).  With
     r = 2/X, so that r^2 = 1/a, and y_nu = K_nu r^(22-nu), K's upward
     recurrence is the division-free
@@ -491,7 +480,7 @@ def _deg4_node(n: int, dps: int) -> _Node:
     wp, wq = dps_to_prec(dps) + 20, _pair_wp(dps)
     X = _grid_x(n, wq)
     in_band = n < _deg4_band(dps)
-    k0, k1, exp = _band_pair(n, dps) if in_band else _k0_k1(from_man_exp(X, -wq), dps)[1:]
+    k0, k1, exp = _band_chain(dps)[-n] if in_band else _k0_k1(from_man_exp(X, -wq), dps)[1:]
     a = X * X >> wq + 2
     la = a.bit_length() - wq  # a < 2^la
     # powers of r^2 = 1/a at 2^-L, r^22 with wq bits or more
@@ -572,15 +561,15 @@ def _deg4_scale(n: int) -> float:
     return (0.5 * math.log(math.pi / (2 * X)) - X + 12 * math.log(2 / X)) / _LN10
 
 
+@_memo
 def _deg4_moments(coeffs: tuple, mu, dps: int) -> tuple:
     """(W_0, ..., W_10, T_mu, T_(mu+2), ..., T_(mu+16)): the sums over n of
-    _deg4_vector(n, ., mu) against coeffs, for mu in (-1, 1], keyed by
-    mu's exact value; the nodes below the band are built at dps, from one
-    descent."""
+    _deg4_vector(n, ., mu) against coeffs, for mu in (-1, 1], mu keyed as
+    passed; the nodes below the band are built at dps, from one descent."""
     mu = _libmp(mu, dps_to_prec(dps))
     band = _deg4_band(dps)
     vector = lambda n, d: _deg4_vector(n, dps if n < band else d, mu)
-    return _moments(("deg4", mu), coeffs, dps, vector, _deg4_scale)
+    return _moments(coeffs, dps, vector, _deg4_scale)
 
 
 def _deg4_sum(ctx, coeffs: tuple, s):
@@ -614,7 +603,6 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
 # overestimate, and 7.5 leaves the gate of 10^-(D+18) 3.5 digits or more
 # at D = 15..150 (8.0 leaves 0.98 at D = 60)
 _KERNEL_RATE, _KERNEL_GATE = 7.5, 18
-_KERNEL_CACHE = _BoundedCache(_MOMENT_CAP)  # the errors at s0 = 13..19, per dps
 
 
 def _kernel_pairs(xs: list, dps: int) -> list:
@@ -635,10 +623,8 @@ def _kernel_pairs(xs: list, dps: int) -> list:
     return pairs
 
 
+@_memo
 def _kernel_errors(dps: int) -> tuple:
-    hit = _KERNEL_CACHE.get(("kernel", dps))
-    if hit is not None:
-        return hit
     ctx = context(dps + 20)
     wp = ctx.prec + 20
     B, L = (dps + 33) * math.log(10), (dps + 8) * math.log(10)
@@ -685,8 +671,7 @@ def _kernel_errors(dps: int) -> tuple:
         quad = ctx.make_mpf(mpf_mul(scale, from_man_exp(even + odd, -wp), ctx.prec, round_nearest))
         ref = ctx.gamma(s0) * ctx.gamma(s0 - 11)
         errors.append(round_to(dps, abs(head + quad - ref) / ref))
-    errors = _KERNEL_CACHE[("kernel", dps)] = tuple(errors)
-    return errors
+    return tuple(errors)
 
 
 def kernel_mellin_check(s0: int, dps: int):

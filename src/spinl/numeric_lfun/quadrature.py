@@ -12,6 +12,8 @@ that agree; any other outcome raises QuadratureError.
 
 from __future__ import annotations
 
+from ..exact_arith import _as_int
+
 __all__ = ["tanh_sinh", "QuadratureError"]
 
 
@@ -23,9 +25,10 @@ def tanh_sinh(ctx, f, a, b, max_level: int = 9):
     """Integrate f over [a, b] in the given mpmath context.
 
     Returns once two levels m >= 2 agree within 256 ctx.eps (1 + |value|),
-    else raises QuadratureError at max_level; a max_level below 2 can
-    never converge and raises ValueError before f is evaluated.
+    else raises QuadratureError at max_level; a max_level that is not an
+    int of 2 or more raises ValueError before f is evaluated.
     """
+    max_level = _as_int(max_level, "max_level")
     if max_level < 2:
         raise ValueError(f"max_level must be >= 2, got {max_level!r}")
     a = ctx.convert(a)

@@ -21,18 +21,18 @@ product, for packing and read-back alike. Delta is q times Jacobi's
 eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) squared three times: the first
 squaring, of a series with ~sqrt(2N) nonzero terms, is a sparse loop,
 the other two are transforms. E_k and G_{2,p} read their divisor sums
-from one sieve. Every builder takes N of an integral type (one
-operator.index accepts) and raises ValueError for any other N before any
-work; so do the weight k, the prime p and Lemma 1's order wherever they
-are taken.
+from one sieve. delta_qexp and g20_qexp hold the longest series of
+their form built (_LONGEST): a builder asked for exactly its precision
+returns it, and Lemma 1 reads it in place. Every builder takes N of an
+integral type (one operator.index accepts) and raises ValueError for
+any other N before any work; so do the weight k, the prime p and Lemma
+1's order wherever they are taken.
 """
 
 from __future__ import annotations
 
 import decimal
 import operator
-import threading
-import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -155,7 +155,7 @@ class QSeries:
     """A q-expansion truncated at precision N: the coefficients of
     q^0 .. q^N, read-only."""
 
-    __slots__ = ("_coeffs", "precision", "__weakref__")
+    __slots__ = ("_coeffs", "precision")
 
     def __init__(self, coeffs: Sequence, precision: int | None = None):
         cs = [_exact(c) for c in coeffs]
@@ -226,7 +226,7 @@ _cached = lru_cache(maxsize=16, typed=True)
 def _check_n(N, least: int = 1) -> int:
     """N as an int if it is of an integral type (operator.index) and at
     least `least`, else ValueError: the first step of every builder, before
-    any work or any read of its registry of live series."""
+    any work or any read of _LONGEST."""
     try:
         n = operator.index(N)
         if n >= least:
@@ -248,23 +248,18 @@ def _eta_cubed(n: int) -> list:
     return out
 
 
-# the series delta_qexp and g20_qexp have built, by precision, while their
-# caches (or anything else) hold them, so that a live series is never built
-# twice and a shorter read can use a longer one; a series dropped since is
-# forgotten.  Both are read and written under _BUILT_LOCK
-_DELTA_BUILT = weakref.WeakValueDictionary()
-_G20_BUILT = weakref.WeakValueDictionary()
-_BUILT_LOCK = threading.Lock()
+# the longest Delta and g20 built, by form, held strongly.  Each reader reads
+# an entry once, as another thread may replace it; two racing builds can
+# leave the shorter here, which costs a later build, never a wrong series
+_LONGEST: dict = {}
 
 
-def _shortest_live(builder, built, n: int) -> QSeries:
-    """builder(N) for the shortest live series of precision N >= n the
-    builder has made, else builder(n): builder(N) returns that series from
-    `built`, so that no second series is built, and it is not truncated."""
-    with _BUILT_LOCK:
-        longer = [(N, series) for N, series in built.items() if N >= n]
-    # longer keeps each series alive through the call
-    return builder(min(longer)[0]) if longer else builder(n)
+def _keep_longest(form: str, series: QSeries) -> QSeries:
+    """series, held in _LONGEST if it is the longest of its form built."""
+    longest = _LONGEST.get(form)
+    if longest is None or longest.precision < series.precision:
+        _LONGEST[form] = series
+    return series
 
 
 @_cached
@@ -274,19 +269,16 @@ def delta_qexp(N: int) -> QSeries:
     Coefficient of q^n is tau(n); the constant term is exactly 0.
     """
     N = _check_n(N)
-    with _BUILT_LOCK:
-        live = _DELTA_BUILT.get(N)
-    if live is not None:  # dropped by the cache, held elsewhere
-        return live
+    longest = _LONGEST.get("delta")
+    if longest is not None and longest.precision == N:  # the cache dropped it
+        return longest
     eta3 = _eta_cubed(N - 1)
     eta6 = _schoolbook(eta3, eta3, N - 1)  # eta^3 is sparse: no transform
     eta12 = _kronecker(eta6, eta6, N - 1)
     # eta24[i] = tau(i + 1), and Deligne's |tau(n)| <= d(n) n^(11/2) with
     # d(n) <= 2 sqrt(n) bounds it by 2 N^6
     eta24 = _kronecker(eta12, eta12, N - 1, 2 * N**6)
-    with _BUILT_LOCK:
-        series = _DELTA_BUILT[N] = QSeries._of([0] + eta24, N)
-    return series
+    return _keep_longest("delta", QSeries._of([0] + eta24, N))
 
 
 def _divisor_power_sums(N: int, e: int) -> list:
@@ -342,16 +334,12 @@ def g2p_qexp(p: int, N: int) -> QSeries:
 def g20_qexp(N: int) -> QSeries:
     """The normalized weight-20 cusp eigenform E_8 * Delta to precision N."""
     N = _check_n(N)
-    with _BUILT_LOCK:
-        live = _G20_BUILT.get(N)
-    if live is not None:
-        return live
+    longest = _LONGEST.get("g20")
+    if longest is not None and longest.precision == N:
+        return longest
     # Deligne: |b(n)| <= d(n) n^(19/2) <= 2 N^10 for n <= N
     e8, delta = eisenstein_qexp(8, N).coeffs, delta_qexp(N).coeffs
-    slots = _kronecker(e8, delta, N, 2 * N**10)
-    with _BUILT_LOCK:
-        series = _G20_BUILT[N] = QSeries._of(slots, N)
-    return series
+    return _keep_longest("g20", QSeries._of(_kronecker(e8, delta, N, 2 * N**10), N))
 
 
 def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
@@ -420,8 +408,8 @@ def lemma1_local_check(p: int, order: int) -> bool:
 
     with a + a' = tau(p), a a' = p^11, b + b' = b(p), b b' = p^19.  Both
     sides are expanded with exact integer symmetric-function arithmetic.
-    The coefficients are read in place from a longer Delta or g20 series
-    when one is already cached.
+    The coefficients are read in place from the longest Delta and g20
+    series built (_LONGEST) when it reaches far enough.
     """
     p, order = _as_int(p, "p"), _as_int(order, "order")
     if p not in (2, 3, 5, 7):
@@ -429,8 +417,12 @@ def lemma1_local_check(p: int, order: int) -> bool:
     if not 0 <= order <= 10:
         raise ValueError("order must be in 0..10")
     n_direct = max(min(p**order, _DIRECT_COEFF_CAP), p)  # tau(p), b(p) even at order 0
-    tau_series = _shortest_live(delta_qexp, _DELTA_BUILT, n_direct)
-    b_series = _shortest_live(g20_qexp, _G20_BUILT, n_direct)
+
+    def reach(build, form: str) -> QSeries:  # _LONGEST[form] read once
+        longest = _LONGEST.get(form)
+        return build(max(n_direct, longest.precision) if longest else n_direct)
+
+    tau_series, b_series = reach(delta_qexp, "delta"), reach(g20_qexp, "g20")
 
     def prime_powers(series: QSeries, pk_weight: int) -> list:
         out = [1]

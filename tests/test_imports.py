@@ -63,21 +63,39 @@ def _benchmark_runner():
     return module
 
 
+def _benchmark_worker_lru_cached() -> tuple:
+    """perfbench/worker.py's LRU_CACHED, read with ast: importing the
+    worker would start its speed probe."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    (value,) = [
+        node.value for node in tree.body if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LRU_CACHED"]
+    ]
+    return ast.literal_eval(value)
+
+
 def test_names_the_benchmark_reads_exist():
     # run.py traces these functions (--trace 1 raises KeyError without
-    # one), worker.py reads the two per-n caches, and exact-n5000 reads
-    # PiValue.as_monomial and .monomials
+    # one), worker.py reads the two per-n caches and the lru caches of the
+    # q-series builders it lists (assert_cold and the tracer's coeffs_built
+    # counter), and exact-n5000 reads PiValue.as_monomial and .monomials
     for layer, names in _benchmark_runner().TRACED_FUNCTIONS.items():
         module = importlib.import_module(f"spinl.{layer}")
         for name in names:
             fn = getattr(module, name, None)
             assert not name.startswith("_") and callable(fn), (layer, name)
             assert fn.__module__ == module.__name__, (layer, name, fn.__module__)
-    from spinl import projection_coeffs, zeta_exact
+    from spinl import projection_coeffs, qexp, zeta_exact
     from spinl.numeric_lfun import evaluators
 
     for cache in (evaluators._NODE_CACHE, evaluators._KI1_CACHE):
         assert len(cache) >= 0
+    lru_cached = _benchmark_worker_lru_cached()
+    assert lru_cached
+    for name in lru_cached:
+        builder = getattr(qexp, name)
+        assert callable(builder.cache_info) and callable(builder.cache_clear), name
+        assert builder.cache_info().maxsize, name
     q, e = projection_coeffs(3).a1.as_monomial()
     assert type(q) is Fraction and type(e) is int
     assert zeta_exact(2).monomials == ((Fraction(1, 6), 2),)

@@ -28,8 +28,8 @@ from spinl import rankin_coeffs
 from spinl.numeric_lfun import context, evaluators, special, verify_tables
 from spinl.numeric_lfun.bigfloat import GUARD
 from spinl.numeric_lfun.evaluators import (
-    _DESCENT_CACHE, _G_TOP, _MOMENT_CACHE, _NODE_CACHE, _band_pair, _deg2_table, _deg4_band,
-    _deg4_moments, _deg4_node, _grid_x, _seeded_chain,
+    _G_TOP, _NODE_CACHE, _band_chain, _deg2_table, _deg4_band, _deg4_moments, _deg4_node,
+    _grid_x, _seeded_chain,
 )
 
 REF_DPS = 92
@@ -233,7 +233,7 @@ def _pair_errors(mp, D, ns, reference):
     against reference(n) = (K_0, K_1) at X_n = 4 pi sqrt(n), in mp."""
     worst = mp.zero
     for n in ns:
-        k0, k1, exp = _band_pair(n, D)
+        k0, k1, exp = _band_chain(D)[-n]
         for man, want in zip((k0, k1), reference(n)):
             worst = max(worst, abs(mp.make_mpf(from_man_exp(man, exp)) / want - 1))
     return worst
@@ -271,8 +271,9 @@ def test_descent_against_the_series(D):
 
 
 def _clear_degree4():
-    for cache in (_DESCENT_CACHE, _NODE_CACHE, _MOMENT_CACHE):
-        cache.clear()
+    _band_chain.cache_clear()
+    _NODE_CACHE.clear()
+    _deg4_moments.cache_clear()
 
 
 @pytest.mark.parametrize("D, M", [(30, 150), (60, 300)])

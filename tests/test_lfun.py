@@ -59,6 +59,13 @@ def _ulp(v, dps) -> Fraction:
     return Fraction(2) ** (exp + bc - dps_to_prec(dps))
 
 
+def _fresh_kernel_cache(patch):
+    """Give kernel_mellin_check an empty cache of its own under patch, so
+    that a run is cold and leaves the shared cache as it was."""
+    fresh = functools.lru_cache(maxsize=4)(evaluators._kernel_errors.__wrapped__)
+    patch.setattr(evaluators, "_kernel_errors", fresh)
+
+
 def _deg4_term(ctx, s, n):
     """F(s, (2 pi)^2 n) at ctx's precision, read through _deg4_sum with the
     unit coefficient vector at n."""
@@ -364,7 +371,7 @@ class TestKernel:
     def test_coarser_step_raises(self, monkeypatch):
         # twice the step is the node set one level too coarse
         monkeypatch.setattr(evaluators, "_KERNEL_RATE", 2 * evaluators._KERNEL_RATE)
-        monkeypatch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
+        _fresh_kernel_cache(monkeypatch)
         with pytest.raises(QuadratureError):
             kernel_mellin_check(13, 30)
 
@@ -381,7 +388,7 @@ class TestKernel:
             patch.setattr(
                 evaluators, "_kernel_pairs", lambda xs, d: seen.append((xs, d, pairs(xs, d))) or seen[-1][2]
             )
-            patch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
+            _fresh_kernel_cache(patch)
             evaluators._kernel_errors(dps)
         ((xs, d, got),) = seen
         assert d == dps + 12
@@ -447,7 +454,7 @@ class TestKernel:
     def test_half_step_gate_has_margin(self, monkeypatch, dps):
         # the a-priori step passes the gate with ten times to spare
         monkeypatch.setattr(evaluators, "_KERNEL_GATE", evaluators._KERNEL_GATE + 1)
-        monkeypatch.setattr(evaluators, "_KERNEL_CACHE", evaluators._BoundedCache(4))
+        _fresh_kernel_cache(monkeypatch)
         kernel_mellin_check(19, dps)
 
 
@@ -755,7 +762,9 @@ class TestDeg4SumRoutes:
         quad = _deg4_quad(ctx, s, 1)
         assert abs(got - quad) / abs(quad) < ctx.mpf("1e-35")
         mu = mpf_sub(mpf_shift(s._mpf_, 1), from_int(25))  # 2s - 25, exactly
-        assert any(key[0] == ("deg4", mu) for key in evaluators._MOMENT_CACHE._data)
+        hits = evaluators._deg4_moments.cache_info().hits
+        evaluators._deg4_moments((1,), mu, ctx.dps)  # the moments of mu, cached
+        assert evaluators._deg4_moments.cache_info().hits == hits + 1
 
     def test_s_11_5_sums_the_even_chain(self, monkeypatch):
         # m = 2s - 23 = 0 is tau_0, the seed of the class mu = 0: no per-n
@@ -877,7 +886,7 @@ class TestMoments:
             low = min(e for _, e in entries)
             return low, tuple(m << e - low for m, e in entries)
 
-        got = evaluators._moments("synthetic", coeffs, dps, vector, lambda n: 0.0)
+        got = evaluators._moments(coeffs, dps, vector, lambda n: 0.0)
         for j, col in enumerate(columns):
             exact = sum(c * Fraction(m) * Fraction(2) ** e for c, (m, e) in zip(coeffs, col))
             want = mpf_div(
@@ -901,13 +910,13 @@ class TestMoments:
 
         moments, built = evaluators._moments, []
 
-        def recording(kind, coeffs, dps, vector, scale):
+        def recording(coeffs, dps, vector, scale):
             def kept(n, d):
                 v = vector(n, d)
                 built.append((coeffs[n - 1], v))
                 return v
 
-            return moments(kind, coeffs, dps, kept, scale)
+            return moments(coeffs, dps, kept, scale)
 
         monkeypatch.setattr(evaluators, "_moments", recording)
         A = rankin_coeffs(M)
@@ -919,7 +928,7 @@ class TestMoments:
             sets += [(evaluators._deg2_moments, a, f) for f in (1, 0.25)]
         dps = D + GUARD
         for moments_of, coeffs, param in sets:
-            evaluators._MOMENT_CACHE.clear()
+            moments_of.cache_clear()
             built.clear()
             got = moments_of(coeffs, param, dps)
             assert len(got) == 20 and len(built) == sum(map(bool, coeffs))
@@ -1142,7 +1151,7 @@ class TestLevels:
         for parity in (0, 1):
             evaluators._NODE_CACHE.clear()
             evaluators._KI1_CACHE.clear()
-            evaluators._MOMENT_CACHE.clear()
+            evaluators._deg4_moments.cache_clear()
             got = evaluators._deg4_moments(A, parity, dps)
             if crook == "A(2) 0":
                 assert not any(key[0] == 2 for key in evaluators._NODE_CACHE._data)

@@ -5,6 +5,7 @@ caller did to a context it was handed."""
 
 import math
 import threading
+from functools import lru_cache
 
 import pytest
 from mpmath.libmp import dps_to_prec, from_float, from_man_exp, fzero, mpf_pos, round_nearest
@@ -32,14 +33,33 @@ from spinl.numeric_lfun.special import _k0_k1
 
 
 PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE)
-CACHES = PER_N_CACHES + (
-    evaluators._DESCENT_CACHE, evaluators._MOMENT_CACHE, evaluators._KERNEL_CACHE,
+# the evaluators' lru-cached functions, taken here so that a test may patch
+# their names
+LRU_CACHED = (
+    evaluators._band_chain, evaluators._deg2_moments, evaluators._deg4_moments,
+    evaluators._kernel_errors,
 )
 
 
 def _clear_caches():
-    for cache in CACHES:
+    for cache in PER_N_CACHES:
         cache.clear()
+    for fn in LRU_CACHED:
+        fn.cache_clear()
+
+
+def _recording(monkeypatch):
+    """Every value the lru-cached functions give from here on, by (name,
+    *args): each name is patched to record what its cached function
+    returns."""
+    entries = {}
+    for fn in LRU_CACHED:
+        def recorded(*args, fn=fn):
+            out = entries[(fn.__name__, *args)] = fn(*args)
+            return out
+
+        monkeypatch.setattr(evaluators, fn.__name__, recorded)
+    return entries
 
 
 def _numbers(entry):
@@ -100,7 +120,7 @@ def _state():
     """Every cache the numeric layer and the q-series keep, and the
     contexts made so far, as comparable snapshots."""
     return (
-        [dict(cache._data) for cache in CACHES],
+        [dict(cache._data) for cache in PER_N_CACHES] + [fn.cache_info() for fn in LRU_CACHED],
         [getattr(qexp, name).cache_info().currsize for name in ("delta_qexp", "g20_qexp", "rankin_coeffs")],
         sorted(bigfloat._VALUE_CONTEXTS),
         sorted(getattr(bigfloat._threads, "pool", {})),
@@ -251,23 +271,27 @@ class TestValuesIgnoreContextMutation:
         assert repr(after) == repr(before)
         assert repr(before / 3 + before * before) == repr(derived)
 
-    def test_cached_values_live_in_value_contexts(self):
+    def test_cached_values_live_in_value_contexts(self, monkeypatch):
         # a cached number typed to a working context would round at that
         # context's precision of the moment, in whichever thread reads it;
         # the degree-4 per-n data are plain integers at a node exponent and
         # the moments libmp values, each rounded once at its key's dps
         _clear_caches()
+        lru_entries = _recording(monkeypatch)
         l_rankin4(rankin_coeffs(14), 14, 20, 14)
         functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 12)
         l_degree2(delta_qexp(30), 12, 6, 20, 30)
         kernel_mellin_check(13, 20)
-        for cache in CACHES:
-            assert cache
-            for key, entry in cache._data.items():
+        assert all(fn.cache_info().currsize for fn in LRU_CACHED)
+        for entries in [cache._data for cache in PER_N_CACHES] + [lru_entries]:
+            assert entries
+            for key, entry in entries.items():
                 home = round_to(key[-1], 1).context
                 for v in _numbers(entry):
                     assert type(v) is int or v.context is home
-        for key, entry in evaluators._MOMENT_CACHE._data.items():
+        for key, entry in lru_entries.items():
+            if key[0] not in ("_deg2_moments", "_deg4_moments"):
+                continue
             for v in entry:
                 assert type(v) is tuple and len(v) == 4
                 assert mpf_pos(v, dps_to_prec(key[-1]), round_nearest) == v
@@ -352,21 +376,36 @@ class TestBoundedCaches:
     def test_caches_have_a_fixed_cap(self):
         for cache in PER_N_CACHES:
             assert cache.cap == evaluators._CACHE_CAP >= 300
-        assert evaluators._MOMENT_CACHE.cap == evaluators._MOMENT_CAP > 0
-        assert evaluators._KERNEL_CACHE.cap == evaluators._MOMENT_CAP
+        # the moments, the band's descent and the kernel errors share one
+        # fixed size
+        assert {fn.cache_parameters()["maxsize"] for fn in LRU_CACHED} == {64}
 
     def test_moment_cache_is_bounded(self):
         # one entry per coefficient set: distinct crooked sets evict the
         # oldest instead of growing
         tau = delta_qexp(30).integer_coeffs()
         ctx = context(30)
+        moments = evaluators._deg2_moments
+        cap = moments.cache_parameters()["maxsize"]
         _clear_caches()
-        for i in range(evaluators._MOMENT_CAP + 5):
+        for i in range(cap + 5):
             evaluators._lambda(
                 ctx, 2, 12, 1, tuple(tau[n] + i * (n == 3) for n in range(1, 21)), 6
             )
-            assert len(evaluators._MOMENT_CACHE) <= evaluators._MOMENT_CAP
-        assert len(evaluators._MOMENT_CACHE) == evaluators._MOMENT_CAP
+            assert moments.cache_info().currsize <= cap
+        assert moments.cache_info().currsize == cap
+        _clear_caches()
+
+    @pytest.mark.parametrize("D, M, band", [(30, 150, (21, 1)), (60, 300, (57, 1))])
+    def test_verify_memo_traffic(self, D, M, band):
+        # a cold verify run takes the Rankin moments once (one class, the
+        # integer s) and the degree-2 moments once per form, each read
+        # again by every later value: 39 of 42 moment reads are hits; the
+        # band's descent is made once and read by every node below the band
+        memos = (evaluators._deg4_moments, evaluators._deg2_moments, evaluators._band_chain)
+        _clear_caches()
+        verify_tables(D, M)
+        assert [fn.cache_info()[:2] for fn in memos] == [(15, 1), (24, 2), band]
         _clear_caches()
 
     def test_per_n_caches_read_by_the_benchmark_remain(self):
@@ -383,16 +422,23 @@ class TestBoundedCaches:
         full_r = repr(functional_eq_residual(spec, None, 13.5, 20, 12))
         full_2 = repr(l_degree2(form, 12, 6, 20, 30))
         assert all(len(cache) > 5 for cache in PER_N_CACHES)
-        assert len(evaluators._MOMENT_CACHE) > 1
+        moments = (evaluators._deg2_moments, evaluators._deg4_moments)
+        assert sum(fn.cache_info().currsize for fn in moments) > 1
         _clear_caches()
         for cache in PER_N_CACHES:
             monkeypatch.setattr(cache, "cap", 5)
-        monkeypatch.setattr(evaluators._MOMENT_CACHE, "cap", 1)
+        # the moments of both degrees in caches of one entry each
+        small = [lru_cache(maxsize=1)(fn.__wrapped__) for fn in moments]
+        for fn in small:
+            monkeypatch.setattr(evaluators, fn.__name__, fn)
         for _ in range(2):
             assert repr(l_rankin4(A, 14, 20, 14)) == full_l
             assert repr(functional_eq_residual(spec, None, 13.5, 20, 12)) == full_r
             assert repr(l_degree2(form, 12, 6, 20, 30)) == full_2
-            assert all(len(cache) <= cache.cap for cache in CACHES)
+            assert all(len(cache) <= cache.cap for cache in PER_N_CACHES)
+            for fn in (*small, *LRU_CACHED):
+                info = fn.cache_info()
+                assert info.currsize <= info.maxsize
         _clear_caches()
 
 
@@ -455,18 +501,17 @@ class TestLevelsMakeNoContexts:
         # one set of Delta moments and round once to D
         from spinl.numeric_lfun.bigfloat import GUARD
 
-        built = []
+        built, moments = [], evaluators._moments
 
-        class Recording(evaluators._BoundedCache):
-            def __setitem__(self, key, value):
-                built.append(key)
-                super().__setitem__(key, value)
+        def recording(coeffs, dps, vector, scale):  # one call per moment cache miss
+            built.append((scale, coeffs))
+            return moments(coeffs, dps, vector, scale)
 
-        monkeypatch.setattr(evaluators, "_MOMENT_CACHE", Recording(evaluators._MOMENT_CAP))
+        monkeypatch.setattr(evaluators, "_moments", recording)
         work, value = self._requested(monkeypatch, lambda: verify_tables(D, M))
         assert work == {D + GUARD}
         assert value == {D}
-        delta = [key for key in built if key[0][0] == "deg2" and key[1][:2] == (1, -24)]
+        delta = [c for scale, c in built if scale is evaluators._deg2_scale and c[:2] == (1, -24)]
         assert len(delta) == 1
 
     @pytest.mark.parametrize("argv", [("verify",), ("--format", "json", "table", "4")])

@@ -5,7 +5,6 @@ import decimal
 import hashlib
 import random
 import threading
-import weakref
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
@@ -66,13 +65,12 @@ class TestQSeries:
                              ids=lambda f: f.__name__)
     def test_n_not_an_int_refused_before_and_after_the_int_build(self, monkeypatch, build, N):
         # 5.0 once raised TypeError on a cold start and, once the series of
-        # 5 was live, returned it (its registry of live series matched the
+        # 5 was live, returned it (a registry of live series matched the
         # key 5); None raised TypeError from a comparison
         import spinl.qexp as q
 
         build.cache_clear()
-        monkeypatch.setattr(q, "_DELTA_BUILT", weakref.WeakValueDictionary())
-        monkeypatch.setattr(q, "_G20_BUILT", weakref.WeakValueDictionary())
+        monkeypatch.setattr(q, "_LONGEST", {})
         for _ in range(2):
             with pytest.raises(ValueError, match=f"need an int N >= 1, got {N!r}$"):
                 build(N)
@@ -357,9 +355,8 @@ class TestKroneckerBudget:
             traps=[t for t, on in dec.traps.items() if on],
         )
         monkeypatch.setattr(q, "_DEC", ctx)
-        # empty registries: nothing is found live, so both forms are built
-        monkeypatch.setattr(q, "_DELTA_BUILT", weakref.WeakValueDictionary())
-        monkeypatch.setattr(q, "_G20_BUILT", weakref.WeakValueDictionary())
+        # no longest series held, so both forms are built
+        monkeypatch.setattr(q, "_LONGEST", {})
 
         delta = q.delta_qexp.__wrapped__(N)
         # two squarings, each packing one operand: its digits and one bias
@@ -761,38 +758,113 @@ class TestLemma1:
         assert built == []
         assert delta_qexp(5000) is held[0] and g20_qexp(5000) is held[1]
 
-    def test_cut_while_another_thread_builds(self):
-        # _shortest_live reads the registry of built series while delta_qexp
-        # inserts into it; unguarded, the reader's iteration raised
-        # RuntimeError within the first few builds
+    def test_checks_while_another_thread_builds(self, monkeypatch):
+        # Lemma 1 and the builders read each _LONGEST entry once while this
+        # thread builds ever longer Delta and g20 series and replaces them
+        # there: every check must get a series long enough to read and
+        # hold, and a build asked for the longest's precision must return
+        # a series of exactly that precision.  The checker records any
+        # exception instead of dying with it, and must have run
         import sys
 
         import spinl.qexp as q
 
-        errors, held, stop = [], [], threading.Event()
+        monkeypatch.setattr(q, "_LONGEST", {})
+        errors, results, stop = [], [], threading.Event()
 
-        def reader():
+        def checker():
             while not stop.is_set():
                 try:
-                    q._shortest_live(delta_qexp, q._DELTA_BUILT, 1)
-                except RuntimeError as exc:
+                    results.append(q.lemma1_local_check(3, 6))
+                    N = q._LONGEST["delta"].precision
+                    results.append(q.delta_qexp.__wrapped__(N).precision == N)
+                except Exception as exc:
                     errors.append(exc)
                     return
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        thread = threading.Thread(target=reader)
+        thread = threading.Thread(target=checker)
         thread.start()
         try:
-            for N in range(100, 400):
-                held.append(delta_qexp(N))
+            for N in range(600, 900, 3):
+                q.delta_qexp.__wrapped__(N)
+                q.g20_qexp.__wrapped__(N)
                 if errors:
                     break
         finally:
             stop.set()
-            thread.join()
+            thread.join(timeout=60)
             sys.setswitchinterval(interval)
+        assert not thread.is_alive()
         assert errors == []
+        assert results and all(results)
+        assert [q._LONGEST[form].precision for form in ("delta", "g20")] == [897, 897]
+
+    def test_reads_the_longest_once_per_call(self, monkeypatch):
+        # another thread may replace an entry between two reads, so the
+        # precision checked and the series used must come from one read: a
+        # builder asked for the longest's precision reads _LONGEST once,
+        # and Lemma 1 once per form
+        import spinl.qexp as q
+
+        reads = []
+
+        class Counting(dict):
+            def get(self, form, default=None):
+                reads.append(form)
+                return super().get(form, default)
+
+            def __getitem__(self, form):
+                reads.append(form)
+                return super().__getitem__(form)
+
+        held = {"delta": delta_qexp(300), "g20": g20_qexp(300)}
+        monkeypatch.setattr(q, "_LONGEST", Counting(held))
+        assert q.delta_qexp.__wrapped__(300) is held["delta"]
+        assert q.g20_qexp.__wrapped__(300) is held["g20"]
+        assert reads == ["delta", "g20"]
+        reads.clear()
+        assert q.lemma1_local_check(3, 5) is True  # n_direct = 243: the 300s, cached
+        assert reads == ["delta", "g20"]
+
+    def test_longest_is_kept_and_returned(self, monkeypatch):
+        # one strong reference per form to the longest series built: a
+        # shorter build leaves it, a longer one replaces it, and a build at
+        # exactly its precision returns it without building
+        import spinl.qexp as q
+
+        monkeypatch.setattr(q, "_LONGEST", {})
+        built, eta_cubed = [], q._eta_cubed
+        monkeypatch.setattr(q, "_eta_cubed", lambda n: built.append(n + 1) or eta_cubed(n))
+        build = q.delta_qexp.__wrapped__
+        longest = build(30)
+        assert build(20).precision == 20 and q._LONGEST["delta"] is longest
+        assert build(30) is longest and built == [30, 20]
+        assert q.g20_qexp.__wrapped__(30).precision == 30 and built == [30, 20]
+        assert q._LONGEST["g20"].precision == 30
+        assert build(40) is q._LONGEST["delta"] and built == [30, 20, 40]
+
+    def test_checks_ask_for_the_longest(self, monkeypatch):
+        # Lemma 1 calls the module's builders at max(n_direct, longest): an
+        # lru hit on the longest series, read in place
+        import spinl.qexp as q
+
+        monkeypatch.setattr(q, "_LONGEST", {})
+        q.delta_qexp.__wrapped__(300)
+        q.g20_qexp.__wrapped__(300)
+        asked = []
+        for name in ("delta_qexp", "g20_qexp"):
+            real = getattr(q, name)
+            monkeypatch.setattr(
+                q, name, lambda n, name=name, real=real: asked.append((name, n)) or real(n)
+            )
+        assert q.lemma1_local_check(2, 3) is True  # n_direct = 8
+        assert asked == [("delta_qexp", 300), ("g20_qexp", 300)]
+        assert q.lemma1_local_check(3, 6) is True  # n_direct = 729
+        # (a cold g20 build at 729 asks for Delta at 729 once more)
+        assert asked[2:4] == [("delta_qexp", 729), ("g20_qexp", 729)]
+        assert set(asked[4:]) <= {("delta_qexp", 729)}
 
     @pytest.mark.parametrize("longer", [False, True])
     def test_reads_the_prime_powers_in_place(self, monkeypatch, longer):
@@ -809,14 +881,13 @@ class TestLemma1:
         built, eta_cubed = [], q._eta_cubed
         monkeypatch.setattr(q, "_eta_cubed", lambda n: built.append(n + 1) or eta_cubed(n))
         monkeypatch.setattr(q.QSeries, "integer_coeffs", copying)
-        if not longer:  # no cache, and a registry emptied before every check
+        if not longer:  # no cache, and no longest series before every check
             monkeypatch.setattr(q, "delta_qexp", q.delta_qexp.__wrapped__)
             monkeypatch.setattr(q, "g20_qexp", q.g20_qexp.__wrapped__)
         for p in (2, 3, 5, 7):
             for order in range(11):
                 if not longer:
-                    monkeypatch.setattr(q, "_DELTA_BUILT", weakref.WeakValueDictionary())
-                    monkeypatch.setattr(q, "_G20_BUILT", weakref.WeakValueDictionary())
+                    monkeypatch.setattr(q, "_LONGEST", {})
                 assert q.lemma1_local_check(p, order) is True, (p, order)
                 if not longer:
                     assert built.pop() == max(min(p**order, 4096), p) and not built

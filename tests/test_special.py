@@ -84,6 +84,15 @@ class TestTanhSinh:
             tanh_sinh(ctx, lambda x: seen.append(x) or x * x, 0, 1, max_level=max_level)
         assert seen == []
 
+    @pytest.mark.parametrize("max_level", [5.0, "5", None], ids=repr)
+    def test_max_level_not_an_int_refused_before_any_evaluation(self, max_level):
+        # 5.0 passed the level check and raised TypeError from range()
+        ctx = context(30)
+        seen = []
+        with pytest.raises(ValueError, match=f"max_level must be an int, got {max_level!r}$"):
+            tanh_sinh(ctx, lambda x: seen.append(x) or x * x, 0, 1, max_level=max_level)
+        assert seen == []
+
     def test_unconverged_last_level_raises(self):
         # x^1.5 at max_level = 4 ends with its last delta 11 times the gate,
         # and was once returned as converged
