@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List
 
 from .critical_values import (
@@ -207,7 +210,10 @@ def _add_common(parser, top: bool) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use (not at import);
+    parse_args keeps no state in it, so every call may share it."""
     parser = argparse.ArgumentParser(
         prog="spinl",
         description=(
@@ -229,12 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """The OSError open(path, "w") would raise for a directory given as the
+    file or a missing (or non-directory) parent, raised before any work."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.prec < MIN_DPS:
         print(f"--prec must be >= {MIN_DPS} digits", file=sys.stderr)
         return 2
     try:
+        if args.out:
+            _check_out(args.out)
         if args.command == "table":
             return _cmd_table(args)
         if args.command == "coeffs":

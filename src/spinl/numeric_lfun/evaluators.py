@@ -205,9 +205,10 @@ _CACHE_CAP = 2048
 _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
 
-# the moments, the band's descent and the kernel errors, by their arguments:
-# the coefficient values themselves (never the accessor that produced
-# them), mu or f as passed, and dps; a moment key holds all M coefficients
+# the moments, the band's descent, the kernel errors and the degree-2 M
+# floors, by their arguments: the coefficient values themselves (never the
+# accessor that produced them), mu or f as passed, and dps; a moment key
+# holds all M coefficients
 _memo = lru_cache(maxsize=64)
 
 
@@ -261,6 +262,7 @@ def _deg2_tail_ok(k: int, M: int, dps: int) -> bool:
     return log10_tail < -(dps + 2)
 
 
+@_memo
 def _deg2_m(k: int, dps: int) -> int:
     """The fewest coefficients whose degree-2 sum _deg2_tail_ok accepts at
     dps digits: the one choice of M wherever the package picks it."""
@@ -529,17 +531,21 @@ def _seeded_chain(n: int, dps: int, node: _Node, mu) -> tuple:
 
 def _falling(ctx, s):
     """[p_0(s), ..., p_11(s)], p_j(s) = (s-1)(s-2)...(s-j): the only
-    s-dependent factors of the closed form."""
-    p = [ctx.one]
+    s-dependent factors of the closed form, as libmp values, each
+    difference and product rounded to ctx's precision as ctx's own mpf
+    operators round them."""
+    prec, s = ctx.prec, s._mpf_
+    p = [fone]
     for j in range(1, 12):
-        p.append(p[-1] * (s - j))
+        d = mpf_sub(s, from_int(j), prec, round_nearest)
+        p.append(mpf_mul(p[-1], d, prec, round_nearest))
     return p
 
 
 def _dot(ctx, p, v):
-    """sum_j p_j v_j rounded once in ctx, for libmp values v_j: what
+    """sum_j p_j v_j rounded once in ctx, for libmp values p_j and v_j: what
     ctx.fdot computes, without its conversion of every v_j."""
-    terms = [mpf_mul(x._mpf_, y) for x, y in zip(p, v)]
+    terms = [mpf_mul(x, y) for x, y in zip(p, v)]
     return ctx.make_mpf(mpf_sum(terms, ctx.prec, round_nearest))
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinl import cli
 from spinl.cli import factor_integer, factored_form, main
 
 
@@ -132,6 +133,19 @@ class TestTableCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch, target):
+        # a missing directory, or a directory given as the file, is refused
+        # before the computation (it once ran the whole verify first)
+        def reached(*args):
+            raise AssertionError("verify_tables ran for an unwritable --out")
+
+        monkeypatch.setattr("spinl.cli.verify_tables", reached)
+        code, out, err = run(capsys, "--out", str(tmp_path / target), "verify")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
     def test_bad_table_number_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -334,6 +348,81 @@ class TestFormatMatrix:
             reader = csv.DictReader(out.splitlines())
             assert reader.fieldnames == fields
             assert len(list(reader)) == n_rows
+
+
+def _fresh(*argv):
+    """(exit code, stdout, stderr) of `python -m spinl.cli *argv` in a new
+    interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "spinl.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return r.returncode, r.stdout, r.stderr
+
+
+class TestWarmPath:
+    """A process builds its parser once; the shared parser carries nothing
+    from one call to the next."""
+
+    VERIFY = ("--prec", "15", "--coeffs", "20", "--tol", "1e-3", "--format", "json", "verify")
+
+    def test_two_verify_calls_build_the_parser_once(self, tmp_path):
+        cli._parser.cache_clear()
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for target in outs:
+            assert main(["--out", str(target), *self.VERIFY]) == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_each_call_reads_as_a_fresh_process(self, capsys):
+        calls = [
+            ("--prec", "16", "--coeffs", "20", "--tol", "1e-3", "verify", "--format", "csv"),
+            ("--format", "yaml", "table", "2"),
+            ("--prec", "18", "--coeffs", "25", "--tol", "1e-3", "--format", "json", "verify"),
+        ]
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            got = capsys.readouterr()
+            assert (code, got.out, got.err) == _fresh(*argv), argv
+        assert code == 0
+
+    def test_threads_write_identical_bytes(self, tmp_path):
+        # more threads than the CI box's two cores, switching as often as
+        # the interpreter allows, share one parser and the numeric caches
+        import sys
+        import threading
+
+        cli._parser.cache_clear()
+        outs = [tmp_path / f"{i}.json" for i in range(3)]
+        codes = []
+        argv = ("--prec", "17", "--coeffs", "25", "--tol", "1e-3", "--format", "json", "verify")
+        threads = [
+            threading.Thread(target=lambda t=t: codes.append(main(["--out", str(t), *argv])))
+            for t in outs
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [0, 0, 0]
+        assert len({t.read_bytes() for t in outs}) == 1
 
 
 class TestDeterminism:

@@ -258,6 +258,32 @@ class TestDeg2M:
         for D in range(15, 401):
             assert evaluators._deg2_m(k, D) == old_m(D)
 
+    def test_verify_searches_each_floor_once(self, monkeypatch):
+        # _deg2_m is memoized: a verify run searches each (k, dps) it uses
+        # once, and a second run searches none
+        from spinl.numeric_lfun import verify_tables
+
+        searched = []
+        tail_ok = evaluators._deg2_tail_ok
+
+        def spy(k, M, dps):
+            searched.append((k, dps))
+            return tail_ok(k, M, dps)
+
+        monkeypatch.setattr(evaluators, "_deg2_tail_ok", spy)
+        evaluators._deg2_m.cache_clear()
+        verify_tables(30, 150)
+        info = evaluators._deg2_m.cache_info()
+        used = set(searched)
+        assert used == {(12, 30), (20, 30)}
+        assert info.misses == info.currsize == len(used)
+        assert info.hits > 0
+        for k, dps in used:  # one search of M = 1, 2, ..., _deg2_m(k, dps)
+            assert searched.count((k, dps)) == evaluators._deg2_m(k, dps)
+        searched.clear()
+        verify_tables(30, 150)
+        assert searched == [] and evaluators._deg2_m.cache_info().misses == len(used)
+
     @pytest.mark.parametrize("D", [30, 80])
     def test_delta_rows_do_not_follow_the_degree4_m(self, D):
         # once tied to M, verify_tables(80, 20) took 20 coefficients and
@@ -847,7 +873,22 @@ class TestSplit:
             mu, want = self._old(s)
             got = evaluators._deg4_sum(ctx, (1,), ctx.make_mpf(s))
             assert asked.pop() == mu
-            assert got == 2 * evaluators._falling(ctx, ctx.make_mpf(s))[11]
+            assert got == 2 * ctx.make_mpf(evaluators._falling(ctx, ctx.make_mpf(s))[11])
+
+    @pytest.mark.parametrize("D", [15, 30, 60])
+    def test_falling_rounds_as_the_context_does(self, D):
+        # _falling once multiplied context mpfs; its libmp values must be
+        # that product, bit for bit, at every s the grid holds
+        ctx = context(D)
+
+        def oracle(s):
+            p = [ctx.one]
+            for j in range(1, 12):
+                p.append(p[-1] * (s - j))
+            return [x._mpf_ for x in p]
+
+        for s in map(ctx.make_mpf, _split_grid()):
+            assert evaluators._falling(ctx, s) == oracle(s)
 
 
 class TestMoments:
