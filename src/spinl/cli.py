@@ -133,7 +133,6 @@ def _cmd_table(args) -> int:
         "rows": rows,
         "petersson": petersson,
         "precision_digits": args.prec,
-        "coefficients_used": args.coeffs,
     }
     lines = [f"table {which}"]
     for r in rows:

@@ -95,6 +95,9 @@ def _value_context(dps: int):
 
 def round_to(dps: int, value):
     """Re-round a value to D digits (the canonical return step)."""
+    v = getattr(value, "_mpf_", None)
+    if v is not None:  # what convert reads of an mpf, rounded as unary + rounds
+        return _rounded(dps, v)
     return +_value_context(dps).convert(value)
 
 

@@ -86,7 +86,12 @@ per-n step makes an mpmath context.
 
 Every public entry point at D digits works in context(D + GUARD), sums its
 moments at D + GUARD and rounds once to D; the helpers it composes
-(_lambda, _l_value2, _norm) take that context and round nothing.
+(_lambda, _l_value2) take that context and round nothing, and _norm works
+in it.  A repeated call redoes only its dots: _coefficients reads a held
+series as one slice of its tuple, and the factors that depend on s and
+the precision alone (_falling, _deg2_factors, _deg4_factors) and the norms
+per (k, r, D) (_norm) are memoized as libmp values in no context, the
+numbers the call would compute, in any thread.
 """
 
 from __future__ import annotations
@@ -109,7 +114,9 @@ from mpmath.libmp import (
 
 from ..exact_arith import _zeta_rational, bernoulli
 from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
-from .bigfloat import GUARD, MIN_DPS, _check_dps, _check_real, context, render_exact, round_to
+from .bigfloat import (
+    GUARD, MIN_DPS, _check_dps, _check_real, _rounded, context, render_exact, round_to,
+)
 from .quadrature import QuadratureError
 from .special import (
     _LN2, _LN10, _divisor, _k0_k1, _k_up, _ki1, _legendre_seed, _libmp, _pair_wp, _series_cut,
@@ -205,10 +212,11 @@ _CACHE_CAP = 2048
 _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
 
-# the moments, the band's descent, the kernel errors and the degree-2 M
-# floors, by their arguments: the coefficient values themselves (never the
-# accessor that produced them), mu or f as passed, and dps; a moment key
-# holds all M coefficients
+# the moments, the band's descent, the kernel errors, the degree-2 M
+# floors, the s-side factors and the norms, by their arguments: the
+# coefficient values themselves (never the accessor that produced them),
+# mu, f or s as passed, and dps (prec for _falling); a moment key holds all
+# M coefficients
 _memo = lru_cache(maxsize=64)
 
 
@@ -328,12 +336,22 @@ def _split(a) -> tuple:
     return f, j
 
 
+@_memo
+def _deg2_factors(s, dps: int) -> tuple:
+    """((2 pi)^s, Gamma(s)) in context(dps) for a libmp s, as libmp values:
+    the two factors L(s) = Lambda(s) (2 pi)^s / Gamma(s) applies at degree 2."""
+    ctx = context(dps)
+    s = ctx.make_mpf(s)
+    return ((2 * ctx.pi) ** s)._mpf_, ctx.gamma(s)._mpf_
+
+
 def _l_value2(ctx, coeffs: tuple, k: int, s):
     """L(s) of the weight-k form with coefficients (a(1), ..., a(M)) in ctx,
     unrounded beyond it."""
     s = ctx.convert(s)
     lam = _lambda(ctx, 2, k, (-1) ** (k // 2), coeffs, s)
-    return lam * (2 * ctx.pi) ** s / ctx.gamma(s)
+    power, gamma = map(ctx.make_mpf, _deg2_factors(s._mpf_, ctx.dps))
+    return lam * power / gamma
 
 
 def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
@@ -529,17 +547,17 @@ def _seeded_chain(n: int, dps: int, node: _Node, mu) -> tuple:
     return chain
 
 
-def _falling(ctx, s):
-    """[p_0(s), ..., p_11(s)], p_j(s) = (s-1)(s-2)...(s-j): the only
-    s-dependent factors of the closed form, as libmp values, each
-    difference and product rounded to ctx's precision as ctx's own mpf
+@_memo
+def _falling(s, prec: int) -> tuple:
+    """(p_0(s), ..., p_11(s)), p_j(s) = (s-1)(s-2)...(s-j) for a libmp s:
+    the only s-dependent factors of the closed form, as libmp values, each
+    difference and product rounded to prec bits as a context's own mpf
     operators round them."""
-    prec, s = ctx.prec, s._mpf_
     p = [fone]
     for j in range(1, 12):
         d = mpf_sub(s, from_int(j), prec, round_nearest)
         p.append(mpf_mul(p[-1], d, prec, round_nearest))
-    return p
+    return tuple(p)
 
 
 def _dot(ctx, p, v):
@@ -586,7 +604,16 @@ def _deg4_sum(ctx, coeffs: tuple, s):
     s = ctx.convert(s)
     f, j = _split(s._mpf_)
     v = _deg4_moments(coeffs, mpf_sub(mpf_shift(f, 1), fone), ctx.dps)
-    return 2 * _dot(ctx, _falling(ctx, s), (*v[:11], v[j]))
+    return 2 * _dot(ctx, _falling(s._mpf_, ctx.prec), (*v[:11], v[j]))
+
+
+@_memo
+def _deg4_factors(s: int, dps: int) -> tuple:
+    """((2 pi)^(2s), Gamma(s) Gamma(s-11)) in context(dps) for an integer s,
+    as libmp values: the two factors L(s) = Lambda(s) (2 pi)^(2s) /
+    (Gamma(s) Gamma(s-11)) applies at degree 4."""
+    ctx = context(dps)
+    return ((2 * ctx.pi) ** (2 * s))._mpf_, (ctx.gamma(s) * ctx.gamma(s - 11))._mpf_
 
 
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
@@ -599,7 +626,8 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     c = _coefficients(coeffs.__getitem__, M, 4, 31, dps)
     ctx = context(dps + GUARD)
     lam = _lambda(ctx, 4, 31, +1, c, int(s))
-    return round_to(dps, lam * (2 * ctx.pi) ** (2 * s) / (ctx.gamma(s) * ctx.gamma(s - 11)))
+    power, gammas = map(ctx.make_mpf, _deg4_factors(int(s), ctx.dps))
+    return round_to(dps, lam * power / gammas)
 
 
 # the kernel check's trapezoid error falls like C e^(-c/h) in its step
@@ -728,15 +756,28 @@ def _check_m(M: int, degree: int, w: int, dps: int) -> None:
                          f"need M >= {need}")
 
 
+# the tuple behind the __getitem__ of each series type the package builds
+_HELD = {QSeries: "coeffs", RankinCoeffs: "values"}
+
+
 def _coefficients(a: Callable[[int], int], M: int, degree: int, w: int, dps: int) -> tuple:
     """(a(1), ..., a(M)) through the accessor a, the one reader of every
     entry point, once _check_m accepts M; ValueError also for an a(n)
-    beyond the accessor (IndexError) or one that is not an int."""
+    beyond the accessor (IndexError) or one that is not an int.  The
+    __getitem__ of a QSeries or RankinCoeffs holding a tuple is read as one
+    slice of it up to its precision; any other accessor is mapped."""
     _check_m(M, degree, w, dps)
-    try:
-        c = tuple(map(a, range(1, M + 1)))
-    except IndexError as err:
-        raise ValueError(f"M={M} beyond the coefficients: {err}") from None
+    owner = getattr(a, "__self__", None)
+    field = _HELD.get(type(owner))
+    held = getattr(owner, field) if field else None
+    if (type(held) is tuple and getattr(a, "__func__", None) is type(owner).__getitem__
+            and M <= owner.precision and M < len(held)):
+        c = held[1:M + 1]
+    else:
+        try:
+            c = tuple(map(a, range(1, M + 1)))
+        except IndexError as err:
+            raise ValueError(f"M={M} beyond the coefficients: {err}") from None
     if set(map(type, c)) != {int}:
         raise ValueError(f"coefficients must be int, got {sorted({type(x).__name__ for x in c})}")
     return c
@@ -799,9 +840,12 @@ def functional_eq_residual(
 _VALID_NORM_ARGS = {(12, 4), (20, 4), (20, 6), (20, 8)}
 
 
-def _norm(ctx, k: int, r: int, dps: int):
-    """<f_k, f_k> by Rankin's formula in ctx from the _deg2_m(k, dps)
-    coefficients of f_k, unrounded beyond ctx."""
+@_memo
+def _norm(k: int, r: int, dps: int):
+    """<f_k, f_k> by Rankin's formula in context(dps + GUARD) from the
+    _deg2_m(k, dps) coefficients of f_k, a libmp value unrounded beyond that
+    context."""
+    ctx = context(dps + GUARD)
     M = _deg2_m(k, dps)
     l = k - r
     alpha = {j: -Fraction(2 * j) / bernoulli(j) for j in (r, l, k)}
@@ -810,7 +854,7 @@ def _norm(ctx, k: int, r: int, dps: int):
     coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
     L1, L2 = _l_value2(ctx, coeffs, k, k - 1), _l_value2(ctx, coeffs, k, l)
     value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / render_exact(ctx, _zeta_rational(l), l)
-    return value * render_exact(ctx, ratio, 0) * L1 * L2
+    return (value * render_exact(ctx, ratio, 0) * L1 * L2)._mpf_
 
 
 def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
@@ -830,5 +874,4 @@ def petersson_norm(k: int, r: int, dps: int) -> PeterssonNorm:
         ok = False
     if not ok:
         raise ValueError(f"unsupported (k, r) = ({k}, {r})")
-    value = _norm(context(dps + GUARD), k, r, dps)
-    return PeterssonNorm(k, round_to(dps, value), k - r)
+    return PeterssonNorm(k, _rounded(dps, _norm(k, r, dps)), k - r)

@@ -68,8 +68,9 @@ class VerificationReport(NamedTuple):
 
 
 def _norms(ctx, dps: int) -> dict:
-    """The norm each PeterssonFactors names, in ctx from _norm at dps digits."""
-    dn, gn = (_norm(ctx, k, 4, dps) for k in (12, 20))
+    """The norm each PeterssonFactors names, in ctx = context(dps + GUARD)
+    from _norm at dps digits."""
+    dn, gn = (ctx.make_mpf(_norm(k, 4, dps)) for k in (12, 20))
     F = PeterssonFactors
     return {F.DELTA_DELTA: dn, F.G20_G20: gn, F.BOTH: dn * gn}
 

@@ -79,7 +79,8 @@ class TestTableCommand:
         assert row["pi_exponent"] == 13
         assert row["numeric"].startswith("5.3800035628803")
         assert doc["precision_digits"] == 30
-        assert doc["coefficients_used"] == 150
+        # table reads no coefficients, so its JSON names no count of them
+        assert "coefficients_used" not in doc
 
     def test_json_round_trip_byte_identical(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "table", "2")
@@ -432,16 +433,18 @@ class TestDeterminism:
     VERIFY_30_150_SHA256 = "3df26ecbd449c4960f44a83ec462d02db1c838a39ce8d46b7a466bb50db74d35"
     # the same at `--prec 60 --coeffs 300`
     VERIFY_60_300_SHA256 = "d00c21585d835b437d9a29145f5811f967cb8978de1ee84c1539c155b63dc86b"
-    # sha256 of `spinl --prec D --format json table T`: the norms' path
+    # sha256 of `spinl --prec D --format json table T`: the norms' path;
+    # re-baselined when the payload dropped "coefficients_used", which
+    # echoed --coeffs although table reads no coefficients
     TABLE_JSON_SHA256 = {
-        (1, 30): "cf2fdaa46d4041720e5f3e8832b9aa0a34217b8a453cbbf26d537e1f4e9255a3",
-        (1, 60): "ccc1d0586c14c48edee40bf5dae4d9d0042debad20497cdcf85427dae70b6a52",
-        (2, 30): "286a3ec5c352218c282abd9d093f68b5fa989a573d2a6e1c89e60e79226a3671",
-        (2, 60): "53d06861359332efc9dc42dee6891641b25d7b6409b87eabe047fa1ef8cdfc80",
-        (3, 30): "8bf6d1e197f04010d8af800f7808c4576992852f3c2f2d4f2432b9228e1dfa6b",
-        (3, 60): "eb1c108803590f5d81012e7c353f157f153b4e11d71d6c730e0c63e456d55a5c",
-        (4, 30): "0a72dea24338b9a5367c0079ca903e41e11d7acd604cbb40f5710dd48d325a50",
-        (4, 60): "873c6a8d69ae9cc5399c3b2c63a56d5c786872cd10d7fbc55f37a08c2da15d7a",
+        (1, 30): "07d6e9d0121c9565567c8c99c74ebd34d90d13d03d7fa4d516ab8b85f0588449",
+        (1, 60): "409cdf074dbde144cff55c23c4976587efb9baba53035163dc29830a693482b1",
+        (2, 30): "1937c93e16303668de6fe0eeaa6e139d47ef7e3181b1a0f0d83e10bcbbe23430",
+        (2, 60): "fa3820acfbb14e314b707034fc71149279fc252d104526d3638d9493ca6afe65",
+        (3, 30): "6296c366781abe6db3d40498c436e8f4b31cca1d53574bfb1f33ad705848a1e7",
+        (3, 60): "8aabde058d3ac54e482452dfb27b7e83664bbfcecec83c1e68177c5267bc16e1",
+        (4, 30): "8c1d9b583a8ed327d8007920c685ab0de7d52161bde70515ffe3879840d6837e",
+        (4, 60): "f1e1171ac366ea0ca3fdc997df97bbab9d892216133a63db6107ac335ddd2554",
     }
     # sha256 of `spinl --prec D --format F table T` for T = 1..4, joined:
     # the exact columns and the numeric one at D digits

@@ -272,6 +272,7 @@ class TestDeg2M:
 
         monkeypatch.setattr(evaluators, "_deg2_tail_ok", spy)
         evaluators._deg2_m.cache_clear()
+        evaluators._norm.cache_clear()  # a memoized norm reads no floor
         verify_tables(30, 150)
         info = evaluators._deg2_m.cache_info()
         used = set(searched)
@@ -873,7 +874,7 @@ class TestSplit:
             mu, want = self._old(s)
             got = evaluators._deg4_sum(ctx, (1,), ctx.make_mpf(s))
             assert asked.pop() == mu
-            assert got == 2 * ctx.make_mpf(evaluators._falling(ctx, ctx.make_mpf(s))[11])
+            assert got == 2 * ctx.make_mpf(evaluators._falling(s, ctx.prec)[11])
 
     @pytest.mark.parametrize("D", [15, 30, 60])
     def test_falling_rounds_as_the_context_does(self, D):
@@ -885,10 +886,110 @@ class TestSplit:
             p = [ctx.one]
             for j in range(1, 12):
                 p.append(p[-1] * (s - j))
-            return [x._mpf_ for x in p]
+            return tuple(x._mpf_ for x in p)
 
         for s in map(ctx.make_mpf, _split_grid()):
-            assert evaluators._falling(ctx, s) == oracle(s)
+            assert evaluators._falling(s._mpf_, ctx.prec) == oracle(s)
+
+
+
+class TestSFactors:
+    """The s-side factors and the norms are memoized as libmp values; each
+    must be the number its per-call expression gives in a fresh context."""
+
+    MEMOS = ("_falling", "_deg2_factors", "_deg4_factors", "_norm")
+
+    @staticmethod
+    def _norm_oracle(k, r, D):
+        # Rankin's formula with every factor written out per call
+        from spinl.exact_arith import _zeta_rational, bernoulli
+        from spinl.numeric_lfun.bigfloat import GUARD, render_exact
+
+        ctx = context(D + GUARD)
+        M, l = evaluators._deg2_m(k, D), k - r
+        alpha = {j: -Fraction(2 * j) / bernoulli(j) for j in (r, l, k)}
+        ratio = alpha[r] / (alpha[l] + alpha[r] - alpha[k])
+        coeffs = (delta_qexp(M) if k == 12 else g20_qexp(M)).coeffs[1:M + 1]
+
+        def L(s):
+            s = ctx.convert(s)
+            lam = evaluators._lambda(ctx, 2, k, (-1) ** (k // 2), coeffs, s)
+            return lam * (2 * ctx.pi) ** s / ctx.gamma(s)
+
+        value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / render_exact(ctx, _zeta_rational(l), l)
+        return (value * render_exact(ctx, ratio, 0) * L(k - 1) * L(l))._mpf_
+
+    @pytest.mark.parametrize("D", [15, 30, 60])
+    def test_each_memo_equals_its_expression(self, D):
+        memos = [getattr(evaluators, name) for name in self.MEMOS]
+        for fn in memos:
+            fn.cache_clear()
+        misses = []
+        for _ in range(2):  # the misses, then only hits
+            misses.append([fn.cache_info().misses for fn in memos])
+            ctx = context(D)
+            for s in [*map(ctx.mpf, range(12, 20)), ctx.mpf(31) / 2 + ctx.mpf(1) / 7]:
+                p = [ctx.one]
+                for j in range(1, 12):
+                    p.append(p[-1] * (s - j))
+                assert evaluators._falling(s._mpf_, ctx.prec) == tuple(x._mpf_ for x in p)
+                want = ((2 * ctx.pi) ** s)._mpf_, ctx.gamma(s)._mpf_
+                assert evaluators._deg2_factors(s._mpf_, D) == want
+            for s in range(12, 20):
+                want = ((2 * ctx.pi) ** (2 * s))._mpf_, (ctx.gamma(s) * ctx.gamma(s - 11))._mpf_
+                assert evaluators._deg4_factors(s, D) == want
+            for k, r in sorted(evaluators._VALID_NORM_ARGS):
+                assert evaluators._norm(k, r, D) == self._norm_oracle(k, r, D)
+        assert all(misses[1]) and [fn.cache_info().misses for fn in memos] == misses[1]
+
+
+class TestCoefficientSlices:
+    """_coefficients reads a series the package holds as one slice of its
+    tuple, and refuses what the accessor would refuse."""
+
+    @staticmethod
+    def _spied(monkeypatch):
+        calls = []
+        for cls in (QSeries, RankinCoeffs):
+            def spy(self, n, real=cls.__getitem__):
+                calls.append(n)
+                return real(self, n)
+
+            monkeypatch.setattr(cls, "__getitem__", spy)
+        return calls
+
+    def test_held_series_read_as_slices(self, monkeypatch):
+        form, A = delta_qexp(60), rankin_coeffs(60)
+        want = [tuple(form[n] for n in range(1, 31)), tuple(A[n] for n in range(1, 51))]
+        calls = self._spied(monkeypatch)
+        got = [evaluators._coefficients(form.__getitem__, 30, 2, 12, 30),
+               evaluators._coefficients(A.__getitem__, 50, 4, 31, 30)]
+        assert got == want and calls == []
+
+    def test_refusals_past_the_held_coefficients(self):
+        # past the precision, and past a tuple shorter than the precision
+        cases = [
+            (QSeries._of(delta_qexp(60).coeffs, 40).__getitem__, 41, 2, 12),
+            (RankinCoeffs(60, rankin_coeffs(40).values).__getitem__, 41, 4, 31),
+        ]
+        for a, M, degree, w in cases:
+            with pytest.raises(ValueError, match="beyond the coefficients"):
+                evaluators._coefficients(a, M, degree, w, 30)
+
+    def test_a_list_or_a_custom_accessor_is_mapped_on_every_call(self):
+        A = rankin_coeffs(40)
+        listed = RankinCoeffs(40, list(A.values))
+        want = A.values[1:41]
+        assert evaluators._coefficients(listed.__getitem__, 40, 4, 31, 30) == want
+        seen = []
+
+        def a(n):
+            seen.append(n)
+            return A[n]
+
+        for _ in range(2):
+            assert evaluators._coefficients(a, 40, 4, 31, 30) == want
+        assert seen == [*range(1, 41)] * 2
 
 
 class TestMoments:

@@ -37,7 +37,8 @@ PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE)
 # their names
 LRU_CACHED = (
     evaluators._band_chain, evaluators._deg2_moments, evaluators._deg4_moments,
-    evaluators._kernel_errors,
+    evaluators._kernel_errors, evaluators._falling, evaluators._deg2_factors,
+    evaluators._deg4_factors, evaluators._norm,
 )
 
 
@@ -114,6 +115,28 @@ class TestContextPool:
             context(14)
         with pytest.raises(ValueError):
             round_to(14, 1)
+
+
+class TestRoundTo:
+    """round_to of an mpf rounds its libmp value once, with no conversion:
+    the number +convert gives in the value context."""
+
+    @pytest.mark.parametrize("D", [15, 30, 61])
+    def test_mpf_equals_convert_then_plus(self, D):
+        home = bigfloat._value_context(D)
+        for src in (D - 7 if D > 22 else D + 3, D, D + 29):
+            ctx = context(src)
+            values = [ctx.pi, +ctx.pi, ctx.mpf(1) / 3, -ctx.sqrt(2) * 10**40,
+                      ctx.mpf(2) ** -300 / 7, ctx.mpf(0), ctx.mpf(5)]
+            for x in values:
+                got = round_to(D, x)
+                want = +home.convert(x)
+                assert got.context is home and got._mpf_ == want._mpf_
+
+    def test_int_and_str_keep_the_convert_path(self):
+        home = bigfloat._value_context(20)
+        for x in (7, -3 * 10**40, "0.1", "2.5e-30"):
+            assert round_to(20, x)._mpf_ == (+home.convert(x))._mpf_
 
 
 def _state():
@@ -282,6 +305,7 @@ class TestValuesIgnoreContextMutation:
         functional_eq_residual(rankin_lfunction(14), None, 13.5, 20, 12)
         l_degree2(delta_qexp(30), 12, 6, 20, 30)
         kernel_mellin_check(13, 20)
+        petersson_norm(12, 4, 20)  # the one caller of the norm memo
         assert all(fn.cache_info().currsize for fn in LRU_CACHED)
         for entries in [cache._data for cache in PER_N_CACHES] + [lru_entries]:
             assert entries
@@ -336,6 +360,32 @@ class TestThreads:
         serial = build()
         _clear_caches()
         assert _in_threads(build, build) == [serial, serial]
+
+    def test_three_threads_at_a_short_switch_interval_give_identical_bytes(self):
+        # three cold verify runs fill the s-side factor and norm memos at
+        # once, switching as often as the interpreter allows
+        import json
+        import sys
+
+        def dump():
+            return json.dumps(verify_tables(20, 40).as_dict(), sort_keys=True).encode()
+
+        _clear_caches()
+        serial = dump()
+        _clear_caches()
+        outs = []
+        threads = [threading.Thread(target=lambda: outs.append(dump())) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert outs == [serial] * 3
 
     def test_kernel_check_concurrent_equals_serial(self):
         def seven():
@@ -401,11 +451,41 @@ class TestBoundedCaches:
         # a cold verify run takes the Rankin moments once (one class, the
         # integer s) and the degree-2 moments once per form, each read
         # again by every later value: 39 of 42 moment reads are hits; the
-        # band's descent is made once and read by every node below the band
-        memos = (evaluators._deg4_moments, evaluators._deg2_moments, evaluators._band_chain)
+        # band's descent is made once and read by every node below the
+        # band.  The falling factorials are made once per s and read again
+        # at 31 - s; the degree-2 factors once per s, L(8, Delta) read by
+        # the Delta norm and a Delta row; the degree-4 factors once per s
+        # and each norm once
+        memos = (
+            evaluators._deg4_moments, evaluators._deg2_moments, evaluators._band_chain,
+            evaluators._falling, evaluators._deg2_factors, evaluators._deg4_factors,
+            evaluators._norm,
+        )
         _clear_caches()
         verify_tables(D, M)
-        assert [fn.cache_info()[:2] for fn in memos] == [(15, 1), (24, 2), band]
+        assert [fn.cache_info()[:2] for fn in memos] == [
+            (15, 1), (24, 2), band, (8, 8), (1, 12), (0, 8), (0, 2),
+        ]
+        _clear_caches()
+
+    def test_a_warm_verify_reads_no_coefficient_and_misses_no_memo(self, monkeypatch):
+        # the second run reads each coefficient set as a slice of the
+        # series' tuple and finds every s-side factor and norm memoized
+        _clear_caches()
+        first = verify_tables(60, 300)
+        reads = []
+        for cls in (qexp.QSeries, qexp.RankinCoeffs):
+            def spy(self, n, real=cls.__getitem__):
+                reads.append(n)
+                return real(self, n)
+
+            monkeypatch.setattr(cls, "__getitem__", spy)
+        new = (evaluators._falling, evaluators._deg2_factors, evaluators._deg4_factors, evaluators._norm)
+        misses = [fn.cache_info().misses for fn in new]
+        second = verify_tables(60, 300)
+        assert reads == []
+        assert [fn.cache_info().misses for fn in new] == misses
+        assert [list(map(repr, row)) for row in second.rows] == [list(map(repr, row)) for row in first.rows]
         _clear_caches()
 
     def test_per_n_caches_read_by_the_benchmark_remain(self):
