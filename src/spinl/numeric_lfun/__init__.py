@@ -6,20 +6,18 @@ formula, and the table verification harness.
 Every entry point takes an explicit decimal precision D and never touches
 mpmath's global context.  Each works at D + GUARD digits and rounds once
 to D.  Work runs in contexts pooled per thread and per precision, and
-results come back in per-D value contexts (see `bigfloat`); the
-degree-4 per-coefficient data, the sums over n of both smoothed sums and
-the kernel check's errors are kept in bounded, thread-safe caches whose
-values are the same in every thread: two bounded mappings of the
-degree-4 nodes and the seeded chains of their classes mu (one per
-fractional part of 2s), as unrounded integers at one exponent per node,
-and lru caches of the K_0/K_1 pairs of the nodes below the Bessel series
-cut, one descent per precision, of every sum over n, per coefficient set
-and class, as libmp values, and of the kernel errors per precision, each
-rounded once into a value context.  Every smoothed sum refuses,
-before any work, an M below its floor: _deg2_m(k, D) at degree 2 and
-_deg4_m(D), every node below the cut, at degree 4.  The tables and the
-verification render their exact values in the run's one context and
-round once to D.
+results come back in per-D value contexts (see `bigfloat`).  What a
+repeated call would recompute is kept in bounded, thread-safe caches
+whose values are the same in every thread: the degree-4 nodes and the
+seeded chains of their classes mu, integers at one exponent per node;
+per their arguments, as integers or libmp values in no context, the
+K_0/K_1 descent below the Bessel series cut, the degree-2 coefficient
+floors, the sums over n, the L-values and the Petersson norms; and the
+kernel errors per precision, in a value context.  Every smoothed sum
+refuses a degree, weight or s outside its domain, then an M below its
+floor (_deg2_m(k, D) at degree 2, _deg4_m(D) at degree 4), before any
+a(n) is read.  The tables and the verification render their exact
+values in the run's one context and round once to D.
 """
 
 from .bigfloat import context, pi_value_numeric, render_exact, round_to

@@ -49,7 +49,7 @@ on R_mu = int_0^inf (cosh u)^(-mu-1) Gamma(mu+1, X cosh u) du.  The
 degree-4 domain is 11 < s < 20: there both
 sides have m in (-1, 17) and every p_j(s) >= 0, so F is a sum of positive
 terms; below s = 11 the p_j alternate and the closed form cancels, and
-_lambda refuses such an s.
+_side refuses such an s.
 
 Since a = (X/2)^2, every factor above is a power of r = 2/X:
 w_j = K_(10-j) r^(12+j), 2/a^11 = 2 r^22, tau_1 = K_1 r^23 and
@@ -84,14 +84,13 @@ slowest decay among the per-n entries; the degree-4 nodes below the band
 stay at dps, from one descent.  The per-n caches key on that level; no
 per-n step makes an mpmath context.
 
-Every public entry point at D digits works in context(D + GUARD), sums its
-moments at D + GUARD and rounds once to D; the helpers it composes
-(_lambda, _l_value2) take that context and round nothing, and _norm works
-in it.  A repeated call redoes only its dots: _coefficients reads a held
-series as one slice of its tuple, and the factors that depend on s and
-the precision alone (_falling, _deg2_factors, _deg4_factors) and the norms
-per (k, r, D) (_norm) are memoized as libmp values in no context, the
-numbers the call would compute, in any thread.
+Every public entry point at D digits works in context(D + GUARD) and
+rounds once to D; its helpers (_lambda, _l_value, _norm) round nothing.
+Each L-value, at either degree, is one _l_value: Lambda(s) over one gamma
+factor built from the Gamma_C shifts.  It and each norm are memoized as
+libmp values in no context, in any thread; with _coefficients reading a
+held series as one slice of its tuple, a repeated call redoes no sum, and
+a new s only its dots.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ def g20_lfunction(n_coeffs: int = 64) -> LFunctionSpec:
 
 def rankin_lfunction(n_coeffs: int = 200) -> LFunctionSpec:
     A = rankin_coeffs(n_coeffs)
-    return LFunctionSpec((0, 1, -11, -10), 1, 31, +1, lambda n: A[n])
+    return LFunctionSpec((0, 1, -11, -10), 1, 31, +1, A.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +212,8 @@ _NODE_CACHE = _BoundedCache(_CACHE_CAP)
 _KI1_CACHE = _BoundedCache(_CACHE_CAP)
 
 # the moments, the band's descent, the kernel errors, the degree-2 M
-# floors, the s-side factors and the norms, by their arguments: the
-# coefficient values themselves (never the accessor that produced them),
-# mu, f or s as passed, and dps (prec for _falling); a moment key holds all
-# M coefficients
+# floors, the L-values and the norms, by their arguments: all M coefficient
+# values (never their accessor), mu, f or s as passed, and dps
 _memo = lru_cache(maxsize=64)
 
 
@@ -336,35 +333,25 @@ def _split(a) -> tuple:
     return f, j
 
 
-@_memo
-def _deg2_factors(s, dps: int) -> tuple:
-    """((2 pi)^s, Gamma(s)) in context(dps) for a libmp s, as libmp values:
-    the two factors L(s) = Lambda(s) (2 pi)^s / Gamma(s) applies at degree 2."""
-    ctx = context(dps)
-    s = ctx.make_mpf(s)
-    return ((2 * ctx.pi) ** s)._mpf_, ctx.gamma(s)._mpf_
-
-
-def _l_value2(ctx, coeffs: tuple, k: int, s):
-    """L(s) of the weight-k form with coefficients (a(1), ..., a(M)) in ctx,
-    unrounded beyond it."""
-    s = ctx.convert(s)
-    lam = _lambda(ctx, 2, k, (-1) ** (k // 2), coeffs, s)
-    power, gamma = map(ctx.make_mpf, _deg2_factors(s._mpf_, ctx.dps))
-    return lam * power / gamma
+def _deg2_side(ctx, coeffs: tuple, a):
+    """S_a over coeffs at ctx's precision, for an mpf a > 0."""
+    f, j = _split(a._mpf_)
+    return ctx.make_mpf(_deg2_moments(coeffs, f, ctx.dps)[j])
 
 
 def l_degree2(form: QSeries, k: int, s, dps: int, M: int):
     """L(s, f) for a weight-k level-1 eigenform given by its q-expansion,
     via the incomplete-gamma smoothed sum over M coefficients, for real s
-    in the critical strip 0 < s < k; any other s raises ValueError (None or
-    a string before any work), and so does an M that _coefficients refuses."""
+    in the critical strip 0 < s < k; any other s raises ValueError before
+    any a(n) is read, and so does an M that _coefficients refuses."""
     _check_dps(dps)
     _check_real(s, "s")
     if k not in (12, 20):
         raise ValueError("supported weights are 12 and 20")
+    s = context(dps + GUARD).convert(s)
+    _side(2, k, s)
     coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
-    return round_to(dps, _l_value2(context(dps + GUARD), coeffs, k, s))
+    return _rounded(dps, _l_value((0,), k, (-1) ** (k // 2), coeffs, s._mpf_, dps + GUARD))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +534,6 @@ def _seeded_chain(n: int, dps: int, node: _Node, mu) -> tuple:
     return chain
 
 
-@_memo
 def _falling(s, prec: int) -> tuple:
     """(p_0(s), ..., p_11(s)), p_j(s) = (s-1)(s-2)...(s-j) for a libmp s:
     the only s-dependent factors of the closed form, as libmp values, each
@@ -607,15 +593,6 @@ def _deg4_sum(ctx, coeffs: tuple, s):
     return 2 * _dot(ctx, _falling(s._mpf_, ctx.prec), (*v[:11], v[j]))
 
 
-@_memo
-def _deg4_factors(s: int, dps: int) -> tuple:
-    """((2 pi)^(2s), Gamma(s) Gamma(s-11)) in context(dps) for an integer s,
-    as libmp values: the two factors L(s) = Lambda(s) (2 pi)^(2s) /
-    (Gamma(s) Gamma(s-11)) applies at degree 4."""
-    ctx = context(dps)
-    return ((2 * ctx.pi) ** (2 * s))._mpf_, (ctx.gamma(s) * ctx.gamma(s - 11))._mpf_
-
-
 def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     """L(s, Delta x g20) for s in 12..19 via the smoothed Bessel-kernel sum
     over M coefficients, M >= _deg4_m(dps), else ValueError; at s = 12 the
@@ -624,10 +601,7 @@ def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
     if s not in range(12, 20):
         raise ValueError("s must be an integer in 12..19")
     c = _coefficients(coeffs.__getitem__, M, 4, 31, dps)
-    ctx = context(dps + GUARD)
-    lam = _lambda(ctx, 4, 31, +1, c, int(s))
-    power, gammas = map(ctx.make_mpf, _deg4_factors(int(s), ctx.dps))
-    return round_to(dps, lam * power / gammas)
+    return _rounded(dps, _l_value((0, -11), 31, +1, c, from_int(int(s)), dps + GUARD))
 
 
 # the kernel check's trapezoid error falls like C e^(-c/h) in its step
@@ -783,25 +757,47 @@ def _coefficients(a: Callable[[int], int], M: int, degree: int, w: int, dps: int
     return c
 
 
-def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
-    """Lambda(s) = side(s) + eps side(w - s) over coeffs = (a(1), ..., a(M)),
-    with the moments at ctx's precision and w - s taken exactly: side(a) is
-    S_a at degree 2, for 0 < s < w <= 20, and sum_n A(n) F(a, (2 pi)^2 n) at
-    degree 4, for 11 < s < 20 at w = 31; any other s raises ValueError."""
-    s = ctx.convert(s)
-    r = mpf_sub(from_int(w), s._mpf_)
+def _side(degree: int, w: int, s):
+    """The side(ctx, coeffs, a) of Lambda at this degree and weight w for an
+    mpf s in its domain, _deg2_side for 0 < s < w <= 20, _deg4_sum for
+    11 < s < 20 at w = 31, else ValueError: the one domain check, made by
+    _lambda and by every entry point before it reads any a(n)."""
     if degree == 2:
         if not 0 < s < w <= _G_TOP + 1:
             raise ValueError(f"need 0 < s < k <= {_G_TOP + 1}, got s = {s}, k = {w}")
-        splits = map(_split, (s._mpf_, r))
-        left, right = (ctx.make_mpf(_deg2_moments(coeffs, f, ctx.dps)[j]) for f, j in splits)
-    elif degree == 4:
+        return _deg2_side
+    if degree == 4:
         if w != 31 or not 11 < s < 20:
             raise ValueError(f"need 11 < s < 20 at weight 31, got s = {s}, w = {w}")
-        left, right = (_deg4_sum(ctx, coeffs, a) for a in (s, ctx.make_mpf(r)))
-    else:
-        raise ValueError("only the degree-2 and degree-4 shapes are supported")
+        return _deg4_sum
+    raise ValueError("only the degree-2 and degree-4 shapes are supported")
+
+
+def _sides(ctx, degree: int, w: int, coeffs: tuple, s) -> tuple:
+    """(side(s), side(w - s)) over coeffs = (a(1), ..., a(M)) at ctx's
+    precision, w - s exact: side(a) (_side) is S_a at degree 2 and
+    sum_n A(n) F(a, (2 pi)^2 n) at degree 4."""
+    s = ctx.convert(s)
+    side, r = _side(degree, w, s), ctx.make_mpf(mpf_sub(from_int(w), s._mpf_))
+    return side(ctx, coeffs, s), side(ctx, coeffs, r)
+
+
+def _lambda(ctx, degree: int, w: int, sign: int, coeffs: tuple, s):
+    """Lambda(s) = side(s) + eps side(w - s) (_sides)."""
+    left, right = _sides(ctx, degree, w, coeffs, s)
     return left + sign * right
+
+
+@_memo
+def _l_value(shifts: tuple, w: int, sign: int, coeffs: tuple, s, dps: int):
+    """L(s) = Lambda(s) prod_c (2 pi)^s / Gamma(s + c) in context(dps), a
+    libmp value, for a libmp s, over the Gamma_C shifts c ((0,) for Delta
+    and g20, (0, -11) for Delta x g20): the one L-value of every entry point."""
+    ctx = context(dps)
+    s = ctx.make_mpf(s)
+    lam = _lambda(ctx, 2 * len(shifts), w, sign, coeffs, s)
+    gammas = ctx.fprod(ctx.gamma(s + c) for c in shifts)
+    return (lam * (2 * ctx.pi) ** (len(shifts) * s) / gammas)._mpf_
 
 
 def functional_eq_residual(
@@ -812,29 +808,27 @@ def functional_eq_residual(
     M: int,
 ):
     """|Lambda(t) - eps Lambda(w - t)| with both sides evaluated by the
-    smoothed sum, for t in the evaluator's domain (_lambda: 0 < t < k at
-    degree 2, 11 < t < 20 at degree 4); any other t raises ValueError (None
-    or a string before any work), and so does an M that _coefficients
+    smoothed sum, for t in the evaluator's domain (_side: 0 < t < k at
+    degree 2, 11 < t < 20 at degree 4); any other t, degree or weight raises
+    ValueError before any a(n) is read, and so does an M that _coefficients
     refuses, as in l_degree2 and l_rankin4: M must be at least
     _deg2_m(w, dps) at degree 2 and _deg4_m(dps) at degree 4, and a(1..M),
     from coeffs or else the spec's accessor, must all be ints.
 
-    This is not an accuracy certificate.  Both sides split the sum at the
+    This is not an accuracy certificate.  Both Lambdas split the sum at the
     symmetric point and w - t is taken exactly, so Lambda(w - t) adds the
-    same two sides as Lambda(t) in swapped order: the result is exactly 0
-    at every t.  A certificate would move the split point, the free
-    parameter of the smoothed functional equation, and compare."""
+    two sides of Lambda(t), each summed once, in swapped order: the result
+    is exactly 0 at every t.  A certificate would move the split point, the
+    free parameter of the smoothed functional equation, and compare."""
     _check_dps(dps)
     _check_real(t, "t")
-    w = spec.weight
-    c = _coefficients(spec.coefficients if coeffs is None else coeffs, M, spec.degree, w, dps)
+    w, sign = spec.weight, spec.sign
     ctx = context(dps + GUARD)
     t = ctx.convert(t)
-    left, right = (
-        _lambda(ctx, spec.degree, w, spec.sign, c, x)
-        for x in (t, ctx.make_mpf(mpf_sub(from_int(w), t._mpf_)))
-    )
-    return round_to(dps, abs(left - spec.sign * right))
+    _side(spec.degree, w, t)
+    c = _coefficients(spec.coefficients if coeffs is None else coeffs, M, spec.degree, w, dps)
+    a, b = _sides(ctx, spec.degree, w, c, t)  # Lambda(t) = a + eps b, Lambda(w - t) = b + eps a
+    return round_to(dps, abs(a + sign * b - sign * (b + sign * a)))
 
 
 _VALID_NORM_ARGS = {(12, 4), (20, 4), (20, 6), (20, 8)}
@@ -842,17 +836,15 @@ _VALID_NORM_ARGS = {(12, 4), (20, 4), (20, 6), (20, 8)}
 
 @_memo
 def _norm(k: int, r: int, dps: int):
-    """<f_k, f_k> by Rankin's formula in context(dps + GUARD) from the
-    _deg2_m(k, dps) coefficients of f_k, a libmp value unrounded beyond that
-    context."""
+    """<f_k, f_k> by Rankin's formula (petersson_norm), a libmp value in
+    context(dps + GUARD) and unrounded beyond it."""
     ctx = context(dps + GUARD)
-    M = _deg2_m(k, dps)
-    l = k - r
+    M, l = _deg2_m(k, dps), k - r
     alpha = {j: -Fraction(2 * j) / bernoulli(j) for j in (r, l, k)}
     ratio = alpha[r] / (alpha[l] + alpha[r] - alpha[k])
-    form = delta_qexp(M) if k == 12 else g20_qexp(M)
-    coeffs = _coefficients(form.__getitem__, M, 2, k, dps)
-    L1, L2 = _l_value2(ctx, coeffs, k, k - 1), _l_value2(ctx, coeffs, k, l)
+    coeffs = _coefficients((delta_qexp if k == 12 else g20_qexp)(M).__getitem__, M, 2, k, dps)
+    L1, L2 = (ctx.make_mpf(_l_value((0,), k, (-1) ** (k // 2), coeffs, from_int(s), ctx.dps))
+              for s in (k - 1, l))
     value = (4 * ctx.pi) ** (1 - k) * ctx.factorial(k - 2) / render_exact(ctx, _zeta_rational(l), l)
     return (value * render_exact(ctx, ratio, 0) * L1 * L2)._mpf_
 

@@ -893,11 +893,11 @@ class TestSplit:
 
 
 
-class TestSFactors:
-    """The s-side factors and the norms are memoized as libmp values; each
-    must be the number its per-call expression gives in a fresh context."""
+class TestLValueMemo:
+    """The L-values and the norms are memoized as libmp values; each must be
+    the number its per-call expression gives in a fresh context."""
 
-    MEMOS = ("_falling", "_deg2_factors", "_deg4_factors", "_norm")
+    MEMOS = ("_l_value", "_norm")
 
     @staticmethod
     def _norm_oracle(k, r, D):
@@ -924,6 +924,10 @@ class TestSFactors:
         memos = [getattr(evaluators, name) for name in self.MEMOS]
         for fn in memos:
             fn.cache_clear()
+        M2 = {k: evaluators._deg2_m(k, D) for k in (12, 20)}
+        forms = {k: (delta_qexp(M) if k == 12 else g20_qexp(M)).coeffs[1:M + 1] for k, M in M2.items()}
+        M4 = evaluators._deg4_m(D)
+        A = rankin_coeffs(M4).values[1:M4 + 1]
         misses = []
         for _ in range(2):  # the misses, then only hits
             misses.append([fn.cache_info().misses for fn in memos])
@@ -933,11 +937,18 @@ class TestSFactors:
                 for j in range(1, 12):
                     p.append(p[-1] * (s - j))
                 assert evaluators._falling(s._mpf_, ctx.prec) == tuple(x._mpf_ for x in p)
-                want = ((2 * ctx.pi) ** s)._mpf_, ctx.gamma(s)._mpf_
-                assert evaluators._deg2_factors(s._mpf_, D) == want
+            # degree 2: L(s) = Lambda(s) (2 pi)^s / Gamma(s)
+            points = [(12, s) for s in range(2, 12)] + [(20, ctx.mpf(31) / 2 + ctx.mpf(1) / 7)]
+            for k, s in points:
+                s, sign = ctx.convert(s), (-1) ** (k // 2)
+                lam = evaluators._lambda(ctx, 2, k, sign, forms[k], s)
+                want = (lam * (2 * ctx.pi) ** s / ctx.gamma(s))._mpf_
+                assert evaluators._l_value((0,), k, sign, forms[k], s._mpf_, D) == want
+            # degree 4: L(s) = Lambda(s) (2 pi)^(2s) / (Gamma(s) Gamma(s-11))
             for s in range(12, 20):
-                want = ((2 * ctx.pi) ** (2 * s))._mpf_, (ctx.gamma(s) * ctx.gamma(s - 11))._mpf_
-                assert evaluators._deg4_factors(s, D) == want
+                lam = evaluators._lambda(ctx, 4, 31, 1, A, s)
+                want = (lam * (2 * ctx.pi) ** (2 * s) / (ctx.gamma(s) * ctx.gamma(s - 11)))._mpf_
+                assert evaluators._l_value((0, -11), 31, 1, A, from_int(s), D) == want
             for k, r in sorted(evaluators._VALID_NORM_ARGS):
                 assert evaluators._norm(k, r, D) == self._norm_oracle(k, r, D)
         assert all(misses[1]) and [fn.cache_info().misses for fn in memos] == misses[1]
@@ -990,6 +1001,62 @@ class TestCoefficientSlices:
         for _ in range(2):
             assert evaluators._coefficients(a, 40, 4, 31, 30) == want
         assert seen == [*range(1, 41)] * 2
+
+    def test_the_rankin_spec_is_read_as_a_slice(self, monkeypatch):
+        # rankin_lfunction's accessor is the RankinCoeffs' own __getitem__:
+        # its residuals read a(1..M) as one slice, with the values and the
+        # refusals of an accessor that is mapped
+        A, M = rankin_coeffs(60), evaluators._deg4_m(30)
+        mapped = functional_eq_residual(rankin_lfunction(60), lambda n: A[n], 13.5, 30, M)
+        errors = []
+        for a in (rankin_lfunction(60).coefficients, lambda n: A[n]):
+            with pytest.raises(ValueError) as err:
+                functional_eq_residual(rankin_lfunction(60), a, 13.5, 30, 61)
+            errors.append(str(err.value))
+        calls = self._spied(monkeypatch)  # before the spec, whose accessor it becomes
+        spec = rankin_lfunction(60)
+        assert repr(functional_eq_residual(spec, None, 13.5, 30, M)) == repr(mapped)
+        assert calls == [] and errors[0] == errors[1]
+
+
+class _Counting:
+    """An accessor that counts its reads and gives a(n) = 1."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __getitem__(self, n):
+        self.reads += 1
+        return 1
+
+
+def _residual(shifts, w, a, t):
+    spec = evaluators.LFunctionSpec(shifts, 1, w, +1, a.__getitem__)
+    return functional_eq_residual(spec, None, t, 30, 50)
+
+
+class TestRefusedBeforeAnyRead:
+    """A degree, weight or s outside the evaluators' domain is refused
+    before the accessor gives any a(n), with the message _lambda gives."""
+
+    CASES = {
+        "degree 3": (lambda a: _residual((0, 1, 2), 12, a, 5), "only the degree-2 and degree-4"),
+        "t = 25 at k = 12": (lambda a: _residual((0, 1), 12, a, 25), r"need 0 < s < k <= 20, got s = 25\.0"),
+        "weight 30 at degree 4": (lambda a: _residual((0, 1, -11, -10), 30, a, 13.5),
+                                  r"need 11 < s < 20 at weight 31, got s = 13\.5, w = 30"),
+        "weight 22 at degree 2": (lambda a: _residual((0, 1), 22, a, 5), r"need 0 < s < k <= 20, .* k = 22"),
+        "l_degree2 s = 12 at k = 12": (lambda a: l_degree2(a, 12, 12, 30, 50), "need 0 < s < k <= 20"),
+        "l_degree2 s = -1": (lambda a: l_degree2(a, 20, -1, 30, 50), "need 0 < s < k <= 20"),
+        "l_rankin4 s = 20": (lambda a: l_rankin4(a, 20, 30, 50), "integer in 12..19"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_coefficient_read(self, case):
+        call, message = self.CASES[case]
+        a = _Counting()
+        with pytest.raises(ValueError, match=message):
+            call(a)
+        assert a.reads == 0
 
 
 class TestMoments:

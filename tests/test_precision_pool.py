@@ -37,8 +37,7 @@ PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE)
 # their names
 LRU_CACHED = (
     evaluators._band_chain, evaluators._deg2_moments, evaluators._deg4_moments,
-    evaluators._kernel_errors, evaluators._falling, evaluators._deg2_factors,
-    evaluators._deg4_factors, evaluators._norm,
+    evaluators._kernel_errors, evaluators._l_value, evaluators._norm,
 )
 
 
@@ -452,25 +451,22 @@ class TestBoundedCaches:
         # integer s) and the degree-2 moments once per form, each read
         # again by every later value: 39 of 42 moment reads are hits; the
         # band's descent is made once and read by every node below the
-        # band.  The falling factorials are made once per s and read again
-        # at 31 - s; the degree-2 factors once per s, L(8, Delta) read by
-        # the Delta norm and a Delta row; the degree-4 factors once per s
-        # and each norm once
+        # band.  Each L-value is made once, L(8, Delta) read again by a
+        # Delta row after the Delta norm made it, so the degree-2 moments
+        # serve 12 values, not 13; each norm is made once
         memos = (
             evaluators._deg4_moments, evaluators._deg2_moments, evaluators._band_chain,
-            evaluators._falling, evaluators._deg2_factors, evaluators._deg4_factors,
-            evaluators._norm,
+            evaluators._l_value, evaluators._norm,
         )
         _clear_caches()
         verify_tables(D, M)
-        assert [fn.cache_info()[:2] for fn in memos] == [
-            (15, 1), (24, 2), band, (8, 8), (1, 12), (0, 8), (0, 2),
-        ]
+        assert [fn.cache_info()[:2] for fn in memos] == [(15, 1), (22, 2), band, (1, 20), (0, 2)]
         _clear_caches()
 
     def test_a_warm_verify_reads_no_coefficient_and_misses_no_memo(self, monkeypatch):
         # the second run reads each coefficient set as a slice of the
-        # series' tuple and finds every s-side factor and norm memoized
+        # series' tuple and finds every L-value and norm memoized, so it
+        # looks up no moment
         _clear_caches()
         first = verify_tables(60, 300)
         reads = []
@@ -480,11 +476,14 @@ class TestBoundedCaches:
                 return real(self, n)
 
             monkeypatch.setattr(cls, "__getitem__", spy)
-        new = (evaluators._falling, evaluators._deg2_factors, evaluators._deg4_factors, evaluators._norm)
+        new = (evaluators._l_value, evaluators._norm)
+        moments = (evaluators._deg2_moments, evaluators._deg4_moments)
         misses = [fn.cache_info().misses for fn in new]
+        lookups = [fn.cache_info()[:2] for fn in moments]
         second = verify_tables(60, 300)
         assert reads == []
         assert [fn.cache_info().misses for fn in new] == misses
+        assert [fn.cache_info()[:2] for fn in moments] == lookups
         assert [list(map(repr, row)) for row in second.rows] == [list(map(repr, row)) for row in first.rows]
         _clear_caches()
 
