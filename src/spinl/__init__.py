@@ -19,7 +19,6 @@ from .exact_arith import (
 )
 from .qexp import (
     QSeries,
-    RankinCoeffs,
     delta_qexp,
     eisenstein_qexp,
     g20_qexp,
@@ -38,7 +37,6 @@ from .critical_values import (
     projection_coeffs,
     rankin_g20_value,
     two_delta_product,
-    whittaker_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +50,6 @@ __all__ = [
     "zeta_exact",
     "zeta_pole_over_gamma",
     "QSeries",
-    "RankinCoeffs",
     "delta_qexp",
     "eisenstein_qexp",
     "g20_qexp",
@@ -69,6 +66,5 @@ __all__ = [
     "projection_coeffs",
     "rankin_g20_value",
     "two_delta_product",
-    "whittaker_closed_form",
     "__version__",
 ]

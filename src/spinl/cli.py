@@ -146,13 +146,13 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# the builder of each form `coeffs` lists, all returning a QSeries
+_FORMS = {"delta": delta_qexp, "g20": g20_qexp, "rankin": rankin_coeffs}
+
+
 def _cmd_coeffs(args) -> int:
     n, form = args.nmax, args.form
-    if form == "rankin":
-        values = rankin_coeffs(n).values[1:]
-    else:
-        values = {"delta": delta_qexp, "g20": g20_qexp}[form](n).integer_coeffs()[1:]
-    values = [str(v) for v in values]
+    values = [str(v) for v in _FORMS[form](n).coeffs[1:]]
     rows = [{"n": i, form: v} for i, v in enumerate(values, start=1)]
     lines = [f"{i:4d}  {v}" for i, v in enumerate(values, start=1)]
     _write(args, {"form": form, "n_max": n, "values": values}, ["n", form], rows, lines)
@@ -226,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
     p_table.add_argument("table", type=int, choices=(1, 2, 3, 4))
     _add_common(p_table, top=False)
     p_coeffs = sub.add_parser("coeffs", help="exact coefficient listings")
-    p_coeffs.add_argument("form", choices=("delta", "g20", "rankin"))
+    p_coeffs.add_argument("form", choices=tuple(_FORMS))
     p_coeffs.add_argument("--nmax", type=int, default=15, help="largest index (default 15)")
     _add_common(p_coeffs, top=False)
     p_verify = sub.add_parser("verify", help="run the exact-vs-numeric verification")

@@ -29,13 +29,11 @@ import functools
 import operator
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .exact_arith import (
     PiValue,
-    _as_int,
     _zeta_rational,
-    falling_ratio,
     gamma_pole_ratio,
     zeta_pole_over_gamma,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "PeterssonFactors",
     "ProjectionCoeffs",
     "CriticalValueResult",
-    "whittaker_closed_form",
     "c_constants",
     "projection_coeffs",
     "two_delta_product",
@@ -76,23 +73,6 @@ class CriticalValueResult(NamedTuple):
     rational: Fraction
     pi_exponent: int
     petersson_factors: PeterssonFactors
-
-
-def whittaker_closed_form(alpha: int, r: int) -> List[Fraction]:
-    """Coefficients (ascending in y) of the degenerate Whittaker polynomial
-
-        W(y, alpha, -r) = sum_{i=0..r} (-1)^i C(r,i) [Gamma(alpha)/Gamma(alpha-i)] y^(r-i),
-
-    with the Gamma ratio continued through integer arguments as a falling
-    product.  Entry [j] is the coefficient of y^j.
-    """
-    alpha, r = _as_int(alpha, "alpha"), _as_int(r, "r")
-    if r < 0:
-        raise ValueError("need r >= 0")
-    coeffs = [Fraction(0)] * (r + 1)
-    for i in range(r + 1):
-        coeffs[r - i] = Fraction((-1) ** i * comb(r, i)) * falling_ratio(alpha, i)
-    return coeffs
 
 
 # typed: an s of another type never meets the entry of an int s

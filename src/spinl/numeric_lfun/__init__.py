@@ -20,7 +20,7 @@ a(n) is read.  The tables and the verification render their exact
 values in the run's one context and round once to D.
 """
 
-from .bigfloat import context, pi_value_numeric, render_exact, round_to
+from .bigfloat import context, render_exact, round_to
 from .evaluators import (
     LFunctionSpec,
     PeterssonNorm,
@@ -39,7 +39,6 @@ from .verify import VerificationReport, VerificationRow, verify_tables
 
 __all__ = [
     "context",
-    "pi_value_numeric",
     "render_exact",
     "round_to",
     "LFunctionSpec",

@@ -109,13 +109,6 @@ def _rounded(dps: int, v):
 
 def render_exact(ctx, q: Fraction, pi_exponent: int):
     """q pi^e in ctx: the one rendering of an exact value, for the tables,
-    the verification, the norms' zeta(l) and pi_value_numeric."""
+    the verification and the norms' zeta(l)."""
     return ctx.mpf(q.numerator) / q.denominator * ctx.pi**pi_exponent
 
-
-def pi_value_numeric(pv, dps: int):
-    """Evaluate an exact value to dps digits: the sum of q pi^e over the
-    (q, e) in pv.monomials."""
-    _check_dps(dps)
-    ctx = context(dps + GUARD)
-    return round_to(dps, sum(render_exact(ctx, q, e) for q, e in pv.monomials))

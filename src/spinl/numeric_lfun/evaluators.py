@@ -112,7 +112,7 @@ from mpmath.libmp import (
 )
 
 from ..exact_arith import _zeta_rational, bernoulli
-from ..qexp import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
+from ..qexp import QSeries, delta_qexp, g20_qexp, rankin_coeffs
 from .bigfloat import (
     GUARD, MIN_DPS, _check_dps, _check_real, _rounded, context, render_exact, round_to,
 )
@@ -157,16 +157,15 @@ class PeterssonNorm(NamedTuple):
 
 
 def delta_lfunction(n_coeffs: int = 64) -> LFunctionSpec:
-    return LFunctionSpec((0, 1), 1, 12, +1, delta_qexp(n_coeffs).integer_coeffs().__getitem__)
+    return LFunctionSpec((0, 1), 1, 12, +1, delta_qexp(n_coeffs).__getitem__)
 
 
 def g20_lfunction(n_coeffs: int = 64) -> LFunctionSpec:
-    return LFunctionSpec((0, 1), 1, 20, +1, g20_qexp(n_coeffs).integer_coeffs().__getitem__)
+    return LFunctionSpec((0, 1), 1, 20, +1, g20_qexp(n_coeffs).__getitem__)
 
 
 def rankin_lfunction(n_coeffs: int = 200) -> LFunctionSpec:
-    A = rankin_coeffs(n_coeffs)
-    return LFunctionSpec((0, 1, -11, -10), 1, 31, +1, A.__getitem__)
+    return LFunctionSpec((0, 1, -11, -10), 1, 31, +1, rankin_coeffs(n_coeffs).__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +592,11 @@ def _deg4_sum(ctx, coeffs: tuple, s):
     return 2 * _dot(ctx, _falling(s._mpf_, ctx.prec), (*v[:11], v[j]))
 
 
-def l_rankin4(coeffs: RankinCoeffs, s: int, dps: int, M: int):
+def l_rankin4(coeffs: QSeries, s: int, dps: int, M: int):
     """L(s, Delta x g20) for s in 12..19 via the smoothed Bessel-kernel sum
-    over M coefficients, M >= _deg4_m(dps), else ValueError; at s = 12 the
-    error reaches 10^-30 near M = 80 and 10^-60 near M = 230."""
+    over A(1..M), read from coeffs (rankin_coeffs' series) as one slice,
+    M >= _deg4_m(dps), else ValueError; at s = 12 the error reaches 10^-30
+    near M = 80 and 10^-60 near M = 230."""
     _check_dps(dps)
     if s not in range(12, 20):
         raise ValueError("s must be an integer in 12..19")
@@ -730,23 +730,16 @@ def _check_m(M: int, degree: int, w: int, dps: int) -> None:
                          f"need M >= {need}")
 
 
-# the tuple behind the __getitem__ of each series type the package builds
-_HELD = {QSeries: "coeffs", RankinCoeffs: "values"}
-
-
 def _coefficients(a: Callable[[int], int], M: int, degree: int, w: int, dps: int) -> tuple:
     """(a(1), ..., a(M)) through the accessor a, the one reader of every
     entry point, once _check_m accepts M; ValueError also for an a(n)
-    beyond the accessor (IndexError) or one that is not an int.  The
-    __getitem__ of a QSeries or RankinCoeffs holding a tuple is read as one
-    slice of it up to its precision; any other accessor is mapped."""
+    beyond the accessor (IndexError) or one that is not an int.  A
+    QSeries' own __getitem__ is read as one slice of its tuple, which holds
+    precision + 1 entries, for M up to its precision; any other accessor,
+    or a larger M, is mapped."""
     _check_m(M, degree, w, dps)
-    owner = getattr(a, "__self__", None)
-    field = _HELD.get(type(owner))
-    held = getattr(owner, field) if field else None
-    if (type(held) is tuple and getattr(a, "__func__", None) is type(owner).__getitem__
-            and M <= owner.precision and M < len(held)):
-        c = held[1:M + 1]
+    if getattr(a, "__func__", None) is QSeries.__getitem__ and M <= a.__self__.precision:
+        c = a.__self__.coeffs[1:M + 1]
     else:
         try:
             c = tuple(map(a, range(1, M + 1)))

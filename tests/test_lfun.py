@@ -16,7 +16,7 @@ from mpmath.libmp import (
     round_nearest, to_float, to_int,
 )
 
-from spinl import QSeries, RankinCoeffs, delta_qexp, g20_qexp, rankin_coeffs
+from spinl import QSeries, delta_qexp, g20_qexp, rankin_coeffs
 from spinl.numeric_lfun import (
     context,
     delta_lfunction,
@@ -319,7 +319,7 @@ class TestLRankin4:
         # |tau b|(n) <= d(n)^2 n^15.5, so the tail past N is below
         # d_max^2 / (2.5 N^2.5) relative to a value of order 1
         from spinl import zeta_exact
-        from spinl.numeric_lfun import pi_value_numeric
+        from pivalue_oracle import pi_value_numeric
 
         ctx = context(40)
         N = 4000
@@ -631,9 +631,9 @@ def _gate_call(entry, M, N, bad=None):
         cs[2] = cs[2] if bad is None else bad
         return l_degree2(QSeries(cs, N), 12, 6, _GATE_D, M)
     if entry == "l_rankin4":
-        vals = list(rankin_coeffs(N).values)
+        vals = list(rankin_coeffs(N).coeffs)
         vals[2] = vals[2] if bad is None else bad
-        return l_rankin4(RankinCoeffs(N, tuple(vals)), 15, _GATE_D, M)
+        return l_rankin4(QSeries(vals, N), 15, _GATE_D, M)
     spec = delta_lfunction(N) if entry == "residual_deg2" else rankin_lfunction(N)
     a = spec.coefficients
     crooked = None if bad is None else (lambda n: bad if n == 2 else a(n))
@@ -927,7 +927,7 @@ class TestLValueMemo:
         M2 = {k: evaluators._deg2_m(k, D) for k in (12, 20)}
         forms = {k: (delta_qexp(M) if k == 12 else g20_qexp(M)).coeffs[1:M + 1] for k, M in M2.items()}
         M4 = evaluators._deg4_m(D)
-        A = rankin_coeffs(M4).values[1:M4 + 1]
+        A = rankin_coeffs(M4).coeffs[1:M4 + 1]
         misses = []
         for _ in range(2):  # the misses, then only hits
             misses.append([fn.cache_info().misses for fn in memos])
@@ -961,12 +961,12 @@ class TestCoefficientSlices:
     @staticmethod
     def _spied(monkeypatch):
         calls = []
-        for cls in (QSeries, RankinCoeffs):
-            def spy(self, n, real=cls.__getitem__):
-                calls.append(n)
-                return real(self, n)
 
-            monkeypatch.setattr(cls, "__getitem__", spy)
+        def spy(self, n, real=QSeries.__getitem__):
+            calls.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(QSeries, "__getitem__", spy)
         return calls
 
     def test_held_series_read_as_slices(self, monkeypatch):
@@ -978,20 +978,18 @@ class TestCoefficientSlices:
         assert got == want and calls == []
 
     def test_refusals_past_the_held_coefficients(self):
-        # past the precision, and past a tuple shorter than the precision
+        # past the precision, of a truncated series and of a built one
         cases = [
-            (QSeries._of(delta_qexp(60).coeffs, 40).__getitem__, 41, 2, 12),
-            (RankinCoeffs(60, rankin_coeffs(40).values).__getitem__, 41, 4, 31),
+            (QSeries(delta_qexp(60).coeffs, 40).__getitem__, 41, 2, 12),
+            (rankin_coeffs(40).__getitem__, 41, 4, 31),
         ]
         for a, M, degree, w in cases:
-            with pytest.raises(ValueError, match="beyond the coefficients"):
+            with pytest.raises(ValueError, match="beyond the coefficients: coefficient 41 beyond precision 40"):
                 evaluators._coefficients(a, M, degree, w, 30)
 
-    def test_a_list_or_a_custom_accessor_is_mapped_on_every_call(self):
+    def test_a_custom_accessor_is_mapped_on_every_call(self):
         A = rankin_coeffs(40)
-        listed = RankinCoeffs(40, list(A.values))
-        want = A.values[1:41]
-        assert evaluators._coefficients(listed.__getitem__, 40, 4, 31, 30) == want
+        want = A.coeffs[1:41]
         seen = []
 
         def a(n):
@@ -1002,20 +1000,30 @@ class TestCoefficientSlices:
             assert evaluators._coefficients(a, 40, 4, 31, 30) == want
         assert seen == [*range(1, 41)] * 2
 
-    def test_the_rankin_spec_is_read_as_a_slice(self, monkeypatch):
-        # rankin_lfunction's accessor is the RankinCoeffs' own __getitem__:
-        # its residuals read a(1..M) as one slice, with the values and the
-        # refusals of an accessor that is mapped
-        A, M = rankin_coeffs(60), evaluators._deg4_m(30)
-        mapped = functional_eq_residual(rankin_lfunction(60), lambda n: A[n], 13.5, 30, M)
+    # each spec's accessor is its series' own QSeries.__getitem__ (Delta's
+    # and g20's were a list's, mapped one a(n) at a time), so its residuals
+    # read a(1..M) as one slice, with the values and the refusals of an
+    # accessor that is mapped
+    SPECS = {
+        "delta": (delta_lfunction, delta_qexp, 5, 12),
+        "g20": (g20_lfunction, g20_qexp, 7, 20),
+        "rankin": (rankin_lfunction, rankin_coeffs, 13.5, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_each_spec_is_read_as_a_slice(self, monkeypatch, name):
+        lfunction, build, t, k = self.SPECS[name]
+        A = build(60)
+        M = evaluators._deg4_m(30) if k is None else evaluators._deg2_m(k, 30)
+        mapped = functional_eq_residual(lfunction(60), lambda n: A[n], t, 30, M)
         errors = []
-        for a in (rankin_lfunction(60).coefficients, lambda n: A[n]):
+        for a in (lfunction(60).coefficients, lambda n: A[n]):
             with pytest.raises(ValueError) as err:
-                functional_eq_residual(rankin_lfunction(60), a, 13.5, 30, 61)
+                functional_eq_residual(lfunction(60), a, t, 30, 61)
             errors.append(str(err.value))
         calls = self._spied(monkeypatch)  # before the spec, whose accessor it becomes
-        spec = rankin_lfunction(60)
-        assert repr(functional_eq_residual(spec, None, 13.5, 30, M)) == repr(mapped)
+        spec = lfunction(60)
+        assert repr(functional_eq_residual(spec, None, t, 30, M)) == repr(mapped)
         assert calls == [] and errors[0] == errors[1]
 
 

@@ -23,13 +23,14 @@ from spinl.numeric_lfun import (
     l_degree2,
     l_rankin4,
     petersson_norm,
-    pi_value_numeric,
     rankin_lfunction,
     round_to,
     verify_tables,
 )
 from spinl.numeric_lfun import bigfloat, evaluators
 from spinl.numeric_lfun.special import _k0_k1
+
+from pivalue_oracle import pi_value_numeric
 
 
 PER_N_CACHES = (evaluators._NODE_CACHE, evaluators._KI1_CACHE)
@@ -470,12 +471,12 @@ class TestBoundedCaches:
         _clear_caches()
         first = verify_tables(60, 300)
         reads = []
-        for cls in (qexp.QSeries, qexp.RankinCoeffs):
-            def spy(self, n, real=cls.__getitem__):
-                reads.append(n)
-                return real(self, n)
 
-            monkeypatch.setattr(cls, "__getitem__", spy)
+        def spy(self, n, real=qexp.QSeries.__getitem__):
+            reads.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(qexp.QSeries, "__getitem__", spy)
         new = (evaluators._l_value, evaluators._norm)
         moments = (evaluators._deg2_moments, evaluators._deg4_moments)
         misses = [fn.cache_info().misses for fn in new]

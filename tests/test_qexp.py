@@ -23,12 +23,13 @@ from spinl import (
     hecke_tp,
     lemma1_local_check,
     rankin_coeffs,
-    whittaker_closed_form,
     zeta_exact,
     zeta_pole_over_gamma,
 )
 from spinl.exact_arith import factor_integer
 from spinl.qexp import _divisor_power_sums, _kronecker, _schoolbook, is_prime
+
+from pivalue_oracle import whittaker_closed_form
 
 # first coefficients of the discriminant form: q - 24q^2 + 252q^3 - ...
 DELTA_HEAD = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048}
@@ -50,6 +51,34 @@ class TestQSeries:
     def test_getitem_bounds(self):
         with pytest.raises(IndexError):
             QSeries([1, 2])[5]
+
+    # the precision is read as every builder reads N: 2.0, '3' and inf once
+    # raised TypeError from the slice or the comparison in the constructor
+    @pytest.mark.parametrize("precision", [2.0, "3", float("inf"), -1], ids=repr)
+    def test_precision_not_a_nonnegative_int_refused(self, precision):
+        with pytest.raises(ValueError, match=f"need an int N >= 0, got {precision!r}"):
+            QSeries([1, 2, 3], precision)
+
+    # every series holds exactly precision + 1 coefficients, the invariant
+    # the evaluators' one-slice read of a QSeries relies on
+    SERIES = {
+        "padded": lambda: QSeries([1], 3),
+        "truncated": lambda: QSeries([1, 2, 3, 4, 5], 2),
+        "as-given": lambda: QSeries([Fraction(1, 24), 1, 2]),
+        "delta_qexp": lambda: delta_qexp(50),
+        "g20_qexp": lambda: g20_qexp(50),
+        "rankin_coeffs": lambda: rankin_coeffs(50),
+        "eisenstein_qexp": lambda: eisenstein_qexp(4, 50),
+        "g2p_qexp": lambda: g2p_qexp(3, 50),
+        "hecke_tp-int": lambda: hecke_tp(delta_qexp(50), 2, 12),
+        "hecke_tp-fraction": lambda: hecke_tp(g2p_qexp(3, 50), 2, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_holds_precision_plus_one_coefficients(self, name):
+        s = self.SERIES[name]()
+        assert type(s) is QSeries and type(s.coeffs) is tuple
+        assert len(s.coeffs) == s.precision + 1
 
     def test_integral_coeffs_stored_as_int(self):
         s = QSeries([Fraction(4, 2), Fraction(-3), 5])
@@ -394,7 +423,7 @@ class TestLargeN:
     def test_pinned_coefficients(self):
         assert _sha256(delta_qexp(self.N).coeffs) == self.DELTA_SHA256
         assert _sha256(g20_qexp(self.N).coeffs) == self.G20_SHA256
-        assert _sha256(rankin_coeffs(self.N).values) == self.RANKIN_SHA256
+        assert _sha256(rankin_coeffs(self.N).coeffs) == self.RANKIN_SHA256
 
     @pytest.mark.parametrize("form,k,eigenvalue", [(delta_qexp, 12, -24), (g20_qexp, 20, 456)])
     def test_t2_eigenvalue(self, form, k, eigenvalue):
@@ -706,8 +735,9 @@ class TestRankinCoeffs:
     def test_bounds(self, rankin150):
         with pytest.raises(IndexError):
             rankin150[151]
-        with pytest.raises(IndexError):
-            rankin150[0]
+        # A(n) is a QSeries like every other series: A(0) is its constant
+        # term, 0, where the former RankinCoeffs container refused index 0
+        assert rankin150[0] == 0
 
 
 class TestLemma1:
